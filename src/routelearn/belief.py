@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .costs import Belief, CostModel
 from .errors import BeliefError
@@ -54,23 +53,77 @@ class Observation:
         object.__setattr__(self, "costs", costs)
 
 
-def log_likelihoods(model: CostModel, obs: Observation) -> np.ndarray:
-    """Log density of the observation under every state, shape (n_states,).
+def log_likelihood_block(
+    model: CostModel, used: tuple[int, ...], loads: np.ndarray, costs: np.ndarray
+) -> np.ndarray:
+    """Log densities of a block of observations under every state, shape (n, n_states).
 
-    The mean under state s is the state-s cost of each used edge at its
-    observed load; the covariance is the noise submatrix on the used edges,
-    factored once per distinct used set and cached on the model.
+    Row i observed `costs[i]` on the edges with indices `used` at the edge
+    loads `loads[i]`. The mean under state s is the state-s cost of each used
+    edge at its load; the covariance is the noise submatrix on the used
+    edges, whitened by the inverse of its Cholesky factor, which the model
+    caches once per distinct used set.
     """
-    idx = tuple(model.edge_index(e) for e in obs.used)
-    chol, logdet = model.sigma_cholesky(idx)
-    means = model.cost_matrix(obs.loads, idx)  # (S, m)
-    resid = obs.costs[None, :] - means
-    z = solve_triangular(chol, resid.T, lower=True, check_finite=False)
-    quad = np.einsum("ms,ms->s", z, z)
-    out = -0.5 * quad - 0.5 * len(idx) * _LOG_2PI - 0.5 * logdet
-    if not np.isfinite(out).all():
-        raise BeliefError("non-finite log likelihood; check the cost table")
+    n, m = len(costs), len(used)
+    linv, logdet = model.sigma_whitener(used)
+    means = model.cost_matrix(loads, used)  # (n, S, m)
+    resid = costs[:, None, :] - means
+    # whitened residuals, one matrix-vector product per row so that a row's
+    # bits do not depend on the block size, then transposed to (m, n * S) in
+    # Fortran order: the layout the quadratic form has always summed over
+    z = (linv @ resid.reshape(-1, m, 1))[:, :, 0].T
+    quad = np.einsum("ms,ms->s", z, z).reshape(n, -1)
+    out = -0.5 * quad - 0.5 * m * _LOG_2PI - 0.5 * logdet
+    bad = ~np.isfinite(out).all(axis=1)
+    if bad.any():
+        raise BeliefError("non-finite log likelihood; check the cost table").at_row(
+            np.argmax(bad)
+        )
     return out
+
+
+def _normalize(log_post: np.ndarray) -> np.ndarray:
+    """Posterior rows from unnormalized log masses that are -inf off the support."""
+    weights = np.exp(log_post - log_post.max(axis=1, keepdims=True))
+    total = weights.sum(axis=1)
+    bad = ~(np.isfinite(total) & (total > 0.0))
+    if bad.any():
+        raise BeliefError("posterior mass vanished").at_row(np.argmax(bad))
+    out = weights / total[:, None]
+    sums = out.sum(axis=1)
+    off = np.abs(sums - 1.0) > 1e-12
+    if off.any():
+        i = int(np.argmax(off))
+        raise BeliefError(f"belief entries sum to {sums[i]!r}, not 1").at_row(i)
+    return out
+
+
+def bayes_update_block(
+    prior: np.ndarray,
+    model: CostModel,
+    used: tuple[int, ...],
+    loads: np.ndarray,
+    costs: np.ndarray,
+) -> np.ndarray:
+    """Posterior rows after one observation each, for rows that used the same edges.
+
+    States with zero prior mass stay at exactly zero; no probability floor is
+    applied, so masses may reach numeric zero.
+    """
+    with np.errstate(divide="ignore"):
+        log_prior = np.log(prior)
+    return _normalize(log_prior + log_likelihood_block(model, used, loads, costs))
+
+
+def _used_indices(model: CostModel, obs: Observation) -> tuple[int, ...]:
+    return tuple(model.edge_index(e) for e in obs.used)
+
+
+def log_likelihoods(model: CostModel, obs: Observation) -> np.ndarray:
+    """Log density of the observation under every state, shape (n_states,)."""
+    return log_likelihood_block(
+        model, _used_indices(model, obs), obs.loads[None, :], obs.costs[None, :]
+    )[0]
 
 
 def log_gaussian_density(model: CostModel, state: str, obs: Observation) -> float:
@@ -79,25 +132,19 @@ def log_gaussian_density(model: CostModel, state: str, obs: Observation) -> floa
 
 
 def bayes_update(theta: Belief, model: CostModel, obs: Observation) -> Belief:
-    """Posterior belief after one observation.
-
-    States with zero prior mass stay at exactly zero; no probability floor is
-    applied, so masses may reach numeric zero.
-    """
+    """Posterior belief after one observation: the block update on one row."""
     if len(theta) != model.n_states:
         raise BeliefError(
             f"belief has {len(theta)} entries, model has {model.n_states} states"
         )
-    prior = theta.probs
-    support = prior > 0.0
-    log_post = np.log(prior[support]) + log_likelihoods(model, obs)[support]
-    weights = np.exp(log_post - log_post.max())
-    total = float(weights.sum())
-    if not np.isfinite(total) or total <= 0.0:
-        raise BeliefError("posterior mass vanished")
-    out = np.zeros_like(prior)
-    out[support] = weights / total
-    return Belief(out)
+    post = bayes_update_block(
+        theta.probs[None, :],
+        model,
+        _used_indices(model, obs),
+        obs.loads[None, :],
+        obs.costs[None, :],
+    )
+    return Belief(post[0])
 
 
 def replay_posterior(
@@ -116,14 +163,8 @@ def replay_posterior(
     prior = theta0.probs
     if not history:
         return Belief(prior.copy())
-    support = prior > 0.0
-    acc = np.log(prior[support])
+    with np.errstate(divide="ignore"):
+        acc = np.log(prior)
     for obs in history:
-        acc = acc + log_likelihoods(model, obs)[support]
-    weights = np.exp(acc - acc.max())
-    total = float(weights.sum())
-    if not np.isfinite(total) or total <= 0.0:
-        raise BeliefError("posterior mass vanished")
-    out = np.zeros_like(prior)
-    out[support] = weights / total
-    return Belief(out)
+        acc = acc + log_likelihoods(model, obs)
+    return Belief(_normalize(acc[None, :])[0])

@@ -78,11 +78,14 @@ def _tool_stamp(scenario: Scenario) -> dict:
 
 def _load(args) -> Scenario:
     scenario = load_scenario(args.scenario)
-    if getattr(args, "tol", None):
+    tol = getattr(args, "tol", None)
+    if tol is not None:
+        if not tol > 0:
+            raise ScenarioError("tol", f"must be positive, got {tol!r}")
         scenario = dataclasses.replace(
             scenario,
             tolerances=dataclasses.replace(
-                scenario.tolerances, equilibrium=args.tol
+                scenario.tolerances, equilibrium=tol
             ),
         )
     return scenario
@@ -127,6 +130,7 @@ def cmd_run(args) -> int:
         trajectory.final_loads,
         scenario.demand,
         used_tol=scenario.used_edge_tol,
+        cost_tol=scenario.tolerances.cost_equality,
     )
     payload = _tool_stamp(scenario)
     payload.update(

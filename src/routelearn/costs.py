@@ -25,9 +25,10 @@ def polyval_ascending(coeffs, x) -> np.ndarray:
     """
     c = np.asarray(coeffs, dtype=float)
     x = np.asarray(x, dtype=float)
-    res = np.zeros(np.broadcast(c[..., 0], x).shape, dtype=float)
-    res += c[..., -1]
-    for k in range(c.shape[-1] - 2, -1, -1):
+    if c.shape[-1] == 1:
+        return np.zeros(np.broadcast(c[..., 0], x).shape) + c[..., 0]
+    res = c[..., -1] * x + c[..., -2]
+    for k in range(c.shape[-1] - 3, -1, -1):
         res = res * x + c[..., k]
     return res
 
@@ -37,8 +38,7 @@ def polyint_ascending(coeffs, x) -> np.ndarray:
     c = np.asarray(coeffs, dtype=float)
     x = np.asarray(x, dtype=float)
     k = c.shape[-1]
-    res = np.zeros(np.broadcast(c[..., 0], x).shape, dtype=float)
-    res += c[..., -1] / k
+    res = c[..., -1] / k
     for j in range(k - 2, -1, -1):
         res = res * x + c[..., j] / (j + 1)
     return res * x
@@ -234,7 +234,7 @@ class CostModel:
 
         self._edge_index = {e: i for i, e in enumerate(self.edges)}
         self._state_index = {s: i for i, s in enumerate(self.states)}
-        self._chol_cache: dict[tuple[int, ...], tuple[np.ndarray, float]] = {}
+        self._chol_cache: dict[tuple[int, ...], tuple[np.ndarray, float, np.ndarray]] = {}
         self._slope_ok: bool | None = None
 
     @property
@@ -274,14 +274,16 @@ class CostModel:
         return self._coeffs[:, self.state_index(state), :]
 
     def cost_matrix(self, loads, edge_indices: Sequence[int]) -> np.ndarray:
-        """Per-state cost values on the selected edges, shape (S, m)."""
-        idx = list(edge_indices)
-        w = np.asarray(loads, dtype=float)[idx]
-        sub = self._coeffs[idx]  # (m, S, C)
-        return polyval_ascending(np.swapaxes(sub, 0, 1), w)
+        """Per-state cost values on the selected edges.
 
-    def sigma_cholesky(self, edge_indices: tuple[int, ...]) -> tuple[np.ndarray, float]:
-        """Cached Cholesky factor and log-determinant of a sigma submatrix."""
+        Loads of shape (..., n_edges) give costs of shape (..., S, m).
+        """
+        idx = list(edge_indices)
+        w = np.asarray(loads, dtype=float)[..., idx]
+        sub = self._coeffs[idx]  # (m, S, C)
+        return polyval_ascending(np.swapaxes(sub, 0, 1), w[..., None, :])
+
+    def _sigma_factors(self, edge_indices: tuple[int, ...]) -> tuple[np.ndarray, float, np.ndarray]:
         key = tuple(edge_indices)
         hit = self._chol_cache.get(key)
         if hit is not None:
@@ -294,9 +296,25 @@ class CostModel:
                 f"noise covariance submatrix on edges {key} is not positive definite"
             ) from None
         logdet = 2.0 * float(np.log(np.diag(chol)).sum())
+        linv = np.linalg.inv(chol)
         chol.setflags(write=False)
-        self._chol_cache[key] = (chol, logdet)
+        linv.setflags(write=False)
+        self._chol_cache[key] = (chol, logdet, linv)
+        return chol, logdet, linv
+
+    def sigma_cholesky(self, edge_indices: tuple[int, ...]) -> tuple[np.ndarray, float]:
+        """Cached Cholesky factor and log-determinant of a sigma submatrix."""
+        chol, logdet, _ = self._sigma_factors(edge_indices)
         return chol, logdet
+
+    def sigma_whitener(self, edge_indices: tuple[int, ...]) -> tuple[np.ndarray, float]:
+        """Cached inverse of the Cholesky factor of a sigma submatrix, and its log-determinant.
+
+        The inverse maps a residual with that covariance to independent
+        standard normals; keeping it avoids a triangular solve per update.
+        """
+        _, logdet, linv = self._sigma_factors(edge_indices)
+        return linv, logdet
 
     def ensure_slope_bound(self) -> None:
         """Raise CostError unless every cost function satisfies the slope bound."""

@@ -2,7 +2,12 @@
 
 Each stage plays the Wardrop equilibrium of the current public belief,
 realizes Gaussian-noised costs on the used edges, and applies the Bayes
-update. Noise is drawn for every edge each stage even though only used-edge
+update. Seeds advance in lockstep blocks: a stage of a block is one batched
+equilibrium solve, one noise draw per seed, one likelihood and Bayes update
+per set of used edges, and one stopping-window test, and each seed leaves
+its block once it converges or reaches max_stages. Every row of a block is
+computed as it would be alone, so a trajectory does not depend on which
+seeds share its block. Noise is drawn for every edge each stage even though only used-edge
 components enter the observation; that keeps the random stream's consumption
 independent of which edges were used, so trajectories replay exactly.
 """
@@ -10,18 +15,18 @@ independent of which edges were used, so trajectories replay exactly.
 from __future__ import annotations
 
 import csv
-from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .belief import Observation, bayes_update
+from .belief import Observation, bayes_update_block
 from .costs import Belief, CostModel, polyval_ascending
-from .equilibrium import EquilibriumResult, solve_wardrop
-from .graph import used_edges
+from .equilibrium import EquilibriumBlock, EquilibriumResult, solve_wardrop_block
+from .errors import BeliefError, RoutelearnError, SolverError
+from .graph import row_groups
 from .scenario import Scenario
 
 CONVERGED = "converged"
@@ -79,63 +84,119 @@ class StageRecord:
 
 @dataclass(frozen=True)
 class Trajectory:
+    """One seed's stages as per-stage arrays; stage k is row k - 1.
+
+    `beliefs` has one row more than the others: row 0 is the initial belief
+    and row k the posterior after stage k. `costs` holds the realized cost
+    on each used edge and NaN on the edges that carried no load.
+    """
+
     scenario: Scenario
     seed: int
-    records: tuple[StageRecord, ...]
     status: str
+    beliefs: np.ndarray
+    equilibria: EquilibriumBlock
+    used: np.ndarray
+    costs: np.ndarray
 
     @property
     def n_stages(self) -> int:
-        return len(self.records)
+        return len(self.used)
 
     @property
     def final_belief(self) -> Belief:
-        return self.records[-1].belief_post
+        return Belief(self.beliefs[-1])
 
     @property
     def final_loads(self) -> np.ndarray:
-        return self.records[-1].equilibrium.edge_loads
+        return self.equilibria.edge_loads[-1]
 
     @property
     def final_used(self) -> tuple[str, ...]:
-        return self.records[-1].observation.used
+        return _edge_labels(self.scenario, self.used[-1])
+
+    def observation(self, k: int) -> Observation:
+        """What the information system observed in stage k (1-based)."""
+        used = self.used[k - 1]
+        return Observation(
+            used=_edge_labels(self.scenario, used),
+            loads=self.equilibria.edge_loads[k - 1],
+            costs=self.costs[k - 1, used],
+        )
 
     def observations(self) -> tuple[Observation, ...]:
-        return tuple(r.observation for r in self.records)
+        return tuple(self.observation(k) for k in range(1, self.n_stages + 1))
+
+    @property
+    def records(self) -> tuple[StageRecord, ...]:
+        return tuple(
+            StageRecord(
+                stage=k,
+                belief_prior=Belief(self.beliefs[k - 1]),
+                equilibrium=self.equilibria.row(k - 1),
+                observation=self.observation(k),
+                belief_post=Belief(self.beliefs[k]),
+            )
+            for k in range(1, self.n_stages + 1)
+        )
+
+
+def _edge_labels(scenario: Scenario, mask) -> tuple[str, ...]:
+    return tuple(e for e, u in zip(scenario.model.edges, mask) if u)
+
+
+def _stage(scenario: Scenario, probs: np.ndarray, samplers: Sequence[NoiseSampler]):
+    """One stage for a block of beliefs, one per row of `probs`.
+
+    One equilibrium solve for the block, one noise draw per row, and one
+    likelihood and Bayes update per group of rows that used the same edges.
+    Returns the equilibria, the used-edge mask, the realized costs (NaN on
+    unused edges) and the posteriors. An error names its row in `row`.
+    """
+    model = scenario.model
+    eq = solve_wardrop_block(
+        scenario.network,
+        model,
+        probs,
+        scenario.demand,
+        tol=scenario.tolerances.equilibrium,
+    )
+    eq.raise_unconverged()
+    noise = np.array([s.sample() for s in samplers])
+    loads = eq.edge_loads
+    used = loads > scenario.used_edge_tol
+    if not used.any(axis=1).all():
+        raise BeliefError("observation needs at least one used edge").at_row(
+            np.argmin(used.any(axis=1))
+        )
+    true_costs = polyval_ascending(model.state_coefficients(scenario.true_state), loads)
+    costs = np.where(used, true_costs + noise, np.nan)
+    post = np.empty_like(probs)
+    for pattern, rows in row_groups(used):
+        idx = tuple(np.flatnonzero(pattern).tolist())
+        try:
+            post[rows] = bayes_update_block(
+                probs[rows], model, idx, loads[rows], costs[np.ix_(rows, idx)]
+            )
+        except RoutelearnError as exc:
+            if exc.row is not None:
+                exc.at_row(rows[exc.row])
+            raise
+    return eq, used, costs, post
 
 
 def step(scenario: Scenario, belief: Belief, sampler: NoiseSampler, stage: int) -> StageRecord:
     """Play one stage: equilibrium at the belief, noisy costs, Bayes update."""
-    eq = solve_wardrop(
-        scenario.network,
-        scenario.model,
-        belief,
-        scenario.demand,
-        tol=scenario.tolerances.equilibrium,
+    eq, used, costs, post = _stage(scenario, belief.probs[None, :], [sampler])
+    obs = Observation(
+        used=_edge_labels(scenario, used[0]), loads=eq.edge_loads[0], costs=costs[0, used[0]]
     )
-    noise = sampler.sample()
-    used = used_edges(scenario.network, eq.edge_loads, scenario.used_edge_tol)
-    obs = realize_costs(scenario.model, scenario.true_state, eq.edge_loads, used, noise)
-    post = bayes_update(belief, scenario.model, obs)
-    return StageRecord(stage, belief, eq, obs, post)
+    return StageRecord(stage, belief, eq.row(0), obs, Belief(post[0]))
 
 
-def run(
-    scenario: Scenario,
-    seed: int,
-    *,
-    max_stages: int | None = None,
-    window: int | None = None,
-    delta: float | None = None,
-) -> Trajectory:
-    """Run the learning dynamics until the stopping window triggers.
-
-    The process itself never stops, so a trajectory is declared converged
-    once both the belief and the load have moved less than delta (delta *
-    demand for loads) between consecutive stages for `window` stages in a
-    row. Stage-to-stage differences start at stage 2, so the earliest
-    possible convergence is stage window + 1.
-    """
+def _stopping_rule(
+    scenario: Scenario, max_stages: int | None, window: int | None, delta: float | None
+) -> tuple[int, int, float]:
     conv = scenario.convergence
     w_len = conv.window if window is None else int(window)
     d_tol = conv.delta if delta is None else float(delta)
@@ -146,36 +207,120 @@ def run(
         raise ValueError("delta must be positive")
     if cap < w_len:
         raise ValueError("max_stages must be at least the window length")
+    return cap, w_len, d_tol
 
-    sampler = NoiseSampler(scenario.model.sigma, seed)
-    theta = scenario.initial_belief
-    records: list[StageRecord] = []
-    diffs: deque[tuple[float, float]] = deque(maxlen=w_len)
+
+def _for_seed(exc: RoutelearnError, seed: int, stage: int) -> RoutelearnError:
+    named = type(exc)(f"seed {seed}, stage {stage}: {exc}")
+    if isinstance(exc, SolverError):
+        named.best = exc.best
+    return named
+
+
+def _unpack(scenario: Scenario, seed: int, status: str, rows: np.ndarray) -> Trajectory:
+    """A trajectory from its packed stage rows, one row per stage.
+
+    A row holds the posterior, route flows, edge loads, gap, route costs,
+    iterations, potential, used flags and realized costs, in that order.
+    """
+    n_s, n_r, n_e = scenario.model.n_states, scenario.network.n_routes, scenario.network.n_edges
+    cuts = np.cumsum((n_s, n_r, n_e, 1, n_r, 1, 1, n_e))
+    post, flows, loads, gap, route_costs, iters, potential, used, costs = np.split(
+        rows, cuts, axis=1
+    )
+    return Trajectory(
+        scenario=scenario,
+        seed=seed,
+        status=status,
+        beliefs=np.vstack([scenario.initial_belief.probs, post]),
+        equilibria=EquilibriumBlock(
+            route_flows=flows,
+            edge_loads=loads,
+            gap=gap[:, 0],
+            route_costs=route_costs,
+            n_iterations=iters[:, 0].astype(np.intp),
+            potential=potential[:, 0],
+            converged=np.ones(len(rows), dtype=bool),
+        ),
+        used=used.astype(bool),
+        costs=costs,
+    )
+
+
+def run_block(
+    scenario: Scenario,
+    seeds: Sequence[int],
+    *,
+    max_stages: int | None = None,
+    window: int | None = None,
+    delta: float | None = None,
+) -> Iterator[Trajectory]:
+    """Advance a block of seeds in lockstep; yield each trajectory as its seed leaves.
+
+    The process itself never stops, so a seed leaves once both its belief
+    and its load have moved less than delta (delta * demand for loads)
+    between consecutive stages for `window` stages in a row, or after
+    `max_stages` stages. Stage-to-stage differences start at stage 2, so the
+    earliest possible convergence is stage window + 1. Each trajectory is
+    the one `run` gives for its seed.
+    """
+    cap, w_len, d_tol = _stopping_rule(scenario, max_stages, window, delta)
+    seeds = [int(s) for s in seeds]
+    samplers = [NoiseSampler(scenario.model.sigma, s) for s in seeds]
+    prior = scenario.initial_belief.probs
+    probs = np.tile(prior, (len(seeds), 1))
+    live = np.arange(len(seeds))  # block positions of the seeds still playing
+    streak = np.zeros(len(seeds), dtype=int)  # stages in a row with small moves
+    rows: list[list | None] = [[] for _ in seeds]  # per seed, one packed row per stage
     load_bound = d_tol * scenario.demand
-    status = MAX_STAGES
-    prev_post: np.ndarray | None = None
-    prev_loads: np.ndarray | None = None
+    prev_loads = None
 
     for k in range(1, cap + 1):
-        rec = step(scenario, theta, sampler, k)
-        if prev_post is not None:
-            diffs.append(
-                (
-                    float(np.max(np.abs(rec.belief_post.probs - prev_post))),
-                    float(np.max(np.abs(rec.equilibrium.edge_loads - prev_loads))),
-                )
+        try:
+            eq, used, costs, post = _stage(scenario, probs, [samplers[i] for i in live])
+        except RoutelearnError as exc:
+            if exc.row is None:
+                raise
+            raise _for_seed(exc, seeds[live[exc.row]], k) from exc
+        packed = np.hstack([
+            post, eq.route_flows, eq.edge_loads, eq.gap[:, None], eq.route_costs,
+            eq.n_iterations[:, None], eq.potential[:, None], used, costs,
+        ])
+        for i, row in zip(live.tolist(), packed):
+            rows[i].append(row)
+        if prev_loads is not None:
+            small = (np.abs(post - probs).max(axis=1) < d_tol) & (
+                np.abs(eq.edge_loads - prev_loads).max(axis=1) < load_bound
             )
-        prev_post = rec.belief_post.probs
-        prev_loads = rec.equilibrium.edge_loads
-        records.append(rec)
-        theta = rec.belief_post
-        if len(diffs) == w_len and all(
-            td < d_tol and ld < load_bound for td, ld in diffs
-        ):
-            status = CONVERGED
-            break
+            streak = np.where(small, streak + 1, 0)
+        converged = streak >= w_len
+        leaving = converged | (k == cap)
+        for j in np.flatnonzero(leaving).tolist():
+            i = int(live[j])
+            status = CONVERGED if converged[j] else MAX_STAGES
+            yield _unpack(scenario, seeds[i], status, np.array(rows[i]))
+            rows[i] = None
+        stay = ~leaving
+        live, probs, prev_loads, streak = live[stay], post[stay], eq.edge_loads[stay], streak[stay]
+        if not live.size:
+            return
 
-    return Trajectory(scenario, int(seed), tuple(records), status)
+
+def run(
+    scenario: Scenario,
+    seed: int,
+    *,
+    max_stages: int | None = None,
+    window: int | None = None,
+    delta: float | None = None,
+) -> Trajectory:
+    """Run the learning dynamics for one seed until the stopping window triggers.
+
+    A block of one seed; see `run_block` for the stopping rule.
+    """
+    return next(
+        run_block(scenario, [seed], max_stages=max_stages, window=window, delta=delta)
+    )
 
 
 @dataclass(frozen=True)
@@ -230,14 +375,21 @@ class BatchSummary:
         return float(np.mean(stages)) if stages else float("nan")
 
 
-def _run_case(args) -> TrajectorySummary:
-    scenario, seed, max_stages, window, delta, traj_dir = args
-    traj = run(scenario, seed, max_stages=max_stages, window=window, delta=delta)
-    if traj_dir is not None:
-        write_trajectory_csv(
-            traj, Path(traj_dir) / f"{scenario.name}_seed{seed}_trajectory.csv"
-        )
-    return summarize(traj)
+# Largest block of seeds advanced together; bounds the per-stage rows a
+# block keeps until its last seed leaves.
+MAX_BLOCK_SEEDS = 512
+
+
+def _run_block_case(args) -> list[TrajectorySummary]:
+    scenario, seeds, rule, traj_dir = args
+    summaries = {}
+    for traj in run_block(scenario, seeds, **rule):
+        if traj_dir is not None:
+            write_trajectory_csv(
+                traj, Path(traj_dir) / f"{scenario.name}_seed{traj.seed}_trajectory.csv"
+            )
+        summaries[traj.seed] = summarize(traj)
+    return [summaries[s] for s in seeds]
 
 
 def monte_carlo(
@@ -252,22 +404,31 @@ def monte_carlo(
 ) -> BatchSummary:
     """Independent trajectories for each seed, merged after completion.
 
-    Results are keyed by seed and identical regardless of worker count; each
-    trajectory draws from its own generator seeded by its own seed.
+    The seeds are split into contiguous blocks, one per worker (more when a
+    block would exceed MAX_BLOCK_SEEDS), and each block advances in
+    lockstep. Results are keyed by seed and identical regardless of worker
+    count: each trajectory draws from its own generator seeded by its own
+    seed, and a block computes every row as it would alone.
     """
     seed_list = [int(s) for s in seeds]
     if len(set(seed_list)) != len(seed_list):
         raise ValueError("seeds must be distinct")
     if not seed_list:
         raise ValueError("need at least one seed")
+    _stopping_rule(scenario, max_stages, window, delta)  # fail before any work
+    rule = {"max_stages": max_stages, "window": window, "delta": delta}
+    n_blocks = max(min(workers, len(seed_list)), -(-len(seed_list) // MAX_BLOCK_SEEDS))
+    bounds = [len(seed_list) * b // n_blocks for b in range(n_blocks + 1)]
     args = [
-        (scenario, s, max_stages, window, delta, trajectory_dir) for s in seed_list
+        (scenario, seed_list[lo:hi], rule, trajectory_dir)
+        for lo, hi in zip(bounds, bounds[1:])
     ]
     if workers <= 1:
-        summaries = [_run_case(a) for a in args]
+        blocks = [_run_block_case(a) for a in args]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            summaries = list(pool.map(_run_case, args))
+            blocks = list(pool.map(_run_block_case, args))
+    summaries = [s for block in blocks for s in block]
 
     groups: dict[tuple[str, ...], list[TrajectorySummary]] = {}
     for s in summaries:
@@ -317,16 +478,20 @@ def write_trajectory_csv(trajectory: Trajectory, path: str | Path) -> Path:
     )
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    stages = zip(
+        trajectory.beliefs[1:].tolist(),
+        trajectory.equilibria.edge_loads.tolist(),
+        trajectory.used.tolist(),
+        trajectory.costs.tolist(),
+    )
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for rec in trajectory.records:
-            used_set = set(rec.observation.used)
-            cost_of = dict(zip(rec.observation.used, rec.observation.costs))
-            row = [str(rec.stage)]
-            row += [_fmt(p) for p in rec.belief_post.probs]
-            row += [_fmt(w) for w in rec.equilibrium.edge_loads]
-            row += ["1" if e in used_set else "0" for e in edge_ids]
-            row += [_fmt(cost_of[e]) if e in used_set else "" for e in edge_ids]
+        for k, (probs, loads, used, costs) in enumerate(stages, start=1):
+            row = [str(k)]
+            row += [_fmt(p) for p in probs]
+            row += [_fmt(w) for w in loads]
+            row += ["1" if u else "0" for u in used]
+            row += [_fmt(c) if u else "" for u, c in zip(used, costs)]
             writer.writerow(row)
     return path

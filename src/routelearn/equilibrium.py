@@ -16,7 +16,7 @@ import numpy as np
 
 from .costs import Belief, CostModel, polyint_ascending, polyval_ascending
 from .errors import SolverError
-from .graph import Network
+from .graph import Network, row_groups
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 100_000
@@ -49,79 +49,312 @@ class WardropCertificate:
     used_routes: tuple[int, ...]
 
 
-def _line_search(mixed: np.ndarray, w: np.ndarray, d: np.ndarray, affine: bool) -> float:
-    """Exact step toward the all-or-nothing target.
+@dataclass(frozen=True)
+class EquilibriumBlock:
+    """Equilibria of a block of beliefs, row i for belief i.
+
+    Rows whose certificates did not meet the tolerance are marked False in
+    `converged` and hold the best iterate found.
+    """
+
+    route_flows: np.ndarray
+    edge_loads: np.ndarray
+    gap: np.ndarray
+    route_costs: np.ndarray
+    n_iterations: np.ndarray
+    potential: np.ndarray
+    converged: np.ndarray
+    phi_history: tuple[tuple[float, ...], ...] | None = None
+
+    def row(self, i: int) -> EquilibriumResult:
+        return EquilibriumResult(
+            route_flows=self.route_flows[i],
+            edge_loads=self.edge_loads[i],
+            gap=float(self.gap[i]),
+            route_costs=self.route_costs[i],
+            n_iterations=int(self.n_iterations[i]),
+            potential=float(self.potential[i]),
+            phi_history=None if self.phi_history is None else self.phi_history[i],
+        )
+
+    def raise_unconverged(self) -> None:
+        """Raise SolverError, with `row` set, for the first row that did not converge."""
+        if self.converged.all():
+            return
+        i = int(np.argmin(self.converged))
+        raise SolverError(
+            f"no convergence within {self.n_iterations[i]} iterations "
+            f"(relative gap {self.gap[i]:.3e})",
+            best=self.row(i),
+        ).at_row(i)
+
+
+# Products with the incidence matrix are taken row by row, as stacked
+# matrix-vector products: a matrix-matrix product lets BLAS pick kernels by
+# shape, which would make a row's last bits depend on the rows beside it.
+def _edge_sums(route_values: np.ndarray, inc: np.ndarray) -> np.ndarray:
+    """Per-edge totals of per-route rows: edge loads from route flows."""
+    return (inc @ route_values[:, :, None])[:, :, 0]
+
+
+def _route_sums(edge_values: np.ndarray, inc: np.ndarray) -> np.ndarray:
+    """Per-route totals of per-edge rows: route costs from edge costs."""
+    return (inc.T @ edge_values[:, :, None])[:, :, 0]
+
+
+def _horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k] * x**k for ascending coefficient rows stacked on the first axis."""
+    res = coeffs[-1] * x + coeffs[-2]
+    for k in range(len(coeffs) - 3, -1, -1):
+        res = res * x + coeffs[k]
+    return res
+
+
+def _line_search(
+    coeffs: np.ndarray, w: np.ndarray, d: np.ndarray, costs: np.ndarray, poly: np.ndarray
+) -> np.ndarray:
+    """Exact step toward the all-or-nothing target, one per row.
 
     Minimizes the potential along w + g*d for g in [0, 1]. The directional
-    derivative sum_e cost_e(w + g d) d_e is nondecreasing in g, so the affine
-    case has a closed form and the general case bisects on its sign.
+    derivative sum_e cost_e(w + g d) d_e is nondecreasing in g, so affine
+    rows have a closed form and the rows listed in `poly` bisect on its
+    sign. `coeffs` holds the mixed cost coefficients degree-major, shape
+    (C, n, E).
     """
-    if affine:
-        num = -float(polyval_ascending(mixed, w) @ d)
-        den = float(mixed[:, 1] @ (d * d))
-        if den <= 0.0:
-            # direction changes no loaded edge; any step is equivalent
-            return 1.0
-        return min(1.0, max(0.0, num / den))
-    if float(polyval_ascending(mixed, w + d) @ d) <= 0.0:
-        return 1.0
-    lo, hi = 0.0, 1.0
-    for _ in range(60):
+    num = -np.add.reduce(costs * d, axis=1)
+    den = np.add.reduce(coeffs[1] * (d * d), axis=1)
+    # a direction that changes no loaded edge makes any step equivalent
+    ratio = np.divide(num, den, out=np.ones_like(num), where=den > 0.0)
+    gamma = np.minimum(1.0, np.maximum(0.0, ratio))
+    if not poly.size:
+        return gamma
+    rows = poly
+    c, w, d = coeffs[:, rows], w[rows], d[rows]
+    need = (_horner(c, w + d) * d).sum(axis=1) > 0.0
+    gamma[rows] = 1.0
+    rows, c, w, d = rows[need], c[:, need], w[need], d[need]
+    lo, hi = np.zeros(len(rows)), np.ones(len(rows))
+    for _ in range(60 if rows.size else 0):
         mid = 0.5 * (lo + hi)
-        if float(polyval_ascending(mixed, w + mid * d) @ d) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+        pos = (_horner(c, w + mid[:, None] * d) * d).sum(axis=1) > 0.0
+        np.copyto(hi, mid, where=pos)
+        np.copyto(lo, mid, where=~pos)
+    gamma[rows] = 0.5 * (lo + hi)
+    return gamma
+
+
+def _stacked_solve(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve every system of the stack; rows of singular systems come back NaN."""
+    try:
+        return np.linalg.solve(m, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        out = np.full(rhs.shape, np.nan)
+        for i in range(len(m)):
+            try:
+                out[i] = np.linalg.solve(m[i], rhs[i])
+            except np.linalg.LinAlgError:
+                pass
+        return out
 
 
 def _face_polish(
-    inc: np.ndarray, mixed: np.ndarray, demand: float, q: np.ndarray, rmin: int
-) -> np.ndarray | None:
-    """Equalize expected costs on the active route set (affine mixtures).
+    inc: np.ndarray, mixed: np.ndarray, demand: float, q: np.ndarray, rmin: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Equalize expected costs on each row's active route set (affine mixtures).
 
-    Solves the equal-cost linear system restricted to the currently positive
-    routes plus the cheapest one, dropping negative flows active-set style.
-    Returns the polished flows only when they satisfy the equilibrium
-    conditions to near machine precision, else None.
+    Solves the equal-cost linear system restricted to the row's positive
+    routes plus its cheapest one, dropping negative flows active-set style;
+    rows with the same active set share one stacked solve. Returns the
+    polished flows and a mask of the rows whose polished flows satisfy the
+    equilibrium conditions to near machine precision.
     """
-    slopes, intercepts = mixed[:, 1], mixed[:, 0]
-    route_slope = inc.T @ (slopes[:, None] * inc)
-    route_free = inc.T @ intercepts
-    active = sorted(set(np.flatnonzero(q > 1e-12 * demand)) | {rmin})
-    while True:
-        k = len(active)
-        if k == 1:
-            sol = np.array([demand])
-            break
-        m = np.zeros((k, k))
-        rhs = np.zeros(k)
-        base = active[-1]
-        for i, r in enumerate(active[:-1]):
-            m[i] = route_slope[r, active] - route_slope[base, active]
-            rhs[i] = route_free[base] - route_free[r]
-        m[k - 1] = 1.0
-        rhs[k - 1] = demand
-        try:
-            sol = np.linalg.solve(m, rhs)
-        except np.linalg.LinAlgError:
-            return None
-        if sol.min() >= -1e-12 * demand:
-            sol = np.maximum(sol, 0.0)
-            break
-        active.pop(int(np.argmin(sol)))
-    q_new = np.zeros(inc.shape[1])
-    q_new[active] = sol
-    q_new[active[int(np.argmax(sol))]] += demand - q_new.sum()
+    n, n_routes = q.shape
+    slopes, intercepts = mixed[:, :, 1], mixed[:, :, 0]
+    route_slope = inc.T @ (slopes[:, :, None] * inc)
+    route_free = _route_sums(intercepts, inc)
+    active = q > 1e-12 * demand
+    active[np.arange(n), rmin] = True
+    polished = np.zeros_like(q)
+    ok = np.zeros(n, dtype=bool)
+    pending = np.arange(n)
+    while pending.size:
+        retry = []
+        for pattern, sub in row_groups(active[pending]):
+            rows = pending[sub]
+            routes = np.flatnonzero(pattern)
+            k = len(routes)
+            if k == 1:
+                sol = np.full((len(rows), 1), demand)
+            else:
+                base, others = routes[-1], routes[:-1]
+                m = np.empty((len(rows), k, k))
+                rhs = np.empty((len(rows), k))
+                m[:, :-1] = (
+                    route_slope[rows[:, None], others[None, :]][:, :, routes]
+                    - route_slope[rows, base][:, None, routes]
+                )
+                rhs[:, :-1] = route_free[rows, base][:, None] - route_free[rows][:, others]
+                m[:, -1] = 1.0
+                rhs[:, -1] = demand
+                sol = _stacked_solve(m, rhs)
+                solved = ~np.isnan(sol).all(axis=1)
+                rows, sol = rows[solved], sol[solved]
+            drop = ~(sol.min(axis=1) >= -1e-12 * demand)
+            active[rows[drop], routes[np.argmin(sol[drop], axis=1)]] = False
+            retry.append(rows[drop])
+            rows, sol = rows[~drop], np.maximum(sol[~drop], 0.0)
 
-    t = inc.T @ polyval_ascending(mixed, inc @ q_new)
-    common = float(t[active].mean())
-    scale = 1e-9 * (1.0 + abs(common))
-    if np.max(np.abs(t[active] - common)) > scale:
-        return None
-    if float(t.min()) < common - scale:
-        return None
-    return q_new
+            cand = np.zeros((len(rows), n_routes))
+            cand[:, routes] = sol
+            top = routes[np.argmax(sol, axis=1)]
+            cand[np.arange(len(rows)), top] += demand - cand.sum(axis=1)
+            t = _route_sums(polyval_ascending(mixed[rows], _edge_sums(cand, inc)), inc)
+            common = t[:, routes].sum(axis=1) / k
+            scale = 1e-9 * (1.0 + np.abs(common))
+            good = ~(np.abs(t[:, routes] - common[:, None]).max(axis=1) > scale) & ~(
+                t.min(axis=1) < common - scale
+            )
+            polished[rows[good]] = cand[good]
+            ok[rows[good]] = True
+        pending = np.concatenate(retry)
+    return polished, ok
+
+
+def solve_wardrop_block(
+    network: Network,
+    model: CostModel,
+    probs,
+    demand: float,
+    *,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+    init_route: int | None = None,
+    keep_history: bool = False,
+) -> EquilibriumBlock:
+    """Equilibria for a block of beliefs, one per row of `probs`.
+
+    Each row iterates all-or-nothing assignment to its cheapest route with
+    exact line search, and stops once its relative duality gap or its
+    no-better-route certificate falls below `tol`. A row that stops leaves
+    the iteration, so every row gets the result it would get alone. Ties in
+    the cheapest route go to the lowest index so runs are deterministic.
+    Rows whose mixed costs are affine finish with the equal-cost polish.
+    Rows that do not converge are reported in `converged`, not raised.
+    """
+    if demand <= 0:
+        raise ValueError("demand must be positive")
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
+    probs = np.asarray(probs, dtype=float)
+    if probs.ndim != 2 or probs.shape[1] != model.n_states:
+        raise ValueError(f"belief matrix has shape {probs.shape}")
+    model.ensure_slope_bound()
+
+    inc = network.incidence
+    n, n_routes = len(probs), network.n_routes
+    mixed = model.mixed_coefficients_batch(probs)  # (n, E, C)
+    affine = ~mixed[:, :, 2:].reshape(n, -1).any(axis=1)
+    flow_tol = 1e-9 * demand
+    tiny = np.finfo(float).tiny
+
+    if init_route is None:
+        start = np.argmin(_route_sums(mixed[:, :, 0], inc), axis=1)  # cheapest at free flow
+    else:
+        start = int(init_route)
+        if not 0 <= start < n_routes:
+            raise ValueError(f"init_route {start} out of range")
+    q = np.zeros((n, n_routes))
+    q[np.arange(n), start] = demand
+
+    history = [[] for _ in range(n)] if keep_history else None
+    best_lb = np.full(n, -np.inf)
+    rmin = np.zeros(n, dtype=np.intp)
+    n_iter = np.full(n, max_iter, dtype=np.intp)
+    converged = np.zeros(n, dtype=bool)
+
+    # Degree-major coefficients of the expected costs and of their integrals.
+    # The loop works on copies of the rows still iterating; a row that stops
+    # leaves them.
+    cost_c = np.ascontiguousarray(np.moveaxis(mixed, 2, 0))  # (C, n, E)
+    int_c = cost_c / np.arange(1, len(cost_c) + 1)[:, None, None]
+    live = np.arange(n)
+    routes = np.arange(n_routes)
+    ql, cl, il, al, lb = q, cost_c, int_c, affine, best_lb.copy()
+    poly = np.flatnonzero(~al)
+    ceiling = np.full(n, np.inf)  # largest potential the next iterate may have
+    for it in range(1, max_iter + 1):
+        w = _edge_sums(ql, inc)
+        costs = _horner(cl, w)
+        t = _route_sums(costs, inc)
+        phi = np.add.reduce(_horner(il, w) * w, axis=1)
+        rising = phi > ceiling
+        if rising.any():
+            i = int(np.argmax(rising))
+            raise SolverError(
+                f"potential increased at iteration {it} (to {phi[i]!r})"
+            ).at_row(live[i])
+        # potentials and route costs are nonnegative: no abs() needed below
+        ceiling = phi * (1.0 + 1e-9) + 1e-9
+        if history is not None:
+            for i, p in zip(live.tolist(), phi.tolist()):
+                history[i].append(p)
+
+        rm = t.argmin(axis=1)
+        t_min = np.minimum.reduce(t, axis=1)
+        lb = np.maximum(lb, phi - (np.add.reduce(t * ql, axis=1) - t_min * demand))
+        rel_gap = (phi - lb) / np.maximum(phi, tiny)
+        # the largest route flow is at least demand / n_routes > flow_tol
+        worst = np.maximum.reduce(np.where(ql > flow_tol, t, -np.inf), axis=1) - t_min
+        done = (rel_gap <= tol) | (worst <= tol * np.maximum(1.0, t_min))
+        if done.any():
+            fin = live[done]
+            q[fin], rmin[fin], best_lb[fin] = ql[done], rm[done], lb[done]
+            n_iter[fin] = it
+            converged[fin] = True
+            go = ~done
+            live = live[go]
+            if not live.size:
+                break
+            ql, al, lb, ceiling, w, costs, rm = (
+                a[go] for a in (ql, al, lb, ceiling, w, costs, rm)
+            )
+            cl, il = cl[:, go], il[:, go]
+            poly = np.flatnonzero(~al)
+        y = (routes == rm[:, None]) * demand
+        step = y - ql
+        gamma = _line_search(cl, w, _edge_sums(step, inc), costs, poly)
+        ql = np.where((gamma >= 1.0)[:, None], y, ql + gamma[:, None] * step)
+    else:
+        q[live], rmin[live], best_lb[live] = ql, rm, lb
+
+    rows = np.flatnonzero(affine)
+    if rows.size:
+        polished, ok = _face_polish(inc, mixed[rows], demand, q[rows], rmin[rows])
+        q[rows[ok]] = polished[ok]
+        converged[rows[ok]] = True
+
+    # final certificates at the returned point
+    w = _edge_sums(q, inc)
+    t = _route_sums(polyval_ascending(mixed, w), inc)
+    phi = polyint_ascending(mixed, w).sum(axis=1)
+    abs_gap = (t * q).sum(axis=1) - t.min(axis=1) * demand
+    best_lb = np.maximum(best_lb, phi - abs_gap)
+    gap = np.maximum(0.0, (phi - best_lb) / np.maximum(np.abs(phi), tiny))
+    converged |= gap <= tol
+    for a in (q, w, gap, t, n_iter, phi, converged):
+        a.setflags(write=False)
+    return EquilibriumBlock(
+        route_flows=q,
+        edge_loads=w,
+        gap=gap,
+        route_costs=t,
+        n_iterations=n_iter,
+        potential=phi,
+        converged=converged,
+        phi_history=None if history is None else tuple(tuple(h) for h in history),
+    )
 
 
 def solve_wardrop(
@@ -137,111 +370,25 @@ def solve_wardrop(
 ) -> EquilibriumResult:
     """Equilibrium route flows and edge loads for one belief.
 
-    Iterates all-or-nothing assignment to the cheapest route with exact line
-    search, stopping once the relative duality gap or the no-better-route
-    certificate falls below `tol`. Ties in the cheapest route go to the
-    lowest index so runs are deterministic.
+    The block solver on a block of one row; raises SolverError, carrying the
+    best iterate, when the row does not converge within `max_iter`.
     """
-    if demand <= 0:
-        raise ValueError("demand must be positive")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
     if len(theta) != model.n_states:
         raise SolverError(
             f"belief has {len(theta)} entries, model has {model.n_states} states"
         )
-    model.ensure_slope_bound()
-
-    inc = network.incidence
-    n_routes = network.n_routes
-    mixed = model.mixed_coefficients(theta.probs)
-    affine = mixed.shape[1] == 2 or not np.any(mixed[:, 2:])
-    flow_tol = 1e-9 * demand
-    tiny = np.finfo(float).tiny
-
-    if init_route is None:
-        t0 = inc.T @ polyval_ascending(mixed, np.zeros(network.n_edges))
-        start = int(np.argmin(t0))
-    else:
-        start = int(init_route)
-        if not 0 <= start < n_routes:
-            raise ValueError(f"init_route {start} out of range")
-    q = np.zeros(n_routes)
-    q[start] = demand
-
-    history: list[float] | None = [] if keep_history else None
-    best_lb = -np.inf
-    prev_phi = np.inf
-    converged = False
-    rmin = 0
-    it = 0
-
-    for it in range(1, max_iter + 1):
-        w = inc @ q
-        costs = polyval_ascending(mixed, w)
-        t = inc.T @ costs
-        phi = float(polyint_ascending(mixed, w).sum())
-        assert phi <= prev_phi + 1e-9 * (1.0 + abs(prev_phi)), "potential increased"
-        prev_phi = phi
-        if history is not None:
-            history.append(phi)
-
-        rmin = int(np.argmin(t))
-        abs_gap = float(t @ q - t[rmin] * demand)
-        best_lb = max(best_lb, phi - abs_gap)
-        rel_gap = (phi - best_lb) / max(abs(phi), tiny)
-        used = q > flow_tol
-        worst = float(np.max(t[used]) - t[rmin]) if used.any() else 0.0
-        if rel_gap <= tol or worst <= tol * max(1.0, abs(t[rmin])):
-            converged = True
-            break
-
-        y = np.zeros(n_routes)
-        y[rmin] = demand
-        d = inc @ (y - q)
-        gamma = _line_search(mixed, w, d, affine)
-        if gamma >= 1.0:
-            q = y
-        else:
-            q = q + gamma * (y - q)
-
-    if affine:
-        polished = _face_polish(inc, mixed, demand, q, rmin)
-        if polished is not None:
-            q = polished
-            converged = True
-
-    # final certificates at the returned point
-    q = q.copy()
-    q.setflags(write=False)
-    w = inc @ q
-    w.setflags(write=False)
-    t = inc.T @ polyval_ascending(mixed, w)
-    phi = float(polyint_ascending(mixed, w).sum())
-    rmin = int(np.argmin(t))
-    abs_gap = float(t @ q - t[rmin] * demand)
-    best_lb = max(best_lb, phi - abs_gap)
-    rel_gap = max(0.0, (phi - best_lb) / max(abs(phi), tiny))
-    prev_phi = phi
-    if rel_gap <= tol:
-        converged = True
-    result = EquilibriumResult(
-        route_flows=q,
-        edge_loads=w,
-        gap=float(rel_gap),
-        route_costs=t,
-        n_iterations=it,
-        potential=float(prev_phi),
-        phi_history=tuple(history) if history is not None else None,
+    block = solve_wardrop_block(
+        network,
+        model,
+        theta.probs[None, :],
+        demand,
+        tol=tol,
+        max_iter=max_iter,
+        init_route=init_route,
+        keep_history=keep_history,
     )
-    if not converged:
-        raise SolverError(
-            f"no convergence within {max_iter} iterations (relative gap {rel_gap:.3e})",
-            best=result,
-        )
-    return result
+    block.raise_unconverged()
+    return block.row(0)
 
 
 def complete_info_equilibrium(
@@ -349,7 +496,8 @@ def solve_wardrop_batch(
         else:
             gamma = np.ones(n)
             psi1 = (polyval_ascending(mixed, w + d) * d).sum(axis=1)
-            need = psi1 > 0.0
+            # converged rows keep their flows, so they need no step
+            need = live & (psi1 > 0.0)
             if need.any():
                 lo = np.zeros(need.sum())
                 hi = np.ones(need.sum())

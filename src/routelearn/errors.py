@@ -4,7 +4,17 @@ from __future__ import annotations
 
 
 class RoutelearnError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors.
+
+    A computation over a block of rows sets `row` to the index of the row
+    that failed, so that the caller can say what that row stands for.
+    """
+
+    row: int | None = None
+
+    def at_row(self, row: int) -> "RoutelearnError":
+        self.row = int(row)
+        return self
 
 
 class NetworkError(RoutelearnError, ValueError):

@@ -115,6 +115,19 @@ def used_edges(network: Network, loads, tol: float) -> frozenset[str]:
     return frozenset(e for e, we in zip(network.edge_ids, w) if we > tol)
 
 
+def row_groups(mask: np.ndarray):
+    """Rows of a boolean matrix grouped by pattern: yields (pattern, row indices).
+
+    Block computations use it to share one stacked solve among the rows
+    that use the same edges or routes.
+    """
+    groups: dict[bytes, list[int]] = {}
+    for i, row in enumerate(mask):
+        groups.setdefault(row.tobytes(), []).append(i)
+    for rows in groups.values():
+        yield mask[rows[0]], np.array(rows)
+
+
 @dataclass(frozen=True)
 class TwoTerminalGraph:
     """Multigraph reconstructed from a route list, nodes numbered 0..n-1."""

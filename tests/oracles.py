@@ -3,17 +3,36 @@
 Everything here deliberately avoids the production code paths: the
 two-route solver is closed-form algebra, the series-parallel oracle searches
 over every reduction order, and instance generators build inputs from
-scratch.
+scratch. The reference stage loop at the end is the per-seed loop that the
+lockstep block loop replaced, kept as the slow path it is checked against.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter, defaultdict
+from collections import Counter, defaultdict, deque
+from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
-from routelearn import Belief, CostFunction, CostModel, Network
+from routelearn import (
+    CONVERGED,
+    MAX_STAGES,
+    Belief,
+    BeliefError,
+    CostFunction,
+    CostModel,
+    EquilibriumResult,
+    Network,
+    NoiseSampler,
+    Observation,
+    SolverError,
+    realize_costs,
+    used_edges,
+)
+from routelearn.costs import polyint_ascending, polyval_ascending
+from routelearn.equilibrium import DEFAULT_MAX_ITER, DEFAULT_TOL
 
 
 def two_route_affine_loads(network: Network, model: CostModel, theta: Belief, demand: float) -> np.ndarray:
@@ -217,3 +236,374 @@ def wheatstone_network() -> Network:
         ["oa", "ob", "ad", "bd", "ab"],
         [["oa", "ad"], ["ob", "bd"], ["oa", "ab", "bd"]],
     )
+
+
+def wheatstone_poly_payload() -> dict:
+    """Scenario payload on the Wheatstone bridge with degree-4 outer edges.
+
+    Outer edges cost intercept + w + k w^4: the cheap-entry pair oa, bd has
+    intercept 2 and k = 6, the other pair intercept 6 and k = 1; the bridge
+    ab costs 1 + 0.5 w. A compromised oa or bd triples its k, a compromised
+    bridge costs 1 + 3 w. The zig-zag oa-ab-bd is cheapest at free flow, and
+    every route carries flow in every state.
+    """
+    healthy = {
+        "oa": [2.0, 1.0, 0.0, 0.0, 6.0],
+        "ob": [6.0, 1.0, 0.0, 0.0, 1.0],
+        "ad": [6.0, 1.0, 0.0, 0.0, 1.0],
+        "bd": [2.0, 1.0, 0.0, 0.0, 6.0],
+        "ab": [1.0, 0.5],
+    }
+    network = wheatstone_network()
+    states = ["oa", "bd", "ab", "none"]
+    costs = []
+    for e in network.edge_ids:
+        for s in states:
+            coeffs = list(healthy[e])
+            if s == e == "ab":
+                coeffs[1] = 3.0
+            elif s == e:
+                coeffs[4] *= 3.0
+            costs.append(
+                {"edge": e, "state": s, "form": "polynomial", "params": {"coefficients": coeffs}}
+            )
+    return {
+        "schema_version": 1,
+        "name": "wheatstone-poly",
+        "network": {"edges": list(network.edge_ids), "routes": [list(r) for r in network.routes]},
+        "states": states,
+        "true_state": "none",
+        "costs": costs,
+        "sigma": np.eye(network.n_edges).tolist(),
+        "demand": 1.0,
+        "initial_belief": [0.25, 0.25, 0.25, 0.25],
+    }
+
+
+# --- Reference per-seed stage loop -----------------------------------------
+# The stage loop as it was before seeds advanced in lockstep blocks: one
+# scalar Frank-Wolfe solve, one triangular solve and one Bayes update per
+# stage and seed. Kept verbatim so that the block loop in
+# routelearn.dynamics can be checked against it bit for bit.
+
+
+class ReferenceStage(NamedTuple):
+    stage: int
+    belief_prior: Belief
+    equilibrium: EquilibriumResult
+    observation: Observation
+    belief_post: Belief
+
+
+_REFERENCE_LOG_2PI = float(np.log(2.0 * np.pi))
+
+
+def _reference_line_search(mixed: np.ndarray, w: np.ndarray, d: np.ndarray, affine: bool) -> float:
+    """Exact step toward the all-or-nothing target.
+
+    Minimizes the potential along w + g*d for g in [0, 1]. The directional
+    derivative sum_e cost_e(w + g d) d_e is nondecreasing in g, so the affine
+    case has a closed form and the general case bisects on its sign.
+    """
+    if affine:
+        num = -float(polyval_ascending(mixed, w) @ d)
+        den = float(mixed[:, 1] @ (d * d))
+        if den <= 0.0:
+            # direction changes no loaded edge; any step is equivalent
+            return 1.0
+        return min(1.0, max(0.0, num / den))
+    if float(polyval_ascending(mixed, w + d) @ d) <= 0.0:
+        return 1.0
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if float(polyval_ascending(mixed, w + mid * d) @ d) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def _reference_face_polish(
+    inc: np.ndarray, mixed: np.ndarray, demand: float, q: np.ndarray, rmin: int
+) -> np.ndarray | None:
+    """Equalize expected costs on the active route set (affine mixtures).
+
+    Solves the equal-cost linear system restricted to the currently positive
+    routes plus the cheapest one, dropping negative flows active-set style.
+    Returns the polished flows only when they satisfy the equilibrium
+    conditions to near machine precision, else None.
+    """
+    slopes, intercepts = mixed[:, 1], mixed[:, 0]
+    route_slope = inc.T @ (slopes[:, None] * inc)
+    route_free = inc.T @ intercepts
+    active = sorted(set(np.flatnonzero(q > 1e-12 * demand)) | {rmin})
+    while True:
+        k = len(active)
+        if k == 1:
+            sol = np.array([demand])
+            break
+        m = np.zeros((k, k))
+        rhs = np.zeros(k)
+        base = active[-1]
+        for i, r in enumerate(active[:-1]):
+            m[i] = route_slope[r, active] - route_slope[base, active]
+            rhs[i] = route_free[base] - route_free[r]
+        m[k - 1] = 1.0
+        rhs[k - 1] = demand
+        try:
+            sol = np.linalg.solve(m, rhs)
+        except np.linalg.LinAlgError:
+            return None
+        if sol.min() >= -1e-12 * demand:
+            sol = np.maximum(sol, 0.0)
+            break
+        active.pop(int(np.argmin(sol)))
+    q_new = np.zeros(inc.shape[1])
+    q_new[active] = sol
+    q_new[active[int(np.argmax(sol))]] += demand - q_new.sum()
+
+    t = inc.T @ polyval_ascending(mixed, inc @ q_new)
+    common = float(t[active].mean())
+    scale = 1e-9 * (1.0 + abs(common))
+    if np.max(np.abs(t[active] - common)) > scale:
+        return None
+    if float(t.min()) < common - scale:
+        return None
+    return q_new
+
+
+def reference_solve_wardrop(
+    network: Network,
+    model: CostModel,
+    theta: Belief,
+    demand: float,
+    *,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+    init_route: int | None = None,
+    keep_history: bool = False,
+) -> EquilibriumResult:
+    """Equilibrium route flows and edge loads for one belief.
+
+    Iterates all-or-nothing assignment to the cheapest route with exact line
+    search, stopping once the relative duality gap or the no-better-route
+    certificate falls below `tol`. Ties in the cheapest route go to the
+    lowest index so runs are deterministic.
+    """
+    if demand <= 0:
+        raise ValueError("demand must be positive")
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
+    if len(theta) != model.n_states:
+        raise SolverError(
+            f"belief has {len(theta)} entries, model has {model.n_states} states"
+        )
+    model.ensure_slope_bound()
+
+    inc = network.incidence
+    n_routes = network.n_routes
+    mixed = model.mixed_coefficients(theta.probs)
+    affine = mixed.shape[1] == 2 or not np.any(mixed[:, 2:])
+    flow_tol = 1e-9 * demand
+    tiny = np.finfo(float).tiny
+
+    if init_route is None:
+        t0 = inc.T @ polyval_ascending(mixed, np.zeros(network.n_edges))
+        start = int(np.argmin(t0))
+    else:
+        start = int(init_route)
+        if not 0 <= start < n_routes:
+            raise ValueError(f"init_route {start} out of range")
+    q = np.zeros(n_routes)
+    q[start] = demand
+
+    history: list[float] | None = [] if keep_history else None
+    best_lb = -np.inf
+    prev_phi = np.inf
+    converged = False
+    rmin = 0
+    it = 0
+
+    for it in range(1, max_iter + 1):
+        w = inc @ q
+        costs = polyval_ascending(mixed, w)
+        t = inc.T @ costs
+        phi = float(polyint_ascending(mixed, w).sum())
+        assert phi <= prev_phi + 1e-9 * (1.0 + abs(prev_phi)), "potential increased"
+        prev_phi = phi
+        if history is not None:
+            history.append(phi)
+
+        rmin = int(np.argmin(t))
+        abs_gap = float(t @ q - t[rmin] * demand)
+        best_lb = max(best_lb, phi - abs_gap)
+        rel_gap = (phi - best_lb) / max(abs(phi), tiny)
+        used = q > flow_tol
+        worst = float(np.max(t[used]) - t[rmin]) if used.any() else 0.0
+        if rel_gap <= tol or worst <= tol * max(1.0, abs(t[rmin])):
+            converged = True
+            break
+
+        y = np.zeros(n_routes)
+        y[rmin] = demand
+        d = inc @ (y - q)
+        gamma = _reference_line_search(mixed, w, d, affine)
+        if gamma >= 1.0:
+            q = y
+        else:
+            q = q + gamma * (y - q)
+
+    if affine:
+        polished = _reference_face_polish(inc, mixed, demand, q, rmin)
+        if polished is not None:
+            q = polished
+            converged = True
+
+    # final certificates at the returned point
+    q = q.copy()
+    q.setflags(write=False)
+    w = inc @ q
+    w.setflags(write=False)
+    t = inc.T @ polyval_ascending(mixed, w)
+    phi = float(polyint_ascending(mixed, w).sum())
+    rmin = int(np.argmin(t))
+    abs_gap = float(t @ q - t[rmin] * demand)
+    best_lb = max(best_lb, phi - abs_gap)
+    rel_gap = max(0.0, (phi - best_lb) / max(abs(phi), tiny))
+    prev_phi = phi
+    if rel_gap <= tol:
+        converged = True
+    result = EquilibriumResult(
+        route_flows=q,
+        edge_loads=w,
+        gap=float(rel_gap),
+        route_costs=t,
+        n_iterations=it,
+        potential=float(prev_phi),
+        phi_history=tuple(history) if history is not None else None,
+    )
+    if not converged:
+        raise SolverError(
+            f"no convergence within {max_iter} iterations (relative gap {rel_gap:.3e})",
+            best=result,
+        )
+    return result
+
+
+def reference_log_likelihoods(model: CostModel, obs: Observation) -> np.ndarray:
+    """Log density of the observation under every state, shape (n_states,).
+
+    The mean under state s is the state-s cost of each used edge at its
+    observed load; the covariance is the noise submatrix on the used edges,
+    factored once per distinct used set and cached on the model.
+    """
+    idx = tuple(model.edge_index(e) for e in obs.used)
+    chol, logdet = model.sigma_cholesky(idx)
+    means = model.cost_matrix(obs.loads, idx)  # (S, m)
+    resid = obs.costs[None, :] - means
+    z = solve_triangular(chol, resid.T, lower=True, check_finite=False)
+    quad = np.einsum("ms,ms->s", z, z)
+    out = -0.5 * quad - 0.5 * len(idx) * _REFERENCE_LOG_2PI - 0.5 * logdet
+    if not np.isfinite(out).all():
+        raise BeliefError("non-finite log likelihood; check the cost table")
+    return out
+
+
+def reference_bayes_update(theta: Belief, model: CostModel, obs: Observation) -> Belief:
+    """Posterior belief after one observation.
+
+    States with zero prior mass stay at exactly zero; no probability floor is
+    applied, so masses may reach numeric zero.
+    """
+    if len(theta) != model.n_states:
+        raise BeliefError(
+            f"belief has {len(theta)} entries, model has {model.n_states} states"
+        )
+    prior = theta.probs
+    support = prior > 0.0
+    log_post = np.log(prior[support]) + reference_log_likelihoods(model, obs)[support]
+    weights = np.exp(log_post - log_post.max())
+    total = float(weights.sum())
+    if not np.isfinite(total) or total <= 0.0:
+        raise BeliefError("posterior mass vanished")
+    out = np.zeros_like(prior)
+    out[support] = weights / total
+    return Belief(out)
+
+
+def reference_step(scenario, belief: Belief, sampler: NoiseSampler, stage: int) -> ReferenceStage:
+    """Play one stage: equilibrium at the belief, noisy costs, Bayes update."""
+    eq = reference_solve_wardrop(
+        scenario.network,
+        scenario.model,
+        belief,
+        scenario.demand,
+        tol=scenario.tolerances.equilibrium,
+    )
+    noise = sampler.sample()
+    used = used_edges(scenario.network, eq.edge_loads, scenario.used_edge_tol)
+    obs = realize_costs(scenario.model, scenario.true_state, eq.edge_loads, used, noise)
+    post = reference_bayes_update(belief, scenario.model, obs)
+    return ReferenceStage(stage, belief, eq, obs, post)
+
+
+def reference_run(
+    scenario,
+    seed: int,
+    *,
+    max_stages: int | None = None,
+    window: int | None = None,
+    delta: float | None = None,
+) -> tuple[list[ReferenceStage], str]:
+    """Run the learning dynamics until the stopping window triggers.
+
+    The process itself never stops, so a trajectory is declared converged
+    once both the belief and the load have moved less than delta (delta *
+    demand for loads) between consecutive stages for `window` stages in a
+    row. Stage-to-stage differences start at stage 2, so the earliest
+    possible convergence is stage window + 1.
+    """
+    conv = scenario.convergence
+    w_len = conv.window if window is None else int(window)
+    d_tol = conv.delta if delta is None else float(delta)
+    cap = conv.max_stages if max_stages is None else int(max_stages)
+    if w_len < 1:
+        raise ValueError("window must be at least 1")
+    if d_tol <= 0:
+        raise ValueError("delta must be positive")
+    if cap < w_len:
+        raise ValueError("max_stages must be at least the window length")
+
+    sampler = NoiseSampler(scenario.model.sigma, seed)
+    theta = scenario.initial_belief
+    records: list[ReferenceStage] = []
+    diffs: deque[tuple[float, float]] = deque(maxlen=w_len)
+    load_bound = d_tol * scenario.demand
+    status = MAX_STAGES
+    prev_post: np.ndarray | None = None
+    prev_loads: np.ndarray | None = None
+
+    for k in range(1, cap + 1):
+        rec = reference_step(scenario, theta, sampler, k)
+        if prev_post is not None:
+            diffs.append(
+                (
+                    float(np.max(np.abs(rec.belief_post.probs - prev_post))),
+                    float(np.max(np.abs(rec.equilibrium.edge_loads - prev_loads))),
+                )
+            )
+        prev_post = rec.belief_post.probs
+        prev_loads = rec.equilibrium.edge_loads
+        records.append(rec)
+        theta = rec.belief_post
+        if len(diffs) == w_len and all(
+            td < d_tol and ld < load_bound for td, ld in diffs
+        ):
+            status = CONVERGED
+            break
+
+    return records, status
+

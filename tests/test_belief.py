@@ -11,13 +11,16 @@ from routelearn import (
     CostModel,
     Observation,
     bayes_update,
+    bayes_update_block,
     log_gaussian_density,
+    log_likelihood_block,
+    log_likelihoods,
     replay_posterior,
     solve_wardrop,
     used_edges,
 )
 
-from oracles import random_spd
+from oracles import random_spd, reference_bayes_update, reference_log_likelihoods
 
 
 def make_model(intercepts_by_state, sigma=None, slope=1.0):
@@ -239,3 +242,46 @@ class TestReplayPosterior:
             for obs in history:
                 theta = bayes_update(theta, model, obs)
             assert np.max(np.abs(batch.probs - theta.probs)) <= 1e-10
+
+
+class TestBlockLikelihood:
+    def _random_block(self, rng, sigma):
+        m = sigma.shape[0]
+        intercepts = [tuple(rng.uniform(0, 10, size=m)) for _ in range(3)]
+        model = make_model(intercepts, sigma=sigma)
+        loads = rng.uniform(0, 2, size=(25, m))
+        costs = rng.uniform(0, 15, size=(25, m))
+        return model, loads, costs
+
+    def test_rows_equal_one_row_calls_and_reference(self):
+        rng = np.random.default_rng(31)
+        for _ in range(10):
+            m = int(rng.integers(1, 4))
+            model, loads, costs = self._random_block(rng, random_spd(rng, m))
+            used = tuple(range(m))
+            block = log_likelihood_block(model, used, loads, costs)
+            for i in range(len(costs)):
+                obs = Observation(model.edges, loads[i], costs[i])
+                assert np.array_equal(block[i], log_likelihoods(model, obs))
+                ref = reference_log_likelihoods(model, obs)
+                assert np.allclose(block[i], ref, rtol=1e-12, atol=1e-12)
+
+    def test_identity_noise_matches_triangular_solve_bit_for_bit(self):
+        rng = np.random.default_rng(32)
+        model, loads, costs = self._random_block(rng, np.eye(3))
+        prior = rng.dirichlet(np.ones(3), size=len(costs))
+        prior[::3, 1] = 0.0
+        prior /= prior.sum(axis=1, keepdims=True)
+        block = bayes_update_block(prior, model, (0, 2), loads, costs[:, [0, 2]])
+        for i in range(len(costs)):
+            obs = Observation(("E0", "E2"), loads[i], costs[i, [0, 2]])
+            ref = reference_bayes_update(Belief(prior[i]), model, obs)
+            assert np.array_equal(block[i], ref.probs)
+
+    def test_error_names_the_row(self):
+        model = make_model([(0.0,), (1.0,)])
+        prior = np.full((3, 2), 0.5)
+        costs = np.array([[1.0], [np.inf], [2.0]])
+        with pytest.raises(BeliefError, match="non-finite log likelihood") as info:
+            bayes_update_block(prior, model, (0,), np.ones((3, 1)), costs)
+        assert info.value.row == 1

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from routelearn import SolverError
+from routelearn import SolverError, load_scenario, scenario_to_dict
 from routelearn.cli import main
 
 
@@ -66,6 +66,34 @@ class TestRun:
         assert code == 0
         summary = read_json(tmp_path / "three-edge_seed0_summary.json")
         assert summary["stages"] <= 20
+
+
+class TestOverrides:
+    @pytest.mark.parametrize(
+        "command", [["run", "--seed", "0"], ["batch", "--seeds", "0..1"]], ids=["run", "batch"]
+    )
+    def test_zero_tol_is_rejected(self, tmp_path, capsys, command):
+        argv = [command[0], "--scenario", "three-edge", *command[1:], "--tol", "0"]
+        code = main(argv + ["--out-dir", str(tmp_path)])
+        assert code == 2
+        assert "tol" in capsys.readouterr().err
+
+    def test_run_checks_rest_point_with_scenario_cost_equality(self, tmp_path):
+        # every cost gap in three-edge is below 100, so with that cost
+        # equality no state is distinguishable and no mass is residual
+        payload = scenario_to_dict(load_scenario("three-edge"))
+        payload["tolerances"]["cost_equality"] = 100.0
+        loose = tmp_path / "loose.json"
+        loose.write_text(json.dumps(payload))
+        short = ["--seed", "0", "--max-stages", "3", "--window", "1"]
+        residual = {}
+        for name, scenario in (("builtin", "three-edge"), ("loose", str(loose))):
+            out = tmp_path / name
+            assert main(["run", "--scenario", scenario, *short, "--out-dir", str(out)]) == 0
+            summary = read_json(out / "three-edge_seed0_summary.json")
+            residual[name] = summary["rest_point"]["residual_mass"]
+        assert residual["builtin"] > 0.0
+        assert residual["loose"] == 0.0
 
 
 class TestBatch:
@@ -182,7 +210,7 @@ class TestExitCodes:
         def boom(*args, **kwargs):
             raise SolverError("forced failure")
 
-        monkeypatch.setattr(dynamics, "solve_wardrop", boom)
+        monkeypatch.setattr(dynamics, "solve_wardrop_block", boom)
         code = main(
             ["run", "--scenario", "three-edge", "--seed", "0", "--out-dir", str(tmp_path)]
         )

@@ -1,23 +1,32 @@
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
+import routelearn.dynamics as dynamics
 from routelearn import (
+    BUILTIN_NAMES,
     CONVERGED,
+    MAX_STAGES,
     Belief,
     NoiseSampler,
+    SolverError,
+    load_scenario,
     monte_carlo,
     realize_costs,
     replay_posterior,
     run,
+    run_block,
+    scenario_from_dict,
     step,
     summarize,
     used_edges,
     write_trajectory_csv,
 )
 
-from oracles import random_spd
+from oracles import random_spd, reference_run, wheatstone_poly_payload
 
 
 class TestNoiseSampler:
@@ -223,3 +232,87 @@ class TestRestPointClosure:
         assert belief[0] <= 1e-3 and belief[2] <= 1e-3
         assert belief[1] >= 0.2
         assert belief[1] + belief[3] == pytest.approx(1.0, abs=1e-9)
+
+
+class TestLockstepBlocks:
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_block_matches_reference_loop_bit_for_bit(self, name):
+        scenario = load_scenario(name)
+        seeds = [231, *range(0, 400, 25)]
+        seen = set()
+        for traj in run_block(scenario, seeds):
+            seen.add(traj.seed)
+            records, status = reference_run(scenario, traj.seed)
+            assert traj.status == status
+            assert traj.n_stages == len(records)
+            for k, rec in enumerate(records, start=1):
+                assert np.array_equal(traj.beliefs[k], rec.belief_post.probs)
+                assert np.array_equal(traj.equilibria.edge_loads[k - 1], rec.equilibrium.edge_loads)
+                obs = traj.observation(k)
+                assert obs.used == rec.observation.used
+                assert np.array_equal(obs.costs, rec.observation.costs)
+        assert seen == set(seeds)
+
+    def test_wheatstone_block_matches_reference_loop(self):
+        # degree-4 costs: the line search bisects, and the block sums in a
+        # different order than the scalar loop did, so agreement is to 1e-12
+        scenario = scenario_from_dict(wheatstone_poly_payload())
+        for traj in run_block(scenario, [0, 1]):
+            records, status = reference_run(scenario, traj.seed)
+            assert traj.status == status
+            assert traj.n_stages == len(records)
+            loads = np.array([r.equilibrium.edge_loads for r in records])
+            beliefs = np.array([r.belief_post.probs for r in records])
+            assert np.max(np.abs(traj.equilibria.edge_loads - loads)) <= 1e-12
+            assert np.max(np.abs(traj.beliefs[1:] - beliefs)) <= 1e-12
+
+    def test_worker_count_does_not_change_outputs(self, three_edge, tmp_path):
+        # 10 seeds make blocks of 10, 5 + 5 and 3 + 3 + 4; with max_stages 70
+        # seeds 0 and 2 stop at the cap while their block mates converge
+        seeds = list(range(10))
+        outputs = {}
+        for workers in (1, 2, 3):
+            out = tmp_path / f"workers{workers}"
+            batch = monte_carlo(
+                three_edge, seeds, workers=workers, max_stages=70, trajectory_dir=out
+            )
+            files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+            outputs[workers] = (batch, files)
+        batch1, files1 = outputs[1]
+        status = {s.seed: s.status for s in batch1.summaries}
+        assert status[0] == status[2] == MAX_STAGES
+        assert status[1] == CONVERGED
+        assert len(files1) == len(seeds)
+        for workers in (2, 3):
+            batch, files = outputs[workers]
+            assert files == files1
+            assert [c.seeds for c in batch.clusters] == [c.seeds for c in batch1.clusters]
+            for a, b in zip(batch1.summaries, batch.summaries):
+                assert (a.seed, a.status, a.n_stages, a.terminal_used) == (
+                    b.seed,
+                    b.status,
+                    b.n_stages,
+                    b.terminal_used,
+                )
+                assert np.array_equal(a.terminal_loads, b.terminal_loads)
+                assert np.array_equal(a.terminal_belief, b.terminal_belief)
+
+    def test_block_trajectories_equal_single_runs(self, three_edge):
+        for traj in run_block(three_edge, [5, 6, 7], max_stages=60, window=5):
+            single = run(three_edge, traj.seed, max_stages=60, window=5)
+            assert traj.status == single.status and traj.n_stages == single.n_stages
+            assert np.array_equal(traj.beliefs, single.beliefs)
+            assert np.array_equal(traj.costs, single.costs, equal_nan=True)
+
+    def test_nonconvergence_names_seed_and_stage(self, monkeypatch):
+        scenario = scenario_from_dict(wheatstone_poly_payload())
+        short = functools.partial(dynamics.solve_wardrop_block, max_iter=2)
+        monkeypatch.setattr(dynamics, "solve_wardrop_block", short)
+        with pytest.raises(SolverError, match="seed 11, stage 1: no convergence within 2") as info:
+            monte_carlo(scenario, [11, 12])
+        assert info.value.best is not None
+
+    def test_invalid_stopping_rule_fails_before_any_work(self, three_edge):
+        with pytest.raises(ValueError, match="max_stages"):
+            monte_carlo(three_edge, range(4), max_stages=3, window=5, workers=2)
+

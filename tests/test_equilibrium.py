@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import routelearn.equilibrium as equilibrium
 from routelearn import (
     Belief,
     CostFunction,
@@ -10,8 +11,10 @@ from routelearn import (
     Network,
     SolverError,
     complete_info_equilibrium,
+    scenario_from_dict,
     solve_wardrop,
     solve_wardrop_batch,
+    solve_wardrop_block,
     verify_equilibrium,
 )
 
@@ -19,7 +22,10 @@ from oracles import (
     random_multi_route_instance,
     random_simplex,
     random_two_route_instance,
+    reference_solve_wardrop,
     two_route_affine_loads,
+    wheatstone_network,
+    wheatstone_poly_payload,
 )
 
 
@@ -263,3 +269,108 @@ class TestSolverProperties:
         model = CostModel(["a"], ["s"], fns, np.eye(1))
         with pytest.raises(CostError):
             solve_wardrop(net, model, Belief.point_mass(1, 0), 1.0)
+
+
+class TestBlockSolver:
+    def test_rows_equal_one_row_solves_bit_for_bit(self):
+        # a row's result must not depend on the rows that share its block
+        rng = np.random.default_rng(55)
+        for max_degree in (1, 2):
+            for _ in range(8):
+                net, model, _, demand = random_multi_route_instance(rng, max_degree=max_degree)
+                thetas = np.array([random_simplex(rng, model.n_states) for _ in range(12)])
+                block = solve_wardrop_block(net, model, thetas, demand)
+                assert block.converged.all()
+                for i, theta in enumerate(thetas):
+                    eq = solve_wardrop(net, model, Belief(theta), demand)
+                    assert np.array_equal(block.route_flows[i], eq.route_flows)
+                    assert np.array_equal(block.edge_loads[i], eq.edge_loads)
+                    assert block.n_iterations[i] == eq.n_iterations
+
+    def test_matches_reference_solver(self):
+        rng = np.random.default_rng(56)
+        for max_degree in (1, 2):
+            for _ in range(8):
+                net, model, _, demand = random_multi_route_instance(rng, max_degree=max_degree)
+                thetas = np.array([random_simplex(rng, model.n_states) for _ in range(6)])
+                block = solve_wardrop_block(net, model, thetas, demand)
+                for i, theta in enumerate(thetas):
+                    ref = reference_solve_wardrop(net, model, Belief(theta), demand)
+                    assert np.max(np.abs(block.edge_loads[i] - ref.edge_loads)) <= 1e-12 * max(
+                        1.0, demand
+                    )
+
+    def test_polished_affine_rows_match_reference_bit_for_bit(self, three_edge):
+        rng = np.random.default_rng(57)
+        thetas = rng.dirichlet(np.ones(4), size=40)
+        thetas[::4, 1] = 0.0
+        thetas /= thetas.sum(axis=1, keepdims=True)
+        block = solve_wardrop_block(three_edge.network, three_edge.model, thetas, 1.0)
+        for i, theta in enumerate(thetas):
+            ref = reference_solve_wardrop(three_edge.network, three_edge.model, Belief(theta), 1.0)
+            assert np.array_equal(block.edge_loads[i], ref.edge_loads)
+
+    def test_mixed_affine_and_polynomial_rows(self):
+        # a belief with no mass on the quadratic state has affine mixed costs
+        # and is polished; the other rows bisect in the same block
+        net = wheatstone_network()
+        fns = {}
+        for i, e in enumerate(net.edge_ids):
+            fns[(e, "lin")] = CostFunction.affine(1.0 + i, 1.0)
+            fns[(e, "quad")] = CostFunction.polynomial([1.0, 1.0, 0.5])
+        model = CostModel(net.edge_ids, ["lin", "quad"], fns, np.eye(net.n_edges))
+        thetas = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
+        block = solve_wardrop_block(net, model, thetas, 1.0)
+        for i, theta in enumerate(thetas):
+            ref = reference_solve_wardrop(net, model, Belief(theta), 1.0)
+            assert np.max(np.abs(block.edge_loads[i] - ref.edge_loads)) <= 1e-12
+
+    def test_nonconverged_rows_are_flagged_not_raised(self):
+        scenario = scenario_from_dict(wheatstone_poly_payload())
+        thetas = np.array([[0.25] * 4, [0.5, 0.5, 0.0, 0.0]])
+        block = solve_wardrop_block(scenario.network, scenario.model, thetas, 1.0, max_iter=3)
+        assert not block.converged.any()
+        assert (block.n_iterations == 3).all()
+        with pytest.raises(SolverError, match="no convergence within 3 iterations") as info:
+            block.raise_unconverged()
+        assert info.value.row == 0
+        assert info.value.best.n_iterations == 3
+
+    def test_potential_increase_raises_solver_error(self, monkeypatch):
+        # full steps overshoot: from all flow on route a, the full step to
+        # route b raises the potential from 1.5 to 2.0
+        net = Network(["a", "b"], [["a"], ["b"]])
+        fns = {("a", "s"): CostFunction.affine(1.0, 1.0), ("b", "s"): CostFunction.affine(1.0, 1.5)}
+        model = CostModel(["a", "b"], ["s"], fns, np.eye(2))
+        monkeypatch.setattr(equilibrium, "_line_search", lambda *args: np.ones(1))
+        with pytest.raises(SolverError, match="potential increased at iteration 2") as info:
+            solve_wardrop_block(net, model, np.array([[1.0]]), 1.0)
+        assert info.value.row == 0
+
+    def test_invalid_block_shape(self, three_edge):
+        with pytest.raises(ValueError, match="belief matrix"):
+            solve_wardrop_block(three_edge.network, three_edge.model, np.full((2, 3), 1 / 3), 1.0)
+
+
+class TestBatchSolverRows:
+    def test_rows_equal_rows_solved_alone(self):
+        # converged rows freeze while slow rows keep iterating, so each row of
+        # a mixed batch equals the same row solved in a batch of its own; the
+        # belief (0.5, 0.5, 0, 0) needs the most iterations
+        scenario = scenario_from_dict(wheatstone_poly_payload())
+        assert scenario.network.routes == wheatstone_network().routes
+        thetas = np.array(
+            [
+                [0.25, 0.25, 0.25, 0.25],
+                [0.5, 0.5, 0.0, 0.0],
+                [0.0, 0.0, 0.0, 1.0],
+                [0.7, 0.1, 0.1, 0.1],
+                [0.0, 0.0, 1.0, 0.0],
+            ]
+        )
+        loads, gaps = solve_wardrop_batch(scenario.network, scenario.model, thetas, 1.0)
+        for i, theta in enumerate(thetas):
+            alone, gap = solve_wardrop_batch(scenario.network, scenario.model, theta[None, :], 1.0)
+            assert np.array_equal(loads[i], alone[0])
+            assert gaps[i] == gap[0]
+
