@@ -71,7 +71,7 @@ def log_likelihood_block(
     # whitened residuals, one matrix-vector product per row so that a row's
     # bits do not depend on the block size, then transposed to (m, n * S) in
     # Fortran order: the layout the quadratic form has always summed over
-    z = (linv @ resid.reshape(-1, m, 1))[:, :, 0].T
+    z = np.matvec(linv, resid.reshape(-1, m)).T
     quad = np.einsum("ms,ms->s", z, z).reshape(n, -1)
     out = -0.5 * quad - 0.5 * m * _LOG_2PI - 0.5 * logdet
     bad = ~np.isfinite(out).all(axis=1)

@@ -18,30 +18,36 @@ from .errors import BeliefError, CostError
 DEFAULT_ALPHA = 1e-3
 
 
-def polyval_ascending(coeffs, x) -> np.ndarray:
-    """Horner evaluation of ascending-power coefficient rows at x.
+def polyval_ascending(coeffs, x, axis: int = -1) -> np.ndarray:
+    """Horner evaluation of ascending-power coefficients at x.
 
-    `coeffs` has shape (..., k); `x` must broadcast against coeffs[..., 0].
+    The coefficients run along `axis` of `coeffs`, and `x` must broadcast
+    against one coefficient slice. The equilibrium loop keeps its stacks
+    degree-major (axis=0), so that every slice it multiplies is contiguous.
     """
     c = np.asarray(coeffs, dtype=float)
     x = np.asarray(x, dtype=float)
-    if c.shape[-1] == 1:
-        return np.zeros(np.broadcast(c[..., 0], x).shape) + c[..., 0]
-    res = c[..., -1] * x + c[..., -2]
-    for k in range(c.shape[-1] - 3, -1, -1):
-        res = res * x + c[..., k]
+    if axis % c.ndim:
+        c = np.moveaxis(c, axis, 0)
+    if len(c) == 1:
+        return np.zeros(np.broadcast(c[0], x).shape) + c[0]
+    res = c[-1] * x + c[-2]
+    for k in range(len(c) - 3, -1, -1):
+        res = res * x + c[k]
     return res
 
 
-def polyint_ascending(coeffs, x) -> np.ndarray:
-    """Exact integral from 0 to x of the polynomial with ascending coefficients."""
+def polyint_coefficients(coeffs, axis: int = -1) -> np.ndarray:
+    """Coefficients c_k / (k + 1): x times their polynomial is the integral from 0 to x."""
     c = np.asarray(coeffs, dtype=float)
-    x = np.asarray(x, dtype=float)
-    k = c.shape[-1]
-    res = c[..., -1] / k
-    for j in range(k - 2, -1, -1):
-        res = res * x + c[..., j] / (j + 1)
-    return res * x
+    shape = [1] * c.ndim
+    shape[axis] = c.shape[axis]
+    return c / np.arange(1, c.shape[axis] + 1).reshape(shape)
+
+
+def polyint_ascending(coeffs, x, axis: int = -1) -> np.ndarray:
+    """Exact integral from 0 to x of the polynomial with ascending coefficients."""
+    return polyval_ascending(polyint_coefficients(coeffs, axis), x, axis) * x
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,10 @@ equilibrium solve, one noise draw per seed, one likelihood and Bayes update
 per set of used edges, and one stopping-window test, and each seed leaves
 its block once it converges or reaches max_stages. Every row of a block is
 computed as it would be alone, so a trajectory does not depend on which
-seeds share its block. Noise is drawn for every edge each stage even though only used-edge
-components enter the observation; that keeps the random stream's consumption
-independent of which edges were used, so trajectories replay exactly.
+seeds share its block. Noise is drawn for every edge each stage even though
+only used-edge components enter the observation; that keeps the random
+stream's consumption independent of which edges were used, so trajectories
+replay exactly.
 """
 
 from __future__ import annotations
@@ -262,7 +263,8 @@ def run_block(
     between consecutive stages for `window` stages in a row, or after
     `max_stages` stages. Stage-to-stage differences start at stage 2, so the
     earliest possible convergence is stage window + 1. Each trajectory is
-    the one `run` gives for its seed.
+    the one `run` gives for its seed. A seed keeps copies of its stage
+    rows, so they are freed as soon as it leaves.
     """
     cap, w_len, d_tol = _stopping_rule(scenario, max_stages, window, delta)
     seeds = [int(s) for s in seeds]
@@ -287,7 +289,7 @@ def run_block(
             eq.n_iterations[:, None], eq.potential[:, None], used, costs,
         ])
         for i, row in zip(live.tolist(), packed):
-            rows[i].append(row)
+            rows[i].append(row.copy())
         if prev_loads is not None:
             small = (np.abs(post - probs).max(axis=1) < d_tol) & (
                 np.abs(eq.edge_loads - prev_loads).max(axis=1) < load_bound
@@ -375,11 +377,6 @@ class BatchSummary:
         return float(np.mean(stages)) if stages else float("nan")
 
 
-# Largest block of seeds advanced together; bounds the per-stage rows a
-# block keeps until its last seed leaves.
-MAX_BLOCK_SEEDS = 512
-
-
 def _run_block_case(args) -> list[TrajectorySummary]:
     scenario, seeds, rule, traj_dir = args
     summaries = {}
@@ -404,11 +401,10 @@ def monte_carlo(
 ) -> BatchSummary:
     """Independent trajectories for each seed, merged after completion.
 
-    The seeds are split into contiguous blocks, one per worker (more when a
-    block would exceed MAX_BLOCK_SEEDS), and each block advances in
-    lockstep. Results are keyed by seed and identical regardless of worker
-    count: each trajectory draws from its own generator seeded by its own
-    seed, and a block computes every row as it would alone.
+    The seeds are split into contiguous blocks, one per worker, and each
+    block advances in lockstep. Results are keyed by seed and identical
+    regardless of worker count: each trajectory draws from its own generator
+    seeded by its own seed, and a block computes every row as it would alone.
     """
     seed_list = [int(s) for s in seeds]
     if len(set(seed_list)) != len(seed_list):
@@ -417,7 +413,7 @@ def monte_carlo(
         raise ValueError("need at least one seed")
     _stopping_rule(scenario, max_stages, window, delta)  # fail before any work
     rule = {"max_stages": max_stages, "window": window, "delta": delta}
-    n_blocks = max(min(workers, len(seed_list)), -(-len(seed_list) // MAX_BLOCK_SEEDS))
+    n_blocks = max(1, min(workers, len(seed_list)))
     bounds = [len(seed_list) * b // n_blocks for b in range(n_blocks + 1)]
     args = [
         (scenario, seed_list[lo:hi], rule, trajectory_dir)

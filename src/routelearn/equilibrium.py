@@ -14,12 +14,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import Belief, CostModel, polyint_ascending, polyval_ascending
+from .costs import (
+    Belief,
+    CostModel,
+    polyint_ascending,
+    polyint_coefficients,
+    polyval_ascending,
+)
 from .errors import SolverError
 from .graph import Network, row_groups
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 100_000
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -89,76 +96,45 @@ class EquilibriumBlock:
         ).at_row(i)
 
 
-# Products with the incidence matrix are taken row by row, as stacked
-# matrix-vector products: a matrix-matrix product lets BLAS pick kernels by
-# shape, which would make a row's last bits depend on the rows beside it.
-def _edge_sums(route_values: np.ndarray, inc: np.ndarray) -> np.ndarray:
-    """Per-edge totals of per-route rows: edge loads from route flows."""
-    return (inc @ route_values[:, :, None])[:, :, 0]
-
-
-def _route_sums(edge_values: np.ndarray, inc: np.ndarray) -> np.ndarray:
-    """Per-route totals of per-edge rows: route costs from edge costs."""
-    return (inc.T @ edge_values[:, :, None])[:, :, 0]
-
-
-def _horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_k coeffs[k] * x**k for ascending coefficient rows stacked on the first axis."""
-    res = coeffs[-1] * x + coeffs[-2]
-    for k in range(len(coeffs) - 3, -1, -1):
-        res = res * x + coeffs[k]
-    return res
+# Incidence products are stacked matrix-vector products (np.matvec) and
+# per-row inner products are np.vecdot: each row then gets the bits a
+# one-row solve gets, whatever rows share its block, which a matrix-matrix
+# product would not promise.
 
 
 def _line_search(
-    coeffs: np.ndarray, w: np.ndarray, d: np.ndarray, costs: np.ndarray, poly: np.ndarray
+    coef: np.ndarray, w: np.ndarray, d: np.ndarray, costs: np.ndarray, poly: np.ndarray
 ) -> np.ndarray:
     """Exact step toward the all-or-nothing target, one per row.
 
     Minimizes the potential along w + g*d for g in [0, 1]. The directional
     derivative sum_e cost_e(w + g d) d_e is nondecreasing in g, so affine
     rows have a closed form and the rows listed in `poly` bisect on its
-    sign. `coeffs` holds the mixed cost coefficients degree-major, shape
-    (C, n, E).
+    sign. `coef` holds the mixed cost coefficients degree-major, (C, n, E).
     """
-    num = -np.add.reduce(costs * d, axis=1)
-    den = np.add.reduce(coeffs[1] * (d * d), axis=1)
+    num = -np.vecdot(costs, d)
+    den = np.vecdot(coef[1], d * d)
     # a direction that changes no loaded edge makes any step equivalent
-    ratio = np.divide(num, den, out=np.ones_like(num), where=den > 0.0)
+    ratio = np.divide(num, den, out=np.ones(len(num)), where=den > 0.0)
     gamma = np.minimum(1.0, np.maximum(0.0, ratio))
     if not poly.size:
         return gamma
-    rows = poly
-    c, w, d = coeffs[:, rows], w[rows], d[rows]
-    need = (_horner(c, w + d) * d).sum(axis=1) > 0.0
-    gamma[rows] = 1.0
-    rows, c, w, d = rows[need], c[:, need], w[need], d[need]
-    lo, hi = np.zeros(len(rows)), np.ones(len(rows))
+    c, w, d = coef[:, poly], w[poly], d[poly]
+    need = np.vecdot(polyval_ascending(c, w + d, axis=0), d) > 0.0
+    gamma[poly] = 1.0
+    rows, c, w, d = poly[need], c[:, need], w[need], d[need]
+    lo, hi = np.zeros((len(rows), 1)), np.ones((len(rows), 1))
     for _ in range(60 if rows.size else 0):
         mid = 0.5 * (lo + hi)
-        pos = (_horner(c, w + mid[:, None] * d) * d).sum(axis=1) > 0.0
-        np.copyto(hi, mid, where=pos)
-        np.copyto(lo, mid, where=~pos)
-    gamma[rows] = 0.5 * (lo + hi)
+        pos = np.vecdot(polyval_ascending(c, w + mid * d, axis=0), d)[:, None] > 0.0
+        hi = np.where(pos, mid, hi)
+        lo = np.where(pos, lo, mid)
+    gamma[rows] = 0.5 * (lo + hi)[:, 0]
     return gamma
 
 
-def _stacked_solve(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve every system of the stack; rows of singular systems come back NaN."""
-    try:
-        return np.linalg.solve(m, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        out = np.full(rhs.shape, np.nan)
-        for i in range(len(m)):
-            try:
-                out[i] = np.linalg.solve(m[i], rhs[i])
-            except np.linalg.LinAlgError:
-                pass
-        return out
-
-
 def _face_polish(
-    inc: np.ndarray, mixed: np.ndarray, demand: float, q: np.ndarray, rmin: np.ndarray
+    inc: np.ndarray, coef: np.ndarray, demand: float, q: np.ndarray, rmin: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Equalize expected costs on each row's active route set (affine mixtures).
 
@@ -169,55 +145,67 @@ def _face_polish(
     equilibrium conditions to near machine precision.
     """
     n, n_routes = q.shape
-    slopes, intercepts = mixed[:, :, 1], mixed[:, :, 0]
-    route_slope = inc.T @ (slopes[:, :, None] * inc)
-    route_free = _route_sums(intercepts, inc)
     active = q > 1e-12 * demand
     active[np.arange(n), rmin] = True
-    polished = np.zeros_like(q)
+    polished = np.zeros(q.shape)
     ok = np.zeros(n, dtype=bool)
     pending = np.arange(n)
     while pending.size:
         retry = []
         for pattern, sub in row_groups(active[pending]):
             rows = pending[sub]
-            routes = np.flatnonzero(pattern)
+            routes = pattern.nonzero()[0]
             k = len(routes)
             if k == 1:
                 sol = np.full((len(rows), 1), demand)
             else:
-                base, others = routes[-1], routes[:-1]
-                m = np.empty((len(rows), k, k))
-                rhs = np.empty((len(rows), k))
-                m[:, :-1] = (
-                    route_slope[rows[:, None], others[None, :]][:, :, routes]
-                    - route_slope[rows, base][:, None, routes]
-                )
-                rhs[:, :-1] = route_free[rows, base][:, None] - route_free[rows][:, others]
+                # each active route's cost minus the last one's, then the demand
+                route_slope = inc.T @ (coef[1, rows][:, :, None] * inc)
+                s = route_slope[:, routes[:, None], routes]
+                m = s - s[:, -1:]
                 m[:, -1] = 1.0
+                f = np.matvec(inc.T, coef[0, rows])[:, routes]
+                rhs = f[:, -1:] - f
                 rhs[:, -1] = demand
-                sol = _stacked_solve(m, rhs)
-                solved = ~np.isnan(sol).all(axis=1)
-                rows, sol = rows[solved], sol[solved]
-            drop = ~(sol.min(axis=1) >= -1e-12 * demand)
-            active[rows[drop], routes[np.argmin(sol[drop], axis=1)]] = False
-            retry.append(rows[drop])
-            rows, sol = rows[~drop], np.maximum(sol[~drop], 0.0)
+                try:
+                    sol = np.linalg.solve(m, rhs[:, :, None])[:, :, 0]
+                except np.linalg.LinAlgError:
+                    sol = _solve_each(m, rhs)
+                    solved = ~np.isnan(sol).all(axis=1)
+                    rows, sol = rows[solved], sol[solved]
+            drop = ~(np.minimum.reduce(sol, axis=1) >= -1e-12 * demand)
+            if drop.any():
+                active[rows[drop], routes[np.argmin(sol[drop], axis=1)]] = False
+                retry.append(rows[drop])
+                rows, sol = rows[~drop], sol[~drop]
 
             cand = np.zeros((len(rows), n_routes))
-            cand[:, routes] = sol
+            cand[:, routes] = np.maximum(sol, 0.0)
             top = routes[np.argmax(sol, axis=1)]
-            cand[np.arange(len(rows)), top] += demand - cand.sum(axis=1)
-            t = _route_sums(polyval_ascending(mixed[rows], _edge_sums(cand, inc)), inc)
-            common = t[:, routes].sum(axis=1) / k
+            cand[np.arange(len(rows)), top] += demand - np.add.reduce(cand, axis=1)
+            t = np.matvec(inc.T, polyval_ascending(coef[:, rows], np.matvec(inc, cand), axis=0))
+            on = t[:, routes]
+            common = np.add.reduce(on, axis=1) / k
             scale = 1e-9 * (1.0 + np.abs(common))
-            good = ~(np.abs(t[:, routes] - common[:, None]).max(axis=1) > scale) & ~(
-                t.min(axis=1) < common - scale
-            )
+            bad = np.minimum.reduce(t, axis=1) < common - scale
+            if k > 1:
+                bad |= np.maximum.reduce(np.abs(on - common[:, None]), axis=1) > scale
+            good = ~bad
             polished[rows[good]] = cand[good]
             ok[rows[good]] = True
-        pending = np.concatenate(retry)
+        pending = np.concatenate(retry) if retry else pending[:0]
     return polished, ok
+
+
+def _solve_each(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the systems one by one; rows of singular systems come back NaN."""
+    out = np.full(rhs.shape, np.nan)
+    for i in range(len(m)):
+        try:
+            out[i] = np.linalg.solve(m[i], rhs[i])
+        except np.linalg.LinAlgError:
+            pass
+    return out
 
 
 def solve_wardrop_block(
@@ -238,8 +226,10 @@ def solve_wardrop_block(
     no-better-route certificate falls below `tol`. A row that stops leaves
     the iteration, so every row gets the result it would get alone. Ties in
     the cheapest route go to the lowest index so runs are deterministic.
-    Rows whose mixed costs are affine finish with the equal-cost polish.
-    Rows that do not converge are reported in `converged`, not raised.
+    Rows whose mixed costs are affine finish with the equal-cost polish,
+    which they also try at iterations 32, 64, 128, ... and stop once it
+    certifies them. Rows that do not converge are reported in `converged`,
+    not raised.
     """
     if demand <= 0:
         raise ValueError("demand must be positive")
@@ -254,19 +244,21 @@ def solve_wardrop_block(
 
     inc = network.incidence
     n, n_routes = len(probs), network.n_routes
-    mixed = model.mixed_coefficients_batch(probs)  # (n, E, C)
-    affine = ~mixed[:, :, 2:].reshape(n, -1).any(axis=1)
+    # mixed cost coefficients, degree-major: coef[k] is the (n, E) degree-k slice
+    coef = model.mixed_coefficients_batch(probs).transpose(2, 0, 1).copy()
+    pcoef = polyint_coefficients(coef, axis=0)  # the potential is w times their polynomial
+    affine = ~coef[2:].any(axis=(0, 2))
     flow_tol = 1e-9 * demand
-    tiny = np.finfo(float).tiny
 
     if init_route is None:
-        start = np.argmin(_route_sums(mixed[:, :, 0], inc), axis=1)  # cheapest at free flow
+        start = np.argmin(np.matvec(inc.T, coef[0]), axis=1)  # cheapest at free flow
     else:
         start = int(init_route)
         if not 0 <= start < n_routes:
             raise ValueError(f"init_route {start} out of range")
-    q = np.zeros((n, n_routes))
-    q[np.arange(n), start] = demand
+        start = np.full(n, start)
+    targets = np.eye(n_routes) * demand  # all-or-nothing flows, one row per route
+    q = targets[start]
 
     history = [[] for _ in range(n)] if keep_history else None
     best_lb = np.full(n, -np.inf)
@@ -274,24 +266,17 @@ def solve_wardrop_block(
     n_iter = np.full(n, max_iter, dtype=np.intp)
     converged = np.zeros(n, dtype=bool)
 
-    # Degree-major coefficients of the expected costs and of their integrals.
-    # The loop works on copies of the rows still iterating; a row that stops
-    # leaves them.
-    cost_c = np.ascontiguousarray(np.moveaxis(mixed, 2, 0))  # (C, n, E)
-    int_c = cost_c / np.arange(1, len(cost_c) + 1)[:, None, None]
+    # The loop works on the rows still iterating; a row that stops leaves.
     live = np.arange(n)
-    routes = np.arange(n_routes)
-    ql, cl, il, al, lb = q, cost_c, int_c, affine, best_lb.copy()
-    poly = np.flatnonzero(~al)
+    ql, cl, pl, lb, poly = q, coef, pcoef, best_lb, (~affine).nonzero()[0]
     ceiling = np.full(n, np.inf)  # largest potential the next iterate may have
     for it in range(1, max_iter + 1):
-        w = _edge_sums(ql, inc)
-        costs = _horner(cl, w)
-        t = _route_sums(costs, inc)
-        phi = np.add.reduce(_horner(il, w) * w, axis=1)
-        rising = phi > ceiling
-        if rising.any():
-            i = int(np.argmax(rising))
+        w = np.matvec(inc, ql)
+        costs = polyval_ascending(cl, w, axis=0)
+        t = np.matvec(inc.T, costs)
+        phi = np.add.reduce(polyval_ascending(pl, w, axis=0) * w, axis=1)
+        if (phi > ceiling).any():
+            i = int(np.argmax(phi > ceiling))
             raise SolverError(
                 f"potential increased at iteration {it} (to {phi[i]!r})"
             ).at_row(live[i])
@@ -303,45 +288,50 @@ def solve_wardrop_block(
 
         rm = t.argmin(axis=1)
         t_min = np.minimum.reduce(t, axis=1)
-        lb = np.maximum(lb, phi - (np.add.reduce(t * ql, axis=1) - t_min * demand))
-        rel_gap = (phi - lb) / np.maximum(phi, tiny)
+        lb = np.maximum(lb, phi - (np.vecdot(t, ql) - t_min * demand))
+        rel_gap = (phi - lb) / np.maximum(phi, _TINY)
         # the largest route flow is at least demand / n_routes > flow_tol
-        worst = np.maximum.reduce(np.where(ql > flow_tol, t, -np.inf), axis=1) - t_min
+        worst = np.maximum.reduce(t, axis=1, where=ql > flow_tol, initial=-np.inf) - t_min
         done = (rel_gap <= tol) | (worst <= tol * np.maximum(1.0, t_min))
+        if it >= 32 and not it & (it - 1):
+            # A route that carries no flow at equilibrium drains only at
+            # O(1/k), so affine rows try the polish at every power of two.
+            trial = (affine[live] & ~done).nonzero()[0]
+            if trial.size:
+                _, ok = _face_polish(inc, cl[:, trial], demand, ql[trial], rm[trial])
+                done[trial[ok]] = True
         if done.any():
             fin = live[done]
-            q[fin], rmin[fin], best_lb[fin] = ql[done], rm[done], lb[done]
-            n_iter[fin] = it
+            q[fin], rmin[fin], best_lb[fin], n_iter[fin] = ql[done], rm[done], lb[done], it
             converged[fin] = True
             go = ~done
             live = live[go]
             if not live.size:
                 break
-            ql, al, lb, ceiling, w, costs, rm = (
-                a[go] for a in (ql, al, lb, ceiling, w, costs, rm)
-            )
-            cl, il = cl[:, go], il[:, go]
-            poly = np.flatnonzero(~al)
-        y = (routes == rm[:, None]) * demand
+            ql, lb, ceiling, w, costs, rm = (a[go] for a in (ql, lb, ceiling, w, costs, rm))
+            cl, pl = cl[:, go], pl[:, go]
+            poly = (~affine[live]).nonzero()[0]
+        y = targets[rm]
         step = y - ql
-        gamma = _line_search(cl, w, _edge_sums(step, inc), costs, poly)
-        ql = np.where((gamma >= 1.0)[:, None], y, ql + gamma[:, None] * step)
+        gamma = _line_search(cl, w, np.matvec(inc, step), costs, poly)
+        g = gamma[:, None]
+        ql = np.where(g >= 1.0, y, ql + g * step)
     else:
         q[live], rmin[live], best_lb[live] = ql, rm, lb
 
-    rows = np.flatnonzero(affine)
+    rows = affine.nonzero()[0]
     if rows.size:
-        polished, ok = _face_polish(inc, mixed[rows], demand, q[rows], rmin[rows])
+        polished, ok = _face_polish(inc, coef[:, rows], demand, q[rows], rmin[rows])
         q[rows[ok]] = polished[ok]
         converged[rows[ok]] = True
 
     # final certificates at the returned point
-    w = _edge_sums(q, inc)
-    t = _route_sums(polyval_ascending(mixed, w), inc)
-    phi = polyint_ascending(mixed, w).sum(axis=1)
-    abs_gap = (t * q).sum(axis=1) - t.min(axis=1) * demand
+    w = np.matvec(inc, q)
+    t = np.matvec(inc.T, polyval_ascending(coef, w, axis=0))
+    phi = np.add.reduce(polyval_ascending(pcoef, w, axis=0) * w, axis=1)
+    abs_gap = np.vecdot(t, q) - np.minimum.reduce(t, axis=1) * demand
     best_lb = np.maximum(best_lb, phi - abs_gap)
-    gap = np.maximum(0.0, (phi - best_lb) / np.maximum(np.abs(phi), tiny))
+    gap = np.maximum(0.0, (phi - best_lb) / np.maximum(np.abs(phi), _TINY))
     converged |= gap <= tol
     for a in (q, w, gap, t, n_iter, phi, converged):
         a.setflags(write=False)

@@ -11,14 +11,14 @@ from routelearn import (
     CostModel,
     Observation,
     bayes_update,
-    bayes_update_block,
     log_gaussian_density,
-    log_likelihood_block,
     log_likelihoods,
     replay_posterior,
     solve_wardrop,
     used_edges,
 )
+
+from routelearn.belief import bayes_update_block, log_likelihood_block
 
 from oracles import random_spd, reference_bayes_update, reference_log_likelihoods
 

@@ -16,6 +16,7 @@ from routelearn import (
     expected_route_cost,
     validate_slope_bound,
 )
+from routelearn.costs import polyint_ascending, polyval_ascending
 
 
 def tiny_model(functions, edges=("e",), states=("s0", "s1")):
@@ -223,6 +224,22 @@ class TestExpectedRouteCost:
             expected_route_cost(
                 three_edge.model, three_edge.network, ["e1", "e2", "e3"], Belief.uniform(4), [1, 1, 1]
             )
+
+
+class TestPolynomialHelpers:
+    def test_degree_major_layout_gives_the_same_bits(self):
+        # the equilibrium loop keeps coefficients degree-major (axis=0)
+        rng = np.random.default_rng(5)
+        c = rng.uniform(0.0, 2.0, size=(3, 4, 5))  # (rows, edges, degree + 1)
+        x = rng.uniform(0.0, 3.0, size=(3, 4))
+        major = np.moveaxis(c, -1, 0).copy()
+        assert np.array_equal(polyval_ascending(major, x, axis=0), polyval_ascending(c, x))
+        assert np.array_equal(polyint_ascending(major, x, axis=0), polyint_ascending(c, x))
+
+    def test_integral_term_by_term(self):
+        # 1 + 2x + 3x^2 integrates to x + x^2 + x^3
+        assert polyint_ascending([1.0, 2.0, 3.0], 2.0) == 14.0
+        assert polyint_ascending([[4.0], [1.0]], [0.5, 2.0]).tolist() == [2.0, 2.0]
 
 
 class TestBeckmannIntegral:

@@ -18,13 +18,14 @@ from routelearn import (
     realize_costs,
     replay_posterior,
     run,
-    run_block,
     scenario_from_dict,
     step,
     summarize,
     used_edges,
     write_trajectory_csv,
 )
+
+from routelearn.dynamics import run_block
 
 from oracles import random_spd, reference_run, wheatstone_poly_payload
 

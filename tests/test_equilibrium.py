@@ -14,9 +14,10 @@ from routelearn import (
     scenario_from_dict,
     solve_wardrop,
     solve_wardrop_batch,
-    solve_wardrop_block,
     verify_equilibrium,
 )
+
+from routelearn.equilibrium import solve_wardrop_block
 
 from oracles import (
     random_multi_route_instance,
@@ -163,6 +164,20 @@ class TestSolverProperties:
                 float(np.max(np.abs(a - b))) for a in loads for b in loads
             )
             assert spread < 10 * 1e-8 * max(1.0, demand)
+
+    def test_polish_trial_ends_a_draining_solve(self):
+        # from route 1, a route that is empty at equilibrium drains at O(1/k)
+        # and the gap never reaches 1e-8; the polish tried at iteration 32
+        # certifies the equilibrium instead of the 100,000-iteration cap
+        rng = np.random.default_rng(21)
+        for _ in range(9):
+            net, model, theta, demand = random_multi_route_instance(rng)
+        eq = solve_wardrop(net, model, theta, demand, tol=1e-8, init_route=1)
+        assert eq.n_iterations == 32
+        assert verify_equilibrium(net, model, theta, eq, tol=1e-12).ok
+        direct = solve_wardrop(net, model, theta, demand, tol=1e-8)
+        assert direct.n_iterations < 32
+        assert np.max(np.abs(eq.edge_loads - direct.edge_loads)) <= 1e-12 * max(1.0, demand)
 
     def test_two_route_matches_closed_form(self):
         rng = np.random.default_rng(33)
