@@ -173,11 +173,11 @@ def _face_polish(
                     sol = _solve_each(m, rhs)
                     solved = ~np.isnan(sol).all(axis=1)
                     rows, sol = rows[solved], sol[solved]
-            drop = ~(np.minimum.reduce(sol, axis=1) >= -1e-12 * demand)
-            if drop.any():
-                active[rows[drop], routes[np.argmin(sol[drop], axis=1)]] = False
-                retry.append(rows[drop])
-                rows, sol = rows[~drop], sol[~drop]
+                drop = ~(np.minimum.reduce(sol, axis=1) >= -1e-12 * demand)
+                if drop.any():
+                    active[rows[drop], routes[np.argmin(sol[drop], axis=1)]] = False
+                    retry.append(rows[drop])
+                    rows, sol = rows[~drop], sol[~drop]
 
             cand = np.zeros((len(rows), n_routes))
             cand[:, routes] = np.maximum(sol, 0.0)
@@ -319,11 +319,11 @@ def solve_wardrop_block(
     else:
         q[live], rmin[live], best_lb[live] = ql, rm, lb
 
-    rows = affine.nonzero()[0]
-    if rows.size:
+    if affine.any():
+        rows = slice(None) if affine.all() else affine.nonzero()[0]
         polished, ok = _face_polish(inc, coef[:, rows], demand, q[rows], rmin[rows])
-        q[rows[ok]] = polished[ok]
-        converged[rows[ok]] = True
+        q[rows] = np.where(ok[:, None], polished, q[rows])
+        converged[rows] |= ok
 
     # final certificates at the returned point
     w = np.matvec(inc, q)
