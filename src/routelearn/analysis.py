@@ -8,14 +8,41 @@ the loop between simulation output and the underlying fixed-point structure.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .costs import Belief, CostModel, polyval_ascending
-from .equilibrium import complete_info_equilibrium, solve_wardrop, solve_wardrop_batch
-from .graph import Network, is_series_parallel, used_edges
+from .equilibrium import (
+    complete_info_equilibrium,
+    solve_wardrop,
+    solve_wardrop_batch,
+    solve_wardrop_block,
+)
+from .graph import Network, is_series_parallel
+
+
+def _distinguishable(
+    model: CostModel, true_idx: int, loads: np.ndarray, cost_tol: float, used_tol: float
+) -> np.ndarray:
+    """(n, S) mask of the states whose cost differs from the truth on an edge
+    that row i of `loads` loads above `used_tol`.
+
+    A state that differs only on edges carrying no load produces the same
+    observed-cost distribution as the truth and cannot be told apart. The
+    loop over states keeps memory at a few (n, E) arrays.
+    """
+    used_mask = loads > used_tol
+    true_vals = polyval_ascending(model._coeffs[:, true_idx, :], loads)
+    dist = np.zeros((len(loads), model.n_states), dtype=bool)
+    for j in range(model.n_states):
+        if j == true_idx:
+            continue
+        vals = polyval_ascending(model._coeffs[:, j, :], loads)
+        dist[:, j] = (used_mask & (np.abs(vals - true_vals) > cost_tol)).any(axis=1)
+    return dist
 
 
 def distinguishable_states(
@@ -25,24 +52,10 @@ def distinguishable_states(
     cost_tol: float = 1e-9,
     used_tol: float = 0.0,
 ) -> frozenset[str]:
-    """States whose cost differs from the truth on some loaded edge.
-
-    A state that differs only on edges carrying no load produces the same
-    observed-cost distribution as the truth and cannot be told apart.
-    """
-    w = np.asarray(loads, dtype=float)
-    used = np.flatnonzero(w > used_tol)
-    out = set()
-    if used.size == 0:
-        return frozenset(out)
-    true_vals = polyval_ascending(model.state_coefficients(true_state)[used], w[used])
-    for s in model.states:
-        if s == true_state:
-            continue
-        vals = polyval_ascending(model.state_coefficients(s)[used], w[used])
-        if np.any(np.abs(vals - true_vals) > cost_tol):
-            out.add(s)
-    return frozenset(out)
+    """Labels of the states whose cost differs from the truth on some loaded edge."""
+    w = np.asarray(loads, dtype=float)[None, :]
+    dist = _distinguishable(model, model.state_index(true_state), w, cost_tol, used_tol)
+    return frozenset(model.states[j] for j in np.flatnonzero(dist[0]))
 
 
 def average_cost(model: CostModel, state: str, loads) -> float:
@@ -89,6 +102,7 @@ def check_rest_point(
     if used_tol is None:
         used_tol = 1e-9 * demand
     w_claim = np.asarray(loads, dtype=float)
+    true_idx = model.state_index(true_state)
     violations = []
 
     eq = solve_wardrop(network, model, theta, demand, tol=solver_tol)
@@ -96,10 +110,8 @@ def check_rest_point(
     if gap > load_tol:
         violations.append("equilibrium_load_mismatch")
 
-    dist = distinguishable_states(model, true_state, w_claim, cost_tol, used_tol)
-    mass = float(
-        sum(theta.probs[model.state_index(s)] for s in dist)
-    )
+    dist = _distinguishable(model, true_idx, w_claim[None, :], cost_tol, used_tol)
+    mass = float((theta.probs[None, :] * dist).sum(axis=1)[0])
     if mass > mass_tol:
         violations.append("distinguishable_mass")
 
@@ -108,7 +120,7 @@ def check_rest_point(
     if used_idx.size:
         per_state = model.cost_matrix(w_claim, used_idx)  # (S, m)
         believed = theta.probs @ per_state
-        true_vals = per_state[model.state_index(true_state)]
+        true_vals = per_state[true_idx]
         consistency = float(np.max(np.abs(believed - true_vals)))
         worst_state_gap = float(np.max(np.abs(per_state - true_vals[None, :])))
     else:
@@ -183,14 +195,6 @@ def _simplex_grid_chunks(n_states: int, grid_n: int, chunk_size: int):
         yield counts / grid_n
 
 
-def simplex_grid_size(n_states: int, grid_n: int) -> int:
-    if n_states == 1:
-        return 1
-    from math import comb
-
-    return comb(grid_n + n_states - 1, n_states - 1)
-
-
 class _ClusterAccumulator:
     __slots__ = (
         "count",
@@ -225,21 +229,35 @@ class _ClusterAccumulator:
             self.rep = thetas[best].copy()
 
 
-def _rest_point_mass(
+def _edge_bits(n_edges: int) -> np.ndarray:
+    """Bit weights that turn a used-edge mask into its integer key."""
+    return 1 << np.arange(n_edges, dtype=np.int64)
+
+
+def _rest_point_rows(
     network: Network,
     model: CostModel,
-    true_state: str,
-    theta: Belief,
+    true_idx: int,
+    thetas: np.ndarray,
+    *,
     demand: float,
+    want_key: int,
+    mass_tol: float,
     cost_tol: float,
     used_tol: float,
     solver_tol: float,
-) -> tuple[float, frozenset[str]]:
-    """Mass on distinguishable states at the equilibrium of `theta`."""
-    eq = solve_wardrop(network, model, theta, demand, tol=solver_tol)
-    dist = distinguishable_states(model, true_state, eq.edge_loads, cost_tol, used_tol)
-    mass = float(sum(theta.probs[model.state_index(s)] for s in dist))
-    return mass, used_edges(network, eq.edge_loads, used_tol)
+) -> np.ndarray:
+    """Mask of the belief rows that are rest points on the used-edge set `want_key`.
+
+    One block solve; a row passes when its equilibrium uses exactly the
+    edges of `want_key` and it puts at most `mass_tol` on distinguishable
+    states.
+    """
+    eq = solve_wardrop_block(network, model, thetas, demand, tol=solver_tol)
+    eq.raise_unconverged()
+    dist = _distinguishable(model, true_idx, eq.edge_loads, cost_tol, used_tol)
+    keys = (eq.edge_loads > used_tol) @ _edge_bits(network.n_edges)
+    return ((thetas * dist).sum(axis=1) <= mass_tol) & (keys == want_key)
 
 
 def _bisect_boundary(predicate, x_fail: float, x_pass: float, tol: float) -> float:
@@ -285,7 +303,7 @@ def enumerate_rest_points(
         used_tol = 1e-9 * demand
     true_idx = model.state_index(true_state)
 
-    edge_bits = 1 << np.arange(network.n_edges, dtype=np.int64)
+    edge_bits = _edge_bits(network.n_edges)
     clusters: dict[int, _ClusterAccumulator] = {}
     n_nodes = 0
     n_passing = 0
@@ -297,22 +315,15 @@ def enumerate_rest_points(
             network, model, thetas, demand, tol=solver_tol
         )
         max_gap = max(max_gap, float(gaps.max()))
-        used_mask = loads > used_tol  # (n, E)
-        true_vals = polyval_ascending(model._coeffs[:, true_idx, :], loads)
-        dist = np.zeros((len(thetas), n_states), dtype=bool)
-        for j in range(n_states):
-            if j == true_idx:
-                continue
-            vals = polyval_ascending(model._coeffs[:, j, :], loads)
-            dist[:, j] = (used_mask & (np.abs(vals - true_vals) > cost_tol)).any(axis=1)
+        dist = _distinguishable(model, true_idx, loads, cost_tol, used_tol)
         residual = (thetas * dist).sum(axis=1)
         passing = residual <= mass_tol
         n_passing += int(passing.sum())
         if not passing.any():
             continue
-        keys = used_mask[passing] @ edge_bits
         th_pass = thetas[passing]
         ld_pass = loads[passing]
+        keys = (ld_pass > used_tol) @ edge_bits
         for key in np.unique(keys):
             sel = keys == key
             acc = clusters.get(int(key))
@@ -322,25 +333,10 @@ def enumerate_rest_points(
                 )
             acc.add(th_pass[sel], ld_pass[sel])
 
-    def passes(theta_vec: np.ndarray, want_key: int | None = None) -> bool:
-        mass, used = _rest_point_mass(
-            network,
-            model,
-            true_state,
-            Belief(theta_vec),
-            demand,
-            cost_tol,
-            used_tol,
-            solver_tol,
-        )
-        if mass > mass_tol:
-            return False
-        if want_key is not None:
-            key = sum(
-                1 << network.edge_index(e) for e in used
-            )
-            return key == want_key
-        return True
+    passes = functools.partial(
+        _rest_point_rows, network, model, true_idx, demand=demand, mass_tol=mass_tol,
+        cost_tol=cost_tol, used_tol=used_tol, solver_tol=solver_tol,
+    )
 
     families = []
     for key, acc in sorted(clusters.items()):
@@ -358,33 +354,26 @@ def enumerate_rest_points(
         if len(support_idx) == 2:
             i, j = int(support_idx[0]), int(support_idx[1])
 
-            def face_theta(x: float) -> np.ndarray:
-                v = np.zeros(n_states)
-                v[i] = x
-                v[j] = 1.0 - x
+            def face(xs: np.ndarray) -> np.ndarray:
+                v = np.zeros((len(xs), n_states))
+                v[:, i] = xs
+                v[:, j] = 1.0 - xs
                 return v
 
+            def at(x: float) -> bool:
+                return bool(passes(face(np.array([x])), want_key=key)[0])
+
             xs = np.arange(grid_n + 1) / grid_n
-            ok = np.array([passes(face_theta(x), key) for x in xs])
+            ok = passes(face(xs), want_key=key)
             if ok.any():
                 lo_idx = int(np.argmax(ok))
                 hi_idx = int(len(ok) - 1 - np.argmax(ok[::-1]))
                 lo = xs[lo_idx]
                 hi = xs[hi_idx]
                 if lo_idx > 0:
-                    lo = _bisect_boundary(
-                        lambda x: passes(face_theta(x), key),
-                        xs[lo_idx - 1],
-                        lo,
-                        refine_tol,
-                    )
+                    lo = _bisect_boundary(at, xs[lo_idx - 1], lo, refine_tol)
                 if hi_idx < len(xs) - 1:
-                    hi = _bisect_boundary(
-                        lambda x: passes(face_theta(x), key),
-                        xs[hi_idx + 1],
-                        hi,
-                        refine_tol,
-                    )
+                    hi = _bisect_boundary(at, xs[hi_idx + 1], hi, refine_tol)
                 thresholds[model.states[i]] = (float(lo), float(hi))
                 thresholds[model.states[j]] = (float(1.0 - hi), float(1.0 - lo))
                 refined = True
@@ -516,48 +505,36 @@ def check_complete_learning_conditions(
         load_tol = 1e-9 * demand
     coeffs = model._coeffs
     true_idx = model.state_index(true_state)
+    states, edges = model.states, model.edges
 
-    cond1 = True
+    # routes (rows) on which a state (column) differs from the truth nowhere
+    differs = (coeffs != coeffs[:, true_idx : true_idx + 1]).any(axis=-1)  # (E, S)
+    hidden = network.incidence.T @ differs == 0
+    hidden[:, true_idx] = False
     wit1 = None
-    for s in model.states:
-        if s == true_state:
-            continue
-        j = model.state_index(s)
-        for k, route in enumerate(network.routes):
-            separating = any(
-                not np.array_equal(
-                    coeffs[model.edge_index(e), j], coeffs[model.edge_index(e), true_idx]
-                )
-                for e in route
-            )
-            if not separating:
-                cond1 = False
-                wit1 = (s, k)
-                break
-        if not cond1:
-            break
+    if hidden.any():
+        j = int(np.argmax(hidden.any(axis=0)))
+        wit1 = (states[j], int(np.argmax(hidden[:, j])))
 
-    cond2 = True
-    wit2 = None
     intercepts = coeffs[:, :, 0]
-    for i, e in enumerate(model.edges):
-        base = intercepts[i, 0]
-        for j, s in enumerate(model.states):
-            if intercepts[i, j] != base:
-                cond2 = False
-                wit2 = (e, s, float(intercepts[i, j]), float(base))
-                break
-        if not cond2:
-            break
+    moved = intercepts != intercepts[:, :1]  # (E, S)
+    wit2 = None
+    if moved.any():
+        i, j = np.unravel_index(np.argmax(moved), moved.shape)
+        wit2 = (edges[i], states[j], float(intercepts[i, j]), float(intercepts[i, 0]))
 
-    cond3 = True
+    # The first state whose known-state equilibrium leaves an edge unused is
+    # the witness. A solve that fails at or before it is an error; the states
+    # after it are not examined.
+    eq = solve_wardrop_block(network, model, np.eye(model.n_states), demand)
+    low = np.argmin(eq.edge_loads, axis=1)
+    low_load = eq.edge_loads[np.arange(model.n_states), low]
+    stop = np.flatnonzero((low_load <= load_tol) | ~eq.converged)
     wit3 = None
-    for s in model.states:
-        eq = complete_info_equilibrium(network, model, s, demand)
-        low = int(np.argmin(eq.edge_loads))
-        if eq.edge_loads[low] <= load_tol:
-            cond3 = False
-            wit3 = (s, model.edges[low], float(eq.edge_loads[low]))
-            break
+    if stop.size:
+        j = int(stop[0])
+        if not eq.converged[j]:
+            eq.raise_unconverged()
+        wit3 = (states[j], edges[low[j]], float(low_load[j]))
 
-    return ConditionReport(cond1, wit1, cond2, wit2, cond3, wit3)
+    return ConditionReport(wit1 is None, wit1, wit2 is None, wit2, wit3 is None, wit3)

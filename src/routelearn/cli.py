@@ -100,7 +100,7 @@ def _parse_seeds(text: str) -> list[int]:
 
 
 def _belief_dict(scenario: Scenario, probs) -> dict:
-    return {s: float(p) for s, p in zip(scenario.states.labels, probs)}
+    return {s: float(p) for s, p in zip(scenario.model.states, probs)}
 
 
 def _load_dict(scenario: Scenario, loads) -> dict:
@@ -211,8 +211,25 @@ def cmd_batch(args) -> int:
     return 0
 
 
-def _families_payload(scenario: Scenario, report) -> list[dict]:
-    return [
+def _rest_points(scenario: Scenario, grid_n: int):
+    """Rest-point families and their average-cost comparison, and the payload of both."""
+    report = enumerate_rest_points(
+        scenario.network,
+        scenario.model,
+        scenario.true_state,
+        grid_n,
+        scenario.demand,
+        used_tol=scenario.used_edge_tol,
+        cost_tol=scenario.tolerances.cost_equality,
+    )
+    cost_cmp = compare_average_costs(
+        scenario.network,
+        scenario.model,
+        scenario.true_state,
+        report.families,
+        scenario.demand,
+    )
+    families = [
         {
             "used": list(f.used),
             "support": list(f.support),
@@ -230,27 +247,22 @@ def _families_payload(scenario: Scenario, report) -> list[dict]:
         }
         for f in report.families
     ]
+    comparison = {
+        "applicable": cost_cmp.applicable,
+        "complete_info_cost": cost_cmp.complete_info_cost,
+        "ok": cost_cmp.ok,
+        "entries": [
+            {"used": list(e.used), "rest_cost": e.rest_cost, "ok": e.ok}
+            for e in cost_cmp.entries
+        ],
+    }
+    return report, {"families": families, "average_cost_comparison": comparison}
 
 
 def cmd_enumerate(args) -> int:
     scenario = _load(args)
     out = Path(args.out_dir)
-    report = enumerate_rest_points(
-        scenario.network,
-        scenario.model,
-        scenario.true_state,
-        args.grid_n,
-        scenario.demand,
-        used_tol=scenario.used_edge_tol,
-        cost_tol=scenario.tolerances.cost_equality,
-    )
-    cost_cmp = compare_average_costs(
-        scenario.network,
-        scenario.model,
-        scenario.true_state,
-        report.families,
-        scenario.demand,
-    )
+    report, rest_points = _rest_points(scenario, args.grid_n)
     payload = _tool_stamp(scenario)
     payload.update(
         {
@@ -258,16 +270,7 @@ def cmd_enumerate(args) -> int:
             "nodes_evaluated": report.n_nodes,
             "nodes_passing": report.n_passing,
             "max_solver_gap": report.max_solver_gap,
-            "families": _families_payload(scenario, report),
-            "average_cost_comparison": {
-                "applicable": cost_cmp.applicable,
-                "complete_info_cost": cost_cmp.complete_info_cost,
-                "ok": cost_cmp.ok,
-                "entries": [
-                    {"used": list(e.used), "rest_cost": e.rest_cost, "ok": e.ok}
-                    for e in cost_cmp.entries
-                ],
-            },
+            **rest_points,
         }
     )
     _write_json(out / f"{scenario.name}_rest_points.json", payload)
@@ -282,22 +285,7 @@ def cmd_check(args) -> int:
         scenario.network, scenario.model, scenario.true_state, scenario.demand
     )
     sp = is_series_parallel(scenario.network)
-    report = enumerate_rest_points(
-        scenario.network,
-        scenario.model,
-        scenario.true_state,
-        args.grid_n,
-        scenario.demand,
-        used_tol=scenario.used_edge_tol,
-        cost_tol=scenario.tolerances.cost_equality,
-    )
-    cost_cmp = compare_average_costs(
-        scenario.network,
-        scenario.model,
-        scenario.true_state,
-        report.families,
-        scenario.demand,
-    )
+    _, rest_points = _rest_points(scenario, args.grid_n)
     payload = _tool_stamp(scenario)
     payload.update(
         {
@@ -312,16 +300,7 @@ def cmd_check(args) -> int:
                 "any_holds": conditions.any_holds,
             },
             "grid_n": args.grid_n,
-            "families": _families_payload(scenario, report),
-            "average_cost_comparison": {
-                "applicable": cost_cmp.applicable,
-                "complete_info_cost": cost_cmp.complete_info_cost,
-                "ok": cost_cmp.ok,
-                "entries": [
-                    {"used": list(e.used), "rest_cost": e.rest_cost, "ok": e.ok}
-                    for e in cost_cmp.entries
-                ],
-            },
+            **rest_points,
         }
     )
     _write_json(out / f"{scenario.name}_check.json", payload)

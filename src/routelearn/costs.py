@@ -105,38 +105,6 @@ class CostFunction:
         return float(polyint_ascending(self.coefficients, load))
 
 
-@dataclass(frozen=True)
-class StateSpace:
-    """Finite state set plus the state the simulator draws costs from."""
-
-    labels: tuple[str, ...]
-    true_state: str
-
-    def __post_init__(self):
-        labels = tuple(str(s) for s in self.labels)
-        if len(labels) != len(set(labels)):
-            raise CostError("duplicate state labels")
-        if not labels:
-            raise CostError("state space is empty")
-        if self.true_state not in labels:
-            raise CostError(f"true state {self.true_state!r} not among labels")
-        object.__setattr__(self, "labels", labels)
-
-    @property
-    def n_states(self) -> int:
-        return len(self.labels)
-
-    def index(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise CostError(f"unknown state {label!r}") from None
-
-    @property
-    def true_index(self) -> int:
-        return self.labels.index(self.true_state)
-
-
 class Belief:
     """Probability vector over the state set, immutable once built."""
 

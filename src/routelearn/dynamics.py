@@ -464,7 +464,7 @@ def write_trajectory_csv(trajectory: Trajectory, path: str | Path) -> Path:
     """
     scenario = trajectory.scenario
     edge_ids = scenario.network.edge_ids
-    state_labels = scenario.states.labels
+    state_labels = scenario.model.states
     header = (
         ["stage"]
         + [f"theta_{s}" for s in state_labels]

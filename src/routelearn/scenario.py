@@ -13,7 +13,6 @@ from .costs import (
     Belief,
     CostFunction,
     CostModel,
-    StateSpace,
     validate_slope_bound,
 )
 from .errors import BeliefError, CostError, NetworkError, ScenarioError
@@ -43,7 +42,7 @@ class Scenario:
 
     name: str
     network: Network
-    states: StateSpace
+    true_state: str
     model: CostModel
     demand: float
     initial_belief: Belief
@@ -58,10 +57,6 @@ class Scenario:
         if self.tolerances.used_edge is not None:
             return self.tolerances.used_edge
         return 1e-9 * self.demand
-
-    @property
-    def true_state(self) -> str:
-        return self.states.true_state
 
 
 def _three_edge_payload(name: str, e2_compromised: dict, theta0, full_support: bool) -> dict:
@@ -174,12 +169,14 @@ def scenario_from_dict(payload: Mapping[str, Any]) -> Scenario:
     except NetworkError as exc:
         raise ScenarioError("network", str(exc)) from None
 
-    state_labels = [str(s) for s in _require(payload, "states", list, "")]
+    states = tuple(str(s) for s in _require(payload, "states", list, ""))
+    if not states:
+        raise ScenarioError("states", "state space is empty")
+    if len(states) != len(set(states)):
+        raise ScenarioError("states", "duplicate state labels")
     true_state = _require(payload, "true_state", str, "")
-    try:
-        states = StateSpace(tuple(state_labels), true_state)
-    except CostError as exc:
-        raise ScenarioError("states", str(exc)) from None
+    if true_state not in states:
+        raise ScenarioError("true_state", f"{true_state!r} is not among the states")
 
     cost_entries = _require(payload, "costs", list, "")
     table: dict[tuple[str, str], CostFunction] = {}
@@ -191,7 +188,7 @@ def scenario_from_dict(payload: Mapping[str, Any]) -> Scenario:
         state = _require(entry, "state", str, path)
         if edge not in network.edge_ids:
             raise ScenarioError(f"{path}.edge", f"unknown edge {edge!r}")
-        if state not in states.labels:
+        if state not in states:
             raise ScenarioError(f"{path}.state", f"unknown state {state!r}")
         if (edge, state) in table:
             raise ScenarioError(path, f"duplicate entry for ({edge}, {state})")
@@ -206,7 +203,7 @@ def scenario_from_dict(payload: Mapping[str, Any]) -> Scenario:
         raise ScenarioError("alpha", "must be a positive number")
 
     try:
-        model = CostModel(network.edge_ids, states.labels, table, sigma, float(alpha))
+        model = CostModel(network.edge_ids, states, table, sigma, float(alpha))
     except CostError as exc:
         raise ScenarioError("costs/sigma", str(exc)) from None
 
@@ -218,10 +215,10 @@ def scenario_from_dict(payload: Mapping[str, Any]) -> Scenario:
         )
 
     belief_raw = _require(payload, "initial_belief", list, "")
-    if len(belief_raw) != states.n_states:
+    if len(belief_raw) != len(states):
         raise ScenarioError(
             "initial_belief",
-            f"has {len(belief_raw)} entries, expected {states.n_states}",
+            f"has {len(belief_raw)} entries, expected {len(states)}",
         )
     try:
         theta0 = Belief(belief_raw)
@@ -271,7 +268,7 @@ def scenario_from_dict(payload: Mapping[str, Any]) -> Scenario:
     return Scenario(
         name=name,
         network=network,
-        states=states,
+        true_state=true_state,
         model=model,
         demand=demand,
         initial_belief=theta0,
@@ -286,7 +283,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     """Round-trippable plain-dict form of a scenario (load-compatible)."""
     costs = []
     for edge in scenario.network.edge_ids:
-        for state in scenario.states.labels:
+        for state in scenario.model.states:
             fn = scenario.model.table[(edge, state)]
             if fn.form == "affine":
                 params = {"slope": fn.coefficients[1], "intercept": fn.coefficients[0]}
@@ -303,8 +300,8 @@ def scenario_to_dict(scenario: Scenario) -> dict:
             "edges": list(scenario.network.edge_ids),
             "routes": [list(r) for r in scenario.network.routes],
         },
-        "states": list(scenario.states.labels),
-        "true_state": scenario.states.true_state,
+        "states": list(scenario.model.states),
+        "true_state": scenario.true_state,
         "costs": costs,
         "sigma": scenario.model.sigma.tolist(),
         "demand": scenario.demand,

@@ -3,8 +3,10 @@
 Everything here deliberately avoids the production code paths: the
 two-route solver is closed-form algebra, the series-parallel oracle searches
 over every reduction order, and instance generators build inputs from
-scratch. The reference stage loop at the end is the per-seed loop that the
-lockstep block loop replaced, kept as the slow path it is checked against.
+scratch. The reference stage loop is the per-seed loop that the lockstep
+block loop replaced, and the reference rest-point analysis at the end is
+the label-based loop that the index-mask kernel replaced; both are kept as
+the slow paths they are checked against.
 """
 
 from __future__ import annotations
@@ -28,7 +30,9 @@ from routelearn import (
     NoiseSampler,
     Observation,
     SolverError,
+    complete_info_equilibrium,
     realize_costs,
+    solve_wardrop,
     used_edges,
 )
 from routelearn.costs import polyint_ascending, polyval_ascending
@@ -607,3 +611,99 @@ def reference_run(
 
     return records, status
 
+
+
+# --- Reference rest-point analysis -----------------------------------------
+# The label loops that enumerate_rest_points, check_rest_point and
+# check_complete_learning_conditions used before they ran on index masks and
+# block solves: one state, one route, one belief row at a time.
+
+
+def reference_distinguishable_states(
+    model: CostModel, true_state: str, loads, cost_tol: float = 1e-9, used_tol: float = 0.0
+) -> frozenset[str]:
+    """States whose cost differs from the truth on some edge loaded above used_tol."""
+    w = np.asarray(loads, dtype=float)
+    used = np.flatnonzero(w > used_tol)
+    out = set()
+    if used.size == 0:
+        return frozenset(out)
+    true_vals = polyval_ascending(model.state_coefficients(true_state)[used], w[used])
+    for s in model.states:
+        if s == true_state:
+            continue
+        vals = polyval_ascending(model.state_coefficients(s)[used], w[used])
+        if np.any(np.abs(vals - true_vals) > cost_tol):
+            out.add(s)
+    return frozenset(out)
+
+
+def reference_rest_point_passes(
+    network: Network,
+    model: CostModel,
+    true_state: str,
+    theta,
+    demand: float,
+    want_key: int,
+    *,
+    mass_tol: float,
+    cost_tol: float,
+    used_tol: float,
+    solver_tol: float,
+) -> bool:
+    """One belief row: its equilibrium uses the edges of want_key and its
+    mass on distinguishable states is at most mass_tol."""
+    theta = Belief(theta)
+    eq = solve_wardrop(network, model, theta, demand, tol=solver_tol)
+    dist = reference_distinguishable_states(model, true_state, eq.edge_loads, cost_tol, used_tol)
+    mass = float(sum(theta.probs[model.state_index(s)] for s in dist))
+    if mass > mass_tol:
+        return False
+    key = sum(1 << network.edge_index(e) for e in used_edges(network, eq.edge_loads, used_tol))
+    return key == want_key
+
+
+def reference_complete_learning_conditions(
+    network: Network, model: CostModel, true_state: str, demand: float, load_tol: float
+) -> tuple:
+    """(cond1, witness1, cond2, witness2, cond3, witness3), first witness by loop order."""
+    coeffs = model._coeffs
+    true_idx = model.state_index(true_state)
+
+    wit1 = None
+    for s in model.states:
+        if s == true_state:
+            continue
+        j = model.state_index(s)
+        for k, route in enumerate(network.routes):
+            separating = any(
+                not np.array_equal(
+                    coeffs[model.edge_index(e), j], coeffs[model.edge_index(e), true_idx]
+                )
+                for e in route
+            )
+            if not separating:
+                wit1 = (s, k)
+                break
+        if wit1 is not None:
+            break
+
+    wit2 = None
+    intercepts = coeffs[:, :, 0]
+    for i, e in enumerate(model.edges):
+        for j, s in enumerate(model.states):
+            if intercepts[i, j] != intercepts[i, 0]:
+                wit2 = (e, s, float(intercepts[i, j]), float(intercepts[i, 0]))
+                break
+        if wit2 is not None:
+            break
+
+    wit3 = None
+    for s in model.states:
+        eq = complete_info_equilibrium(network, model, s, demand)
+        low = int(np.argmin(eq.edge_loads))
+        if eq.edge_loads[low] <= load_tol:
+            wit3 = (s, model.edges[low], float(eq.edge_loads[low]))
+            break
+
+    return (wit1 is None, wit1, wit2 is None, wit2, wit3 is None, wit3)

@@ -28,6 +28,8 @@ from routelearn import (
     Observation,
 )
 
+from routelearn.belief import bayes_update_block
+
 from oracles import (
     random_spd,
     random_two_route_instance,
@@ -195,11 +197,14 @@ def test_criterion_7_martingale_property(three_edge):
     rng = np.random.default_rng(20240617)
     states = rng.choice(4, size=n, p=theta.probs)
     draws = means[states] + rng.standard_normal((n, len(idx))) @ chol.T
-    acc = np.zeros(4)
-    for k in range(n):
-        obs = Observation(tuple(order), eq.edge_loads, draws[k])
-        acc += bayes_update(theta, three_edge.model, obs).probs
-    deviation = float(np.max(np.abs(acc / n - theta.probs)))
+    post = bayes_update_block(
+        np.tile(theta.probs, (n, 1)),
+        three_edge.model,
+        tuple(idx),
+        np.tile(eq.edge_loads, (n, 1)),
+        draws,
+    )
+    deviation = float(np.max(np.abs(post.sum(axis=0) / n - theta.probs)))
     elapsed = time.perf_counter() - start
     bound = 5.0 / np.sqrt(n)
     report(

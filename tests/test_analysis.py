@@ -1,7 +1,18 @@
 from __future__ import annotations
 
+import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import routelearn
+from routelearn import analysis
 
 from routelearn import (
     Belief,
@@ -19,9 +30,19 @@ from routelearn import (
     monte_carlo,
     scenario_from_dict,
     scenario_to_dict,
+    solve_wardrop,
 )
+from routelearn.cli import main
+from routelearn.errors import SolverError
 
-from oracles import wheatstone_network
+from oracles import (
+    random_multi_route_instance,
+    reference_complete_learning_conditions,
+    reference_distinguishable_states,
+    reference_rest_point_passes,
+    wheatstone_network,
+    wheatstone_poly_payload,
+)
 
 
 def fully_distinguishable_scenario(three_edge):
@@ -310,3 +331,231 @@ class TestConditionImpliesCompleteLearning:
         assert batch.n_converged == 15
         for s in batch.summaries:
             assert np.max(np.abs(s.terminal_loads - eq.edge_loads)) <= 1e-2
+
+
+@st.composite
+def distinguishability_cases(draw):
+    """Random affine or polynomial table, truth, loads and tolerances.
+
+    Small integer coefficients and loads on a quarter grid make many cost
+    differences land exactly on `cost_tol`, and many loads exactly on
+    `used_tol`, so the strict comparisons are tested at their knife edges.
+    """
+    n_edges = draw(st.integers(1, 4))
+    n_states = draw(st.integers(1, 4))
+    degree = draw(st.integers(1, 3))
+    coef = st.integers(0, 3).map(float)
+    edges = [f"e{i}" for i in range(n_edges)]
+    states = [f"s{j}" for j in range(n_states)]
+    table = {
+        (e, s): CostFunction.polynomial(draw(st.lists(coef, min_size=2, max_size=degree + 1)))
+        for e in edges
+        for s in states
+    }
+    model = CostModel(edges, states, table, np.eye(n_edges))
+    load = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 2.0])
+    rows = draw(st.lists(st.lists(load, min_size=n_edges, max_size=n_edges), min_size=1, max_size=6))
+    return (
+        model,
+        draw(st.integers(0, n_states - 1)),
+        np.array(rows),
+        draw(st.sampled_from([0.0, 1e-9, 0.25, 0.5, 1.0])),
+        draw(st.sampled_from([0.0, 1e-9, 0.25, 0.5])),
+    )
+
+
+class TestDistinguishableKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(distinguishability_cases())
+    def test_kernel_matches_label_loop(self, case):
+        model, true_idx, loads, cost_tol, used_tol = case
+        truth = model.states[true_idx]
+        dist = analysis._distinguishable(model, true_idx, loads, cost_tol, used_tol)
+        assert dist.shape == (len(loads), model.n_states)
+        for row, w in zip(dist, loads):
+            want = reference_distinguishable_states(model, truth, w, cost_tol, used_tol)
+            assert {model.states[j] for j in np.flatnonzero(row)} == want
+            assert distinguishable_states(model, truth, w, cost_tol, used_tol) == want
+
+    @pytest.mark.parametrize(
+        "load, cost_tol, used_tol, expected",
+        [
+            (0.5, 0.5, 0.0, set()),  # cost difference exactly cost_tol
+            (0.5, 0.25, 0.0, {"alt"}),
+            (0.5, 0.25, 0.5, set()),  # load exactly used_tol
+            (0.5, 0.25, 0.25, {"alt"}),
+        ],
+    )
+    def test_knife_edges_are_strict(self, load, cost_tol, used_tol, expected):
+        fns = {("a", "ok"): CostFunction.affine(1.0, 2.0), ("a", "alt"): CostFunction.affine(1.0, 2.5)}
+        model = CostModel(["a"], ["ok", "alt"], fns, np.eye(1))
+        w = np.array([[load]])
+        dist = analysis._distinguishable(model, 0, w, cost_tol, used_tol)
+        assert {model.states[j] for j in np.flatnonzero(dist[0])} == expected
+        assert reference_distinguishable_states(model, "ok", w[0], cost_tol, used_tol) == expected
+
+
+class TestResidualMassHashSeed:
+    def test_residual_mass_is_bit_identical_across_hash_seeds(self):
+        # a sum over a set of labels follows the set's hash order; the mass
+        # at loads (1, 0.5, 0.5) sums three states, whose order shows in the last bit
+        script = (
+            "from routelearn import Belief, check_rest_point, load_scenario\n"
+            "sc = load_scenario('three-edge')\n"
+            "chk = check_rest_point(sc.network, sc.model, sc.true_state,"
+            " Belief([0.1, 0.2, 0.3, 0.4]), [1.0, 0.5, 0.5], sc.demand)\n"
+            "print(chk.residual_mass.hex())\n"
+        )
+        src = str(Path(routelearn.__file__).resolve().parents[1])
+        seen = set()
+        for seed in range(4):
+            env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src}
+            res = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+            )
+            seen.add(res.stdout.strip())
+        assert len(seen) == 1
+
+
+def _face(n_states: int, i: int, j: int, grid_n: int) -> np.ndarray:
+    xs = np.arange(grid_n + 1) / grid_n
+    face = np.zeros((len(xs), n_states))
+    face[:, i] = xs
+    face[:, j] = 1.0 - xs
+    return face
+
+
+def _used_key(loads, used_tol) -> int:
+    return sum(1 << k for k in np.flatnonzero(loads > used_tol))
+
+
+class TestBlockRefinement:
+    """The face scan is one block solve; it must agree with one solve per row."""
+
+    TOLS = dict(mass_tol=1e-9, cost_tol=1e-9, solver_tol=1e-10)
+
+    def check_face(self, network, model, true_idx, face, demand, key):
+        used_tol = 1e-9 * demand
+        got = analysis._rest_point_rows(
+            network, model, true_idx, face, demand=demand, want_key=key, used_tol=used_tol,
+            **self.TOLS,
+        )
+        want = [
+            reference_rest_point_passes(
+                network, model, model.states[true_idx], row, demand, key, used_tol=used_tol,
+                **self.TOLS,
+            )
+            for row in face
+        ]
+        assert got.tolist() == want
+        return got
+
+    def test_three_edge_partial_family_face(self, three_edge):
+        # (e2, none) face, used set {e1, e3}: rest points from x = 0.2 on
+        face = _face(4, 1, 3, 20)
+        got = self.check_face(three_edge.network, three_edge.model, 3, face, 1.0, 0b101)
+        assert got.tolist() == [False] * 4 + [True] * 17
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_random_affine_faces(self, seed):
+        rng = np.random.default_rng(seed)
+        network, model, _, demand = random_multi_route_instance(rng)
+        while model.n_states < 2:
+            network, model, _, demand = random_multi_route_instance(rng)
+        i, j = sorted(rng.choice(model.n_states, size=2, replace=False))
+        true_idx = int(rng.choice([i, j]))
+        face = _face(model.n_states, i, j, 10)
+        row = face[int(rng.integers(len(face)))]
+        eq = solve_wardrop(network, model, Belief(row), demand, tol=1e-10)
+        self.check_face(network, model, true_idx, face, demand, _used_key(eq.edge_loads, 1e-9 * demand))
+
+
+def _tie_to_truth(model: CostModel, truth: str, rng) -> CostModel:
+    """Copy the truth's function, or only its intercept, into random entries."""
+    table = {}
+    for e in model.edges:
+        for s in model.states:
+            own, true_fn = model.table[(e, s)], model.table[(e, truth)]
+            pick = rng.integers(3)
+            if pick == 1:
+                own = true_fn
+            elif pick == 2:
+                own = CostFunction.affine(own.coefficients[1], true_fn.intercept)
+            table[(e, s)] = own
+    return CostModel(model.edges, model.states, table, model.sigma)
+
+
+def _condition_tuple(rep) -> tuple:
+    return (
+        rep.fully_distinguishable,
+        rep.witness_distinguishable,
+        rep.state_independent_free_flow,
+        rep.witness_free_flow,
+        rep.all_edges_used,
+        rep.witness_utilization,
+    )
+
+
+class TestBlockConditions:
+    """Array tests and one block solve must give the loops' first witnesses."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_random_affine_tables_match_loops(self, seed):
+        rng = np.random.default_rng(seed)
+        network, model, _, demand = random_multi_route_instance(rng)
+        truth = model.states[int(rng.integers(model.n_states))]
+        model = _tie_to_truth(model, truth, rng)
+        got = check_complete_learning_conditions(network, model, truth, demand)
+        want = reference_complete_learning_conditions(network, model, truth, demand, 1e-9 * demand)
+        assert _condition_tuple(got) == want
+
+    @pytest.mark.parametrize("name", ["three-edge", "three-edge-cond2", "wheatstone"])
+    def test_scenarios_match_loops(self, name, three_edge, cond2):
+        sc = {"three-edge": three_edge, "three-edge-cond2": cond2}.get(name)
+        if sc is None:
+            sc = scenario_from_dict(wheatstone_poly_payload())
+        got = check_complete_learning_conditions(sc.network, sc.model, sc.true_state, sc.demand)
+        want = reference_complete_learning_conditions(
+            sc.network, sc.model, sc.true_state, sc.demand, 1e-9 * sc.demand
+        )
+        assert _condition_tuple(got) == want
+
+
+@pytest.fixture
+def unconverged_known_state(monkeypatch):
+    """Make the known-state solve of one state report no convergence."""
+    real = analysis.solve_wardrop_block
+    row = {}
+
+    def patched(network, model, probs, demand, **kw):
+        block = real(network, model, probs, demand, **kw)
+        if "index" in row and np.array_equal(probs, np.eye(model.n_states)):
+            converged = block.converged.copy()
+            converged[row["index"]] = False
+            block = dataclasses.replace(block, converged=converged)
+        return block
+
+    monkeypatch.setattr(analysis, "solve_wardrop_block", patched)
+    return row
+
+
+class TestConditionExitCodes:
+    # In three-edge the first state that leaves an edge unused is e2 (row 1).
+    def test_failure_after_the_witness_is_not_examined(self, three_edge, unconverged_known_state):
+        unconverged_known_state["index"] = 2
+        rep = check_complete_learning_conditions(three_edge.network, three_edge.model, "none", 1.0)
+        assert rep.witness_utilization[0] == "e2"
+
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_failure_up_to_the_witness_raises(self, three_edge, unconverged_known_state, index):
+        unconverged_known_state["index"] = index
+        with pytest.raises(SolverError):
+            check_complete_learning_conditions(three_edge.network, three_edge.model, "none", 1.0)
+
+    @pytest.mark.parametrize("index, code", [(0, 3), (1, 3), (2, 0), (3, 0)])
+    def test_check_exit_code(self, tmp_path, unconverged_known_state, index, code):
+        unconverged_known_state["index"] = index
+        argv = ["check", "--scenario", "three-edge", "--grid-n", "5", "--out-dir", str(tmp_path)]
+        assert main(argv) == code

@@ -187,7 +187,8 @@ class TestBayesUpdate:
             key=sc.model.edge_index,
         )
         idx = [sc.model.edge_index(e) for e in used]
-        true_mean = sc.model.cost_matrix(eq.edge_loads, idx)[sc.states.true_index]
+        truth = sc.model.state_index(sc.true_state)
+        true_mean = sc.model.cost_matrix(eq.edge_loads, idx)[truth]
         chol, _ = sc.model.sigma_cholesky(tuple(idx))
         n = 5_000
         rng = np.random.default_rng(7)
@@ -196,7 +197,7 @@ class TestBayesUpdate:
         for k in range(n):
             obs = Observation(tuple(used), eq.edge_loads, draws[k])
             acc += bayes_update(theta, sc.model, obs).probs
-        assert acc[sc.states.true_index] / n >= theta.probs[sc.states.true_index]
+        assert acc[truth] / n >= theta.probs[truth]
 
 
 class TestReplayPosterior:

@@ -9,7 +9,6 @@ from routelearn import (
     CostError,
     CostFunction,
     CostModel,
-    StateSpace,
     beckmann_integral,
     edge_cost,
     expected_edge_cost,
@@ -63,21 +62,6 @@ class TestCostFunction:
     def test_integral_of_affine(self):
         fn = CostFunction.affine(2.0, 3.0)
         assert fn.integral(2.0) == pytest.approx(2.0 * 4.0 / 2.0 + 3.0 * 2.0)
-
-
-class TestStateSpace:
-    def test_basic(self):
-        ss = StateSpace(("a", "b"), "b")
-        assert ss.true_index == 1
-        assert ss.index("a") == 0
-
-    def test_duplicate_labels_rejected(self):
-        with pytest.raises(CostError):
-            StateSpace(("a", "a"), "a")
-
-    def test_true_state_must_exist(self):
-        with pytest.raises(CostError):
-            StateSpace(("a", "b"), "zz")
 
 
 class TestBelief:

@@ -14,6 +14,7 @@ from routelearn import (
     scenario_to_dict,
     solve_wardrop,
 )
+from routelearn.cli import main
 from routelearn.costs import Belief
 
 
@@ -28,8 +29,9 @@ class TestBuiltins:
     def test_three_edge_shape(self, three_edge):
         assert three_edge.demand == 1.0
         assert np.array_equal(three_edge.model.sigma, np.eye(3))
-        assert three_edge.states.labels == ("e1", "e2", "e3", "none")
-        assert three_edge.states.true_state == "none"
+        assert three_edge.model.states == ("e1", "e2", "e3", "none")
+        assert three_edge.true_state == "none"
+        assert three_edge.model.state_index(three_edge.true_state) == 3
         assert np.array_equal(three_edge.initial_belief.probs, np.full(4, 0.25))
         assert three_edge.network.routes == (("e2", "e1"), ("e3", "e1"))
 
@@ -187,3 +189,48 @@ class TestValidation:
     def test_unsupported_schema_version(self, three_edge):
         with pytest.raises(ScenarioError, match="schema_version"):
             scenario_from_dict(self.payload(three_edge, schema_version=99))
+
+
+class TestStateLabels:
+    """The loader owns the state labels: the model keeps them, the scenario the truth."""
+
+    def test_true_state_and_label_indices(self, three_edge):
+        p = scenario_to_dict(three_edge)
+        p["true_state"] = "e2"
+        sc = scenario_from_dict(p)
+        assert sc.true_state == "e2"
+        assert sc.model.state_index(sc.true_state) == 1
+        assert sc.model.state_index("none") == 3
+
+    def test_duplicate_labels_rejected(self, three_edge):
+        p = scenario_to_dict(three_edge)
+        p["states"] = ["e1", "e1", "e3", "none"]
+        with pytest.raises(ScenarioError, match="states: duplicate"):
+            scenario_from_dict(p)
+
+    def test_empty_labels_rejected(self, three_edge):
+        p = scenario_to_dict(three_edge)
+        p["states"] = []
+        with pytest.raises(ScenarioError, match="states: .*empty"):
+            scenario_from_dict(p)
+
+    def test_true_state_must_exist(self, three_edge):
+        p = scenario_to_dict(three_edge)
+        p["true_state"] = "zz"
+        with pytest.raises(ScenarioError, match="true_state: 'zz'"):
+            scenario_from_dict(p)
+
+    @pytest.mark.parametrize(
+        "change, field",
+        [
+            ({"states": ["e1", "e1", "e3", "none"]}, "states"),
+            ({"states": []}, "states"),
+            ({"true_state": "zz"}, "true_state"),
+        ],
+    )
+    def test_cli_exits_2_naming_the_field(self, three_edge, tmp_path, capsys, change, field):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**scenario_to_dict(three_edge), **change}))
+        code = main(["check", "--scenario", str(path), "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert f"validation error: {field}:" in capsys.readouterr().err
