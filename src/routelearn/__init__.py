@@ -9,52 +9,29 @@ equilibrium.
 """
 
 from .analysis import (
-    ConditionReport,
     AverageCostComparison,
+    AverageCostEntry,
+    ConditionReport,
     RestPointCheck,
     RestPointFamily,
     RestPointReport,
-    average_cost,
     check_complete_learning_conditions,
-    compare_average_costs,
     check_rest_point,
-    distinguishable_states,
+    compare_average_costs,
     enumerate_rest_points,
 )
-from .belief import Observation, bayes_update, log_gaussian_density, log_likelihoods, replay_posterior
-from .costs import (
-    SlopeBoundReport,
-    Belief,
-    CostFunction,
-    CostModel,
-    beckmann_integral,
-    edge_cost,
-    expected_edge_cost,
-    expected_route_cost,
-    validate_slope_bound,
-)
+from .costs import Belief, CostFunction, CostModel
 from .dynamics import (
     CONVERGED,
     MAX_STAGES,
     BatchSummary,
-    NoiseSampler,
-    StageRecord,
+    TerminalCluster,
     Trajectory,
     TrajectorySummary,
     monte_carlo,
-    realize_costs,
     run,
-    step,
     summarize,
     write_trajectory_csv,
-)
-from .equilibrium import (
-    EquilibriumResult,
-    WardropCertificate,
-    complete_info_equilibrium,
-    solve_wardrop,
-    solve_wardrop_batch,
-    verify_equilibrium,
 )
 from .errors import (
     BeliefError,
@@ -64,16 +41,7 @@ from .errors import (
     ScenarioError,
     SolverError,
 )
-from .graph import (
-    Network,
-    TwoTerminalGraph,
-    edge_loads,
-    is_series_parallel,
-    series_parallel_reducible,
-    underlying_graph,
-    used_edges,
-    validate_route_flow,
-)
+from .graph import Network, is_series_parallel
 from .scenario import (
     BUILTIN_NAMES,
     ConvergenceRule,
@@ -86,25 +54,24 @@ from .scenario import (
 
 __version__ = "0.1.0"
 
+# What the command line and the README's library example use, and the types
+# of their arguments and results. Everything else is imported from its module.
 __all__ = [
-    "SlopeBoundReport",
+    "AverageCostComparison",
+    "AverageCostEntry",
+    "BUILTIN_NAMES",
     "BatchSummary",
     "Belief",
     "BeliefError",
-    "BUILTIN_NAMES",
     "CONVERGED",
     "ConditionReport",
     "ConvergenceRule",
     "CostError",
     "CostFunction",
     "CostModel",
-    "EquilibriumResult",
     "MAX_STAGES",
     "Network",
     "NetworkError",
-    "NoiseSampler",
-    "Observation",
-    "AverageCostComparison",
     "RestPointCheck",
     "RestPointFamily",
     "RestPointReport",
@@ -112,44 +79,20 @@ __all__ = [
     "Scenario",
     "ScenarioError",
     "SolverError",
-    "StageRecord",
+    "TerminalCluster",
     "Tolerances",
     "Trajectory",
     "TrajectorySummary",
-    "TwoTerminalGraph",
-    "WardropCertificate",
-    "average_cost",
-    "bayes_update",
-    "beckmann_integral",
     "check_complete_learning_conditions",
-    "compare_average_costs",
     "check_rest_point",
-    "complete_info_equilibrium",
-    "distinguishable_states",
-    "edge_cost",
-    "edge_loads",
+    "compare_average_costs",
     "enumerate_rest_points",
-    "expected_edge_cost",
-    "expected_route_cost",
     "is_series_parallel",
     "load_scenario",
-    "log_gaussian_density",
-    "log_likelihoods",
     "monte_carlo",
-    "realize_costs",
-    "replay_posterior",
     "run",
     "scenario_from_dict",
     "scenario_to_dict",
-    "series_parallel_reducible",
-    "solve_wardrop",
-    "solve_wardrop_batch",
-    "step",
     "summarize",
-    "underlying_graph",
-    "used_edges",
-    "validate_slope_bound",
-    "validate_route_flow",
-    "verify_equilibrium",
     "write_trajectory_csv",
 ]

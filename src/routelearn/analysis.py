@@ -45,19 +45,6 @@ def _distinguishable(
     return dist
 
 
-def distinguishable_states(
-    model: CostModel,
-    true_state: str,
-    loads,
-    cost_tol: float = 1e-9,
-    used_tol: float = 0.0,
-) -> frozenset[str]:
-    """Labels of the states whose cost differs from the truth on some loaded edge."""
-    w = np.asarray(loads, dtype=float)[None, :]
-    dist = _distinguishable(model, model.state_index(true_state), w, cost_tol, used_tol)
-    return frozenset(model.states[j] for j in np.flatnonzero(dist[0]))
-
-
 def average_cost(model: CostModel, state: str, loads) -> float:
     """Demand-weighted travel time: sum of load times edge cost in `state`."""
     w = np.asarray(loads, dtype=float)

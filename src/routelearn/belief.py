@@ -126,11 +126,6 @@ def log_likelihoods(model: CostModel, obs: Observation) -> np.ndarray:
     )[0]
 
 
-def log_gaussian_density(model: CostModel, state: str, obs: Observation) -> float:
-    """Log density of the observation under one state."""
-    return float(log_likelihoods(model, obs)[model.state_index(state)])
-
-
 def bayes_update(theta: Belief, model: CostModel, obs: Observation) -> Belief:
     """Posterior belief after one observation: the block update on one row."""
     if len(theta) != model.n_states:

@@ -93,10 +93,15 @@ def _load(args) -> Scenario:
 
 def _parse_seeds(text: str) -> list[int]:
     text = text.strip()
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            return list(range(int(lo), int(hi) + 1))
+        return [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise ScenarioError(
+            "seeds", f'expected a range like "0..99" or a list like "1,5,7", got {text!r}'
+        ) from None
 
 
 def _belief_dict(scenario: Scenario, probs) -> dict:

@@ -85,24 +85,10 @@ class CostFunction:
     def intercept(self) -> float:
         return self.coefficients[0]
 
-    def value(self, load: float) -> float:
-        if load < 0:
-            raise ValueError("load must be nonnegative")
-        return float(polyval_ascending(self.coefficients, load))
-
-    def derivative(self, load: float) -> float:
-        d = [k * c for k, c in enumerate(self.coefficients)][1:]
-        return float(polyval_ascending(d, load))
-
     def min_derivative(self) -> float:
         # With nonnegative coefficients the derivative is nondecreasing on
         # [0, inf), so its infimum over any (0, D] is the linear coefficient.
         return self.coefficients[1]
-
-    def integral(self, load: float) -> float:
-        if load < 0:
-            raise ValueError("load must be nonnegative")
-        return float(polyint_ascending(self.coefficients, load))
 
 
 class Belief:
@@ -136,10 +122,6 @@ class Belief:
     def __len__(self) -> int:
         return self.probs.size
 
-    def support(self) -> np.ndarray:
-        """Indices of states with strictly positive probability."""
-        return np.flatnonzero(self.probs > 0.0)
-
     def __repr__(self) -> str:
         return f"Belief({np.array2string(self.probs, precision=6)})"
 
@@ -166,7 +148,7 @@ class CostModel:
             raise CostError("duplicate edge identifiers")
         if len(self.states) != len(set(self.states)):
             raise CostError("duplicate state labels")
-        if alpha <= 0:
+        if not alpha > 0:
             raise CostError("alpha must be positive")
         self.alpha = float(alpha)
 
@@ -208,7 +190,7 @@ class CostModel:
 
         self._edge_index = {e: i for i, e in enumerate(self.edges)}
         self._state_index = {s: i for i, s in enumerate(self.states)}
-        self._chol_cache: dict[tuple[int, ...], tuple[np.ndarray, float, np.ndarray]] = {}
+        self._whitener_cache: dict[tuple[int, ...], tuple[np.ndarray, float]] = {}
         self._slope_ok: bool | None = None
 
     @property
@@ -231,15 +213,6 @@ class CostModel:
         except KeyError:
             raise CostError(f"unknown state {state!r}") from None
 
-    def function(self, edge: str, state: str) -> CostFunction:
-        self.edge_index(edge)
-        self.state_index(state)
-        return self.table[(edge, state)]
-
-    def mixed_coefficients(self, probs: np.ndarray) -> np.ndarray:
-        """Belief-weighted coefficient rows, shape (n_edges, degree + 1)."""
-        return np.einsum("esc,s->ec", self._coeffs, np.asarray(probs, dtype=float))
-
     def mixed_coefficients_batch(self, prob_rows: np.ndarray) -> np.ndarray:
         """Mixed coefficients for many beliefs at once, shape (n, E, degree + 1)."""
         return np.einsum("esc,ns->nec", self._coeffs, np.asarray(prob_rows, dtype=float))
@@ -257,9 +230,14 @@ class CostModel:
         sub = self._coeffs[idx]  # (m, S, C)
         return polyval_ascending(np.swapaxes(sub, 0, 1), w[..., None, :])
 
-    def _sigma_factors(self, edge_indices: tuple[int, ...]) -> tuple[np.ndarray, float, np.ndarray]:
+    def sigma_whitener(self, edge_indices: tuple[int, ...]) -> tuple[np.ndarray, float]:
+        """Cached inverse of the Cholesky factor of a sigma submatrix, and its log-determinant.
+
+        The inverse maps a residual with that covariance to independent
+        standard normals; keeping it avoids a triangular solve per update.
+        """
         key = tuple(edge_indices)
-        hit = self._chol_cache.get(key)
+        hit = self._whitener_cache.get(key)
         if hit is not None:
             return hit
         sub = self.sigma[np.ix_(key, key)]
@@ -271,23 +249,8 @@ class CostModel:
             ) from None
         logdet = 2.0 * float(np.log(np.diag(chol)).sum())
         linv = np.linalg.inv(chol)
-        chol.setflags(write=False)
         linv.setflags(write=False)
-        self._chol_cache[key] = (chol, logdet, linv)
-        return chol, logdet, linv
-
-    def sigma_cholesky(self, edge_indices: tuple[int, ...]) -> tuple[np.ndarray, float]:
-        """Cached Cholesky factor and log-determinant of a sigma submatrix."""
-        chol, logdet, _ = self._sigma_factors(edge_indices)
-        return chol, logdet
-
-    def sigma_whitener(self, edge_indices: tuple[int, ...]) -> tuple[np.ndarray, float]:
-        """Cached inverse of the Cholesky factor of a sigma submatrix, and its log-determinant.
-
-        The inverse maps a residual with that covariance to independent
-        standard normals; keeping it avoids a triangular solve per update.
-        """
-        _, logdet, linv = self._sigma_factors(edge_indices)
+        self._whitener_cache[key] = (linv, logdet)
         return linv, logdet
 
     def ensure_slope_bound(self) -> None:
@@ -334,43 +297,3 @@ def validate_slope_bound(model: CostModel, alpha: float | None = None) -> SlopeB
             if inf_d < bound:
                 violations.append((e, s, inf_d))
     return SlopeBoundReport(not violations, bound, tuple(violations))
-
-
-def edge_cost(model: CostModel, edge: str, state: str, load: float) -> float:
-    """Travel time on one edge in one state at the given load."""
-    if load < 0:
-        raise ValueError("load must be nonnegative")
-    c = model._coeffs[model.edge_index(edge), model.state_index(state)]
-    return float(polyval_ascending(c, load))
-
-
-def expected_edge_cost(model: CostModel, edge: str, theta: Belief, load: float) -> float:
-    """Belief-weighted travel time on one edge at the given load."""
-    if load < 0:
-        raise ValueError("load must be nonnegative")
-    if len(theta) != model.n_states:
-        raise BeliefError(
-            f"belief has {len(theta)} entries, model has {model.n_states} states"
-        )
-    c = model._coeffs[model.edge_index(edge)]  # (S, C)
-    mixed = theta.probs @ c
-    return float(polyval_ascending(mixed, load))
-
-
-def expected_route_cost(model: CostModel, network, route, theta: Belief, loads) -> float:
-    """Belief-weighted route cost: sum of member-edge expected costs."""
-    k = network.route_index(route)
-    w = np.asarray(loads, dtype=float)
-    total = 0.0
-    for e in network.routes[k]:
-        total += expected_edge_cost(model, e, theta, float(w[network.edge_index(e)]))
-    return total
-
-
-def beckmann_integral(model: CostModel, edge: str, theta: Belief, load: float) -> float:
-    """Exact integral of the expected edge cost from zero load to `load`."""
-    if load < 0:
-        raise ValueError("load must be nonnegative")
-    c = model._coeffs[model.edge_index(edge)]
-    mixed = theta.probs @ c
-    return float(polyint_ascending(mixed, load))

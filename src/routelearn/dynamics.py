@@ -40,9 +40,7 @@ class NoiseSampler:
     def __init__(self, sigma, seed: int | np.random.Generator):
         sigma = np.asarray(sigma, dtype=float)
         self._chol = np.linalg.cholesky(sigma)
-        self._rng = (
-            seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-        )
+        self._rng = np.random.default_rng(seed)  # a Generator passes through as is
 
     def sample(self, count: int | None = None) -> np.ndarray:
         n = self._chol.shape[0]
@@ -70,17 +68,6 @@ def realize_costs(
     coeffs = model.state_coefficients(true_state)[idx]
     costs = polyval_ascending(coeffs, w[idx]) + eps[idx]
     return Observation(used=tuple(order), loads=w, costs=costs)
-
-
-@dataclass(frozen=True)
-class StageRecord:
-    """Everything produced by one stage of play."""
-
-    stage: int
-    belief_prior: Belief
-    equilibrium: EquilibriumResult
-    observation: Observation
-    belief_post: Belief
 
 
 @dataclass(frozen=True)
@@ -128,19 +115,6 @@ class Trajectory:
     def observations(self) -> tuple[Observation, ...]:
         return tuple(self.observation(k) for k in range(1, self.n_stages + 1))
 
-    @property
-    def records(self) -> tuple[StageRecord, ...]:
-        return tuple(
-            StageRecord(
-                stage=k,
-                belief_prior=Belief(self.beliefs[k - 1]),
-                equilibrium=self.equilibria.row(k - 1),
-                observation=self.observation(k),
-                belief_post=Belief(self.beliefs[k]),
-            )
-            for k in range(1, self.n_stages + 1)
-        )
-
 
 def _edge_labels(scenario: Scenario, mask) -> tuple[str, ...]:
     return tuple(e for e, u in zip(scenario.model.edges, mask) if u)
@@ -186,13 +160,15 @@ def _stage(scenario: Scenario, probs: np.ndarray, samplers: Sequence[NoiseSample
     return eq, used, costs, post
 
 
-def step(scenario: Scenario, belief: Belief, sampler: NoiseSampler, stage: int) -> StageRecord:
-    """Play one stage: equilibrium at the belief, noisy costs, Bayes update."""
+def step(
+    scenario: Scenario, belief: Belief, sampler: NoiseSampler
+) -> tuple[EquilibriumResult, Observation, Belief]:
+    """Play one stage: the equilibrium at the belief, its observation, the posterior."""
     eq, used, costs, post = _stage(scenario, belief.probs[None, :], [sampler])
     obs = Observation(
         used=_edge_labels(scenario, used[0]), loads=eq.edge_loads[0], costs=costs[0, used[0]]
     )
-    return StageRecord(stage, belief, eq.row(0), obs, Belief(post[0]))
+    return eq.row(0), obs, Belief(post[0])
 
 
 def _stopping_rule(
@@ -204,7 +180,7 @@ def _stopping_rule(
     cap = conv.max_stages if max_stages is None else int(max_stages)
     if w_len < 1:
         raise ValueError("window must be at least 1")
-    if d_tol <= 0:
+    if not d_tol > 0:
         raise ValueError("delta must be positive")
     if cap < w_len:
         raise ValueError("max_stages must be at least the window length")
@@ -406,6 +382,8 @@ def monte_carlo(
     regardless of worker count: each trajectory draws from its own generator
     seeded by its own seed, and a block computes every row as it would alone.
     """
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     seed_list = [int(s) for s in seeds]
     if len(set(seed_list)) != len(seed_list):
         raise ValueError("seeds must be distinct")
@@ -413,13 +391,13 @@ def monte_carlo(
         raise ValueError("need at least one seed")
     _stopping_rule(scenario, max_stages, window, delta)  # fail before any work
     rule = {"max_stages": max_stages, "window": window, "delta": delta}
-    n_blocks = max(1, min(workers, len(seed_list)))
+    n_blocks = min(workers, len(seed_list))
     bounds = [len(seed_list) * b // n_blocks for b in range(n_blocks + 1)]
     args = [
         (scenario, seed_list[lo:hi], rule, trajectory_dir)
         for lo, hi in zip(bounds, bounds[1:])
     ]
-    if workers <= 1:
+    if workers == 1:
         blocks = [_run_block_case(a) for a in args]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -21,7 +21,7 @@ from .costs import (
     polyint_coefficients,
     polyval_ascending,
 )
-from .errors import SolverError
+from .errors import CostError, SolverError
 from .graph import Network, row_groups
 
 DEFAULT_TOL = 1e-8
@@ -44,16 +44,6 @@ class EquilibriumResult:
     route_costs: np.ndarray
     n_iterations: int
     potential: float
-    phi_history: tuple[float, ...] | None = None
-
-
-@dataclass(frozen=True)
-class WardropCertificate:
-    ok: bool
-    worst_violation: float
-    min_route_cost: float
-    route_costs: np.ndarray
-    used_routes: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -71,7 +61,6 @@ class EquilibriumBlock:
     n_iterations: np.ndarray
     potential: np.ndarray
     converged: np.ndarray
-    phi_history: tuple[tuple[float, ...], ...] | None = None
 
     def row(self, i: int) -> EquilibriumResult:
         return EquilibriumResult(
@@ -81,7 +70,6 @@ class EquilibriumBlock:
             route_costs=self.route_costs[i],
             n_iterations=int(self.n_iterations[i]),
             potential=float(self.potential[i]),
-            phi_history=None if self.phi_history is None else self.phi_history[i],
         )
 
     def raise_unconverged(self) -> None:
@@ -94,6 +82,20 @@ class EquilibriumBlock:
             f"(relative gap {self.gap[i]:.3e})",
             best=self.row(i),
         ).at_row(i)
+
+
+def _check_model(network: Network, model: CostModel) -> None:
+    """Raise CostError unless the model fits the network and passes the slope bound.
+
+    Solvers pair network incidence rows with cost-table rows by position,
+    so the two must list the same edges in the same order.
+    """
+    if model.edges != network.edge_ids:
+        raise CostError(
+            f"edges: the cost model lists {list(model.edges)}, "
+            f"the network {list(network.edge_ids)}; they must match in order"
+        )
+    model.ensure_slope_bound()
 
 
 # Incidence products are stacked matrix-vector products (np.matvec) and
@@ -217,7 +219,6 @@ def solve_wardrop_block(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     init_route: int | None = None,
-    keep_history: bool = False,
 ) -> EquilibriumBlock:
     """Equilibria for a block of beliefs, one per row of `probs`.
 
@@ -240,7 +241,7 @@ def solve_wardrop_block(
     probs = np.asarray(probs, dtype=float)
     if probs.ndim != 2 or probs.shape[1] != model.n_states:
         raise ValueError(f"belief matrix has shape {probs.shape}")
-    model.ensure_slope_bound()
+    _check_model(network, model)
 
     inc = network.incidence
     n, n_routes = len(probs), network.n_routes
@@ -260,7 +261,6 @@ def solve_wardrop_block(
     targets = np.eye(n_routes) * demand  # all-or-nothing flows, one row per route
     q = targets[start]
 
-    history = [[] for _ in range(n)] if keep_history else None
     best_lb = np.full(n, -np.inf)
     rmin = np.zeros(n, dtype=np.intp)
     n_iter = np.full(n, max_iter, dtype=np.intp)
@@ -282,9 +282,6 @@ def solve_wardrop_block(
             ).at_row(live[i])
         # potentials and route costs are nonnegative: no abs() needed below
         ceiling = phi * (1.0 + 1e-9) + 1e-9
-        if history is not None:
-            for i, p in zip(live.tolist(), phi.tolist()):
-                history[i].append(p)
 
         rm = t.argmin(axis=1)
         t_min = np.minimum.reduce(t, axis=1)
@@ -343,7 +340,6 @@ def solve_wardrop_block(
         n_iterations=n_iter,
         potential=phi,
         converged=converged,
-        phi_history=None if history is None else tuple(tuple(h) for h in history),
     )
 
 
@@ -356,17 +352,12 @@ def solve_wardrop(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     init_route: int | None = None,
-    keep_history: bool = False,
 ) -> EquilibriumResult:
     """Equilibrium route flows and edge loads for one belief.
 
     The block solver on a block of one row; raises SolverError, carrying the
     best iterate, when the row does not converge within `max_iter`.
     """
-    if len(theta) != model.n_states:
-        raise SolverError(
-            f"belief has {len(theta)} entries, model has {model.n_states} states"
-        )
     block = solve_wardrop_block(
         network,
         model,
@@ -375,7 +366,6 @@ def solve_wardrop(
         tol=tol,
         max_iter=max_iter,
         init_route=init_route,
-        keep_history=keep_history,
     )
     block.raise_unconverged()
     return block.row(0)
@@ -391,40 +381,6 @@ def complete_info_equilibrium(
     """Equilibrium when the state is known, i.e. under a point-mass belief."""
     theta = Belief.point_mass(model.n_states, model.state_index(state))
     return solve_wardrop(network, model, theta, demand, **kwargs)
-
-
-def verify_equilibrium(
-    network: Network,
-    model: CostModel,
-    theta: Belief,
-    result,
-    tol: float,
-    *,
-    flow_tol: float | None = None,
-) -> WardropCertificate:
-    """Recompute route costs and certify the no-better-route condition.
-
-    Accepts a solver result or a raw route-flow vector. Returns a failing
-    certificate (never raises) so callers can inspect the worst violation.
-    """
-    q = np.asarray(getattr(result, "route_flows", result), dtype=float)
-    if q.shape != (network.n_routes,):
-        raise ValueError(f"route flows have shape {q.shape}")
-    mixed = model.mixed_coefficients(theta.probs)
-    w = network.incidence @ q
-    t = network.incidence.T @ polyval_ascending(mixed, w)
-    if flow_tol is None:
-        flow_tol = 1e-9 * max(float(q.sum()), np.finfo(float).tiny)
-    used = tuple(int(i) for i in np.flatnonzero(q > flow_tol))
-    t_min = float(t.min())
-    worst = max((float(t[i]) - t_min for i in used), default=0.0)
-    return WardropCertificate(
-        ok=worst <= tol,
-        worst_violation=worst,
-        min_route_cost=t_min,
-        route_costs=t,
-        used_routes=used,
-    )
 
 
 def solve_wardrop_batch(
@@ -444,7 +400,7 @@ def solve_wardrop_batch(
     """
     if demand <= 0:
         raise ValueError("demand must be positive")
-    model.ensure_slope_bound()
+    _check_model(network, model)
     probs = np.asarray(thetas, dtype=float)
     if probs.ndim != 2 or probs.shape[1] != model.n_states:
         raise ValueError(f"belief matrix has shape {probs.shape}")

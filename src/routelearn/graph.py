@@ -1,4 +1,4 @@
-"""Two-terminal route networks: edge loads, used edges, series-parallel tests."""
+"""Two-terminal route networks: incidence, used edges, series-parallel tests."""
 
 from __future__ import annotations
 
@@ -67,42 +67,8 @@ class Network:
         except KeyError:
             raise NetworkError(f"unknown edge {edge!r}") from None
 
-    def route_index(self, route) -> int:
-        """Accept a route position or the route's edge sequence."""
-        if isinstance(route, (int, np.integer)):
-            k = int(route)
-            if not 0 <= k < self.n_routes:
-                raise NetworkError(f"route index {k} out of range")
-            return k
-        key = tuple(str(e) for e in route)
-        try:
-            return self.routes.index(key)
-        except ValueError:
-            raise NetworkError(f"unknown route {key!r}") from None
-
     def __repr__(self) -> str:
         return f"Network(edges={list(self.edge_ids)!r}, routes={len(self.routes)})"
-
-
-def edge_loads(network: Network, route_flows) -> np.ndarray:
-    """Aggregate route flows into per-edge loads (exact linear map)."""
-    q = np.asarray(route_flows, dtype=float)
-    if q.shape != (network.n_routes,):
-        raise NetworkError(
-            f"route flow vector has shape {q.shape}, expected ({network.n_routes},)"
-        )
-    return network.incidence @ q
-
-
-def validate_route_flow(network: Network, route_flows, demand: float, tol: float = 1e-9) -> None:
-    """Raise NetworkError unless the flow is feasible for the given demand."""
-    q = np.asarray(route_flows, dtype=float)
-    if q.shape != (network.n_routes,):
-        raise NetworkError(f"route flow vector has shape {q.shape}")
-    if (q < -tol).any():
-        raise NetworkError("negative route flow")
-    if abs(float(q.sum()) - demand) > tol * max(1.0, abs(demand)):
-        raise NetworkError(f"route flows sum to {q.sum()!r}, expected {demand!r}")
 
 
 def used_edges(network: Network, loads, tol: float) -> frozenset[str]:

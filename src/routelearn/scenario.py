@@ -196,10 +196,10 @@ def scenario_from_dict(payload: Mapping[str, Any]) -> Scenario:
 
     sigma = _require(payload, "sigma", list, "")
     demand = _require(payload, "demand", float, "")
-    if demand <= 0:
+    if not demand > 0:
         raise ScenarioError("demand", "must be positive")
     alpha = payload.get("alpha", DEFAULT_ALPHA)
-    if not isinstance(alpha, (int, float)) or alpha <= 0:
+    if not isinstance(alpha, (int, float)) or not alpha > 0:
         raise ScenarioError("alpha", "must be a positive number")
 
     try:
@@ -247,8 +247,10 @@ def scenario_from_dict(payload: Mapping[str, Any]) -> Scenario:
         cost_equality=float(tol_cfg.get("cost_equality", Tolerances.cost_equality)),
     )
     for fname in ("equilibrium", "feasibility", "cost_equality"):
-        if getattr(tolerances, fname) <= 0:
+        if not getattr(tolerances, fname) > 0:
             raise ScenarioError(f"tolerances.{fname}", "must be positive")
+    if tolerances.used_edge is not None and not 0 <= tolerances.used_edge < float("inf"):
+        raise ScenarioError("tolerances.used_edge", "must be finite and at least 0")
 
     conv_cfg = payload.get("convergence", {})
     if not isinstance(conv_cfg, dict):
@@ -260,7 +262,7 @@ def scenario_from_dict(payload: Mapping[str, Any]) -> Scenario:
     )
     if convergence.window < 1:
         raise ScenarioError("convergence.window", "must be at least 1")
-    if convergence.delta <= 0:
+    if not convergence.delta > 0:
         raise ScenarioError("convergence.delta", "must be positive")
     if convergence.max_stages < convergence.window:
         raise ScenarioError("convergence.max_stages", "must be at least the window")

@@ -1,9 +1,9 @@
 """Independent reference implementations used only to cross-check the package.
 
 Everything here deliberately avoids the production code paths: the
-two-route solver is closed-form algebra, the series-parallel oracle searches
-over every reduction order, and instance generators build inputs from
-scratch. The reference stage loop is the per-seed loop that the lockstep
+two-route solver is closed-form algebra, the Wardrop certificate recomputes
+route costs from route flows, the series-parallel oracle searches over every
+reduction order, and instance generators build inputs from scratch. The reference stage loop is the per-seed loop that the lockstep
 block loop replaced, and the reference rest-point analysis at the end is
 the label-based loop that the index-mask kernel replaced; both are kept as
 the slow paths they are checked against.
@@ -13,30 +13,35 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter, defaultdict, deque
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from routelearn import (
-    CONVERGED,
-    MAX_STAGES,
+from routelearn.belief import Observation
+from routelearn.costs import (
     Belief,
-    BeliefError,
     CostFunction,
     CostModel,
-    EquilibriumResult,
-    Network,
-    NoiseSampler,
-    Observation,
-    SolverError,
-    complete_info_equilibrium,
-    realize_costs,
-    solve_wardrop,
-    used_edges,
+    polyint_ascending,
+    polyval_ascending,
 )
-from routelearn.costs import polyint_ascending, polyval_ascending
-from routelearn.equilibrium import DEFAULT_MAX_ITER, DEFAULT_TOL
+from routelearn.dynamics import CONVERGED, MAX_STAGES, NoiseSampler, realize_costs
+from routelearn.equilibrium import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
+    EquilibriumResult,
+    complete_info_equilibrium,
+    solve_wardrop,
+)
+from routelearn.errors import BeliefError, SolverError
+from routelearn.graph import Network, used_edges
+
+
+def _mixed(model: CostModel, theta: Belief) -> np.ndarray:
+    """Belief-weighted cost coefficients, shape (n_edges, degree + 1)."""
+    return model.mixed_coefficients_batch(theta.probs[None, :])[0]
 
 
 def two_route_affine_loads(network: Network, model: CostModel, theta: Belief, demand: float) -> np.ndarray:
@@ -46,7 +51,7 @@ def two_route_affine_loads(network: Network, model: CostModel, theta: Belief, de
     equilibrium is the clamped root of one linear equation.
     """
     assert network.n_routes == 2
-    mixed = model.mixed_coefficients(theta.probs)
+    mixed = _mixed(model, theta)
     slopes, intercepts = mixed[:, 1], mixed[:, 0]
     inc = network.incidence
     delta = inc[:, 0] - inc[:, 1]
@@ -58,6 +63,49 @@ def two_route_affine_loads(network: Network, model: CostModel, theta: Belief, de
     else:
         q1 = float(np.clip(-g0 / g_slope, 0.0, demand))
     return inc @ np.array([q1, demand - q1])
+
+
+@dataclass(frozen=True)
+class WardropCertificate:
+    ok: bool
+    worst_violation: float
+    min_route_cost: float
+    route_costs: np.ndarray
+    used_routes: tuple[int, ...]
+
+
+def verify_equilibrium(
+    network: Network,
+    model: CostModel,
+    theta: Belief,
+    result,
+    tol: float,
+    *,
+    flow_tol: float | None = None,
+) -> WardropCertificate:
+    """Recompute route costs and certify the no-better-route condition.
+
+    Accepts a solver result or a raw route-flow vector. Returns a failing
+    certificate (never raises) so callers can inspect the worst violation.
+    """
+    q = np.asarray(getattr(result, "route_flows", result), dtype=float)
+    if q.shape != (network.n_routes,):
+        raise ValueError(f"route flows have shape {q.shape}")
+    mixed = _mixed(model, theta)
+    w = network.incidence @ q
+    t = network.incidence.T @ polyval_ascending(mixed, w)
+    if flow_tol is None:
+        flow_tol = 1e-9 * max(float(q.sum()), np.finfo(float).tiny)
+    used = tuple(int(i) for i in np.flatnonzero(q > flow_tol))
+    t_min = float(t.min())
+    worst = max((float(t[i]) - t_min for i in used), default=0.0)
+    return WardropCertificate(
+        ok=worst <= tol,
+        worst_violation=worst,
+        min_route_cost=t_min,
+        route_costs=t,
+        used_routes=used,
+    )
 
 
 def sp_oracle(edges, origin, destination) -> bool:
@@ -386,7 +434,6 @@ def reference_solve_wardrop(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     init_route: int | None = None,
-    keep_history: bool = False,
 ) -> EquilibriumResult:
     """Equilibrium route flows and edge loads for one belief.
 
@@ -409,7 +456,7 @@ def reference_solve_wardrop(
 
     inc = network.incidence
     n_routes = network.n_routes
-    mixed = model.mixed_coefficients(theta.probs)
+    mixed = _mixed(model, theta)
     affine = mixed.shape[1] == 2 or not np.any(mixed[:, 2:])
     flow_tol = 1e-9 * demand
     tiny = np.finfo(float).tiny
@@ -424,7 +471,6 @@ def reference_solve_wardrop(
     q = np.zeros(n_routes)
     q[start] = demand
 
-    history: list[float] | None = [] if keep_history else None
     best_lb = -np.inf
     prev_phi = np.inf
     converged = False
@@ -438,8 +484,6 @@ def reference_solve_wardrop(
         phi = float(polyint_ascending(mixed, w).sum())
         assert phi <= prev_phi + 1e-9 * (1.0 + abs(prev_phi)), "potential increased"
         prev_phi = phi
-        if history is not None:
-            history.append(phi)
 
         rmin = int(np.argmin(t))
         abs_gap = float(t @ q - t[rmin] * demand)
@@ -487,7 +531,6 @@ def reference_solve_wardrop(
         route_costs=t,
         n_iterations=it,
         potential=float(prev_phi),
-        phi_history=tuple(history) if history is not None else None,
     )
     if not converged:
         raise SolverError(
@@ -502,10 +545,11 @@ def reference_log_likelihoods(model: CostModel, obs: Observation) -> np.ndarray:
 
     The mean under state s is the state-s cost of each used edge at its
     observed load; the covariance is the noise submatrix on the used edges,
-    factored once per distinct used set and cached on the model.
+    factored by Cholesky on every call.
     """
     idx = tuple(model.edge_index(e) for e in obs.used)
-    chol, logdet = model.sigma_cholesky(idx)
+    chol = np.linalg.cholesky(model.sigma[np.ix_(idx, idx)])
+    logdet = 2.0 * float(np.log(np.diag(chol)).sum())
     means = model.cost_matrix(obs.loads, idx)  # (S, m)
     resid = obs.costs[None, :] - means
     z = solve_triangular(chol, resid.T, lower=True, check_finite=False)

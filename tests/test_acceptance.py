@@ -15,20 +15,14 @@ from routelearn import (
     Belief,
     check_complete_learning_conditions,
     check_rest_point,
-    complete_info_equilibrium,
     enumerate_rest_points,
     is_series_parallel,
     monte_carlo,
-    average_cost,
-    replay_posterior,
-    bayes_update,
-    solve_wardrop,
-    series_parallel_reducible,
-    used_edges,
-    Observation,
 )
-
-from routelearn.belief import bayes_update_block
+from routelearn.analysis import average_cost
+from routelearn.belief import Observation, bayes_update, bayes_update_block, replay_posterior
+from routelearn.equilibrium import complete_info_equilibrium, solve_wardrop
+from routelearn.graph import series_parallel_reducible, used_edges
 
 from oracles import (
     random_spd,
@@ -192,7 +186,7 @@ def test_criterion_7_martingale_property(three_edge):
     )
     idx = [three_edge.model.edge_index(e) for e in order]
     means = three_edge.model.cost_matrix(eq.edge_loads, idx)
-    chol, _ = three_edge.model.sigma_cholesky(tuple(idx))
+    chol = np.linalg.cholesky(three_edge.model.sigma[np.ix_(idx, idx)])
     n = 100_000
     rng = np.random.default_rng(20240617)
     states = rng.choice(4, size=n, p=theta.probs)

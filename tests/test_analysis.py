@@ -19,20 +19,18 @@ from routelearn import (
     CostFunction,
     CostModel,
     Network,
-    average_cost,
     check_complete_learning_conditions,
     compare_average_costs,
     check_rest_point,
-    complete_info_equilibrium,
-    distinguishable_states,
     enumerate_rest_points,
-    expected_edge_cost,
     monte_carlo,
     scenario_from_dict,
     scenario_to_dict,
-    solve_wardrop,
 )
+from routelearn.analysis import average_cost
 from routelearn.cli import main
+from routelearn.costs import polyval_ascending
+from routelearn.equilibrium import complete_info_equilibrium, solve_wardrop
 from routelearn.errors import SolverError
 
 from oracles import (
@@ -62,6 +60,13 @@ def fully_distinguishable_scenario(three_edge):
     return scenario_from_dict(payload)
 
 
+def distinguishable_states(model, true_state, loads, cost_tol=1e-9, used_tol=0.0):
+    """Labels of the states the kernel marks distinguishable at one load vector."""
+    w = np.asarray(loads, dtype=float)[None, :]
+    dist = analysis._distinguishable(model, model.state_index(true_state), w, cost_tol, used_tol)
+    return {model.states[j] for j in np.flatnonzero(dist[0])}
+
+
 class TestDistinguishableStates:
     def test_rest_point_load(self, three_edge):
         got = distinguishable_states(three_edge.model, "none", [1.0, 0.0, 1.0])
@@ -72,7 +77,7 @@ class TestDistinguishableStates:
         assert got == {"e1", "e2", "e3"}
 
     def test_zero_load(self, three_edge):
-        assert distinguishable_states(three_edge.model, "none", [0.0, 0.0, 0.0]) == frozenset()
+        assert distinguishable_states(three_edge.model, "none", [0.0, 0.0, 0.0]) == set()
 
     def test_used_tolerance_masks_dust(self, three_edge):
         got = distinguishable_states(
@@ -219,16 +224,18 @@ class TestEnumerateRestPoints:
     def test_unused_edge_cost_is_overestimated_on_family(self, three_edge):
         # on the two-edge family the believed entry cost of e2 strictly
         # exceeds its true free-flow cost, which is what keeps e2 unused
+        model = three_edge.model
+        loads = np.array([1.0, 0.0, 1.0])
         for x in (0.2, 0.5, 1.0):
             theta = Belief([0.0, x, 0.0, 1.0 - x])
-            believed = expected_edge_cost(three_edge.model, "e2", theta, 0.0)
-            true_cost = 5.0
-            assert believed > true_cost
+            # belief-weighted costs at the family's loads, as the solvers mix them
+            mixed = model.mixed_coefficients_batch(theta.probs[None, :])[0]
+            believed = polyval_ascending(mixed, loads)
+            true_costs = model.cost_matrix(loads, range(3))[model.state_index("none")]
+            assert believed[1] > true_costs[1] == 5.0
             # and the used edges are learned exactly
-            for e, w in (("e1", 1.0), ("e3", 1.0)):
-                assert expected_edge_cost(three_edge.model, e, theta, w) == pytest.approx(
-                    w + 5.0, abs=1e-12
-                )
+            assert believed[[0, 2]] == pytest.approx(true_costs[[0, 2]], abs=1e-12)
+            assert true_costs[[0, 2]].tolist() == [6.0, 6.0]
 
     def test_rejects_large_state_spaces(self, three_edge):
         big = CostModel(
@@ -375,7 +382,6 @@ class TestDistinguishableKernel:
         for row, w in zip(dist, loads):
             want = reference_distinguishable_states(model, truth, w, cost_tol, used_tol)
             assert {model.states[j] for j in np.flatnonzero(row)} == want
-            assert distinguishable_states(model, truth, w, cost_tol, used_tol) == want
 
     @pytest.mark.parametrize(
         "load, cost_tol, used_tol, expected",

@@ -9,16 +9,17 @@ from routelearn import (
     BeliefError,
     CostFunction,
     CostModel,
+)
+from routelearn.belief import (
     Observation,
     bayes_update,
-    log_gaussian_density,
+    bayes_update_block,
+    log_likelihood_block,
     log_likelihoods,
     replay_posterior,
-    solve_wardrop,
-    used_edges,
 )
-
-from routelearn.belief import bayes_update_block, log_likelihood_block
+from routelearn.equilibrium import solve_wardrop
+from routelearn.graph import used_edges
 
 from oracles import random_spd, reference_bayes_update, reference_log_likelihoods
 
@@ -57,20 +58,20 @@ class TestLogGaussianDensity:
         model = make_model([(5.0, 5.0, 5.0)])
         w = np.array([1.0, 1.0, 1.0])
         obs = Observation(("E0", "E1", "E2"), w, np.array([6.0, 6.0, 6.0]))
-        got = log_gaussian_density(model, "s0", obs)
+        got = log_likelihoods(model, obs)[0]
         assert got == pytest.approx(-1.5 * np.log(2 * np.pi))
 
     def test_scalar_residual_two(self):
         model = make_model([(5.0,)])
         obs = Observation(("E0",), np.array([0.0]), np.array([7.0]))
-        assert log_gaussian_density(model, "s0", obs) == pytest.approx(
+        assert log_likelihoods(model, obs)[0] == pytest.approx(
             -2.0 - 0.5 * np.log(2 * np.pi)
         )
 
     def test_two_edges_opposite_residuals(self):
         model = make_model([(5.0, 5.0)])
         obs = Observation(("E0", "E1"), np.zeros(2), np.array([6.0, 4.0]))
-        assert log_gaussian_density(model, "s0", obs) == pytest.approx(
+        assert log_likelihoods(model, obs)[0] == pytest.approx(
             -1.0 - np.log(2 * np.pi)
         )
 
@@ -84,10 +85,10 @@ class TestLogGaussianDensity:
             w = rng.uniform(0, 2, size=m)
             c = rng.uniform(0, 15, size=m)
             obs = Observation(tuple(f"E{i}" for i in range(m)), w, c)
-            for j, s in enumerate(("s0", "s1")):
+            for j in range(2):
                 mean = np.array([w[i] + intercepts[j][i] for i in range(m)])
                 want = multivariate_normal(mean=mean, cov=sigma).logpdf(c)
-                assert log_gaussian_density(model, s, obs) == pytest.approx(want)
+                assert log_likelihoods(model, obs)[j] == pytest.approx(want)
 
     def test_submatrix_restriction(self):
         rng = np.random.default_rng(23)
@@ -96,7 +97,7 @@ class TestLogGaussianDensity:
         obs = Observation(("E0", "E2"), np.array([1.0, 0.0, 1.0]), np.array([2.5, 4.5]))
         sub = sigma[np.ix_([0, 2], [0, 2])]
         want = multivariate_normal(mean=[2.0, 4.0], cov=sub).logpdf([2.5, 4.5])
-        assert log_gaussian_density(model, "s0", obs) == pytest.approx(want)
+        assert log_likelihoods(model, obs)[0] == pytest.approx(want)
 
 
 class TestBayesUpdate:
@@ -165,7 +166,7 @@ class TestBayesUpdate:
         )
         idx = [sc.model.edge_index(e) for e in used]
         means = sc.model.cost_matrix(eq.edge_loads, idx)
-        chol, _ = sc.model.sigma_cholesky(tuple(idx))
+        chol = np.linalg.cholesky(sc.model.sigma[np.ix_(idx, idx)])
         n = 20_000
         rng = np.random.default_rng(101)
         states = rng.choice(4, size=n, p=theta.probs)
@@ -189,7 +190,7 @@ class TestBayesUpdate:
         idx = [sc.model.edge_index(e) for e in used]
         truth = sc.model.state_index(sc.true_state)
         true_mean = sc.model.cost_matrix(eq.edge_loads, idx)[truth]
-        chol, _ = sc.model.sigma_cholesky(tuple(idx))
+        chol = np.linalg.cholesky(sc.model.sigma[np.ix_(idx, idx)])
         n = 5_000
         rng = np.random.default_rng(7)
         draws = true_mean + rng.standard_normal((n, len(idx))) @ chol.T

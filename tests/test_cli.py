@@ -78,6 +78,28 @@ class TestOverrides:
         assert code == 2
         assert "tol" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_are_rejected(self, tmp_path, capsys, workers):
+        argv = ["batch", "--scenario", "three-edge", "--seeds", "0..1", "--workers", workers]
+        code = main(argv + ["--max-stages", "20", "--window", "5", "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert "workers must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seeds", ["x", "0..x", "1,y"])
+    def test_bad_seeds_name_the_field(self, tmp_path, capsys, seeds):
+        argv = ["batch", "--scenario", "three-edge", "--seeds", seeds]
+        assert main(argv + ["--out-dir", str(tmp_path)]) == 2
+        assert "validation error: seeds:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command", [["run", "--seed", "0"], ["batch", "--seeds", "0..1"]], ids=["run", "batch"]
+    )
+    def test_nan_delta_is_rejected(self, tmp_path, capsys, command):
+        argv = [command[0], "--scenario", "three-edge", *command[1:], "--delta", "nan"]
+        code = main(argv + ["--max-stages", "60", "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert "delta must be positive" in capsys.readouterr().err
+
     def test_run_checks_rest_point_with_scenario_cost_equality(self, tmp_path):
         # every cost gap in three-edge is below 100, so with that cost
         # equality no state is distinguishable and no mass is residual

@@ -9,19 +9,36 @@ from routelearn import (
     CostError,
     CostFunction,
     CostModel,
-    beckmann_integral,
-    edge_cost,
-    expected_edge_cost,
-    expected_route_cost,
-    validate_slope_bound,
 )
-from routelearn.costs import polyint_ascending, polyval_ascending
+from routelearn.costs import polyint_ascending, polyval_ascending, validate_slope_bound
 
 
 def tiny_model(functions, edges=("e",), states=("s0", "s1")):
     """One-edge or few-edge model from a {(edge, state): fn} mapping."""
     sigma = np.eye(len(edges))
     return CostModel(edges, states, functions, sigma)
+
+
+def state_cost(model, edge, state, load):
+    """Cost of one edge in one state, through the cost matrix the likelihood uses."""
+    i = model.edge_index(edge)
+    loads = np.zeros(model.n_edges)
+    loads[i] = load
+    return float(model.cost_matrix(loads, [i])[model.state_index(state), 0])
+
+
+def mixed_row(model, theta, edge):
+    """Belief-weighted coefficients of one edge, as the solvers mix them."""
+    return model.mixed_coefficients_batch(theta.probs[None, :])[0, model.edge_index(edge)]
+
+
+def expected_cost(model, theta, edge, load):
+    return float(polyval_ascending(mixed_row(model, theta, edge), load))
+
+
+def beckmann_term(model, theta, edge, load):
+    """The edge's term of the equilibrium potential: its expected cost integrated from 0."""
+    return float(polyint_ascending(mixed_row(model, theta, edge), load))
 
 
 @pytest.fixture
@@ -36,16 +53,17 @@ def mixed_model():
 class TestCostFunction:
     def test_affine_intercept(self):
         fn = CostFunction.affine(2.0, 5.0)
-        assert fn.value(0.0) == 5.0
+        assert fn.intercept == 5.0
+        assert fn.coefficients == (5.0, 2.0)
         assert fn.form == "affine"
 
     def test_affine_value(self):
-        assert CostFunction.affine(2.0, 5.0).value(1.5) == 8.0
+        assert polyval_ascending(CostFunction.affine(2.0, 5.0).coefficients, 1.5) == 8.0
 
     def test_polynomial_value_and_form(self):
         fn = CostFunction.polynomial([1.0, 0.0, 2.0])
         assert fn.form == "polynomial"
-        assert fn.value(2.0) == 1.0 + 8.0
+        assert polyval_ascending(fn.coefficients, 2.0) == 1.0 + 8.0
 
     def test_rejects_negative_coefficients(self):
         with pytest.raises(CostError):
@@ -55,13 +73,9 @@ class TestCostFunction:
         with pytest.raises(CostError):
             CostFunction.polynomial([3.0])
 
-    def test_rejects_negative_load(self):
-        with pytest.raises(ValueError):
-            CostFunction.affine(1.0, 1.0).value(-0.1)
-
     def test_integral_of_affine(self):
         fn = CostFunction.affine(2.0, 3.0)
-        assert fn.integral(2.0) == pytest.approx(2.0 * 4.0 / 2.0 + 3.0 * 2.0)
+        assert polyint_ascending(fn.coefficients, 2.0) == pytest.approx(2.0 * 4.0 / 2.0 + 3.0 * 2.0)
 
 
 class TestBelief:
@@ -71,7 +85,7 @@ class TestBelief:
 
     def test_point_mass_support(self):
         b = Belief.point_mass(3, 1)
-        assert list(b.support()) == [1]
+        assert b.probs.tolist() == [0.0, 1.0, 0.0]
 
     def test_rejects_negative(self):
         with pytest.raises(BeliefError):
@@ -91,27 +105,27 @@ class TestEdgeCost:
     def test_compromised_intercept(self):
         fns = {("e", "s"): CostFunction.affine(2.0, 5.0)}
         model = tiny_model(fns, states=("s",))
-        assert edge_cost(model, "e", "s", 0.0) == 5.0
+        assert state_cost(model, "e", "s", 0.0) == 5.0
 
     def test_normal_at_unit_load(self):
         fns = {("e", "s"): CostFunction.affine(1.0, 5.0)}
         model = tiny_model(fns, states=("s",))
-        assert edge_cost(model, "e", "s", 1.0) == 6.0
+        assert state_cost(model, "e", "s", 1.0) == 6.0
 
     def test_unknown_edge(self, mixed_model):
         with pytest.raises(CostError):
-            edge_cost(mixed_model, "zz", "s0", 0.0)
+            state_cost(mixed_model, "zz", "s0", 0.0)
 
     def test_unknown_state(self, mixed_model):
         with pytest.raises(CostError):
-            edge_cost(mixed_model, "e", "zz", 0.0)
+            state_cost(mixed_model, "e", "zz", 0.0)
 
 
 class TestExpectedEdgeCost:
     def test_point_mass_reduces_to_edge_cost(self, mixed_model):
         theta = Belief.point_mass(2, 1)
         for w in (0.0, 0.3, 2.0):
-            assert expected_edge_cost(mixed_model, "e", theta, w) == edge_cost(
+            assert expected_cost(mixed_model, theta, "e", w) == state_cost(
                 mixed_model, "e", "s1", w
             )
 
@@ -119,12 +133,12 @@ class TestExpectedEdgeCost:
         # normal w+5, compromised w+10: expected intercept is 5 + 5x
         for x in (0.0, 0.2, 0.5, 1.0):
             theta = Belief([1.0 - x, x])
-            assert expected_edge_cost(mixed_model, "e", theta, 0.0) == pytest.approx(
+            assert expected_cost(mixed_model, theta, "e", 0.0) == pytest.approx(
                 5.0 + 5.0 * x
             )
 
     def test_threshold_value_matches(self, mixed_model):
-        assert expected_edge_cost(mixed_model, "e", Belief([0.8, 0.2]), 0.0) == pytest.approx(6.0)
+        assert expected_cost(mixed_model, Belief([0.8, 0.2]), "e", 0.0) == pytest.approx(6.0)
 
     def test_identical_components(self):
         fns = {
@@ -132,7 +146,7 @@ class TestExpectedEdgeCost:
             ("e", "s1"): CostFunction.affine(1.0, 3.0),
         }
         model = tiny_model(fns)
-        assert expected_edge_cost(model, "e", Belief.uniform(2), 0.7) == pytest.approx(3.7)
+        assert expected_cost(model, Belief.uniform(2), "e", 0.7) == pytest.approx(3.7)
 
     def test_mixture_linearity_randomized(self):
         rng = np.random.default_rng(5)
@@ -149,10 +163,10 @@ class TestExpectedEdgeCost:
             theta = Belief(p / p.sum())
             w = float(rng.uniform(0, 4))
             direct = sum(
-                theta.probs[j] * edge_cost(model, "e", f"s{j}", w)
+                theta.probs[j] * state_cost(model, "e", f"s{j}", w)
                 for j in range(n_states)
             )
-            assert expected_edge_cost(model, "e", theta, w) == pytest.approx(
+            assert expected_cost(model, theta, "e", w) == pytest.approx(
                 direct, rel=1e-14, abs=1e-12
             )
 
@@ -169,26 +183,22 @@ class TestExpectedEdgeCost:
             p = rng.dirichlet(np.ones(3))
             theta = Belief(p / p.sum())
             w1, w2 = sorted(rng.uniform(0, 3, size=2))
-            c1 = expected_edge_cost(model, "e", theta, w1)
-            c2 = expected_edge_cost(model, "e", theta, w2)
+            c1 = expected_cost(model, theta, "e", w1)
+            c2 = expected_cost(model, theta, "e", w2)
             assert c1 + alpha * (w2 - w1) <= c2 + 1e-12
 
 
 class TestExpectedRouteCost:
     def test_sum_over_member_edges(self, three_edge):
+        # the solvers sum member-edge costs into route costs through the incidence
         theta = Belief.point_mass(4, 3)  # all mass on the uncompromised state
         w = np.array([1.0, 0.0, 1.0])
-        cost = expected_route_cost(three_edge.model, three_edge.network, 1, theta, w)
-        assert cost == pytest.approx(12.0)
-
-    def test_route_by_edge_sequence(self, three_edge):
-        theta = Belief.point_mass(4, 3)
-        w = np.array([1.0, 0.5, 0.5])
-        by_index = expected_route_cost(three_edge.model, three_edge.network, 0, theta, w)
-        by_edges = expected_route_cost(
-            three_edge.model, three_edge.network, ["e2", "e1"], theta, w
-        )
-        assert by_index == by_edges == pytest.approx(11.5)
+        net = three_edge.network
+        edge_costs = [
+            expected_cost(three_edge.model, theta, e, x) for e, x in zip(net.edge_ids, w)
+        ]
+        route_costs = net.incidence.T @ edge_costs
+        assert route_costs[1] == pytest.approx(12.0)
 
     def test_singleton_route(self):
         from routelearn import Network
@@ -197,17 +207,8 @@ class TestExpectedRouteCost:
         fns = {("a", "s"): CostFunction.affine(1.0, 2.0)}
         model = CostModel(["a"], ["s"], fns, np.eye(1))
         theta = Belief.point_mass(1, 0)
-        assert expected_route_cost(model, net, 0, theta, [0.5]) == pytest.approx(
-            expected_edge_cost(model, "a", theta, 0.5)
-        )
-
-    def test_unknown_route(self, three_edge):
-        from routelearn import NetworkError
-
-        with pytest.raises(NetworkError):
-            expected_route_cost(
-                three_edge.model, three_edge.network, ["e1", "e2", "e3"], Belief.uniform(4), [1, 1, 1]
-            )
+        route_costs = net.incidence.T @ [expected_cost(model, theta, "a", 0.5)]
+        assert route_costs.tolist() == [2.5]
 
 
 class TestPolynomialHelpers:
@@ -232,17 +233,17 @@ class TestBeckmannIntegral:
         model = tiny_model(fns, states=("s",))
         theta = Belief.point_mass(1, 0)
         w = 1.5
-        assert beckmann_integral(model, "e", theta, w) == pytest.approx(
+        assert beckmann_term(model, theta, "e", w) == pytest.approx(
             2.0 * w**2 / 2.0 + 3.0 * w
         )
 
     def test_zero_load(self, mixed_model):
-        assert beckmann_integral(mixed_model, "e", Belief.uniform(2), 0.0) == 0.0
+        assert beckmann_term(mixed_model, Belief.uniform(2), "e", 0.0) == 0.0
 
     def test_mixture_of_affines(self, mixed_model):
         # weights 0.8/0.2 on intercepts 5/10 gives the affine z + 6
         theta = Belief([0.8, 0.2])
-        assert beckmann_integral(mixed_model, "e", theta, 1.0) == pytest.approx(6.5)
+        assert beckmann_term(mixed_model, theta, "e", 1.0) == pytest.approx(6.5)
 
     def test_derivative_matches_expected_cost(self):
         rng = np.random.default_rng(13)
@@ -257,11 +258,11 @@ class TestBeckmannIntegral:
             theta = Belief(p / p.sum())
             w = float(rng.uniform(0.1, 3.0))
             fd = (
-                beckmann_integral(model, "e", theta, w + h)
-                - beckmann_integral(model, "e", theta, w - h)
+                beckmann_term(model, theta, "e", w + h)
+                - beckmann_term(model, theta, "e", w - h)
             ) / (2 * h)
             assert fd == pytest.approx(
-                expected_edge_cost(model, "e", theta, w), rel=1e-6
+                expected_cost(model, theta, "e", w), rel=1e-6
             )
 
 

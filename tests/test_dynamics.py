@@ -11,21 +11,17 @@ from routelearn import (
     CONVERGED,
     MAX_STAGES,
     Belief,
-    NoiseSampler,
     SolverError,
     load_scenario,
     monte_carlo,
-    realize_costs,
-    replay_posterior,
     run,
     scenario_from_dict,
-    step,
     summarize,
-    used_edges,
     write_trajectory_csv,
 )
-
-from routelearn.dynamics import run_block
+from routelearn.belief import bayes_update, replay_posterior
+from routelearn.dynamics import NoiseSampler, realize_costs, run_block, step
+from routelearn.graph import used_edges
 
 from oracles import random_spd, reference_run, wheatstone_poly_payload
 
@@ -84,24 +80,24 @@ class TestStep:
         # so the posterior equals the prior no matter what noise realizes
         theta = Belief([0.0, 0.5, 0.0, 0.5])
         sampler = NoiseSampler(three_edge.model.sigma, 99)
-        for k in range(5):
-            rec = step(three_edge, theta, sampler, k + 1)
-            assert np.allclose(rec.equilibrium.edge_loads, [1.0, 0.0, 1.0], atol=1e-12)
-            assert np.allclose(rec.belief_post.probs, theta.probs, atol=1e-14)
-            theta = rec.belief_post
+        for _ in range(5):
+            eq, _, post = step(three_edge, theta, sampler)
+            assert np.allclose(eq.edge_loads, [1.0, 0.0, 1.0], atol=1e-12)
+            assert np.allclose(post.probs, theta.probs, atol=1e-14)
+            theta = post
 
     def test_point_mass_on_truth_unchanged(self, three_edge):
         theta = Belief([0.0, 0.0, 0.0, 1.0])
         sampler = NoiseSampler(three_edge.model.sigma, 5)
-        rec = step(three_edge, theta, sampler, 1)
-        assert np.array_equal(rec.belief_post.probs, theta.probs)
+        _, _, post = step(three_edge, theta, sampler)
+        assert np.array_equal(post.probs, theta.probs)
 
     def test_record_chains_are_consistent(self, three_edge):
         sampler = NoiseSampler(three_edge.model.sigma, 11)
-        rec = step(three_edge, Belief.uniform(4), sampler, 1)
-        assert np.array_equal(rec.observation.loads, rec.equilibrium.edge_loads)
-        assert set(rec.observation.used) == used_edges(
-            three_edge.network, rec.equilibrium.edge_loads, three_edge.used_edge_tol
+        eq, obs, _ = step(three_edge, Belief.uniform(4), sampler)
+        assert np.array_equal(obs.loads, eq.edge_loads)
+        assert set(obs.used) == used_edges(
+            three_edge.network, eq.edge_loads, three_edge.used_edge_tol
         )
 
 
@@ -110,10 +106,9 @@ class TestRun:
         t1 = run(three_edge, seed=7)
         t2 = run(three_edge, seed=7)
         assert t1.status == t2.status and t1.n_stages == t2.n_stages
-        for a, b in zip(t1.records, t2.records):
-            assert np.array_equal(a.belief_post.probs, b.belief_post.probs)
-            assert np.array_equal(a.equilibrium.edge_loads, b.equilibrium.edge_loads)
-            assert np.array_equal(a.observation.costs, b.observation.costs)
+        assert np.array_equal(t1.beliefs, t2.beliefs)
+        assert np.array_equal(t1.equilibria.edge_loads, t2.equilibria.edge_loads)
+        assert np.array_equal(t1.costs, t2.costs, equal_nan=True)
 
     def test_converges_on_three_edge(self, three_edge):
         traj = run(three_edge, seed=0)
@@ -128,9 +123,12 @@ class TestRun:
         assert np.max(np.abs(replayed.probs - traj.final_belief.probs)) <= 1e-9
 
     def test_posterior_chain_links_records(self, three_edge):
+        # stage k updates belief row k - 1 with its observation into row k
         traj = run(three_edge, seed=13, max_stages=80)
-        for prev, nxt in zip(traj.records, traj.records[1:]):
-            assert np.array_equal(prev.belief_post.probs, nxt.belief_prior.probs)
+        for k in range(1, traj.n_stages + 1):
+            prior = Belief(traj.beliefs[k - 1])
+            post = bayes_update(prior, three_edge.model, traj.observation(k))
+            assert np.array_equal(post.probs, traj.beliefs[k])
 
     def test_window_requirement(self, three_edge):
         with pytest.raises(ValueError):

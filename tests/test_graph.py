@@ -6,12 +6,9 @@ import pytest
 from routelearn import (
     Network,
     NetworkError,
-    edge_loads,
     is_series_parallel,
-    underlying_graph,
-    used_edges,
-    validate_route_flow,
 )
+from routelearn.graph import underlying_graph, used_edges
 
 from oracles import wheatstone_network
 
@@ -56,25 +53,22 @@ class TestNetworkConstruction:
 
 
 class TestEdgeLoads:
+    # every solver turns route flows into edge loads with the incidence matrix
     def test_three_edge_even_split(self, three_edge_net):
-        w = edge_loads(three_edge_net, [0.5, 0.5])
+        w = three_edge_net.incidence @ [0.5, 0.5]
         assert np.array_equal(w, [1.0, 0.5, 0.5])
 
     def test_zero_demand(self, three_edge_net):
-        assert np.array_equal(edge_loads(three_edge_net, [0.0, 0.0]), np.zeros(3))
+        assert np.array_equal(three_edge_net.incidence @ [0.0, 0.0], np.zeros(3))
 
     def test_all_on_second_route(self, three_edge_net):
-        assert np.array_equal(edge_loads(three_edge_net, [0.0, 1.0]), [1.0, 0.0, 1.0])
-
-    def test_dimension_mismatch(self, three_edge_net):
-        with pytest.raises(NetworkError):
-            edge_loads(three_edge_net, [1.0, 0.0, 0.0])
+        assert np.array_equal(three_edge_net.incidence @ [0.0, 1.0], [1.0, 0.0, 1.0])
 
     def test_matches_direct_summation_randomized(self, three_edge_net):
         rng = np.random.default_rng(7)
         for _ in range(50):
             q = rng.uniform(0.0, 2.0, size=2)
-            w = edge_loads(three_edge_net, q)
+            w = three_edge_net.incidence @ q
             assert (w >= 0).all()
             for i, e in enumerate(three_edge_net.edge_ids):
                 direct = sum(
@@ -103,19 +97,6 @@ class TestUsedEdges:
     def test_negative_tolerance_rejected(self, three_edge_net):
         with pytest.raises(ValueError):
             used_edges(three_edge_net, [1.0, 0.0, 0.0], -1.0)
-
-
-class TestValidateRouteFlow:
-    def test_accepts_feasible(self, three_edge_net):
-        validate_route_flow(three_edge_net, [0.25, 0.75], 1.0)
-
-    def test_rejects_negative(self, three_edge_net):
-        with pytest.raises(NetworkError):
-            validate_route_flow(three_edge_net, [-0.1, 1.1], 1.0)
-
-    def test_rejects_wrong_total(self, three_edge_net):
-        with pytest.raises(NetworkError):
-            validate_route_flow(three_edge_net, [0.3, 0.3], 1.0)
 
 
 class TestUnderlyingGraph:

@@ -8,14 +8,13 @@ import pytest
 from routelearn import (
     BUILTIN_NAMES,
     ScenarioError,
-    complete_info_equilibrium,
     load_scenario,
     scenario_from_dict,
     scenario_to_dict,
-    solve_wardrop,
 )
 from routelearn.cli import main
 from routelearn.costs import Belief
+from routelearn.equilibrium import complete_info_equilibrium, solve_wardrop
 
 
 class TestBuiltins:
@@ -189,6 +188,31 @@ class TestValidation:
     def test_unsupported_schema_version(self, three_edge):
         with pytest.raises(ScenarioError, match="schema_version"):
             scenario_from_dict(self.payload(three_edge, schema_version=99))
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "demand",
+            "alpha",
+            "tolerances.equilibrium",
+            "tolerances.cost_equality",
+            "tolerances.used_edge",
+            "convergence.delta",
+        ],
+    )
+    def test_nan_rejected_naming_the_field(self, three_edge, tmp_path, capsys, field):
+        # NaN fails every comparison, so a `<= 0` range check lets it through
+        payload = scenario_to_dict(three_edge)
+        *parents, key = field.split(".")
+        target = payload
+        for name in parents:
+            target = target[name]
+        target[key] = float("nan")
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(payload))
+        argv = ["enumerate", "--scenario", str(path), "--grid-n", "4"]
+        assert main(argv + ["--out-dir", str(tmp_path)]) == 2
+        assert f"validation error: {field}:" in capsys.readouterr().err
 
 
 class TestStateLabels:
