@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -247,6 +248,34 @@ def _rest_point_rows(
     return ((thetas * dist).sum(axis=1) <= mass_tol) & (keys == want_key)
 
 
+def _face_states(
+    network: Network, model: CostModel, true_idx: int, demand: float, *,
+    grid_n: int, mass_tol: float, cost_tol: float, used_tol: float,
+) -> np.ndarray:
+    """Indices of the states that can hold mass at a rest point on the grid.
+
+    Grid masses are multiples of 1/grid_n, so with mass_tol < 1/grid_n a
+    passing node puts no mass on a state distinguishable at its loads. At
+    every equilibrium some route, and so each of its edges, carries at least
+    lo = demand / n_routes. D_s holds the edges where the coefficients of
+    c_s - c_true share one sign, so |c_s - c_true| does not fall with the
+    load, and where it exceeds cost_tol at lo by a margin that covers
+    rounding. A state is dropped when every route crosses its D_s.
+    """
+    # route flows sum to demand only up to rounding
+    lo = demand / network.n_routes * (1.0 - 1e-9)
+    if not (mass_tol < 1.0 / grid_n and used_tol < lo):
+        return np.arange(model.n_states)
+    coeffs = model._coeffs  # (E, S, C)
+    diff = coeffs - coeffs[:, true_idx : true_idx + 1]
+    one_sign = (diff >= 0.0).all(axis=-1) | (diff <= 0.0).all(axis=-1)
+    size = polyval_ascending(np.abs(coeffs), demand)
+    margin = 1e-9 * (size + size[:, true_idx : true_idx + 1])
+    d_s = one_sign & (np.abs(polyval_ascending(diff, lo)) > cost_tol + margin)
+    d_s[:, true_idx] = False
+    return np.flatnonzero(~(network.incidence.T @ d_s > 0).all(axis=0))
+
+
 def _bisect_boundary(predicate, x_fail: float, x_pass: float, tol: float) -> float:
     """Refine a pass/fail boundary; returns the passing-side endpoint."""
     lo, hi = x_fail, x_pass
@@ -275,11 +304,17 @@ def enumerate_rest_points(
 ) -> RestPointReport:
     """Sweep the belief simplex for rest points and cluster them into families.
 
-    Evaluates the rest-point predicate at every grid node theta with
-    components k/grid_n (equilibrium solved for all nodes in vectorized
-    batches), clusters passing nodes by their used-edge set, and for
-    families supported on exactly two states refines the boundary of the
-    belief range by bisection down to `refine_tol`.
+    Evaluates the rest-point predicate at the grid nodes theta with
+    components k/grid_n (equilibrium solved in vectorized batches), clusters
+    passing nodes by their used-edge set, and for families supported on
+    exactly two states refines the boundary of the belief range by bisection
+    down to `refine_tol`.
+
+    Only the face of the grid where rest points can lie is solved: when
+    mass_tol < 1/grid_n and used_tol < demand / n_routes, states that are
+    distinguishable at every equilibrium are left out (`_face_states`), and
+    the result is the full sweep's. `n_nodes` counts every node of the full
+    grid; `max_solver_gap` is the largest gap over the solved nodes.
     """
     n_states = model.n_states
     if n_states > 6:
@@ -292,12 +327,16 @@ def enumerate_rest_points(
 
     edge_bits = _edge_bits(network.n_edges)
     clusters: dict[int, _ClusterAccumulator] = {}
-    n_nodes = 0
     n_passing = 0
     max_gap = 0.0
 
-    for thetas in _simplex_grid_chunks(n_states, grid_n, chunk_size):
-        n_nodes += len(thetas)
+    keep = _face_states(
+        network, model, true_idx, demand, grid_n=grid_n, mass_tol=mass_tol,
+        cost_tol=cost_tol, used_tol=used_tol,
+    )
+    for face in _simplex_grid_chunks(len(keep), grid_n, chunk_size):
+        thetas = np.zeros((len(face), n_states))
+        thetas[:, keep] = face
         loads, gaps = solve_wardrop_batch(
             network, model, thetas, demand, tol=solver_tol
         )
@@ -397,7 +436,7 @@ def enumerate_rest_points(
     return RestPointReport(
         families=tuple(families),
         grid_n=grid_n,
-        n_nodes=n_nodes,
+        n_nodes=math.comb(grid_n + n_states - 1, n_states - 1),
         n_passing=n_passing,
         mass_tol=mass_tol,
         max_solver_gap=max_gap,

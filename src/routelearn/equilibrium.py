@@ -408,20 +408,22 @@ def solve_wardrop_batch(
     n, n_routes = probs.shape[0], network.n_routes
     rows = np.arange(n)
     mixed = model.mixed_coefficients_batch(probs)  # (n, E, C)
-    affine = mixed.shape[2] == 2 or not np.any(mixed[:, :, 2:])
+    # Affine steps are chosen per row and incidence products are np.matvec, so
+    # that a row's bits do not depend on the rows that share its batch.
+    poly = mixed[:, :, 2:].any(axis=(1, 2))
     slopes = mixed[:, :, 1]
     tiny = np.finfo(float).tiny
 
-    t0 = polyval_ascending(mixed, np.zeros((n, network.n_edges))) @ inc
+    t0 = np.matvec(inc.T, polyval_ascending(mixed, np.zeros((n, network.n_edges))))
     q = np.zeros((n, n_routes))
     q[rows, np.argmin(t0, axis=1)] = demand
 
     best_lb = np.full(n, -np.inf)
     gaps = np.full(n, np.inf)
     for _ in range(max_iter):
-        w = q @ inc.T
+        w = np.matvec(inc, q)
         costs = polyval_ascending(mixed, w)
-        t = costs @ inc
+        t = np.matvec(inc.T, costs)
         phi = polyint_ascending(mixed, w).sum(axis=1)
         rmin = np.argmin(t, axis=1)
         abs_gap = (t * q).sum(axis=1) - t[rows, rmin] * demand
@@ -434,16 +436,15 @@ def solve_wardrop_batch(
         y = np.zeros_like(q)
         y[rows, rmin] = demand
         step = y - q
-        d = step @ inc.T
-        if affine:
-            num = -(costs * d).sum(axis=1)
-            den = (slopes * d * d).sum(axis=1)
-            gamma = np.where(den > 0.0, np.clip(num / np.where(den > 0.0, den, 1.0), 0.0, 1.0), 1.0)
-        else:
-            gamma = np.ones(n)
+        d = np.matvec(inc, step)
+        num = -(costs * d).sum(axis=1)
+        den = (slopes * d * d).sum(axis=1)
+        gamma = np.where(den > 0.0, np.clip(num / np.where(den > 0.0, den, 1.0), 0.0, 1.0), 1.0)
+        if poly.any():
+            gamma[poly] = 1.0
             psi1 = (polyval_ascending(mixed, w + d) * d).sum(axis=1)
             # converged rows keep their flows, so they need no step
-            need = live & (psi1 > 0.0)
+            need = live & poly & (psi1 > 0.0)
             if need.any():
                 lo = np.zeros(need.sum())
                 hi = np.ones(need.sum())
@@ -456,4 +457,4 @@ def solve_wardrop_batch(
                 gamma[need] = 0.5 * (lo + hi)
         q[live] += gamma[live, None] * step[live]
 
-    return q @ inc.T, gaps
+    return np.matvec(inc, q), gaps

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
@@ -126,13 +127,37 @@ def _require(payload: Mapping, key: str, kind, path: str):
         raise ScenarioError(f"{path}.{key}" if path else key, "missing field")
     value = payload[key]
     if kind is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ScenarioError(f"{path}.{key}" if path else key, "expected a number")
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max
+        ):
+            raise ScenarioError(f"{path}.{key}" if path else key, "expected a finite number")
         return float(value)
     if not isinstance(value, kind):
         raise ScenarioError(
             f"{path}.{key}" if path else key, f"expected {kind.__name__}"
         )
+    return value
+
+
+def _positive(value, path: str) -> float:
+    """`value` as a float when it is a finite number above 0; otherwise a ScenarioError."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not 0 < value <= sys.float_info.max
+    ):
+        raise ScenarioError(path, "must be a finite positive number")
+    return float(value)
+
+
+def _integer(value, path: str) -> int:
+    """`value` as an int when it is an integer, or a float with an integer value."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ScenarioError(path, "expected an integer")
     return value
 
 
@@ -195,15 +220,11 @@ def scenario_from_dict(payload: Mapping[str, Any]) -> Scenario:
         table[(edge, state)] = _cost_function_from(entry, path)
 
     sigma = _require(payload, "sigma", list, "")
-    demand = _require(payload, "demand", float, "")
-    if not demand > 0:
-        raise ScenarioError("demand", "must be positive")
-    alpha = payload.get("alpha", DEFAULT_ALPHA)
-    if not isinstance(alpha, (int, float)) or not alpha > 0:
-        raise ScenarioError("alpha", "must be a positive number")
+    demand = _positive(_require(payload, "demand", float, ""), "demand")
+    alpha = _positive(payload.get("alpha", DEFAULT_ALPHA), "alpha")
 
     try:
-        model = CostModel(network.edge_ids, states, table, sigma, float(alpha))
+        model = CostModel(network.edge_ids, states, table, sigma, alpha)
     except CostError as exc:
         raise ScenarioError("costs/sigma", str(exc)) from None
 
@@ -237,18 +258,16 @@ def scenario_from_dict(payload: Mapping[str, Any]) -> Scenario:
     if not isinstance(tol_cfg, dict):
         raise ScenarioError("tolerances", "expected an object")
     tolerances = Tolerances(
-        equilibrium=float(tol_cfg.get("equilibrium", Tolerances.equilibrium)),
         used_edge=(
             None
             if tol_cfg.get("used_edge") is None
             else float(tol_cfg["used_edge"])
         ),
-        feasibility=float(tol_cfg.get("feasibility", Tolerances.feasibility)),
-        cost_equality=float(tol_cfg.get("cost_equality", Tolerances.cost_equality)),
+        **{
+            name: _positive(tol_cfg.get(name, getattr(Tolerances, name)), f"tolerances.{name}")
+            for name in ("equilibrium", "feasibility", "cost_equality")
+        },
     )
-    for fname in ("equilibrium", "feasibility", "cost_equality"):
-        if not getattr(tolerances, fname) > 0:
-            raise ScenarioError(f"tolerances.{fname}", "must be positive")
     if tolerances.used_edge is not None and not 0 <= tolerances.used_edge < float("inf"):
         raise ScenarioError("tolerances.used_edge", "must be finite and at least 0")
 
@@ -256,14 +275,14 @@ def scenario_from_dict(payload: Mapping[str, Any]) -> Scenario:
     if not isinstance(conv_cfg, dict):
         raise ScenarioError("convergence", "expected an object")
     convergence = ConvergenceRule(
-        window=int(conv_cfg.get("window", ConvergenceRule.window)),
-        delta=float(conv_cfg.get("delta", ConvergenceRule.delta)),
-        max_stages=int(conv_cfg.get("max_stages", ConvergenceRule.max_stages)),
+        window=_integer(conv_cfg.get("window", ConvergenceRule.window), "convergence.window"),
+        delta=_positive(conv_cfg.get("delta", ConvergenceRule.delta), "convergence.delta"),
+        max_stages=_integer(
+            conv_cfg.get("max_stages", ConvergenceRule.max_stages), "convergence.max_stages"
+        ),
     )
     if convergence.window < 1:
         raise ScenarioError("convergence.window", "must be at least 1")
-    if not convergence.delta > 0:
-        raise ScenarioError("convergence.delta", "must be positive")
     if convergence.max_stages < convergence.window:
         raise ScenarioError("convergence.max_stages", "must be at least the window")
 

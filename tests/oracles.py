@@ -4,13 +4,16 @@ Everything here deliberately avoids the production code paths: the
 two-route solver is closed-form algebra, the Wardrop certificate recomputes
 route costs from route flows, the series-parallel oracle searches over every
 reduction order, and instance generators build inputs from scratch. The reference stage loop is the per-seed loop that the lockstep
-block loop replaced, and the reference rest-point analysis at the end is
-the label-based loop that the index-mask kernel replaced; both are kept as
-the slow paths they are checked against.
+block loop replaced, the reference rest-point analysis is the label-based
+loop that the index-mask kernel replaced, and the reference sweep at the
+end solves every node of the simplex grid where the package solves only
+the face rest points can lie on; all are kept as the slow paths they are
+checked against.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
@@ -19,6 +22,18 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import solve_triangular
 
+from routelearn.analysis import (
+    RestPointFamily,
+    RestPointReport,
+    _bisect_boundary,
+    _ClusterAccumulator,
+    _distinguishable,
+    _edge_bits,
+    _rest_point_rows,
+    _simplex_grid_chunks,
+    average_cost,
+    check_rest_point,
+)
 from routelearn.belief import Observation
 from routelearn.costs import (
     Belief,
@@ -34,6 +49,7 @@ from routelearn.equilibrium import (
     EquilibriumResult,
     complete_info_equilibrium,
     solve_wardrop,
+    solve_wardrop_batch,
 )
 from routelearn.errors import BeliefError, SolverError
 from routelearn.graph import Network, used_edges
@@ -751,3 +767,154 @@ def reference_complete_learning_conditions(
             break
 
     return (wit1 is None, wit1, wit2 is None, wit2, wit3 is None, wit3)
+
+
+# --- Reference full simplex sweep ------------------------------------------
+# enumerate_rest_points as it was before it swept only the face where rest
+# points can lie: every node of the grid is solved. Kept verbatim, on the
+# package's own helpers, so that the face sweep can be checked against it.
+
+
+def reference_enumerate_rest_points(
+    network: Network,
+    model: CostModel,
+    true_state: str,
+    grid_n: int,
+    demand: float,
+    *,
+    mass_tol: float = 1e-9,
+    cost_tol: float = 1e-9,
+    used_tol: float | None = None,
+    refine_tol: float = 1e-6,
+    chunk_size: int = 200_000,
+    solver_tol: float = 1e-10,
+) -> RestPointReport:
+    """Sweep the belief simplex for rest points and cluster them into families.
+
+    Evaluates the rest-point predicate at every grid node theta with
+    components k/grid_n (equilibrium solved for all nodes in vectorized
+    batches), clusters passing nodes by their used-edge set, and for
+    families supported on exactly two states refines the boundary of the
+    belief range by bisection down to `refine_tol`.
+    """
+    n_states = model.n_states
+    if n_states > 6:
+        raise ValueError("simplex grid enumeration is limited to at most 6 states")
+    if grid_n < 1:
+        raise ValueError("grid_n must be at least 1")
+    if used_tol is None:
+        used_tol = 1e-9 * demand
+    true_idx = model.state_index(true_state)
+
+    edge_bits = _edge_bits(network.n_edges)
+    clusters: dict[int, _ClusterAccumulator] = {}
+    n_nodes = 0
+    n_passing = 0
+    max_gap = 0.0
+
+    for thetas in _simplex_grid_chunks(n_states, grid_n, chunk_size):
+        n_nodes += len(thetas)
+        loads, gaps = solve_wardrop_batch(
+            network, model, thetas, demand, tol=solver_tol
+        )
+        max_gap = max(max_gap, float(gaps.max()))
+        dist = _distinguishable(model, true_idx, loads, cost_tol, used_tol)
+        residual = (thetas * dist).sum(axis=1)
+        passing = residual <= mass_tol
+        n_passing += int(passing.sum())
+        if not passing.any():
+            continue
+        th_pass = thetas[passing]
+        ld_pass = loads[passing]
+        keys = (ld_pass > used_tol) @ edge_bits
+        for key in np.unique(keys):
+            sel = keys == key
+            acc = clusters.get(int(key))
+            if acc is None:
+                acc = clusters[int(key)] = _ClusterAccumulator(
+                    n_states, network.n_edges
+                )
+            acc.add(th_pass[sel], ld_pass[sel])
+
+    passes = functools.partial(
+        _rest_point_rows, network, model, true_idx, demand=demand, mass_tol=mass_tol,
+        cost_tol=cost_tol, used_tol=used_tol, solver_tol=solver_tol,
+    )
+
+    families = []
+    for key, acc in sorted(clusters.items()):
+        used_labels = tuple(
+            e for i, e in enumerate(network.edge_ids) if key >> i & 1
+        )
+        support_idx = np.flatnonzero(acc.support_mask)
+        support_labels = tuple(model.states[i] for i in support_idx)
+        mean_loads = acc.load_sum / acc.count
+        thresholds = {
+            model.states[i]: (float(acc.theta_min[i]), float(acc.theta_max[i]))
+            for i in support_idx
+        }
+        refined = False
+        if len(support_idx) == 2:
+            i, j = int(support_idx[0]), int(support_idx[1])
+
+            def face(xs: np.ndarray) -> np.ndarray:
+                v = np.zeros((len(xs), n_states))
+                v[:, i] = xs
+                v[:, j] = 1.0 - xs
+                return v
+
+            def at(x: float) -> bool:
+                return bool(passes(face(np.array([x])), want_key=key)[0])
+
+            xs = np.arange(grid_n + 1) / grid_n
+            ok = passes(face(xs), want_key=key)
+            if ok.any():
+                lo_idx = int(np.argmax(ok))
+                hi_idx = int(len(ok) - 1 - np.argmax(ok[::-1]))
+                lo = xs[lo_idx]
+                hi = xs[hi_idx]
+                if lo_idx > 0:
+                    lo = _bisect_boundary(at, xs[lo_idx - 1], lo, refine_tol)
+                if hi_idx < len(xs) - 1:
+                    hi = _bisect_boundary(at, xs[hi_idx + 1], hi, refine_tol)
+                thresholds[model.states[i]] = (float(lo), float(hi))
+                thresholds[model.states[j]] = (float(1.0 - hi), float(1.0 - lo))
+                refined = True
+
+        rep = acc.rep
+        check = check_rest_point(
+            network,
+            model,
+            true_state,
+            Belief(rep),
+            mean_loads,
+            demand,
+            load_tol=max(1e-7, 10 * solver_tol),
+            mass_tol=max(mass_tol, 1e-12),
+            cost_tol=cost_tol,
+            used_tol=used_tol,
+            solver_tol=solver_tol,
+        )
+        families.append(
+            RestPointFamily(
+                used=used_labels,
+                support=support_labels,
+                loads=mean_loads,
+                n_nodes=acc.count,
+                representative=rep,
+                thresholds=thresholds,
+                refined=refined,
+                average_cost_true=average_cost(model, true_state, mean_loads),
+                check=check,
+            )
+        )
+
+    families.sort(key=lambda f: -len(f.used))
+    return RestPointReport(
+        families=tuple(families),
+        grid_n=grid_n,
+        n_nodes=n_nodes,
+        n_passing=n_passing,
+        mass_tol=mass_tol,
+        max_solver_gap=max_gap,
+    )

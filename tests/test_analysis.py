@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib.util
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -35,6 +38,7 @@ from routelearn.errors import SolverError
 
 from oracles import (
     random_multi_route_instance,
+    reference_enumerate_rest_points,
     reference_complete_learning_conditions,
     reference_distinguishable_states,
     reference_rest_point_passes,
@@ -565,3 +569,186 @@ class TestConditionExitCodes:
         unconverged_known_state["index"] = index
         argv = ["check", "--scenario", "three-edge", "--grid-n", "5", "--out-dir", str(tmp_path)]
         assert main(argv) == code
+
+
+def _face_case(rng):
+    """Small network and a table built around its truth, for the face sweep.
+
+    Other states differ from the truth edge by edge in one of five ways: not
+    at all, by a one-signed affine or quadratic term (distinguishable from
+    lo = demand / n_routes up), by a term that is exactly `cost_tol` at lo,
+    or by a term that changes sign at a load in [0, demand], which ties the
+    state with the truth there. Edges shared by every route make cuts
+    likely. Coefficients are multiples of 1/4 so knife edges are exact.
+    """
+    n_routes = int(rng.integers(2, 4))
+    routes = [[f"r{r}e{i}" for i in range(int(rng.integers(1, 3)))] for r in range(n_routes)]
+    edges = [e for r in routes for e in r]
+    for k in range(int(rng.integers(0, 3))):
+        on = rng.random(n_routes) < 0.7
+        on[int(rng.integers(n_routes))] = True
+        for r in np.flatnonzero(on):
+            routes[r].append(f"s{k}")
+        edges.append(f"s{k}")
+    network = Network(edges, routes)
+    demand = float(rng.choice([1.0, 2.0]))
+    lo = demand / n_routes
+    cost_tol = float(rng.choice([1e-9, 0.25]))
+    quarter = lambda lo_, hi_: float(rng.integers(lo_ * 4, hi_ * 4 + 1)) / 4
+    truth = {
+        e: [quarter(1, 6), quarter(1, 3), quarter(0, 1) * (rng.random() < 0.4)] for e in edges
+    }
+    states = [f"st{j}" for j in range(int(rng.integers(2, 5)))]
+    true_state = states[int(rng.integers(len(states)))]
+    table = {}
+    for s in states:
+        for e in edges:
+            kind = 0 if s == true_state else int(rng.integers(5))
+            sign = float(rng.choice([-1.0, 1.0]))
+            if kind == 0:
+                delta = [0.0, 0.0, 0.0]
+            elif kind == 1:
+                delta = [quarter(0, 1), quarter(0, 1), 0.0]
+            elif kind == 2:
+                delta = [quarter(0, 1), quarter(0, 1), quarter(0, 1)]
+            elif kind == 3:
+                delta = [0.0, cost_tol / lo, 0.0]
+            else:
+                root = float(rng.choice([lo, demand, quarter(0, demand)]))
+                delta = [-root * 0.5, 0.5, 0.0]
+            if sign < 0:  # keep every cost increasing in the load
+                delta = [-delta[0], -min(delta[1], 0.5), 0.0]
+            table[(e, s)] = CostFunction.polynomial(
+                [t + d for t, d in zip(truth[e], delta)]
+            )
+    model = CostModel(edges, states, table, np.eye(len(edges)))
+    return network, model, true_state, demand, cost_tol
+
+
+def _family_fields(fam) -> tuple:
+    return (
+        fam.used, fam.support, fam.n_nodes, fam.loads.tolist(), fam.representative.tolist(),
+        fam.thresholds, fam.refined, fam.average_cost_true, fam.check,
+    )
+
+
+def _assert_matches_full_sweep(network, model, true_state, grid_n, demand, **kw):
+    """The face sweep reports what the full sweep of every grid node reports."""
+    got = enumerate_rest_points(network, model, true_state, grid_n, demand, **kw)
+    want = reference_enumerate_rest_points(network, model, true_state, grid_n, demand, **kw)
+    assert (got.n_nodes, got.n_passing) == (want.n_nodes, want.n_passing)
+    assert [_family_fields(f) for f in got.families] == [_family_fields(f) for f in want.families]
+    assert got.max_solver_gap <= want.max_solver_gap
+    return got
+
+
+class TestFaceSweep:
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 9))
+    def test_random_tables_match_full_sweep(self, seed, grid_n):
+        network, model, true_state, demand, cost_tol = _face_case(np.random.default_rng(seed))
+        _assert_matches_full_sweep(network, model, true_state, grid_n, demand, cost_tol=cost_tol)
+
+    def test_full_grid_order_restricted_to_the_face(self, three_edge, monkeypatch):
+        # the sweep solves, in order, the full grid's rows that give e1 no mass
+        solved = []
+        real = analysis.solve_wardrop_batch
+
+        def recording(network, model, thetas, demand, **kw):
+            solved.append(thetas.copy())
+            return real(network, model, thetas, demand, **kw)
+
+        monkeypatch.setattr(analysis, "solve_wardrop_batch", recording)
+        got = _assert_matches_full_sweep(
+            three_edge.network, three_edge.model, "none", 20, 1.0,
+            used_tol=three_edge.used_edge_tol, chunk_size=50,
+        )
+        full = np.concatenate(list(analysis._simplex_grid_chunks(4, 20, 10**6)))
+        face = np.concatenate(solved)  # the reference sweep calls the solver directly
+        assert np.array_equal(face, full[full[:, 0] == 0.0])
+        assert len(face) == math.comb(22, 2) == 231
+        assert got.n_nodes == len(full) == math.comb(23, 3)
+
+
+def _bench_wheatstone():
+    """The benchmark's Wheatstone table (bench/reference.py), as a scenario."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("bench_reference", path)
+    reference = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = reference  # its dataclasses look their module up
+    spec.loader.exec_module(reference)
+    return scenario_from_dict(reference.wheatstone_table().to_scenario())
+
+
+def _face_labels(sc, grid_n=200, **kw):
+    tols = dict(mass_tol=1e-9, cost_tol=1e-9, used_tol=1e-9 * sc.demand) | kw
+    true_idx = sc.model.state_index(sc.true_state)
+    keep = analysis._face_states(sc.network, sc.model, true_idx, sc.demand, grid_n=grid_n, **tols)
+    return [sc.model.states[i] for i in keep]
+
+
+def _shared_exit_scenario(alt_exit: list[float]):
+    """Two entry edges a, b joining a shared exit c; state alt differs on c only."""
+    net = Network(["a", "b", "c"], [["a", "c"], ["b", "c"]])
+    fns = {(e, "ok"): CostFunction.affine(1.0, 2.0) for e in "abc"}
+    fns |= {("a", "alt"): fns[("a", "ok")], ("b", "alt"): fns[("b", "ok")]}
+    fns[("c", "alt")] = CostFunction.polynomial([2.0 + alt_exit[0], 1.0 + alt_exit[1], alt_exit[2]])
+    model = CostModel(["a", "b", "c"], ["ok", "alt"], fns, np.eye(3))
+    return SimpleNamespace(network=net, model=model, true_state="ok", demand=1.0)
+
+
+class TestFaceStates:
+    """The states the face rule leaves out; when it can prove nothing, it keeps them all."""
+
+    def test_built_ins_drop_e1(self, three_edge, cond2):
+        assert _face_labels(three_edge) == _face_labels(cond2) == ["e2", "e3", "none"]
+
+    def test_mass_tolerance_of_one_grid_step_keeps_all(self, three_edge):
+        everything = list(three_edge.model.states)
+        assert _face_labels(three_edge, grid_n=200, mass_tol=1 / 200) == everything
+        assert _face_labels(three_edge, grid_n=200, mass_tol=0.9 / 200) == ["e2", "e3", "none"]
+
+    def test_used_tolerance_at_the_route_floor_keeps_all(self, three_edge):
+        # two routes and demand 1: some route carries at least 0.5
+        assert _face_labels(three_edge, used_tol=0.5) == list(three_edge.model.states)
+        assert _face_labels(three_edge, used_tol=0.49) == ["e2", "e3", "none"]
+
+    @pytest.mark.parametrize(
+        "alt_exit, kept",
+        [
+            ([0.0, -0.75, 1.0], ["ok", "alt"]),  # w^2 - 0.75 w: zero at 0.75, inside [0.5, 1]
+            ([0.0, 0.75, 1.0], ["ok"]),  # w^2 + 0.75 w: one sign, 0.625 at 0.5
+            ([0.0, 1.0, 0.0], ["ok"]),  # w: 0.5 at 0.5, above cost_tol
+        ],
+    )
+    def test_only_one_signed_differences_count(self, alt_exit, kept):
+        sc = _shared_exit_scenario(alt_exit)
+        assert _face_labels(sc, grid_n=40) == kept
+        _assert_matches_full_sweep(sc.network, sc.model, "ok", 40, 1.0)
+
+    @pytest.mark.parametrize("cost_tol, kept", [(0.5, ["ok", "alt"]), (0.499, ["ok"])])
+    def test_difference_exactly_at_cost_tol_at_the_route_floor(self, cost_tol, kept):
+        # alt adds w on the exit: exactly 0.5 at the floor 0.5, which is not above 0.5
+        sc = _shared_exit_scenario([0.0, 1.0, 0.0])
+        assert _face_labels(sc, grid_n=40, cost_tol=cost_tol) == kept
+        _assert_matches_full_sweep(sc.network, sc.model, "ok", 40, 1.0, cost_tol=cost_tol)
+
+    def test_wheatstone_has_no_cut(self):
+        sc = _bench_wheatstone()
+        assert _face_labels(sc, grid_n=20) == list(sc.model.states)
+        _assert_matches_full_sweep(sc.network, sc.model, sc.true_state, 6, sc.demand)
+
+    @pytest.mark.parametrize("case", ["mass_tol", "used_tol"])
+    def test_full_sweep_when_nothing_is_dropped(self, three_edge, case, monkeypatch):
+        rows = []
+        real = analysis.solve_wardrop_batch
+
+        def counting(network, model, thetas, demand, **kw):
+            rows.append(len(thetas))
+            return real(network, model, thetas, demand, **kw)
+
+        monkeypatch.setattr(analysis, "solve_wardrop_batch", counting)
+        kw = {"mass_tol": 1 / 12} if case == "mass_tol" else {"used_tol": 0.5}
+        _assert_matches_full_sweep(three_edge.network, three_edge.model, "none", 12, 1.0, **kw)
+        assert rows == [math.comb(15, 3)]

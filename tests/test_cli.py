@@ -85,6 +85,20 @@ class TestOverrides:
         assert code == 2
         assert "workers must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section, key", [("", "demand"), ("convergence", "max_stages"), ("convergence", "window")]
+    )
+    def test_infinite_scenario_numbers_exit_2(self, tmp_path, capsys, section, key):
+        # JSON's Infinity once gave exit 0 (demand) or an OverflowError traceback (max_stages)
+        payload = scenario_to_dict(load_scenario("three-edge"))
+        (payload[section] if section else payload)[key] = float("inf")
+        path = tmp_path / "inf.json"
+        path.write_text(json.dumps(payload))
+        argv = ["enumerate", "--scenario", str(path), "--grid-n", "2", "--out-dir", str(tmp_path)]
+        assert main(argv) == 2
+        field = f"{section}.{key}" if section else key
+        assert f"validation error: {field}:" in capsys.readouterr().err
+
     @pytest.mark.parametrize("seeds", ["x", "0..x", "1,y"])
     def test_bad_seeds_name_the_field(self, tmp_path, capsys, seeds):
         argv = ["batch", "--scenario", "three-edge", "--seeds", seeds]

@@ -401,3 +401,26 @@ class TestBatchSolverRows:
             assert np.array_equal(loads[i], alone[0])
             assert gaps[i] == gap[0]
 
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_mixed_rows_equal_rows_solved_alone_in_any_order(self, seed):
+        # rows without mass on the quadratic state take the affine step even
+        # when their batch mates bisect, and no row's bits depend on its position
+        rng = np.random.default_rng(seed)
+        net, model, _, demand = random_multi_route_instance(rng)
+        table = dict(model.table)
+        for e in model.edges:
+            table[(e, "quad")] = CostFunction.polynomial([1.0, 1.0, float(rng.uniform(0.1, 1.0))])
+        model = CostModel(model.edges, (*model.states, "quad"), table, model.sigma)
+        thetas = np.array([random_simplex(rng, model.n_states) for _ in range(16)])
+        thetas[::2, -1] = 0.0
+        thetas /= thetas.sum(axis=1, keepdims=True)
+        loads, gaps = solve_wardrop_batch(net, model, thetas, demand)
+        order = rng.permutation(len(thetas))
+        shuffled, shuffled_gaps = solve_wardrop_batch(net, model, thetas[order], demand)
+        assert np.array_equal(shuffled, loads[order])
+        assert np.array_equal(shuffled_gaps, gaps[order])
+        for i, theta in enumerate(thetas):
+            alone, gap = solve_wardrop_batch(net, model, theta[None, :], demand)
+            assert np.array_equal(loads[i], alone[0])
+            assert gaps[i] == gap[0]

@@ -214,6 +214,46 @@ class TestValidation:
         assert main(argv + ["--out-dir", str(tmp_path)]) == 2
         assert f"validation error: {field}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("demand", float("inf")),
+            ("alpha", float("inf")),
+            ("tolerances.equilibrium", float("inf")),
+            ("tolerances.feasibility", float("inf")),
+            ("tolerances.cost_equality", float("inf")),
+            ("convergence.delta", float("inf")),
+            ("demand", 10**400),
+            ("alpha", True),
+            ("tolerances.cost_equality", "1e-9"),
+            ("convergence.window", float("nan")),
+            ("convergence.window", float("inf")),
+            ("convergence.window", 2.5),
+            ("convergence.window", "50"),
+            ("convergence.max_stages", float("inf")),
+            ("convergence.max_stages", float("nan")),
+            ("convergence.max_stages", 5000.5),
+            ("convergence.max_stages", True),
+        ],
+    )
+    def test_non_finite_and_non_integer_rejected_naming_the_field(self, three_edge, field, value):
+        payload = scenario_to_dict(three_edge)
+        *parents, key = field.split(".")
+        target = payload
+        for name in parents:
+            target = target[name]
+        target[key] = value
+        with pytest.raises(ScenarioError) as exc:
+            scenario_from_dict(payload)
+        assert exc.value.path == field
+
+    def test_integral_floats_are_counts(self, three_edge):
+        payload = scenario_to_dict(three_edge)
+        payload["convergence"].update(window=20.0, max_stages=400.0)
+        conv = scenario_from_dict(payload).convergence
+        assert (conv.window, conv.max_stages) == (20, 400)
+        assert type(conv.window) is type(conv.max_stages) is int
+
 
 class TestStateLabels:
     """The loader owns the state labels: the model keeps them, the scenario the truth."""
