@@ -9,7 +9,6 @@ the loop between simulation output and the underlying fixed-point structure.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -22,7 +21,7 @@ from .equilibrium import (
     solve_wardrop_batch,
     solve_wardrop_block,
 )
-from .graph import Network, is_series_parallel
+from .graph import Network, is_series_parallel, row_groups
 
 
 def _distinguishable(
@@ -160,27 +159,28 @@ class RestPointReport:
 
 
 def _simplex_grid_chunks(n_states: int, grid_n: int, chunk_size: int):
-    """Yield (chunk, n_states) arrays covering the grid k/grid_n on the simplex."""
+    """Yield (chunk, n_states) arrays covering the grid k/grid_n on the simplex.
+
+    Nodes come in lexicographic order of their counts, chunk_size to a chunk
+    but the last. Only the counts of the first n_states - 2 states are held
+    for the whole grid; the last two are filled in chunk by chunk.
+    """
     if n_states == 1:
         yield np.ones((1, 1))
         return
-    total_slots = grid_n + n_states - 1
-    bars_iter = itertools.combinations(range(total_slots), n_states - 1)
-    while True:
-        batch = list(itertools.islice(bars_iter, chunk_size))
-        if not batch:
-            return
-        bars = np.asarray(batch, dtype=np.int64)
-        padded = np.concatenate(
-            [
-                np.full((len(bars), 1), -1, dtype=np.int64),
-                bars,
-                np.full((len(bars), 1), total_slots, dtype=np.int64),
-            ],
-            axis=1,
-        )
-        counts = np.diff(padded, axis=1) - 1
-        yield counts / grid_n
+    # each head row followed by each count it leaves room for, in order
+    head, left = np.zeros((1, 0), dtype=np.int64), np.array([grid_n])
+    for _ in range(n_states - 2):
+        reps = left + 1
+        count = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+        head = np.column_stack([np.repeat(head, reps, axis=0), count])
+        left = np.repeat(left, reps) - count
+    ends = np.cumsum(left + 1)
+    for lo in range(0, int(ends[-1]), chunk_size):
+        node = np.arange(lo, min(lo + chunk_size, int(ends[-1])))
+        p = np.searchsorted(ends, node, side="right")
+        count = node - ends[p] + left[p] + 1
+        yield np.column_stack([head[p], count, left[p] - count]) / grid_n
 
 
 class _ClusterAccumulator:
@@ -217,9 +217,9 @@ class _ClusterAccumulator:
             self.rep = thetas[best].copy()
 
 
-def _edge_bits(n_edges: int) -> np.ndarray:
-    """Bit weights that turn a used-edge mask into its integer key."""
-    return 1 << np.arange(n_edges, dtype=np.int64)
+def _used_key(used: np.ndarray) -> int:
+    """Integer key of a used-edge mask, bit i for edge i, for any number of edges."""
+    return int.from_bytes(np.packbits(used, bitorder="little").tobytes(), "little")
 
 
 def _rest_point_rows(
@@ -238,14 +238,15 @@ def _rest_point_rows(
     """Mask of the belief rows that are rest points on the used-edge set `want_key`.
 
     One block solve; a row passes when its equilibrium uses exactly the
-    edges of `want_key` and it puts at most `mass_tol` on distinguishable
-    states.
+    edges of `want_key` (see `_used_key`) and it puts at most `mass_tol` on
+    distinguishable states.
     """
     eq = solve_wardrop_block(network, model, thetas, demand, tol=solver_tol)
     eq.raise_unconverged()
     dist = _distinguishable(model, true_idx, eq.edge_loads, cost_tol, used_tol)
-    keys = (eq.edge_loads > used_tol) @ _edge_bits(network.n_edges)
-    return ((thetas * dist).sum(axis=1) <= mass_tol) & (keys == want_key)
+    want = np.array([want_key >> i & 1 for i in range(network.n_edges)], dtype=bool)
+    same = ((eq.edge_loads > used_tol) == want).all(axis=1)
+    return ((thetas * dist).sum(axis=1) <= mass_tol) & same
 
 
 def _face_states(
@@ -305,7 +306,8 @@ def enumerate_rest_points(
     """Sweep the belief simplex for rest points and cluster them into families.
 
     Evaluates the rest-point predicate at the grid nodes theta with
-    components k/grid_n (equilibrium solved in vectorized batches), clusters
+    components k/grid_n (equilibrium solved in blocks of `chunk_size`
+    rows, at most 300 iterations each), clusters
     passing nodes by their used-edge set, and for families supported on
     exactly two states refines the boundary of the belief range by bisection
     down to `refine_tol`.
@@ -325,7 +327,6 @@ def enumerate_rest_points(
         used_tol = 1e-9 * demand
     true_idx = model.state_index(true_state)
 
-    edge_bits = _edge_bits(network.n_edges)
     clusters: dict[int, _ClusterAccumulator] = {}
     n_passing = 0
     max_gap = 0.0
@@ -349,14 +350,11 @@ def enumerate_rest_points(
             continue
         th_pass = thetas[passing]
         ld_pass = loads[passing]
-        keys = (ld_pass > used_tol) @ edge_bits
-        for key in np.unique(keys):
-            sel = keys == key
-            acc = clusters.get(int(key))
+        for used, sel in row_groups(ld_pass > used_tol):
+            key = _used_key(used)
+            acc = clusters.get(key)
             if acc is None:
-                acc = clusters[int(key)] = _ClusterAccumulator(
-                    n_states, network.n_edges
-                )
+                acc = clusters[key] = _ClusterAccumulator(n_states, network.n_edges)
             acc.add(th_pass[sel], ld_pass[sel])
 
     passes = functools.partial(

@@ -65,7 +65,6 @@ def _tool_stamp(scenario: Scenario) -> dict:
         "tolerances": {
             "equilibrium": scenario.tolerances.equilibrium,
             "used_edge": scenario.used_edge_tol,
-            "feasibility": scenario.tolerances.feasibility,
             "cost_equality": scenario.tolerances.cost_equality,
         },
         "convergence": {
@@ -336,7 +335,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"routelearn {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seeds=False):
+    def common(p):
         p.add_argument(
             "--scenario",
             required=True,

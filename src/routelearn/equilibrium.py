@@ -17,7 +17,6 @@ import numpy as np
 from .costs import (
     Belief,
     CostModel,
-    polyint_ascending,
     polyint_coefficients,
     polyval_ascending,
 )
@@ -227,10 +226,10 @@ def solve_wardrop_block(
     no-better-route certificate falls below `tol`. A row that stops leaves
     the iteration, so every row gets the result it would get alone. Ties in
     the cheapest route go to the lowest index so runs are deterministic.
-    Rows whose mixed costs are affine finish with the equal-cost polish,
-    which they also try at iterations 32, 64, 128, ... and stop once it
-    certifies them. Rows that do not converge are reported in `converged`,
-    not raised.
+    Rows whose mixed costs are affine try the equal-cost polish at
+    iterations 1, 2, 4, 8, ... and stop with its flows once it certifies
+    them; the others finish with it. Rows that do not converge are reported
+    in `converged`, not raised.
     """
     if demand <= 0:
         raise ValueError("demand must be positive")
@@ -265,6 +264,7 @@ def solve_wardrop_block(
     rmin = np.zeros(n, dtype=np.intp)
     n_iter = np.full(n, max_iter, dtype=np.intp)
     converged = np.zeros(n, dtype=bool)
+    polished = np.zeros(n, dtype=bool)  # certified by a polish inside the loop
 
     # The loop works on the rows still iterating; a row that stops leaves.
     live = np.arange(n)
@@ -290,13 +290,17 @@ def solve_wardrop_block(
         # the largest route flow is at least demand / n_routes > flow_tol
         worst = np.maximum.reduce(t, axis=1, where=ql > flow_tol, initial=-np.inf) - t_min
         done = (rel_gap <= tol) | (worst <= tol * np.maximum(1.0, t_min))
-        if it >= 32 and not it & (it - 1):
+        if not it & (it - 1):
             # A route that carries no flow at equilibrium drains only at
-            # O(1/k), so affine rows try the polish at every power of two.
-            trial = (affine[live] & ~done).nonzero()[0]
+            # O(1/k), so affine rows try the polish at every power of two
+            # and stop with the flows it certifies. Rows that stop now
+            # anyway get their final polish here too.
+            trial = affine[live].nonzero()[0]
             if trial.size:
-                _, ok = _face_polish(inc, cl[:, trial], demand, ql[trial], rm[trial])
+                flows, ok = _face_polish(inc, cl[:, trial], demand, ql[trial], rm[trial])
+                ql[trial[ok]] = flows[ok]
                 done[trial[ok]] = True
+                polished[live[trial[ok]]] = True
         if done.any():
             fin = live[done]
             q[fin], rmin[fin], best_lb[fin], n_iter[fin] = ql[done], rm[done], lb[done], it
@@ -316,10 +320,11 @@ def solve_wardrop_block(
     else:
         q[live], rmin[live], best_lb[live] = ql, rm, lb
 
-    if affine.any():
-        rows = slice(None) if affine.all() else affine.nonzero()[0]
-        polished, ok = _face_polish(inc, coef[:, rows], demand, q[rows], rmin[rows])
-        q[rows] = np.where(ok[:, None], polished, q[rows])
+    final = affine & ~polished
+    if final.any():
+        rows = slice(None) if final.all() else final.nonzero()[0]
+        flows, ok = _face_polish(inc, coef[:, rows], demand, q[rows], rmin[rows])
+        q[rows] = np.where(ok[:, None], flows, q[rows])
         converged[rows] |= ok
 
     # final certificates at the returned point
@@ -384,77 +389,13 @@ def complete_info_equilibrium(
 
 
 def solve_wardrop_batch(
-    network: Network,
-    model: CostModel,
-    thetas: np.ndarray,
-    demand: float,
-    *,
-    tol: float = 1e-10,
-    max_iter: int = 300,
+    network: Network, model: CostModel, thetas: np.ndarray, demand: float, *,
+    tol: float = 1e-10, max_iter: int = 300,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized Frank-Wolfe over many beliefs at once.
+    """Edge loads and relative gaps of many beliefs, for dense simplex sweeps.
 
-    Runs the same iteration as solve_wardrop on every row of `thetas`
-    simultaneously (no final polish) and returns the edge-load matrix plus
-    the per-row relative duality gap. Intended for dense simplex sweeps.
+    The block solver capped at `max_iter` iterations; a row that does not
+    converge is reported by its gap, not raised.
     """
-    if demand <= 0:
-        raise ValueError("demand must be positive")
-    _check_model(network, model)
-    probs = np.asarray(thetas, dtype=float)
-    if probs.ndim != 2 or probs.shape[1] != model.n_states:
-        raise ValueError(f"belief matrix has shape {probs.shape}")
-    inc = network.incidence
-    n, n_routes = probs.shape[0], network.n_routes
-    rows = np.arange(n)
-    mixed = model.mixed_coefficients_batch(probs)  # (n, E, C)
-    # Affine steps are chosen per row and incidence products are np.matvec, so
-    # that a row's bits do not depend on the rows that share its batch.
-    poly = mixed[:, :, 2:].any(axis=(1, 2))
-    slopes = mixed[:, :, 1]
-    tiny = np.finfo(float).tiny
-
-    t0 = np.matvec(inc.T, polyval_ascending(mixed, np.zeros((n, network.n_edges))))
-    q = np.zeros((n, n_routes))
-    q[rows, np.argmin(t0, axis=1)] = demand
-
-    best_lb = np.full(n, -np.inf)
-    gaps = np.full(n, np.inf)
-    for _ in range(max_iter):
-        w = np.matvec(inc, q)
-        costs = polyval_ascending(mixed, w)
-        t = np.matvec(inc.T, costs)
-        phi = polyint_ascending(mixed, w).sum(axis=1)
-        rmin = np.argmin(t, axis=1)
-        abs_gap = (t * q).sum(axis=1) - t[rows, rmin] * demand
-        np.maximum(best_lb, phi - abs_gap, out=best_lb)
-        gaps = (phi - best_lb) / np.maximum(np.abs(phi), tiny)
-        live = gaps > tol
-        if not live.any():
-            break
-
-        y = np.zeros_like(q)
-        y[rows, rmin] = demand
-        step = y - q
-        d = np.matvec(inc, step)
-        num = -(costs * d).sum(axis=1)
-        den = (slopes * d * d).sum(axis=1)
-        gamma = np.where(den > 0.0, np.clip(num / np.where(den > 0.0, den, 1.0), 0.0, 1.0), 1.0)
-        if poly.any():
-            gamma[poly] = 1.0
-            psi1 = (polyval_ascending(mixed, w + d) * d).sum(axis=1)
-            # converged rows keep their flows, so they need no step
-            need = live & poly & (psi1 > 0.0)
-            if need.any():
-                lo = np.zeros(need.sum())
-                hi = np.ones(need.sum())
-                wn, dn, mn = w[need], d[need], mixed[need]
-                for _ in range(60):
-                    mid = 0.5 * (lo + hi)
-                    pos = (polyval_ascending(mn, wn + mid[:, None] * dn) * dn).sum(axis=1) > 0.0
-                    hi = np.where(pos, mid, hi)
-                    lo = np.where(pos, lo, mid)
-                gamma[need] = 0.5 * (lo + hi)
-        q[live] += gamma[live, None] * step[live]
-
-    return np.matvec(inc, q), gaps
+    eq = solve_wardrop_block(network, model, thetas, demand, tol=tol, max_iter=max_iter)
+    return eq.edge_loads, eq.gap

@@ -85,13 +85,18 @@ def row_groups(mask: np.ndarray):
     """Rows of a boolean matrix grouped by pattern: yields (pattern, row indices).
 
     Block computations use it to share one stacked solve among the rows
-    that use the same edges or routes.
+    that use the same edges or routes. Groups come in the order of their
+    first row, and each lists its rows in increasing order.
     """
-    groups: dict[bytes, list[int]] = {}
-    for i, row in enumerate(mask):
-        groups.setdefault(row.tobytes(), []).append(i)
-    for rows in groups.values():
-        yield mask[rows[0]], np.array(rows)
+    packed = np.packbits(mask, axis=1)
+    order = np.lexsort(packed.T)  # stable, so each group's rows stay in order
+    ranked = packed[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    starts = first.nonzero()[0]
+    groups = np.split(order, starts[1:])
+    for g in np.argsort(order[starts]):
+        yield mask[groups[g][0]], groups[g]
 
 
 @dataclass(frozen=True)

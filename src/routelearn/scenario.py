@@ -26,7 +26,6 @@ SCHEMA_VERSION = 1
 class Tolerances:
     equilibrium: float = 1e-8
     used_edge: float | None = None  # None resolves to 1e-9 * demand
-    feasibility: float = 1e-9
     cost_equality: float = 1e-9
 
 
@@ -122,34 +121,42 @@ def _builtin_payloads() -> dict[str, dict]:
 BUILTIN_NAMES = tuple(sorted(_builtin_payloads()))
 
 
+def _finite(value, path: str) -> float:
+    """`value` as a float when it is a finite number (not a boolean); otherwise a
+    ScenarioError naming `path`. Every number read from a payload passes here."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not abs(value) <= sys.float_info.max
+    ):
+        raise ScenarioError(path, "expected a finite number")
+    return float(value)
+
+
+def _finite_list(value, path: str) -> list[float]:
+    if not isinstance(value, list):
+        raise ScenarioError(path, "expected list")
+    return [_finite(x, f"{path}[{i}]") for i, x in enumerate(value)]
+
+
 def _require(payload: Mapping, key: str, kind, path: str):
+    where = f"{path}.{key}" if path else key
     if key not in payload:
-        raise ScenarioError(f"{path}.{key}" if path else key, "missing field")
+        raise ScenarioError(where, "missing field")
     value = payload[key]
     if kind is float:
-        if (
-            isinstance(value, bool)
-            or not isinstance(value, (int, float))
-            or not abs(value) <= sys.float_info.max
-        ):
-            raise ScenarioError(f"{path}.{key}" if path else key, "expected a finite number")
-        return float(value)
+        return _finite(value, where)
     if not isinstance(value, kind):
-        raise ScenarioError(
-            f"{path}.{key}" if path else key, f"expected {kind.__name__}"
-        )
+        raise ScenarioError(where, f"expected {kind.__name__}")
     return value
 
 
 def _positive(value, path: str) -> float:
     """`value` as a float when it is a finite number above 0; otherwise a ScenarioError."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, (int, float))
-        or not 0 < value <= sys.float_info.max
-    ):
+    number = _finite(value, path)
+    if not number > 0:
         raise ScenarioError(path, "must be a finite positive number")
-    return float(value)
+    return number
 
 
 def _integer(value, path: str) -> int:
@@ -172,7 +179,7 @@ def _cost_function_from(entry: Mapping, path: str) -> CostFunction:
             )
         if form == "polynomial":
             coeffs = _require(params, "coefficients", list, f"{path}.params")
-            return CostFunction.polynomial([float(c) for c in coeffs])
+            return CostFunction.polynomial(_finite_list(coeffs, f"{path}.params.coefficients"))
     except CostError as exc:
         raise ScenarioError(path, str(exc)) from None
     raise ScenarioError(f"{path}.form", f"unknown form {form!r}")
@@ -219,7 +226,10 @@ def scenario_from_dict(payload: Mapping[str, Any]) -> Scenario:
             raise ScenarioError(path, f"duplicate entry for ({edge}, {state})")
         table[(edge, state)] = _cost_function_from(entry, path)
 
-    sigma = _require(payload, "sigma", list, "")
+    sigma = [
+        _finite_list(row, f"sigma[{i}]")
+        for i, row in enumerate(_require(payload, "sigma", list, ""))
+    ]
     demand = _positive(_require(payload, "demand", float, ""), "demand")
     alpha = _positive(payload.get("alpha", DEFAULT_ALPHA), "alpha")
 
@@ -235,7 +245,7 @@ def scenario_from_dict(payload: Mapping[str, Any]) -> Scenario:
             "costs", f"minimum-slope check failed (alpha={slope_report.alpha}) on: {entries}"
         )
 
-    belief_raw = _require(payload, "initial_belief", list, "")
+    belief_raw = _finite_list(_require(payload, "initial_belief", list, ""), "initial_belief")
     if len(belief_raw) != len(states):
         raise ScenarioError(
             "initial_belief",
@@ -257,19 +267,19 @@ def scenario_from_dict(payload: Mapping[str, Any]) -> Scenario:
     tol_cfg = payload.get("tolerances", {})
     if not isinstance(tol_cfg, dict):
         raise ScenarioError("tolerances", "expected an object")
+    # schema 1 still carries `feasibility`, which no computation reads
+    if "feasibility" in tol_cfg:
+        _positive(tol_cfg["feasibility"], "tolerances.feasibility")
+    used_edge = tol_cfg.get("used_edge")
+    if used_edge is not None and not _finite(used_edge, "tolerances.used_edge") >= 0:
+        raise ScenarioError("tolerances.used_edge", "must be finite and at least 0")
     tolerances = Tolerances(
-        used_edge=(
-            None
-            if tol_cfg.get("used_edge") is None
-            else float(tol_cfg["used_edge"])
-        ),
+        used_edge=None if used_edge is None else float(used_edge),
         **{
             name: _positive(tol_cfg.get(name, getattr(Tolerances, name)), f"tolerances.{name}")
-            for name in ("equilibrium", "feasibility", "cost_equality")
+            for name in ("equilibrium", "cost_equality")
         },
     )
-    if tolerances.used_edge is not None and not 0 <= tolerances.used_edge < float("inf"):
-        raise ScenarioError("tolerances.used_edge", "must be finite and at least 0")
 
     conv_cfg = payload.get("convergence", {})
     if not isinstance(conv_cfg, dict):
@@ -332,7 +342,6 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         "tolerances": {
             "equilibrium": scenario.tolerances.equilibrium,
             "used_edge": scenario.tolerances.used_edge,
-            "feasibility": scenario.tolerances.feasibility,
             "cost_equality": scenario.tolerances.cost_equality,
         },
         "convergence": {

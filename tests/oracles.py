@@ -7,8 +7,9 @@ reduction order, and instance generators build inputs from scratch. The referenc
 block loop replaced, the reference rest-point analysis is the label-based
 loop that the index-mask kernel replaced, and the reference sweep at the
 end solves every node of the simplex grid where the package solves only
-the face rest points can lie on; all are kept as the slow paths they are
-checked against.
+the face rest points can lie on. The reference grid generator and row
+grouping are the itertools and dict loops that numpy replaced. All are
+kept as the slow paths the package is checked against.
 """
 
 from __future__ import annotations
@@ -28,9 +29,7 @@ from routelearn.analysis import (
     _bisect_boundary,
     _ClusterAccumulator,
     _distinguishable,
-    _edge_bits,
     _rest_point_rows,
-    _simplex_grid_chunks,
     average_cost,
     check_rest_point,
 )
@@ -769,6 +768,45 @@ def reference_complete_learning_conditions(
     return (wit1 is None, wit1, wit2 is None, wit2, wit3 is None, wit3)
 
 
+# --- Reference simplex grid and row grouping -------------------------------
+# The itertools grid generator and the dict row grouping that numpy
+# replaced. Combinations come in lexicographic order, which is the order of
+# the counts.
+
+
+def reference_simplex_grid_chunks(n_states: int, grid_n: int, chunk_size: int):
+    """Yield (chunk, n_states) arrays covering the grid k/grid_n on the simplex."""
+    if n_states == 1:
+        yield np.ones((1, 1))
+        return
+    total_slots = grid_n + n_states - 1
+    bars_iter = itertools.combinations(range(total_slots), n_states - 1)
+    while True:
+        batch = list(itertools.islice(bars_iter, chunk_size))
+        if not batch:
+            return
+        bars = np.asarray(batch, dtype=np.int64)
+        padded = np.concatenate(
+            [
+                np.full((len(bars), 1), -1, dtype=np.int64),
+                bars,
+                np.full((len(bars), 1), total_slots, dtype=np.int64),
+            ],
+            axis=1,
+        )
+        counts = np.diff(padded, axis=1) - 1
+        yield counts / grid_n
+
+
+def reference_row_groups(mask: np.ndarray):
+    """Rows of a boolean matrix grouped by pattern: yields (pattern, row indices)."""
+    groups: dict[bytes, list[int]] = {}
+    for i, row in enumerate(mask):
+        groups.setdefault(row.tobytes(), []).append(i)
+    for rows in groups.values():
+        yield mask[rows[0]], np.array(rows)
+
+
 # --- Reference full simplex sweep ------------------------------------------
 # enumerate_rest_points as it was before it swept only the face where rest
 # points can lie: every node of the grid is solved. Kept verbatim, on the
@@ -806,13 +844,12 @@ def reference_enumerate_rest_points(
         used_tol = 1e-9 * demand
     true_idx = model.state_index(true_state)
 
-    edge_bits = _edge_bits(network.n_edges)
     clusters: dict[int, _ClusterAccumulator] = {}
     n_nodes = 0
     n_passing = 0
     max_gap = 0.0
 
-    for thetas in _simplex_grid_chunks(n_states, grid_n, chunk_size):
+    for thetas in reference_simplex_grid_chunks(n_states, grid_n, chunk_size):
         n_nodes += len(thetas)
         loads, gaps = solve_wardrop_batch(
             network, model, thetas, demand, tol=solver_tol
@@ -826,12 +863,12 @@ def reference_enumerate_rest_points(
             continue
         th_pass = thetas[passing]
         ld_pass = loads[passing]
-        keys = (ld_pass > used_tol) @ edge_bits
-        for key in np.unique(keys):
-            sel = keys == key
-            acc = clusters.get(int(key))
+        keys = [sum(1 << int(i) for i in np.flatnonzero(u)) for u in ld_pass > used_tol]
+        for key in sorted(set(keys)):
+            sel = np.array([k == key for k in keys])
+            acc = clusters.get(key)
             if acc is None:
-                acc = clusters[int(key)] = _ClusterAccumulator(
+                acc = clusters[key] = _ClusterAccumulator(
                     n_states, network.n_edges
                 )
             acc.add(th_pass[sel], ld_pass[sel])

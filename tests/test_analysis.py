@@ -42,6 +42,7 @@ from oracles import (
     reference_complete_learning_conditions,
     reference_distinguishable_states,
     reference_rest_point_passes,
+    reference_simplex_grid_chunks,
     wheatstone_network,
     wheatstone_poly_payload,
 )
@@ -251,6 +252,49 @@ class TestEnumerateRestPoints:
         net = Network(["a"], [["a"]])
         with pytest.raises(ValueError):
             enumerate_rest_points(net, big, "s0", 10, 1.0)
+
+
+class TestManyEdges:
+    """Used-edge sets are keyed with no limit on the number of edges."""
+
+    def parallel_edges(self, n_edges: int):
+        # truth: e64 and e65 cost 1 + w, every other edge 100 + w; state x
+        # moves e65 to 10 + w. Mass 1/9 or more on x leaves e65 unused, and
+        # then x cannot be told from the truth
+        edges = [f"e{i}" for i in range(n_edges)]
+        fns = {}
+        for e in edges:
+            base = 1.0 if e in ("e64", "e65") else 100.0
+            fns[(e, "truth")] = CostFunction.affine(1.0, base)
+            fns[(e, "x")] = CostFunction.affine(1.0, 10.0 if e == "e65" else base)
+        model = CostModel(edges, ["truth", "x"], fns, np.eye(n_edges))
+        return Network(edges, [[e] for e in edges]), model
+
+    def test_families_that_differ_past_edge_63(self):
+        net, model = self.parallel_edges(70)
+        report = enumerate_rest_points(net, model, "truth", 4, 1.0)
+        assert [(f.used, f.support) for f in report.families] == [
+            (("e64", "e65"), ("truth",)),
+            (("e64",), ("truth", "x")),
+        ]
+        assert np.allclose(report.families[0].loads[64:66], [0.5, 0.5], atol=1e-12)
+        assert np.allclose(report.families[1].loads[64:66], [1.0, 0.0], atol=1e-12)
+        partial = report.families[1]
+        assert partial.refined
+        assert partial.thresholds["x"] == pytest.approx((1 / 9, 1.0), abs=1e-6)
+        assert all(f.check.ok for f in report.families)
+
+
+class TestSimplexGrid:
+    @pytest.mark.parametrize("n_states", range(1, 7))
+    def test_chunks_equal_the_itertools_grid(self, n_states):
+        for grid_n in (1, 2, 5, 9):
+            for chunk_size in (1, 4, 13, 10**6):
+                got = list(analysis._simplex_grid_chunks(n_states, grid_n, chunk_size))
+                want = list(reference_simplex_grid_chunks(n_states, grid_n, chunk_size))
+                assert len(got) == len(want)
+                for a, b in zip(got, want):
+                    assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 class TestAverageCostComparison:

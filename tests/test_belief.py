@@ -135,6 +135,17 @@ class TestBayesUpdate:
             assert post.probs[1] == 0.0
             theta = post
 
+    def test_state_underflowed_to_zero_stays_zero(self):
+        # a state 995 noise units from the observed cost gets the weight
+        # exp(-495,012.5), exactly 0.0; no later evidence can bring it back,
+        # and every posterior stays a valid belief
+        model = make_model([(5.0,), (1000.0,)])
+        post = Belief([0.5, 0.5])
+        for cost in (5.0, 1000.0, 600.0):
+            obs = Observation(("E0",), np.array([0.0]), np.array([cost]))
+            post = bayes_update(post, model, obs)
+            assert post.probs.tolist() == [1.0, 0.0]
+
     def test_posterior_is_valid_belief_randomized(self):
         rng = np.random.default_rng(29)
         for _ in range(50):

@@ -8,9 +8,9 @@ from routelearn import (
     NetworkError,
     is_series_parallel,
 )
-from routelearn.graph import underlying_graph, used_edges
+from routelearn.graph import row_groups, underlying_graph, used_edges
 
-from oracles import wheatstone_network
+from oracles import reference_row_groups, wheatstone_network
 
 
 @pytest.fixture
@@ -145,3 +145,26 @@ class TestSeriesParallel:
                 new_edges = [renames[e] for e in edges]
                 new_routes = [[renames[e] for e in r] for r in routes]
                 assert is_series_parallel(Network(new_edges, new_routes)) == base
+
+
+class TestRowGroups:
+    @pytest.mark.parametrize(
+        "n_rows, n_cols, p",
+        [(0, 3, 0.5), (1, 2, 0.5), (40, 1, 0.5), (300, 3, 0.5), (500, 9, 0.3), (200, 70, 0.5),
+         (300, 130, 0.01), (50, 64, 0.0)],
+    )
+    def test_matches_dict_grouping(self, n_rows, n_cols, p):
+        # same groups, in order of first appearance, rows in increasing order
+        mask = np.random.default_rng(n_cols).random((n_rows, n_cols)) < p
+        got = list(row_groups(mask))
+        want = list(reference_row_groups(mask))
+        assert len(got) == len(want)
+        for (pattern, rows), (ref_pattern, ref_rows) in zip(got, want):
+            assert np.array_equal(pattern, ref_pattern)
+            assert np.array_equal(rows, ref_rows)
+
+    def test_patterns_beyond_64_columns_stay_apart(self):
+        # rows that differ only in columns 64 and up form groups of their own
+        mask = np.zeros((4, 70), dtype=bool)
+        mask[1, 64] = mask[2, 69] = mask[3, 64] = True
+        assert [rows.tolist() for _, rows in row_groups(mask)] == [[0], [1, 3], [2]]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -234,11 +235,29 @@ class TestValidation:
             ("convergence.max_stages", float("nan")),
             ("convergence.max_stages", 5000.5),
             ("convergence.max_stages", True),
+            ("costs[0].params.coefficients[1]", 10**400),
+            ("costs[0].params.coefficients[1]", "x"),
+            ("costs[0].params.coefficients[1]", True),
+            ("costs[0].params.coefficients[0]", float("inf")),
+            ("costs[1].params.slope", True),
+            ("tolerances.used_edge", "abc"),
+            ("tolerances.used_edge", True),
+            ("tolerances.used_edge", 10**400),
+            ("sigma[0][0]", 10**400),
+            ("sigma[0][0]", "1"),
+            ("sigma[2]", 1.0),
+            ("initial_belief[0]", "0.25"),
+            ("initial_belief[3]", float("nan")),
         ],
     )
-    def test_non_finite_and_non_integer_rejected_naming_the_field(self, three_edge, field, value):
+    def test_non_finite_and_non_integer_rejected_naming_the_field(
+        self, three_edge, tmp_path, capsys, field, value
+    ):
+        # every case starts from the three-edge payload with its first cost
+        # entry written as a polynomial
         payload = scenario_to_dict(three_edge)
-        *parents, key = field.split(".")
+        payload["costs"][0].update(form="polynomial", params={"coefficients": [5.0, 3.0]})
+        *parents, key = [int(k) if k.isdigit() else k for k in re.findall(r"[^.\[\]]+", field)]
         target = payload
         for name in parents:
             target = target[name]
@@ -246,6 +265,11 @@ class TestValidation:
         with pytest.raises(ScenarioError) as exc:
             scenario_from_dict(payload)
         assert exc.value.path == field
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        argv = ["enumerate", "--scenario", str(path), "--grid-n", "2", "--out-dir", str(tmp_path)]
+        assert main(argv) == 2
+        assert f"validation error: {field}:" in capsys.readouterr().err
 
     def test_integral_floats_are_counts(self, three_edge):
         payload = scenario_to_dict(three_edge)
