@@ -2,10 +2,12 @@
 
 The potential minimized is the sum over edges of the integral of the
 belief-weighted cost, so its minimizers are exactly the equilibria and the
-duality gap provides a no-better-route certificate. For affine mixtures the
-solver finishes with an equal-cost polish on the active route set, which
-pins interior solutions to machine precision and leaves unused routes at
-exactly zero flow.
+duality gap provides a no-better-route certificate. Every row also tries a
+Newton polish on its active route set (Bertsekas & Gafni 1982), which
+solves the equal-cost system with costs linearized at the current loads
+(exactly, in one step, for affine mixtures). It pins interior solutions to
+machine precision and leaves unused routes at exactly zero flow, which
+Frank-Wolfe alone reaches only at O(1/k).
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .graph import Network, row_groups
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 100_000
 _TINY = np.finfo(float).tiny
+_NEWTON_STEPS = 8  # per polish; Frank-Wolfe goes on for rows it leaves uncertified
 
 
 @dataclass(frozen=True)
@@ -137,65 +140,95 @@ def _line_search(
 def _face_polish(
     inc: np.ndarray, coef: np.ndarray, demand: float, q: np.ndarray, rmin: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Equalize expected costs on each row's active route set (affine mixtures).
+    """Newton on the equal-cost system of each row's active route set.
 
-    Solves the equal-cost linear system restricted to the row's positive
-    routes plus its cheapest one, dropping negative flows active-set style;
-    rows with the same active set share one stacked solve. Returns the
-    polished flows and a mask of the rows whose polished flows satisfy the
-    equilibrium conditions to near machine precision.
+    The active set is the row's positive routes plus its cheapest one. A
+    Newton step solves the equal-cost linear system on that set with each
+    edge cost linearized at the current loads, intercept c(w) - c'(w) w and
+    slope c'(w), dropping negative flows active-set style; rows with the
+    same active set share one stacked solve. Affine rows take their own
+    coefficients, so one step solves their system exactly and is all they
+    take. A row whose new flows pass the equal-cost and no-cheaper-route
+    test on the true costs is certified and leaves; the others step again
+    from those flows, with the cheapest route at them added to the set, at
+    most `_NEWTON_STEPS` times. Returns the flows, polished on the rows
+    the returned mask certifies.
     """
     n, n_routes = q.shape
-    active = q > 1e-12 * demand
+    affine = ~coef[2:].any(axis=(0, 2))
+    flows = q.copy()  # each row's current flows, certified ones at the end
+    active = flows > 1e-12 * demand
     active[np.arange(n), rmin] = True
-    polished = np.zeros(q.shape)
+    # affine rows keep their own coefficients, their exact linearization
+    icpt, slope = coef[0].copy(), coef[1].copy()
+    dcoef = coef[1:] * np.arange(1, len(coef))[:, None, None]  # c', degree-major
     ok = np.zeros(n, dtype=bool)
-    pending = np.arange(n)
-    while pending.size:
-        retry = []
-        for pattern, sub in row_groups(active[pending]):
-            rows = pending[sub]
-            routes = pattern.nonzero()[0]
-            k = len(routes)
-            if k == 1:
-                sol = np.full((len(rows), 1), demand)
-            else:
-                # each active route's cost minus the last one's, then the demand
-                route_slope = inc.T @ (coef[1, rows][:, :, None] * inc)
-                s = route_slope[:, routes[:, None], routes]
-                m = s - s[:, -1:]
-                m[:, -1] = 1.0
-                f = np.matvec(inc.T, coef[0, rows])[:, routes]
-                rhs = f[:, -1:] - f
-                rhs[:, -1] = demand
-                try:
-                    sol = np.linalg.solve(m, rhs[:, :, None])[:, :, 0]
-                except np.linalg.LinAlgError:
-                    sol = _solve_each(m, rhs)
-                    solved = ~np.isnan(sol).all(axis=1)
-                    rows, sol = rows[solved], sol[solved]
-                drop = ~(np.minimum.reduce(sol, axis=1) >= -1e-12 * demand)
-                if drop.any():
-                    active[rows[drop], routes[np.argmin(sol[drop], axis=1)]] = False
-                    retry.append(rows[drop])
-                    rows, sol = rows[~drop], sol[~drop]
+    passed = np.zeros(n, dtype=bool)  # the current flows pass the cost test
+    live, lin = np.arange(n), (~affine).nonzero()[0]
+    for _ in range(_NEWTON_STEPS):
+        if lin.size:
+            w = np.matvec(inc, flows[lin])
+            slope[lin] = polyval_ascending(dcoef[:, lin], w, axis=0)
+            icpt[lin] = polyval_ascending(coef[:, lin], w, axis=0) - slope[lin] * w
+        again = []
+        pending = live
+        while pending.size:
+            retry = []
+            for pattern, sub in row_groups(active[pending]):
+                rows = pending[sub]
+                routes = pattern.nonzero()[0]
+                k = len(routes)
+                if k == 1:
+                    sol = np.full((len(rows), 1), demand)
+                else:
+                    # each active route's cost minus the last one's, then the demand
+                    route_slope = inc.T @ (slope[rows][:, :, None] * inc)
+                    s = route_slope[:, routes[:, None], routes]
+                    m = s - s[:, -1:]
+                    m[:, -1] = 1.0
+                    f = np.matvec(inc.T, icpt[rows])[:, routes]
+                    rhs = f[:, -1:] - f
+                    rhs[:, -1] = demand
+                    try:
+                        sol = np.linalg.solve(m, rhs[:, :, None])[:, :, 0]
+                    except np.linalg.LinAlgError:
+                        sol = _solve_each(m, rhs)
+                        solved = ~np.isnan(sol).all(axis=1)
+                        rows, sol = rows[solved], sol[solved]
+                    drop = ~(np.minimum.reduce(sol, axis=1) >= -1e-12 * demand)
+                    if drop.any():
+                        active[rows[drop], routes[np.argmin(sol[drop], axis=1)]] = False
+                        retry.append(rows[drop])
+                        rows, sol = rows[~drop], sol[~drop]
 
-            cand = np.zeros((len(rows), n_routes))
-            cand[:, routes] = np.maximum(sol, 0.0)
-            top = routes[np.argmax(sol, axis=1)]
-            cand[np.arange(len(rows)), top] += demand - np.add.reduce(cand, axis=1)
-            t = np.matvec(inc.T, polyval_ascending(coef[:, rows], np.matvec(inc, cand), axis=0))
-            on = t[:, routes]
-            common = np.add.reduce(on, axis=1) / k
-            scale = 1e-9 * (1.0 + np.abs(common))
-            bad = np.minimum.reduce(t, axis=1) < common - scale
-            if k > 1:
-                bad |= np.maximum.reduce(np.abs(on - common[:, None]), axis=1) > scale
-            good = ~bad
-            polished[rows[good]] = cand[good]
-            ok[rows[good]] = True
-        pending = np.concatenate(retry) if retry else pending[:0]
-    return polished, ok
+                cand = np.zeros((len(rows), n_routes))
+                cand[:, routes] = np.maximum(sol, 0.0)
+                top = routes[np.argmax(sol, axis=1)]
+                cand[np.arange(len(rows)), top] += demand - np.add.reduce(cand, axis=1)
+                t = np.matvec(inc.T, polyval_ascending(coef[:, rows], np.matvec(inc, cand), axis=0))
+                on = t[:, routes]
+                common = np.add.reduce(on, axis=1) / k
+                scale = 1e-9 * (1.0 + np.abs(common))
+                bad = np.minimum.reduce(t, axis=1) < common - scale
+                if k > 1:
+                    bad |= np.maximum.reduce(np.abs(on - common[:, None]), axis=1) > scale
+                # a step from flows that pass is exact to rounding
+                good = ~bad & (affine[rows] | passed[rows])
+                passed[rows] = ~bad
+                flows[rows[good]] = cand[good]
+                ok[rows[good]] = True
+                step = ~good & ~affine[rows]
+                if step.any():
+                    rows, cand = rows[step], cand[step]
+                    flows[rows] = cand
+                    active[rows] = cand > 1e-12 * demand
+                    active[rows, np.argmin(t[step], axis=1)] = True
+                    again.append(rows)
+            pending = np.concatenate(retry) if retry else pending[:0]
+        if not again:
+            break
+        live = lin = np.concatenate(again)
+    return flows, ok
 
 
 def _solve_each(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -226,10 +259,10 @@ def solve_wardrop_block(
     no-better-route certificate falls below `tol`. A row that stops leaves
     the iteration, so every row gets the result it would get alone. Ties in
     the cheapest route go to the lowest index so runs are deterministic.
-    Rows whose mixed costs are affine try the equal-cost polish at
-    iterations 1, 2, 4, 8, ... and stop with its flows once it certifies
-    them; the others finish with it. Rows that do not converge are reported
-    in `converged`, not raised.
+    Every row tries the Newton face polish at iterations 1, 2, 4, 8, ...
+    and stops with its flows once it certifies them; a row that stops
+    elsewhere gets a final polish. Rows that do not converge are reported in
+    `converged`, not raised.
     """
     if demand <= 0:
         raise ValueError("demand must be positive")
@@ -264,7 +297,7 @@ def solve_wardrop_block(
     rmin = np.zeros(n, dtype=np.intp)
     n_iter = np.full(n, max_iter, dtype=np.intp)
     converged = np.zeros(n, dtype=bool)
-    polished = np.zeros(n, dtype=bool)  # certified by a polish inside the loop
+    polished = np.zeros(n, dtype=bool)  # polished at the iterate the row stops at
 
     # The loop works on the rows still iterating; a row that stops leaves.
     live = np.arange(n)
@@ -292,15 +325,13 @@ def solve_wardrop_block(
         done = (rel_gap <= tol) | (worst <= tol * np.maximum(1.0, t_min))
         if not it & (it - 1):
             # A route that carries no flow at equilibrium drains only at
-            # O(1/k), so affine rows try the polish at every power of two
-            # and stop with the flows it certifies. Rows that stop now
-            # anyway get their final polish here too.
-            trial = affine[live].nonzero()[0]
-            if trial.size:
-                flows, ok = _face_polish(inc, cl[:, trial], demand, ql[trial], rm[trial])
-                ql[trial[ok]] = flows[ok]
-                done[trial[ok]] = True
-                polished[live[trial[ok]]] = True
+            # O(1/k), so rows try the polish at every power of two and stop
+            # with the flows it certifies. Rows that stop now anyway have
+            # had their final polish.
+            flows, ok = _face_polish(inc, cl, demand, ql, rm)
+            ql[ok] = flows[ok]
+            done |= ok
+            polished[live[done]] = True
         if done.any():
             fin = live[done]
             q[fin], rmin[fin], best_lb[fin], n_iter[fin] = ql[done], rm[done], lb[done], it
@@ -320,7 +351,7 @@ def solve_wardrop_block(
     else:
         q[live], rmin[live], best_lb[live] = ql, rm, lb
 
-    final = affine & ~polished
+    final = ~polished
     if final.any():
         rows = slice(None) if final.all() else final.nonzero()[0]
         flows, ok = _face_polish(inc, coef[:, rows], demand, q[rows], rmin[rows])
@@ -391,11 +422,10 @@ def complete_info_equilibrium(
 def solve_wardrop_batch(
     network: Network, model: CostModel, thetas: np.ndarray, demand: float, *,
     tol: float = 1e-10, max_iter: int = 300,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Edge loads and relative gaps of many beliefs, for dense simplex sweeps.
+) -> EquilibriumBlock:
+    """Equilibria of many beliefs, for dense simplex sweeps.
 
     The block solver capped at `max_iter` iterations; a row that does not
-    converge is reported by its gap, not raised.
+    converge is flagged in `converged`, not raised.
     """
-    eq = solve_wardrop_block(network, model, thetas, demand, tol=tol, max_iter=max_iter)
-    return eq.edge_loads, eq.gap
+    return solve_wardrop_block(network, model, thetas, demand, tol=tol, max_iter=max_iter)

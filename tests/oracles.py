@@ -9,19 +9,27 @@ loop that the index-mask kernel replaced, and the reference sweep at the
 end solves every node of the simplex grid where the package solves only
 the face rest points can lie on. The reference grid generator and row
 grouping are the itertools and dict loops that numpy replaced. All are
-kept as the slow paths the package is checked against.
+kept as the slow paths the package is checked against. The exact
+equilibrium solve is scipy.optimize.root on the equal-cost system of the
+reference loop's active route set, certified at 1e-12, for comparisons the
+reference loop's 1e-8 gap is too coarse for.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
+import importlib.util
 import itertools
+import sys
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.optimize import root
 
 from routelearn.analysis import (
     RestPointFamily,
@@ -48,7 +56,7 @@ from routelearn.equilibrium import (
     EquilibriumResult,
     complete_info_equilibrium,
     solve_wardrop,
-    solve_wardrop_batch,
+    solve_wardrop_block,
 )
 from routelearn.errors import BeliefError, SolverError
 from routelearn.graph import Network, used_edges
@@ -347,6 +355,30 @@ def wheatstone_poly_payload() -> dict:
     }
 
 
+@functools.cache
+def bench_reference():
+    """The benchmark's reference module, bench/reference.py, loaded by path."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("bench_reference", path)
+    reference = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = reference  # its dataclasses look their module up
+    spec.loader.exec_module(reference)
+    return reference
+
+
+def wheatstone_drain_table():
+    """The benchmark's Wheatstone table (a `bench_reference().Table`) with the bridge at 3.8 + 0.5 w.
+
+    The zig-zag route then costs 7.8 at free flow against 8 for the outer
+    routes, so solves start on it, yet it carries no flow at any point-mass
+    equilibrium: Frank-Wolfe alone drains it only at O(1/k).
+    """
+    table = bench_reference().wheatstone_table()
+    coeffs = table.coeffs.copy()
+    coeffs[table.edges.index("e5"), :, 0] = 3.8
+    return dataclasses.replace(table, name="wheatstone-drain", coeffs=coeffs)
+
+
 # --- Reference per-seed stage loop -----------------------------------------
 # The stage loop as it was before seeds advanced in lockstep blocks: one
 # scalar Frank-Wolfe solve, one triangular solve and one Bayes update per
@@ -555,6 +587,63 @@ def reference_solve_wardrop(
     return result
 
 
+def exact_solve_wardrop(
+    network: Network, model: CostModel, theta: Belief, demand: float, **_
+) -> EquilibriumResult:
+    """Equilibrium accurate to rounding, for any cost form.
+
+    The reference Frank-Wolfe loop (at most 2,000 iterations) guesses the
+    active route set, and scipy.optimize.root solves that set's equal-cost
+    system. A negative flow drops its route and an unused route cheaper
+    than the used ones joins, until `verify_equilibrium` certifies the flows
+    at 1e-12; no certified set raises AssertionError. Accepts and ignores
+    the solver keywords, so it can stand in for `reference_solve_wardrop`.
+    """
+    try:
+        guess = reference_solve_wardrop(network, model, theta, demand, max_iter=2000)
+    except SolverError as err:
+        guess = err.best
+    inc = network.incidence
+    mixed = _mixed(model, theta)
+    slopes = mixed[:, 1:] * np.arange(1, mixed.shape[1])
+    active = sorted(np.flatnonzero(guess.route_flows > 1e-9 * demand))
+    for _ in range(4 * network.n_routes):
+        sub = inc[:, active]
+
+        def equal_costs(f):
+            t = sub.T @ polyval_ascending(mixed, sub @ f)
+            return np.append(t[:-1] - t[-1], f.sum() - demand)
+
+        def jacobian(f):
+            j = sub.T @ (polyval_ascending(slopes, sub @ f)[:, None] * sub)
+            return np.vstack([j[:-1] - j[-1], np.ones(len(active))])
+
+        start = np.maximum(guess.route_flows[active], 0.0) + 1e-3 * demand
+        sol = root(equal_costs, start * demand / start.sum(), jac=jacobian, tol=1e-15)
+        if sol.x.min() < 0.0:
+            active.pop(int(np.argmin(sol.x)))
+            continue
+        q = np.zeros(network.n_routes)
+        q[active] = sol.x
+        cert = verify_equilibrium(network, model, theta, q, tol=1e-12)
+        if cert.ok:
+            w = inc @ q
+            t = cert.route_costs
+            phi = float(polyint_ascending(mixed, w).sum())
+            return EquilibriumResult(
+                route_flows=q,
+                edge_loads=w,
+                gap=float((t @ q - t.min() * demand) / phi),
+                route_costs=t,
+                n_iterations=guess.n_iterations,
+                potential=phi,
+            )
+        cheapest = int(np.argmin(cert.route_costs))
+        assert cheapest not in active, f"worst violation {cert.worst_violation:.3e}"
+        active = sorted([*active, cheapest])
+    raise AssertionError("no active route set was certified")
+
+
 def reference_log_likelihoods(model: CostModel, obs: Observation) -> np.ndarray:
     """Log density of the observation under every state, shape (n_states,).
 
@@ -597,9 +686,14 @@ def reference_bayes_update(theta: Belief, model: CostModel, obs: Observation) ->
     return Belief(out)
 
 
-def reference_step(scenario, belief: Belief, sampler: NoiseSampler, stage: int) -> ReferenceStage:
-    """Play one stage: equilibrium at the belief, noisy costs, Bayes update."""
-    eq = reference_solve_wardrop(
+def reference_step(
+    scenario, belief: Belief, sampler: NoiseSampler, stage: int, solve=None
+) -> ReferenceStage:
+    """Play one stage: equilibrium at the belief, noisy costs, Bayes update.
+
+    `solve` defaults to `reference_solve_wardrop`.
+    """
+    eq = (solve or reference_solve_wardrop)(
         scenario.network,
         scenario.model,
         belief,
@@ -620,8 +714,12 @@ def reference_run(
     max_stages: int | None = None,
     window: int | None = None,
     delta: float | None = None,
+    solve=None,
 ) -> tuple[list[ReferenceStage], str]:
     """Run the learning dynamics until the stopping window triggers.
+
+    Each stage's equilibrium comes from `solve`, by default
+    `reference_solve_wardrop`.
 
     The process itself never stops, so a trajectory is declared converged
     once both the belief and the load have moved less than delta (delta *
@@ -650,7 +748,7 @@ def reference_run(
     prev_loads: np.ndarray | None = None
 
     for k in range(1, cap + 1):
-        rec = reference_step(scenario, theta, sampler, k)
+        rec = reference_step(scenario, theta, sampler, k, solve)
         if prev_post is not None:
             diffs.append(
                 (
@@ -831,7 +929,8 @@ def reference_enumerate_rest_points(
 
     Evaluates the rest-point predicate at every grid node theta with
     components k/grid_n (equilibrium solved for all nodes in vectorized
-    batches), clusters passing nodes by their used-edge set, and for
+    batches at the default iteration cap, raising SolverError for a node
+    that does not converge), clusters passing nodes by their used-edge set, and for
     families supported on exactly two states refines the boundary of the
     belief range by bisection down to `refine_tol`.
     """
@@ -851,9 +950,9 @@ def reference_enumerate_rest_points(
 
     for thetas in reference_simplex_grid_chunks(n_states, grid_n, chunk_size):
         n_nodes += len(thetas)
-        loads, gaps = solve_wardrop_batch(
-            network, model, thetas, demand, tol=solver_tol
-        )
+        eq = solve_wardrop_block(network, model, thetas, demand, tol=solver_tol)
+        eq.raise_unconverged()
+        loads, gaps = eq.edge_loads, eq.gap
         max_gap = max(max_gap, float(gaps.max()))
         dist = _distinguishable(model, true_idx, loads, cost_tol, used_tol)
         residual = (thetas * dist).sum(axis=1)

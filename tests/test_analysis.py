@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import dataclasses
-import importlib.util
 import math
 import os
 import subprocess
@@ -37,6 +36,7 @@ from routelearn.equilibrium import complete_info_equilibrium, solve_wardrop
 from routelearn.errors import SolverError
 
 from oracles import (
+    bench_reference,
     random_multi_route_instance,
     reference_enumerate_rest_points,
     reference_complete_learning_conditions,
@@ -615,6 +615,60 @@ class TestConditionExitCodes:
         assert main(argv) == code
 
 
+class TestCappedSweepRows:
+    """A sweep row that stops at the 300-iteration cap is solved again, not classified."""
+
+    @staticmethod
+    def capped(monkeypatch) -> list:
+        """Flag every other sweep row as stopped at the cap, with loads of zero.
+
+        Returns the list that collects the flagged rows of each sweep block.
+        """
+        real = analysis.solve_wardrop_batch
+        stopped = []
+
+        def flagged(network, model, thetas, demand, **kw):
+            eq = real(network, model, thetas, demand, **kw)
+            stop = np.arange(len(thetas)) % 2 == 0
+            stopped.append(thetas[stop])
+            loads = np.where(stop[:, None], 0.0, eq.edge_loads)
+            return dataclasses.replace(eq, edge_loads=loads, converged=eq.converged & ~stop)
+
+        monkeypatch.setattr(analysis, "solve_wardrop_batch", flagged)
+        return stopped
+
+    def test_capped_rows_are_solved_again(self, three_edge, monkeypatch):
+        args = (three_edge.network, three_edge.model, "none", 20, 1.0)
+        want = enumerate_rest_points(*args, used_tol=three_edge.used_edge_tol)
+        self.capped(monkeypatch)
+        got = enumerate_rest_points(*args, used_tol=three_edge.used_edge_tol)
+        assert (got.n_nodes, got.n_passing, got.max_solver_gap) == (
+            want.n_nodes, want.n_passing, want.max_solver_gap,
+        )
+        assert [_family_fields(f) for f in got.families] == [
+            _family_fields(f) for f in want.families
+        ]
+
+    def test_row_that_fails_again_raises(self, three_edge, tmp_path, monkeypatch):
+        stopped = self.capped(monkeypatch)
+        real = analysis.solve_wardrop_block
+        solved = []
+
+        def never(network, model, thetas, demand, **kw):
+            solved.append(thetas)
+            eq = real(network, model, thetas, demand, **kw)
+            return dataclasses.replace(eq, converged=np.zeros(len(thetas), dtype=bool))
+
+        monkeypatch.setattr(analysis, "solve_wardrop_block", never)
+        with pytest.raises(SolverError, match="no convergence"):
+            enumerate_rest_points(three_edge.network, three_edge.model, "none", 20, 1.0)
+        # the re-solve of the first block's flagged rows raised, before any refinement
+        assert len(stopped) == len(solved) == 1
+        assert np.array_equal(solved[0], stopped[0])
+        argv = ["enumerate", "--scenario", "three-edge", "--grid-n", "5", "--out-dir", str(tmp_path)]
+        assert main(argv) == 3
+
+
 def _face_case(rng):
     """Small network and a table built around its truth, for the face sweep.
 
@@ -717,12 +771,7 @@ class TestFaceSweep:
 
 def _bench_wheatstone():
     """The benchmark's Wheatstone table (bench/reference.py), as a scenario."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "reference.py"
-    spec = importlib.util.spec_from_file_location("bench_reference", path)
-    reference = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = reference  # its dataclasses look their module up
-    spec.loader.exec_module(reference)
-    return scenario_from_dict(reference.wheatstone_table().to_scenario())
+    return scenario_from_dict(bench_reference().wheatstone_table().to_scenario())
 
 
 def _face_labels(sc, grid_n=200, **kw):

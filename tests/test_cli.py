@@ -7,6 +7,8 @@ import pytest
 from routelearn import SolverError, load_scenario, scenario_to_dict
 from routelearn.cli import main
 
+from oracles import wheatstone_drain_table
+
 
 def read_json(path):
     return json.loads(path.read_text())
@@ -227,6 +229,17 @@ class TestCheck:
         conds = payload["complete_learning_conditions"]
         assert conds["state_independent_free_flow"] is True
         assert conds["any_holds"] is True
+
+
+class TestDrainTable:
+    def test_check_exits_0(self, tmp_path):
+        # Frank-Wolfe alone ran this check to its 100,000-iteration cap and exit 3
+        path = tmp_path / "drain.json"
+        path.write_text(json.dumps(wheatstone_drain_table().to_scenario()))
+        argv = ["check", "--scenario", str(path), "--grid-n", "4", "--out-dir", str(tmp_path)]
+        assert main(argv) == 0
+        payload = read_json(tmp_path / "wheatstone-drain_check.json")
+        assert all(f["check"]["ok"] for f in payload["families"])
 
 
 class TestExitCodes:

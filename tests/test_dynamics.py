@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import routelearn.dynamics as dynamics
+import routelearn.equilibrium as equilibrium
 from routelearn import (
     BUILTIN_NAMES,
     CONVERGED,
@@ -23,7 +24,7 @@ from routelearn.belief import bayes_update, replay_posterior
 from routelearn.dynamics import NoiseSampler, realize_costs, run_block, step
 from routelearn.graph import used_edges
 
-from oracles import random_spd, reference_run, wheatstone_poly_payload
+from oracles import exact_solve_wardrop, random_spd, reference_run, wheatstone_poly_payload
 
 
 class TestNoiseSampler:
@@ -253,11 +254,12 @@ class TestLockstepBlocks:
         assert seen == set(seeds)
 
     def test_wheatstone_block_matches_reference_loop(self):
-        # degree-4 costs: the line search bisects, and the block sums in a
-        # different order than the scalar loop did, so agreement is to 1e-12
+        # degree-4 costs: the reference Frank-Wolfe stops at a gap of 1e-8,
+        # so the loop takes its equilibria from the exact equal-cost solve,
+        # and the block sums in another order, so agreement is to 1e-12
         scenario = scenario_from_dict(wheatstone_poly_payload())
         for traj in run_block(scenario, [0, 1]):
-            records, status = reference_run(scenario, traj.seed)
+            records, status = reference_run(scenario, traj.seed, solve=exact_solve_wardrop)
             assert traj.status == status
             assert traj.n_stages == len(records)
             loads = np.array([r.equilibrium.edge_loads for r in records])
@@ -304,6 +306,11 @@ class TestLockstepBlocks:
             assert np.array_equal(traj.costs, single.costs, equal_nan=True)
 
     def test_nonconvergence_names_seed_and_stage(self, monkeypatch):
+        # the polish would certify every stage at iteration 1; without it,
+        # two Frank-Wolfe iterations do not converge
+        monkeypatch.setattr(
+            equilibrium, "_face_polish", lambda inc, coef, demand, q, rmin: (q, np.zeros(len(q), bool))
+        )
         scenario = scenario_from_dict(wheatstone_poly_payload())
         short = functools.partial(dynamics.solve_wardrop_block, max_iter=2)
         monkeypatch.setattr(dynamics, "solve_wardrop_block", short)

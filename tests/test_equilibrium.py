@@ -20,23 +20,39 @@ from routelearn.equilibrium import (
 )
 
 from oracles import (
+    bench_reference,
     random_multi_route_instance,
     random_simplex,
     random_two_route_instance,
+    exact_solve_wardrop,
     reference_solve_wardrop,
     two_route_affine_loads,
     verify_equilibrium,
+    wheatstone_drain_table,
     wheatstone_network,
     wheatstone_poly_payload,
 )
 
 
+def _oracle(model, theta):
+    """The scalar reference loop for affine mixed costs, else the exact equal-cost solve.
+
+    The reference loop stops polynomial rows at a relative gap of `tol`,
+    which leaves their loads further than 1e-12 from the equilibrium.
+    """
+    affine = not model.mixed_coefficients_batch(np.asarray(theta)[None, :])[:, :, 2:].any()
+    return reference_solve_wardrop if affine else exact_solve_wardrop
+
+
 def _assert_matches_reference(net, model, theta, demand, loads):
-    """Batch loads against the scalar reference loop: 1e-12 on affine rows, else 1e-6."""
-    ref = reference_solve_wardrop(net, model, Belief(theta), demand, tol=1e-12)
-    affine = not model.mixed_coefficients_batch(theta[None, :])[:, :, 2:].any()
-    bound = 1e-12 if affine else 1e-6
-    assert np.max(np.abs(loads - ref.edge_loads)) <= bound * max(1.0, demand)
+    """Batch loads within 1e-12 of the oracle for the row's cost form."""
+    ref = _oracle(model, theta)(net, model, Belief(theta), demand, tol=1e-12)
+    assert np.max(np.abs(loads - ref.edge_loads)) <= 1e-12 * max(1.0, demand)
+
+
+def _certify_nothing(inc, coef, demand, q, rmin):
+    """A face polish that certifies no row, so only Frank-Wolfe can finish."""
+    return q, np.zeros(len(q), dtype=bool)
 
 
 class TestThreeEdgeScenario:
@@ -243,7 +259,8 @@ class TestSolverProperties:
                 thetas = np.array(
                     [random_simplex(rng, model.n_states) for _ in range(25)]
                 )
-                batch_loads, gaps = solve_wardrop_batch(net, model, thetas, demand)
+                eq = solve_wardrop_batch(net, model, thetas, demand)
+                batch_loads, gaps = eq.edge_loads, eq.gap
                 assert (gaps <= 1e-9).all()
                 for i in range(len(thetas)):
                     _assert_matches_reference(net, model, thetas[i], demand, batch_loads[i])
@@ -255,9 +272,10 @@ class TestSolverProperties:
         eq2 = solve_wardrop(three_edge.network, three_edge.model, theta, 1.0)
         assert np.array_equal(eq1.route_flows, eq2.route_flows)
 
-    def test_nonconvergence_reports_best_iterate(self):
-        # polynomial costs skip the equal-cost polish, and one iteration
+    def test_nonconvergence_reports_best_iterate(self, monkeypatch):
+        # with a polish that certifies nothing, one Frank-Wolfe iteration
         # cannot equalize three routes, so the best iterate is reported
+        monkeypatch.setattr(equilibrium, "_face_polish", _certify_nothing)
         net = Network(["a", "b", "c"], [["a"], ["b"], ["c"]])
         fns = {
             ("a", "s"): CostFunction.polynomial([1.0, 0.5, 0.3]),
@@ -330,7 +348,7 @@ class TestBlockSolver:
                 thetas = np.array([random_simplex(rng, model.n_states) for _ in range(6)])
                 block = solve_wardrop_block(net, model, thetas, demand)
                 for i, theta in enumerate(thetas):
-                    ref = reference_solve_wardrop(net, model, Belief(theta), demand)
+                    ref = _oracle(model, theta)(net, model, Belief(theta), demand)
                     assert np.max(np.abs(block.edge_loads[i] - ref.edge_loads)) <= 1e-12 * max(
                         1.0, demand
                     )
@@ -347,7 +365,8 @@ class TestBlockSolver:
 
     def test_mixed_affine_and_polynomial_rows(self):
         # a belief with no mass on the quadratic state has affine mixed costs
-        # and is polished; the other rows bisect in the same block
+        # and takes one exact polish step; the other rows take Newton steps in
+        # the same block
         net = wheatstone_network()
         fns = {}
         for i, e in enumerate(net.edge_ids):
@@ -357,10 +376,11 @@ class TestBlockSolver:
         thetas = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
         block = solve_wardrop_block(net, model, thetas, 1.0)
         for i, theta in enumerate(thetas):
-            ref = reference_solve_wardrop(net, model, Belief(theta), 1.0)
+            ref = _oracle(model, theta)(net, model, Belief(theta), 1.0)
             assert np.max(np.abs(block.edge_loads[i] - ref.edge_loads)) <= 1e-12
 
-    def test_nonconverged_rows_are_flagged_not_raised(self):
+    def test_nonconverged_rows_are_flagged_not_raised(self, monkeypatch):
+        monkeypatch.setattr(equilibrium, "_face_polish", _certify_nothing)
         scenario = scenario_from_dict(wheatstone_poly_payload())
         thetas = np.array([[0.25] * 4, [0.5, 0.5, 0.0, 0.0]])
         block = solve_wardrop_block(scenario.network, scenario.model, thetas, 1.0, max_iter=3)
@@ -379,9 +399,7 @@ class TestBlockSolver:
         model = CostModel(["a", "b"], ["s"], fns, np.eye(2))
         monkeypatch.setattr(equilibrium, "_line_search", lambda *args: np.ones(1))
         # a polish that certifies nothing, or it would end the solve at iteration 1
-        monkeypatch.setattr(
-            equilibrium, "_face_polish", lambda inc, coef, demand, q, rmin: (q, np.zeros(len(q), bool))
-        )
+        monkeypatch.setattr(equilibrium, "_face_polish", _certify_nothing)
         with pytest.raises(SolverError, match="potential increased at iteration 2") as info:
             solve_wardrop_block(net, model, np.array([[1.0]]), 1.0)
         assert info.value.row == 0
@@ -391,11 +409,31 @@ class TestBlockSolver:
             solve_wardrop_block(three_edge.network, three_edge.model, np.full((2, 3), 1 / 3), 1.0)
 
 
+class TestDrainTable:
+    """Point masses on the Wheatstone table whose free-flow-cheapest route carries no flow."""
+
+    def test_point_masses_are_certified_within_eight_iterations(self):
+        table = wheatstone_drain_table()
+        scenario = scenario_from_dict(table.to_scenario())
+        net, model = scenario.network, scenario.model
+        free_flow = net.incidence.T @ table.coeffs[:, :, 0]  # (routes, states)
+        assert (free_flow.argmin(axis=0) == 2).all()  # every solve starts on the zig-zag
+        thetas = np.eye(model.n_states)
+        block = solve_wardrop_block(net, model, thetas, scenario.demand)
+        assert block.converged.all()
+        for i, theta in enumerate(thetas):
+            eq = solve_wardrop(net, model, Belief(theta), scenario.demand)
+            assert eq.n_iterations == block.n_iterations[i] <= 8
+            assert eq.route_flows[2] == 0.0
+            slsqp = bench_reference().beckmann_loads(table, theta)
+            assert np.max(np.abs(eq.edge_loads - slsqp)) <= 1e-8
+            assert verify_equilibrium(net, model, Belief(theta), eq, tol=1e-12).ok
+
+
 class TestBatchSolverRows:
     def test_rows_equal_rows_solved_alone(self):
-        # converged rows freeze while slow rows keep iterating, so each row of
-        # a mixed batch equals the same row solved in a batch of its own; the
-        # belief (0.5, 0.5, 0, 0) needs the most iterations
+        # each row of a mixed batch equals the same row solved in a batch of
+        # its own; the Newton polish certifies every row at iteration 1
         scenario = scenario_from_dict(wheatstone_poly_payload())
         assert scenario.network.routes == wheatstone_network().routes
         thetas = np.array(
@@ -407,18 +445,19 @@ class TestBatchSolverRows:
                 [0.0, 0.0, 1.0, 0.0],
             ]
         )
-        loads, gaps = solve_wardrop_batch(scenario.network, scenario.model, thetas, 1.0)
+        eq = solve_wardrop_batch(scenario.network, scenario.model, thetas, 1.0)
         for i, theta in enumerate(thetas):
-            alone, gap = solve_wardrop_batch(scenario.network, scenario.model, theta[None, :], 1.0)
-            assert np.array_equal(loads[i], alone[0])
-            assert gaps[i] == gap[0]
-            _assert_matches_reference(scenario.network, scenario.model, theta, 1.0, loads[i])
+            alone = solve_wardrop_batch(scenario.network, scenario.model, theta[None, :], 1.0)
+            assert np.array_equal(eq.edge_loads[i], alone.edge_loads[0])
+            assert eq.gap[i] == alone.gap[0]
+            _assert_matches_reference(scenario.network, scenario.model, theta, 1.0, eq.edge_loads[i])
 
 
     @pytest.mark.parametrize("seed", range(6))
     def test_mixed_rows_equal_rows_solved_alone_in_any_order(self, seed):
-        # rows without mass on the quadratic state take the affine step even
-        # when their batch mates bisect, and no row's bits depend on its position
+        # rows without mass on the quadratic state take one exact polish step
+        # even when their batch mates take Newton steps, and no row's bits
+        # depend on its position
         rng = np.random.default_rng(seed)
         net, model, _, demand = random_multi_route_instance(rng)
         table = dict(model.table)
@@ -428,14 +467,14 @@ class TestBatchSolverRows:
         thetas = np.array([random_simplex(rng, model.n_states) for _ in range(16)])
         thetas[::2, -1] = 0.0
         thetas /= thetas.sum(axis=1, keepdims=True)
-        loads, gaps = solve_wardrop_batch(net, model, thetas, demand)
+        eq = solve_wardrop_batch(net, model, thetas, demand)
+        assert eq.converged.all()
         order = rng.permutation(len(thetas))
-        shuffled, shuffled_gaps = solve_wardrop_batch(net, model, thetas[order], demand)
-        assert np.array_equal(shuffled, loads[order])
-        assert np.array_equal(shuffled_gaps, gaps[order])
+        shuffled = solve_wardrop_batch(net, model, thetas[order], demand)
+        assert np.array_equal(shuffled.edge_loads, eq.edge_loads[order])
+        assert np.array_equal(shuffled.gap, eq.gap[order])
         for i, theta in enumerate(thetas):
-            alone, gap = solve_wardrop_batch(net, model, theta[None, :], demand)
-            assert np.array_equal(loads[i], alone[0])
-            assert gaps[i] == gap[0]
-            if gaps[i] <= 1e-10:  # a row that hits the 300-iteration cap is only reported
-                _assert_matches_reference(net, model, theta, demand, loads[i])
+            alone = solve_wardrop_batch(net, model, theta[None, :], demand)
+            assert np.array_equal(eq.edge_loads[i], alone.edge_loads[0])
+            assert eq.gap[i] == alone.gap[0]
+            _assert_matches_reference(net, model, theta, demand, eq.edge_loads[i])
