@@ -148,11 +148,14 @@ def _face_polish(
     slope c'(w), dropping negative flows active-set style; rows with the
     same active set share one stacked solve. Affine rows take their own
     coefficients, so one step solves their system exactly and is all they
-    take. A row whose new flows pass the equal-cost and no-cheaper-route
-    test on the true costs is certified and leaves; the others step again
-    from those flows, with the cheapest route at them added to the set, at
-    most `_NEWTON_STEPS` times. Returns the flows, polished on the rows
-    the returned mask certifies.
+    take; such a row is certified when its new flows pass the equal-cost
+    and no-cheaper-route test on the true costs. Other linearizations are
+    exact only to second order, so those rows are certified when a step
+    from flows that already pass passes again, which leaves them at
+    rounding level. Certified rows leave; the others step again from their
+    new flows, with the cheapest route at them added to the set, at most
+    `_NEWTON_STEPS` times. Returns the flows, polished on the rows the
+    returned mask certifies.
     """
     n, n_routes = q.shape
     affine = ~coef[2:].any(axis=(0, 2))
@@ -160,11 +163,13 @@ def _face_polish(
     active = flows > 1e-12 * demand
     active[np.arange(n), rmin] = True
     # affine rows keep their own coefficients, their exact linearization
-    icpt, slope = coef[0].copy(), coef[1].copy()
-    dcoef = coef[1:] * np.arange(1, len(coef))[:, None, None]  # c', degree-major
+    icpt, slope = coef[0], coef[1]
+    live, lin = np.arange(n), (~affine).nonzero()[0]
+    if lin.size:
+        icpt, slope = icpt.copy(), slope.copy()
+        dcoef = coef[1:] * np.arange(1, len(coef))[:, None, None]  # c', degree-major
     ok = np.zeros(n, dtype=bool)
     passed = np.zeros(n, dtype=bool)  # the current flows pass the cost test
-    live, lin = np.arange(n), (~affine).nonzero()[0]
     for _ in range(_NEWTON_STEPS):
         if lin.size:
             w = np.matvec(inc, flows[lin])
