@@ -21,10 +21,10 @@ from routelearn.equilibrium import (
 
 from oracles import (
     bench_reference,
+    exact_solve_wardrop,
     random_multi_route_instance,
     random_simplex,
     random_two_route_instance,
-    exact_solve_wardrop,
     reference_solve_wardrop,
     two_route_affine_loads,
     verify_equilibrium,
@@ -339,6 +339,27 @@ class TestBlockSolver:
                     assert np.array_equal(block.route_flows[i], eq.route_flows)
                     assert np.array_equal(block.edge_loads[i], eq.edge_loads)
                     assert block.n_iterations[i] == eq.n_iterations
+
+    def test_frank_wolfe_rows_equal_one_row_solves_bit_for_bit(self, monkeypatch):
+        # the polish certifies every polynomial row above at iteration 1; with
+        # one that certifies nothing, rows leave the loop at different
+        # iterations and polynomial rows bisect in the line search
+        monkeypatch.setattr(equilibrium, "_face_polish", _certify_nothing)
+        rng = np.random.default_rng(58)
+        stops, bisected = set(), 0
+        for _ in range(6):
+            net, model, _, demand = random_multi_route_instance(rng, max_degree=2)
+            thetas = np.array([random_simplex(rng, model.n_states) for _ in range(12)])
+            block = solve_wardrop_block(net, model, thetas, demand, max_iter=60)
+            stops |= set(block.n_iterations.tolist())
+            poly = model.mixed_coefficients_batch(thetas)[:, :, 2:].any(axis=(1, 2))
+            bisected += int((poly & (block.n_iterations > 1)).sum())
+            for i, theta in enumerate(thetas):
+                one = solve_wardrop_block(net, model, theta[None, :], demand, max_iter=60)
+                assert np.array_equal(block.route_flows[i], one.route_flows[0])
+                assert np.array_equal(block.gap[i], one.gap[0])
+                assert block.n_iterations[i] == one.n_iterations[0]
+        assert len(stops) > 2 and bisected > 0
 
     def test_matches_reference_solver(self):
         rng = np.random.default_rng(56)
