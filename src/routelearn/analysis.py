@@ -307,9 +307,7 @@ def enumerate_rest_points(
 
     Evaluates the rest-point predicate at the grid nodes theta with
     components k/grid_n (equilibrium solved in blocks of `chunk_size`
-    rows, at most 300 iterations each; a row that stops there is solved
-    again at the default cap, and SolverError is raised if it still does
-    not converge), clusters
+    rows, raising SolverError for a node that does not converge), clusters
     passing nodes by their used-edge set, and for families supported on
     exactly two states refines the boundary of the belief range by bisection
     down to `refine_tol`.
@@ -341,14 +339,8 @@ def enumerate_rest_points(
         thetas = np.zeros((len(face), n_states))
         thetas[:, keep] = face
         eq = solve_wardrop_batch(network, model, thetas, demand, tol=solver_tol)
+        eq.raise_unconverged()
         loads, gaps = eq.edge_loads, eq.gap
-        capped = ~eq.converged
-        if capped.any():
-            # no node is classified on loads that stopped at the cap
-            again = solve_wardrop_block(network, model, thetas[capped], demand, tol=solver_tol)
-            again.raise_unconverged()
-            loads, gaps = loads.copy(), gaps.copy()
-            loads[capped], gaps[capped] = again.edge_loads, again.gap
         max_gap = max(max_gap, float(gaps.max()))
         dist = _distinguishable(model, true_idx, loads, cost_tol, used_tol)
         residual = (thetas * dist).sum(axis=1)

@@ -426,11 +426,11 @@ def complete_info_equilibrium(
 
 def solve_wardrop_batch(
     network: Network, model: CostModel, thetas: np.ndarray, demand: float, *,
-    tol: float = 1e-10, max_iter: int = 300,
+    tol: float = 1e-10,
 ) -> EquilibriumBlock:
     """Equilibria of many beliefs, for dense simplex sweeps.
 
-    The block solver capped at `max_iter` iterations; a row that does not
-    converge is flagged in `converged`, not raised.
+    The block solver at the sweep's tolerance; a row that does not converge
+    is flagged in `converged`, not raised.
     """
-    return solve_wardrop_block(network, model, thetas, demand, tol=tol, max_iter=max_iter)
+    return solve_wardrop_block(network, model, thetas, demand, tol=tol)

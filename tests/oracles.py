@@ -12,7 +12,8 @@ grouping are the itertools and dict loops that numpy replaced. All are
 kept as the slow paths the package is checked against. The exact
 equilibrium solve is scipy.optimize.root on the equal-cost system of the
 reference loop's active route set, certified at 1e-12, for comparisons the
-reference loop's 1e-8 gap is too coarse for.
+reference loop's 1e-8 gap is too coarse for. `certify_nothing` stands in
+for the face polish where a test needs Frank-Wolfe alone.
 """
 
 from __future__ import annotations
@@ -585,6 +586,12 @@ def reference_solve_wardrop(
             best=result,
         )
     return result
+
+
+def certify_nothing(inc, coef, demand, q, rmin):
+    """A stand-in for `equilibrium._face_polish` that certifies no row, so
+    only Frank-Wolfe can finish."""
+    return q, np.zeros(len(q), dtype=bool)
 
 
 def exact_solve_wardrop(

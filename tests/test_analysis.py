@@ -615,56 +615,31 @@ class TestConditionExitCodes:
         assert main(argv) == code
 
 
-class TestCappedSweepRows:
-    """A sweep row that stops at the 300-iteration cap is solved again, not classified."""
+class TestUnconvergedSweepRows:
+    """A sweep row that does not converge raises; it is never classified."""
 
-    @staticmethod
-    def capped(monkeypatch) -> list:
-        """Flag every other sweep row as stopped at the cap, with loads of zero.
-
-        Returns the list that collects the flagged rows of each sweep block.
-        """
-        real = analysis.solve_wardrop_batch
-        stopped = []
+    def test_unconverged_row_raises(self, three_edge, tmp_path, monkeypatch):
+        real_batch, real_block = analysis.solve_wardrop_batch, analysis.solve_wardrop_block
+        swept, refined = [], []
 
         def flagged(network, model, thetas, demand, **kw):
-            eq = real(network, model, thetas, demand, **kw)
+            # every other row of a sweep block stops short, with loads of zero
+            swept.append(thetas)
+            eq = real_batch(network, model, thetas, demand, **kw)
             stop = np.arange(len(thetas)) % 2 == 0
-            stopped.append(thetas[stop])
             loads = np.where(stop[:, None], 0.0, eq.edge_loads)
             return dataclasses.replace(eq, edge_loads=loads, converged=eq.converged & ~stop)
 
+        def recording(network, model, thetas, demand, **kw):
+            refined.append(thetas)
+            return real_block(network, model, thetas, demand, **kw)
+
         monkeypatch.setattr(analysis, "solve_wardrop_batch", flagged)
-        return stopped
-
-    def test_capped_rows_are_solved_again(self, three_edge, monkeypatch):
-        args = (three_edge.network, three_edge.model, "none", 20, 1.0)
-        want = enumerate_rest_points(*args, used_tol=three_edge.used_edge_tol)
-        self.capped(monkeypatch)
-        got = enumerate_rest_points(*args, used_tol=three_edge.used_edge_tol)
-        assert (got.n_nodes, got.n_passing, got.max_solver_gap) == (
-            want.n_nodes, want.n_passing, want.max_solver_gap,
-        )
-        assert [_family_fields(f) for f in got.families] == [
-            _family_fields(f) for f in want.families
-        ]
-
-    def test_row_that_fails_again_raises(self, three_edge, tmp_path, monkeypatch):
-        stopped = self.capped(monkeypatch)
-        real = analysis.solve_wardrop_block
-        solved = []
-
-        def never(network, model, thetas, demand, **kw):
-            solved.append(thetas)
-            eq = real(network, model, thetas, demand, **kw)
-            return dataclasses.replace(eq, converged=np.zeros(len(thetas), dtype=bool))
-
-        monkeypatch.setattr(analysis, "solve_wardrop_block", never)
+        monkeypatch.setattr(analysis, "solve_wardrop_block", recording)
         with pytest.raises(SolverError, match="no convergence"):
             enumerate_rest_points(three_edge.network, three_edge.model, "none", 20, 1.0)
-        # the re-solve of the first block's flagged rows raised, before any refinement
-        assert len(stopped) == len(solved) == 1
-        assert np.array_equal(solved[0], stopped[0])
+        # the first sweep block raised, before any refinement
+        assert len(swept) == 1 and refined == []
         argv = ["enumerate", "--scenario", "three-edge", "--grid-n", "5", "--out-dir", str(tmp_path)]
         assert main(argv) == 3
 

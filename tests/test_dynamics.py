@@ -24,7 +24,13 @@ from routelearn.belief import bayes_update, replay_posterior
 from routelearn.dynamics import NoiseSampler, realize_costs, run_block, step
 from routelearn.graph import used_edges
 
-from oracles import exact_solve_wardrop, random_spd, reference_run, wheatstone_poly_payload
+from oracles import (
+    certify_nothing,
+    exact_solve_wardrop,
+    random_spd,
+    reference_run,
+    wheatstone_poly_payload,
+)
 
 
 class TestNoiseSampler:
@@ -308,9 +314,7 @@ class TestLockstepBlocks:
     def test_nonconvergence_names_seed_and_stage(self, monkeypatch):
         # the polish would certify every stage at iteration 1; without it,
         # two Frank-Wolfe iterations do not converge
-        monkeypatch.setattr(
-            equilibrium, "_face_polish", lambda inc, coef, demand, q, rmin: (q, np.zeros(len(q), bool))
-        )
+        monkeypatch.setattr(equilibrium, "_face_polish", certify_nothing)
         scenario = scenario_from_dict(wheatstone_poly_payload())
         short = functools.partial(dynamics.solve_wardrop_block, max_iter=2)
         monkeypatch.setattr(dynamics, "solve_wardrop_block", short)

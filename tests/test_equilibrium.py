@@ -21,6 +21,7 @@ from routelearn.equilibrium import (
 
 from oracles import (
     bench_reference,
+    certify_nothing,
     exact_solve_wardrop,
     random_multi_route_instance,
     random_simplex,
@@ -48,11 +49,6 @@ def _assert_matches_reference(net, model, theta, demand, loads):
     """Batch loads within 1e-12 of the oracle for the row's cost form."""
     ref = _oracle(model, theta)(net, model, Belief(theta), demand, tol=1e-12)
     assert np.max(np.abs(loads - ref.edge_loads)) <= 1e-12 * max(1.0, demand)
-
-
-def _certify_nothing(inc, coef, demand, q, rmin):
-    """A face polish that certifies no row, so only Frank-Wolfe can finish."""
-    return q, np.zeros(len(q), dtype=bool)
 
 
 class TestThreeEdgeScenario:
@@ -275,7 +271,7 @@ class TestSolverProperties:
     def test_nonconvergence_reports_best_iterate(self, monkeypatch):
         # with a polish that certifies nothing, one Frank-Wolfe iteration
         # cannot equalize three routes, so the best iterate is reported
-        monkeypatch.setattr(equilibrium, "_face_polish", _certify_nothing)
+        monkeypatch.setattr(equilibrium, "_face_polish", certify_nothing)
         net = Network(["a", "b", "c"], [["a"], ["b"], ["c"]])
         fns = {
             ("a", "s"): CostFunction.polynomial([1.0, 0.5, 0.3]),
@@ -344,7 +340,7 @@ class TestBlockSolver:
         # the polish certifies every polynomial row above at iteration 1; with
         # one that certifies nothing, rows leave the loop at different
         # iterations and polynomial rows bisect in the line search
-        monkeypatch.setattr(equilibrium, "_face_polish", _certify_nothing)
+        monkeypatch.setattr(equilibrium, "_face_polish", certify_nothing)
         rng = np.random.default_rng(58)
         stops, bisected = set(), 0
         for _ in range(6):
@@ -401,7 +397,7 @@ class TestBlockSolver:
             assert np.max(np.abs(block.edge_loads[i] - ref.edge_loads)) <= 1e-12
 
     def test_nonconverged_rows_are_flagged_not_raised(self, monkeypatch):
-        monkeypatch.setattr(equilibrium, "_face_polish", _certify_nothing)
+        monkeypatch.setattr(equilibrium, "_face_polish", certify_nothing)
         scenario = scenario_from_dict(wheatstone_poly_payload())
         thetas = np.array([[0.25] * 4, [0.5, 0.5, 0.0, 0.0]])
         block = solve_wardrop_block(scenario.network, scenario.model, thetas, 1.0, max_iter=3)
@@ -420,7 +416,7 @@ class TestBlockSolver:
         model = CostModel(["a", "b"], ["s"], fns, np.eye(2))
         monkeypatch.setattr(equilibrium, "_line_search", lambda *args: np.ones(1))
         # a polish that certifies nothing, or it would end the solve at iteration 1
-        monkeypatch.setattr(equilibrium, "_face_polish", _certify_nothing)
+        monkeypatch.setattr(equilibrium, "_face_polish", certify_nothing)
         with pytest.raises(SolverError, match="potential increased at iteration 2") as info:
             solve_wardrop_block(net, model, np.array([[1.0]]), 1.0)
         assert info.value.row == 0
