@@ -16,11 +16,13 @@ import numpy as np
 
 from .costs import Belief, CostModel, polyval_ascending
 from .equilibrium import (
+    EquilibriumBlock,
     complete_info_equilibrium,
     solve_wardrop,
     solve_wardrop_batch,
     solve_wardrop_block,
 )
+from .errors import SolverError
 from .graph import Network, is_series_parallel, row_groups
 
 
@@ -222,6 +224,15 @@ def _used_key(used: np.ndarray) -> int:
     return int.from_bytes(np.packbits(used, bitorder="little").tobytes(), "little")
 
 
+def _raise_at_belief(eq: EquilibriumBlock, thetas: np.ndarray) -> None:
+    """Raise SolverError, naming its belief, for the first row that did not converge."""
+    try:
+        eq.raise_unconverged()
+    except SolverError as exc:
+        belief = ", ".join(f"{p:g}" for p in thetas[exc.row])
+        raise SolverError(f"belief ({belief}): {exc}", best=exc.best) from exc
+
+
 def _rest_point_rows(
     network: Network,
     model: CostModel,
@@ -242,7 +253,7 @@ def _rest_point_rows(
     distinguishable states.
     """
     eq = solve_wardrop_block(network, model, thetas, demand, tol=solver_tol)
-    eq.raise_unconverged()
+    _raise_at_belief(eq, thetas)
     dist = _distinguishable(model, true_idx, eq.edge_loads, cost_tol, used_tol)
     want = np.array([want_key >> i & 1 for i in range(network.n_edges)], dtype=bool)
     same = ((eq.edge_loads > used_tol) == want).all(axis=1)
@@ -307,10 +318,10 @@ def enumerate_rest_points(
 
     Evaluates the rest-point predicate at the grid nodes theta with
     components k/grid_n (equilibrium solved in blocks of `chunk_size`
-    rows, raising SolverError for a node that does not converge), clusters
-    passing nodes by their used-edge set, and for families supported on
-    exactly two states refines the boundary of the belief range by bisection
-    down to `refine_tol`.
+    rows, raising SolverError, which names the belief, for a node that does
+    not converge), clusters passing nodes by their used-edge set, and for
+    families supported on exactly two states refines the boundary of the
+    belief range by bisection down to `refine_tol`.
 
     Only the face of the grid where rest points can lie is solved: when
     mass_tol < 1/grid_n and used_tol < demand / n_routes, states that are
@@ -339,7 +350,7 @@ def enumerate_rest_points(
         thetas = np.zeros((len(face), n_states))
         thetas[:, keep] = face
         eq = solve_wardrop_batch(network, model, thetas, demand, tol=solver_tol)
-        eq.raise_unconverged()
+        _raise_at_belief(eq, thetas)
         loads, gaps = eq.edge_loads, eq.gap
         max_gap = max(max_gap, float(gaps.max()))
         dist = _distinguishable(model, true_idx, loads, cost_tol, used_tol)

@@ -5,9 +5,11 @@ realizes Gaussian-noised costs on the used edges, and applies the Bayes
 update. Seeds advance in lockstep blocks: a stage of a block is one batched
 equilibrium solve, one noise draw per seed, one likelihood and Bayes update
 per set of used edges, and one stopping-window test, and each seed leaves
-its block once it converges or reaches max_stages. Every row of a block is
-computed as it would be alone, so a trajectory does not depend on which
-seeds share its block. Noise is drawn for every edge each stage even though
+its block once it converges or reaches max_stages. Each stage starts its
+equilibrium solve from the seed's previous equilibrium, so polynomial costs
+need only a Newton step or two once the belief settles. Every row of a
+block is computed as it would be alone, from its own history, so a
+trajectory does not depend on which seeds share its block. Noise is drawn for every edge each stage even though
 only used-edge components enter the observation; that keeps the random
 stream's consumption independent of which edges were used, so trajectories
 replay exactly.
@@ -120,10 +122,16 @@ def _edge_labels(scenario: Scenario, mask) -> tuple[str, ...]:
     return tuple(e for e, u in zip(scenario.model.edges, mask) if u)
 
 
-def _stage(scenario: Scenario, probs: np.ndarray, samplers: Sequence[NoiseSampler]):
+def _stage(
+    scenario: Scenario,
+    probs: np.ndarray,
+    samplers: Sequence[NoiseSampler],
+    init_flows: np.ndarray | None = None,
+):
     """One stage for a block of beliefs, one per row of `probs`.
 
-    One equilibrium solve for the block, one noise draw per row, and one
+    One equilibrium solve for the block, started from `init_flows` when
+    given (see `solve_wardrop_block`), one noise draw per row, and one
     likelihood and Bayes update per group of rows that used the same edges.
     Returns the equilibria, the used-edge mask, the realized costs (NaN on
     unused edges) and the posteriors. An error names its row in `row`.
@@ -135,6 +143,7 @@ def _stage(scenario: Scenario, probs: np.ndarray, samplers: Sequence[NoiseSample
         probs,
         scenario.demand,
         tol=scenario.tolerances.equilibrium,
+        init_flows=init_flows,
     )
     eq.raise_unconverged()
     noise = np.array([s.sample() for s in samplers])
@@ -238,9 +247,12 @@ def run_block(
     and its load have moved less than delta (delta * demand for loads)
     between consecutive stages for `window` stages in a row, or after
     `max_stages` stages. Stage-to-stage differences start at stage 2, so the
-    earliest possible convergence is stage window + 1. Each trajectory is
-    the one `run` gives for its seed. A seed keeps copies of its stage
-    rows, so they are freed as soon as it leaves.
+    earliest possible convergence is stage window + 1. Stage 1 starts its
+    equilibrium solve from the default all-or-nothing flows; each later
+    stage starts from the seed's previous equilibrium, which lies close
+    once the belief settles. Each trajectory is the one `run` gives for its
+    seed. A seed keeps copies of its stage rows, so they are freed as soon
+    as it leaves.
     """
     cap, w_len, d_tol = _stopping_rule(scenario, max_stages, window, delta)
     seeds = [int(s) for s in seeds]
@@ -251,11 +263,13 @@ def run_block(
     streak = np.zeros(len(seeds), dtype=int)  # stages in a row with small moves
     rows: list[list | None] = [[] for _ in seeds]  # per seed, one packed row per stage
     load_bound = d_tol * scenario.demand
-    prev_loads = None
+    prev_loads = prev_flows = None
 
     for k in range(1, cap + 1):
         try:
-            eq, used, costs, post = _stage(scenario, probs, [samplers[i] for i in live])
+            eq, used, costs, post = _stage(
+                scenario, probs, [samplers[i] for i in live], prev_flows
+            )
         except RoutelearnError as exc:
             if exc.row is None:
                 raise
@@ -279,7 +293,8 @@ def run_block(
             yield _unpack(scenario, seeds[i], status, np.array(rows[i]))
             rows[i] = None
         stay = ~leaving
-        live, probs, prev_loads, streak = live[stay], post[stay], eq.edge_loads[stay], streak[stay]
+        live, probs, streak = live[stay], post[stay], streak[stay]
+        prev_loads, prev_flows = eq.edge_loads[stay], eq.route_flows[stay]
         if not live.size:
             return
 

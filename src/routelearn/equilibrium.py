@@ -247,6 +247,20 @@ def _solve_each(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return out
 
 
+def _start_flows(init_flows, n: int, n_routes: int, demand: float) -> np.ndarray:
+    """A writable copy of the (n, R) starting route flows, checked."""
+    q = np.array(init_flows, dtype=float)
+    if q.shape != (n, n_routes):
+        raise ValueError(f"init_flows has shape {q.shape}, expected {(n, n_routes)}")
+    if not (np.isfinite(q).all() and (q >= 0.0).all()):
+        raise ValueError("init_flows must be finite and nonnegative")
+    off = np.abs(q.sum(axis=1) - demand) > 1e-9 * demand
+    if off.any():
+        i = int(np.argmax(off))
+        raise ValueError(f"init_flows row {i} sums to {q[i].sum()!r}, not the demand {demand!r}")
+    return q
+
+
 def solve_wardrop_block(
     network: Network,
     model: CostModel,
@@ -255,10 +269,14 @@ def solve_wardrop_block(
     *,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    init_route: int | None = None,
+    init_flows=None,
 ) -> EquilibriumBlock:
     """Equilibria for a block of beliefs, one per row of `probs`.
 
+    Each row starts from its row of `init_flows`, an (n, R) array of route
+    flows that sum to `demand`, or by default from all-or-nothing flows on
+    the route cheapest at free flow. A start near the equilibrium, such as
+    the one of a nearby belief, saves the polish most of its Newton steps.
     Each row iterates all-or-nothing assignment to its cheapest route with
     exact line search, and stops once its relative duality gap or its
     no-better-route certificate falls below `tol`. A row that stops leaves
@@ -288,15 +306,11 @@ def solve_wardrop_block(
     affine = ~coef[2:].any(axis=(0, 2))
     flow_tol = 1e-9 * demand
 
-    if init_route is None:
-        start = np.argmin(np.matvec(inc.T, coef[0]), axis=1)  # cheapest at free flow
-    else:
-        start = int(init_route)
-        if not 0 <= start < n_routes:
-            raise ValueError(f"init_route {start} out of range")
-        start = np.full(n, start)
     targets = np.eye(n_routes) * demand  # all-or-nothing flows, one row per route
-    q = targets[start]
+    if init_flows is None:
+        q = targets[np.argmin(np.matvec(inc.T, coef[0]), axis=1)]  # cheapest at free flow
+    else:
+        q = _start_flows(init_flows, n, n_routes, demand)
 
     best_lb = np.full(n, -np.inf)
     rmin = np.zeros(n, dtype=np.intp)
@@ -392,7 +406,6 @@ def solve_wardrop(
     *,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    init_route: int | None = None,
 ) -> EquilibriumResult:
     """Equilibrium route flows and edge loads for one belief.
 
@@ -406,7 +419,6 @@ def solve_wardrop(
         demand,
         tol=tol,
         max_iter=max_iter,
-        init_route=init_route,
     )
     block.raise_unconverged()
     return block.row(0)

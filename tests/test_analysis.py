@@ -636,12 +636,25 @@ class TestUnconvergedSweepRows:
 
         monkeypatch.setattr(analysis, "solve_wardrop_batch", flagged)
         monkeypatch.setattr(analysis, "solve_wardrop_block", recording)
-        with pytest.raises(SolverError, match="no convergence"):
+        # the error names the first flagged row's grid node
+        with pytest.raises(SolverError, match=r"^belief \(0, 0, 0, 1\): no convergence"):
             enumerate_rest_points(three_edge.network, three_edge.model, "none", 20, 1.0)
         # the first sweep block raised, before any refinement
         assert len(swept) == 1 and refined == []
         argv = ["enumerate", "--scenario", "three-edge", "--grid-n", "5", "--out-dir", str(tmp_path)]
         assert main(argv) == 3
+
+    def test_unconverged_refinement_row_names_its_belief(self, three_edge, monkeypatch):
+        real_block = analysis.solve_wardrop_block
+
+        def flagged(network, model, thetas, demand, **kw):
+            # row 1 of a refinement block, the node at 1/20 of its edge, stops short
+            eq = real_block(network, model, thetas, demand, **kw)
+            return dataclasses.replace(eq, converged=eq.converged & (np.arange(len(thetas)) != 1))
+
+        monkeypatch.setattr(analysis, "solve_wardrop_block", flagged)
+        with pytest.raises(SolverError, match=r"^belief \(0, 0.05, 0, 0.95\): no convergence"):
+            enumerate_rest_points(three_edge.network, three_edge.model, "none", 20, 1.0)
 
 
 def _face_case(rng):

@@ -22,6 +22,7 @@ from routelearn import (
 )
 from routelearn.belief import bayes_update, replay_posterior
 from routelearn.dynamics import NoiseSampler, realize_costs, run_block, step
+from routelearn.equilibrium import solve_wardrop_block
 from routelearn.graph import used_edges
 
 from oracles import (
@@ -264,7 +265,7 @@ class TestLockstepBlocks:
         # so the loop takes its equilibria from the exact equal-cost solve,
         # and the block sums in another order, so agreement is to 1e-12
         scenario = scenario_from_dict(wheatstone_poly_payload())
-        for traj in run_block(scenario, [0, 1]):
+        for traj in run_block(scenario, range(6)):
             records, status = reference_run(scenario, traj.seed, solve=exact_solve_wardrop)
             assert traj.status == status
             assert traj.n_stages == len(records)
@@ -303,6 +304,54 @@ class TestLockstepBlocks:
                 )
                 assert np.array_equal(a.terminal_loads, b.terminal_loads)
                 assert np.array_equal(a.terminal_belief, b.terminal_belief)
+
+    def test_wheatstone_worker_count_does_not_change_outputs(self, tmp_path):
+        # Newton polish from each seed's previous equilibrium: the start is the
+        # seed's own history, not its block mates'
+        scenario = scenario_from_dict(wheatstone_poly_payload())
+        seeds = list(range(6))
+        outputs = {}
+        for workers in (1, 2):
+            out = tmp_path / f"workers{workers}"
+            batch = monte_carlo(scenario, seeds, workers=workers, trajectory_dir=out)
+            outputs[workers] = batch, {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        (batch1, files1), (batch2, files2) = outputs[1], outputs[2]
+        assert len(files1) == len(seeds) and files2 == files1
+        for a, b in zip(batch1.summaries, batch2.summaries):
+            assert (a.seed, a.status, a.n_stages, a.terminal_used) == (
+                b.seed, b.status, b.n_stages, b.terminal_used
+            )
+            assert np.array_equal(a.terminal_loads, b.terminal_loads)
+            assert np.array_equal(a.terminal_belief, b.terminal_belief)
+
+    def test_wheatstone_block_rows_equal_single_runs(self):
+        scenario = scenario_from_dict(wheatstone_poly_payload())
+        for traj in run_block(scenario, range(6)):
+            single = run(scenario, traj.seed)
+            assert traj.status == single.status and traj.n_stages == single.n_stages
+            assert np.array_equal(traj.beliefs, single.beliefs)
+            assert np.array_equal(traj.equilibria.route_flows, single.equilibria.route_flows)
+            assert np.array_equal(traj.equilibria.edge_loads, single.equilibria.edge_loads)
+            assert np.array_equal(traj.equilibria.n_iterations, single.equilibria.n_iterations)
+            assert np.array_equal(traj.costs, single.costs, equal_nan=True)
+
+    def test_each_stage_starts_from_the_previous_equilibrium(self, monkeypatch):
+        scenario = scenario_from_dict(wheatstone_poly_payload())
+        starts, flows = [], []
+
+        def recording(network, model, probs, demand, **kw):
+            eq = solve_wardrop_block(network, model, probs, demand, **kw)
+            starts.append(kw.get("init_flows"))
+            flows.append(eq.route_flows)
+            return eq
+
+        monkeypatch.setattr(dynamics, "solve_wardrop_block", recording)
+        # a window as long as the run: every seed stays all 20 stages, in its row
+        trajs = list(run_block(scenario, [0, 1, 2], max_stages=20, window=20))
+        assert [t.n_stages for t in trajs] == [20, 20, 20] and len(starts) == 20
+        assert starts[0] is None
+        for k in range(1, 20):
+            assert np.array_equal(starts[k], flows[k - 1])
 
     def test_block_trajectories_equal_single_runs(self, three_edge):
         for traj in run_block(three_edge, [5, 6, 7], max_stages=60, window=5):

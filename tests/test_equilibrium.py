@@ -45,6 +45,17 @@ def _oracle(model, theta):
     return reference_solve_wardrop if affine else exact_solve_wardrop
 
 
+def _solve_from_route(net, model, theta, demand, route, **kwargs):
+    """One-row solve that starts with all demand on `route`."""
+    start = np.zeros((1, net.n_routes))
+    start[0, route] = demand
+    block = solve_wardrop_block(
+        net, model, theta.probs[None, :], demand, init_flows=start, **kwargs
+    )
+    block.raise_unconverged()
+    return block.row(0)
+
+
 def _assert_matches_reference(net, model, theta, demand, loads):
     """Batch loads within 1e-12 of the oracle for the row's cost form."""
     ref = _oracle(model, theta)(net, model, Belief(theta), demand, tol=1e-12)
@@ -172,7 +183,7 @@ class TestSolverProperties:
             net, model, theta, demand = random_multi_route_instance(rng)
             loads = []
             for start in range(net.n_routes):
-                eq = solve_wardrop(net, model, theta, demand, tol=1e-8, init_route=start)
+                eq = _solve_from_route(net, model, theta, demand, start, tol=1e-8)
                 loads.append(eq.edge_loads)
             spread = max(
                 float(np.max(np.abs(a - b))) for a in loads for b in loads
@@ -189,7 +200,7 @@ class TestSolverProperties:
             net, model, theta, demand = random_multi_route_instance(rng)
         capped = reference_solve_wardrop(net, model, theta, demand, init_route=1, max_iter=2000)
         assert capped.n_iterations == 2000
-        eq = solve_wardrop(net, model, theta, demand, tol=1e-8, init_route=1)
+        eq = _solve_from_route(net, model, theta, demand, 1, tol=1e-8)
         assert eq.n_iterations == 2
         assert verify_equilibrium(net, model, theta, eq, tol=1e-12).ok
         direct = solve_wardrop(net, model, theta, demand, tol=1e-8)
@@ -424,6 +435,81 @@ class TestBlockSolver:
     def test_invalid_block_shape(self, three_edge):
         with pytest.raises(ValueError, match="belief matrix"):
             solve_wardrop_block(three_edge.network, three_edge.model, np.full((2, 3), 1 / 3), 1.0)
+
+
+class TestInitFlows:
+    """Warm starts: a block solve from given route flows, one row per belief."""
+
+    @staticmethod
+    def _case():
+        scenario = scenario_from_dict(wheatstone_poly_payload())
+        thetas = np.array([[0.25] * 4, [0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+        return scenario.network, scenario.model, thetas, scenario.demand
+
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            (np.full((3, 2), 0.5), "init_flows has shape"),
+            (np.full((2, 3), 1 / 3), "init_flows has shape"),
+            (np.array([[1.2, -0.2, 0.0]] * 3), "init_flows must be finite and nonnegative"),
+            (np.array([[np.nan, 1.0, 0.0]] * 3), "init_flows must be finite and nonnegative"),
+            (np.array([[np.inf, 1.0, 0.0]] * 3), "init_flows must be finite and nonnegative"),
+            (np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 1e-8], [0.0, 0.0, 1.0]]),
+             "init_flows row 1 sums to"),
+        ],
+    )
+    def test_invalid_start_raises_naming_it(self, bad, match):
+        net, model, thetas, demand = self._case()
+        with pytest.raises(ValueError, match=match):
+            solve_wardrop_block(net, model, thetas, demand, init_flows=bad)
+
+    def test_row_sum_within_rounding_is_accepted(self):
+        net, model, thetas, demand = self._case()
+        start = np.array([[1.0 / 3.0] * 3] * 3) * demand
+        start[:, 0] += 5e-10 * demand
+        assert solve_wardrop_block(net, model, thetas, demand, init_flows=start).converged.all()
+
+    def test_default_start_given_explicitly_gives_the_same_bits(self):
+        net, model, thetas, demand = self._case()
+        free_flow = net.incidence.T @ model.mixed_coefficients_batch(thetas)[:, :, 0].T
+        start = np.eye(net.n_routes)[free_flow.argmin(axis=0)] * demand
+        given = solve_wardrop_block(net, model, thetas, demand, init_flows=start)
+        default = solve_wardrop_block(net, model, thetas, demand)
+        for field in ("route_flows", "edge_loads", "gap", "route_costs", "n_iterations",
+                      "potential", "converged"):
+            assert np.array_equal(getattr(given, field), getattr(default, field)), field
+
+    def test_start_is_not_modified(self):
+        net, model, thetas, demand = self._case()
+        start = np.full((3, net.n_routes), demand / net.n_routes)
+        kept = start.copy()
+        solve_wardrop_block(net, model, thetas, demand, init_flows=start)
+        assert np.array_equal(start, kept)
+
+    def test_start_at_the_equilibrium_certifies_at_iteration_1(self):
+        net, model, thetas, demand = self._case()
+        cold = solve_wardrop_block(net, model, thetas, demand)
+        warm = solve_wardrop_block(net, model, thetas, demand, init_flows=cold.route_flows)
+        assert warm.converged.all() and (warm.n_iterations == 1).all()
+        assert np.max(np.abs(warm.edge_loads - cold.edge_loads)) <= 1e-12
+
+    def test_warm_started_rows_equal_one_row_solves_bit_for_bit(self):
+        # each row starts from a random point of its simplex of route flows
+        rng = np.random.default_rng(59)
+        for max_degree in (1, 2):
+            for _ in range(6):
+                net, model, _, demand = random_multi_route_instance(rng, max_degree=max_degree)
+                thetas = np.array([random_simplex(rng, model.n_states) for _ in range(10)])
+                starts = rng.dirichlet(np.ones(net.n_routes), size=len(thetas)) * demand
+                block = solve_wardrop_block(net, model, thetas, demand, init_flows=starts)
+                assert block.converged.all()
+                for i, theta in enumerate(thetas):
+                    one = solve_wardrop_block(
+                        net, model, theta[None, :], demand, init_flows=starts[i : i + 1]
+                    )
+                    assert np.array_equal(block.route_flows[i], one.route_flows[0])
+                    assert block.n_iterations[i] == one.n_iterations[0]
+                    _assert_matches_reference(net, model, theta, demand, block.edge_loads[i])
 
 
 class TestDrainTable:
