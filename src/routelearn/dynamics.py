@@ -9,10 +9,10 @@ its block once it converges or reaches max_stages. Each stage starts its
 equilibrium solve from the seed's previous equilibrium, so polynomial costs
 need only a Newton step or two once the belief settles. Every row of a
 block is computed as it would be alone, from its own history, so a
-trajectory does not depend on which seeds share its block. Noise is drawn for every edge each stage even though
-only used-edge components enter the observation; that keeps the random
-stream's consumption independent of which edges were used, so trajectories
-replay exactly.
+trajectory does not depend on which seeds share its block. Noise is drawn
+for every edge each stage even though only used-edge components enter the
+observation; that keeps the random stream's consumption independent of
+which edges were used, so trajectories replay exactly.
 """
 
 from __future__ import annotations

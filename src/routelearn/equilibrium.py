@@ -276,7 +276,7 @@ def solve_wardrop_block(
     Each row starts from its row of `init_flows`, an (n, R) array of route
     flows that sum to `demand`, or by default from all-or-nothing flows on
     the route cheapest at free flow. A start near the equilibrium, such as
-    the one of a nearby belief, saves the polish most of its Newton steps.
+    that of a nearby belief, saves the polish most of its Newton steps.
     Each row iterates all-or-nothing assignment to its cheapest route with
     exact line search, and stops once its relative duality gap or its
     no-better-route certificate falls below `tol`. A row that stops leaves
