@@ -3,21 +3,24 @@
 Each stage plays the Wardrop equilibrium of the current public belief,
 realizes Gaussian-noised costs on the used edges, and applies the Bayes
 update. Seeds advance in lockstep blocks: a stage of a block is one batched
-equilibrium solve, one noise draw per seed, one likelihood and Bayes update
-per set of used edges, and one stopping-window test, and each seed leaves
-its block once it converges or reaches max_stages. Each stage starts its
-equilibrium solve from the seed's previous equilibrium, so polynomial costs
-need only a Newton step or two once the belief settles. Every row of a
-block is computed as it would be alone, from its own history, so a
-trajectory does not depend on which seeds share its block. Noise is drawn
-for every edge each stage even though only used-edge components enter the
-observation; that keeps the random stream's consumption independent of
-which edges were used, so trajectories replay exactly.
+equilibrium solve, one likelihood and Bayes update per set of used edges,
+and one stopping-window test, and each seed leaves its block once it
+converges or reaches max_stages. Each stage starts its equilibrium solve
+from the seed's previous equilibrium, so polynomial costs need only a Newton
+step or two once the belief settles. Every row of a block is computed as it
+would be alone, from its own history, so a trajectory does not depend on
+which seeds share its block. Noise is drawn for every edge each stage even
+though only used-edge components enter the observation; that keeps the
+random stream's consumption independent of which edges were used, so
+trajectories replay exactly. A block draws each seed's noise in chunks of
+stages from that seed's own stream, which gives the same values as one draw
+per stage.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,6 +37,7 @@ from .scenario import Scenario
 
 CONVERGED = "converged"
 MAX_STAGES = "max_stages"
+_NOISE_CHUNK = 64  # stages of noise a block draws per seed at a time
 
 
 class NoiseSampler:
@@ -45,10 +49,14 @@ class NoiseSampler:
         self._rng = np.random.default_rng(seed)  # a Generator passes through as is
 
     def sample(self, count: int | None = None) -> np.ndarray:
+        """One draw, or `count` draws as rows.
+
+        Each row is the Cholesky factor times its own standard normal vector,
+        so `sample(count)` equals `count` calls of `sample()` bit for bit.
+        """
         n = self._chol.shape[0]
-        if count is None:
-            return self._chol @ self._rng.standard_normal(n)
-        return self._rng.standard_normal((count, n)) @ self._chol.T
+        z = self._rng.standard_normal(n if count is None else (count, n))
+        return np.matvec(self._chol, z)
 
 
 def realize_costs(
@@ -125,14 +133,15 @@ def _edge_labels(scenario: Scenario, mask) -> tuple[str, ...]:
 def _stage(
     scenario: Scenario,
     probs: np.ndarray,
-    samplers: Sequence[NoiseSampler],
+    noise: np.ndarray,
     init_flows: np.ndarray | None = None,
 ):
     """One stage for a block of beliefs, one per row of `probs`.
 
     One equilibrium solve for the block, started from `init_flows` when
-    given (see `solve_wardrop_block`), one noise draw per row, and one
-    likelihood and Bayes update per group of rows that used the same edges.
+    given (see `solve_wardrop_block`), and one likelihood and Bayes update
+    per group of rows that used the same edges. Row i of `noise` is row i's
+    draw on every edge.
     Returns the equilibria, the used-edge mask, the realized costs (NaN on
     unused edges) and the posteriors. An error names its row in `row`.
     """
@@ -146,7 +155,6 @@ def _stage(
         init_flows=init_flows,
     )
     eq.raise_unconverged()
-    noise = np.array([s.sample() for s in samplers])
     loads = eq.edge_loads
     used = loads > scenario.used_edge_tol
     if not used.any(axis=1).all():
@@ -173,7 +181,7 @@ def step(
     scenario: Scenario, belief: Belief, sampler: NoiseSampler
 ) -> tuple[EquilibriumResult, Observation, Belief]:
     """Play one stage: the equilibrium at the belief, its observation, the posterior."""
-    eq, used, costs, post = _stage(scenario, belief.probs[None, :], [sampler])
+    eq, used, costs, post = _stage(scenario, belief.probs[None, :], sampler.sample()[None, :])
     obs = Observation(
         used=_edge_labels(scenario, used[0]), loads=eq.edge_loads[0], costs=costs[0, used[0]]
     )
@@ -251,8 +259,9 @@ def run_block(
     equilibrium solve from the default all-or-nothing flows; each later
     stage starts from the seed's previous equilibrium, which lies close
     once the belief settles. Each trajectory is the one `run` gives for its
-    seed. A seed keeps copies of its stage rows, so they are freed as soon
-    as it leaves.
+    seed. Each seed's noise is drawn `_NOISE_CHUNK` stages at a time from its
+    own stream, the values one draw per stage would give. A seed keeps
+    copies of its stage rows, so they are freed as soon as it leaves.
     """
     cap, w_len, d_tol = _stopping_rule(scenario, max_stages, window, delta)
     seeds = [int(s) for s in seeds]
@@ -266,10 +275,11 @@ def run_block(
     prev_loads = prev_flows = None
 
     for k in range(1, cap + 1):
+        at = (k - 1) % _NOISE_CHUNK
+        if at == 0:  # each live seed's noise for the next chunk of stages
+            noise = np.stack([samplers[i].sample(_NOISE_CHUNK) for i in live.tolist()])
         try:
-            eq, used, costs, post = _stage(
-                scenario, probs, [samplers[i] for i in live], prev_flows
-            )
+            eq, used, costs, post = _stage(scenario, probs, noise[:, at], prev_flows)
         except RoutelearnError as exc:
             if exc.row is None:
                 raise
@@ -293,7 +303,7 @@ def run_block(
             yield _unpack(scenario, seeds[i], status, np.array(rows[i]))
             rows[i] = None
         stay = ~leaving
-        live, probs, streak = live[stay], post[stay], streak[stay]
+        live, probs, streak, noise = live[stay], post[stay], streak[stay], noise[stay]
         prev_loads, prev_flows = eq.edge_loads[stay], eq.route_flows[stay]
         if not live.size:
             return
@@ -445,15 +455,13 @@ def monte_carlo(
     )
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def write_trajectory_csv(trajectory: Trajectory, path: str | Path) -> Path:
     """One row per stage: posterior belief, loads, used flags, realized costs.
 
     Floats carry 17 significant digits so the file fully determines replays;
-    cost cells are empty for edges that were not used in that stage.
+    cost cells are empty for edges that were not used in that stage. Each
+    row is one `%` format whose template follows its used edges, and the
+    rows are written in one call.
     """
     scenario = trajectory.scenario
     edge_ids = scenario.network.edge_ids
@@ -465,22 +473,29 @@ def write_trajectory_csv(trajectory: Trajectory, path: str | Path) -> Path:
         + [f"used_{e}" for e in edge_ids]
         + [f"c_{e}" for e in edge_ids]
     )
+    head = io.StringIO()
+    csv.writer(head, lineterminator="\n").writerow(header)  # labels may need quoting
+
+    n_fixed = len(state_labels) + len(edge_ids)
+    cells = np.hstack(
+        [trajectory.beliefs[1:], trajectory.equilibria.edge_loads, trajectory.costs]
+    )
+    lines = [""] * len(cells)
+    for pattern, rows in row_groups(trajectory.used):
+        flags = pattern.tolist()
+        template = (
+            "%d"
+            + ",%.17g" * n_fixed
+            + "".join(",1" if u else ",0" for u in flags)
+            + "".join(",%.17g" if u else "," for u in flags)
+            + "\n"
+        )
+        cols = np.r_[:n_fixed, n_fixed + np.flatnonzero(pattern)]
+        for r, values in zip(rows.tolist(), cells[np.ix_(rows, cols)].tolist()):
+            lines[r] = template % (r + 1, *values)
+
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    stages = zip(
-        trajectory.beliefs[1:].tolist(),
-        trajectory.equilibria.edge_loads.tolist(),
-        trajectory.used.tolist(),
-        trajectory.costs.tolist(),
-    )
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for k, (probs, loads, used, costs) in enumerate(stages, start=1):
-            row = [str(k)]
-            row += [_fmt(p) for p in probs]
-            row += [_fmt(w) for w in loads]
-            row += ["1" if u else "0" for u in used]
-            row += [_fmt(c) if u else "" for u, c in zip(used, costs)]
-            writer.writerow(row)
+        fh.write(head.getvalue() + "".join(lines))
     return path
