@@ -13,11 +13,14 @@ kept as the slow paths the package is checked against. The exact
 equilibrium solve is scipy.optimize.root on the equal-cost system of the
 reference loop's active route set, certified at 1e-12, for comparisons the
 reference loop's 1e-8 gap is too coarse for. `certify_nothing` stands in
-for the face polish where a test needs Frank-Wolfe alone.
+for the face polish where a test needs Frank-Wolfe alone. The reference
+trajectory writer is the csv.writer loop that formats one cell at a time,
+which the one-format-per-row writer replaced.
 """
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import functools
 import importlib.util
@@ -775,6 +778,36 @@ def reference_run(
 
     return records, status
 
+
+def reference_write_trajectory_csv(trajectory, path) -> Path:
+    """The trajectory CSV through csv.writer, one `format(x, ".17g")` per cell."""
+    scenario = trajectory.scenario
+    edge_ids = scenario.network.edge_ids
+    header = (
+        ["stage"]
+        + [f"theta_{s}" for s in scenario.model.states]
+        + [f"w_{e}" for e in edge_ids]
+        + [f"used_{e}" for e in edge_ids]
+        + [f"c_{e}" for e in edge_ids]
+    )
+    stages = zip(
+        trajectory.beliefs[1:].tolist(),
+        trajectory.equilibria.edge_loads.tolist(),
+        trajectory.used.tolist(),
+        trajectory.costs.tolist(),
+    )
+    path = Path(path)
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for k, (probs, loads, used, costs) in enumerate(stages, start=1):
+            row = [str(k)]
+            row += [format(p, ".17g") for p in probs]
+            row += [format(w, ".17g") for w in loads]
+            row += ["1" if u else "0" for u in used]
+            row += [format(c, ".17g") if u else "" for u, c in zip(used, costs)]
+            writer.writerow(row)
+    return path
 
 
 # --- Reference rest-point analysis -----------------------------------------

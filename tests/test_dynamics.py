@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import functools
 
 import numpy as np
@@ -17,10 +18,12 @@ from routelearn import (
     monte_carlo,
     run,
     scenario_from_dict,
+    scenario_to_dict,
     summarize,
     write_trajectory_csv,
 )
 from routelearn.belief import bayes_update, replay_posterior
+from routelearn.costs import polyval_ascending
 from routelearn.dynamics import NoiseSampler, realize_costs, run_block, step
 from routelearn.equilibrium import solve_wardrop_block
 from routelearn.graph import used_edges
@@ -30,8 +33,40 @@ from oracles import (
     exact_solve_wardrop,
     random_spd,
     reference_run,
+    reference_write_trajectory_csv,
     wheatstone_poly_payload,
 )
+
+
+@pytest.fixture(scope="module")
+def correlated():
+    # three-edge with correlated noise: at seeds 0..11 every trajectory runs
+    # past the first noise chunk, and they leave at stages 72 to 172
+    payload = scenario_to_dict(load_scenario("three-edge"))
+    payload["name"] = "three-edge-correlated"
+    payload["sigma"] = random_spd(np.random.default_rng(3), 3).tolist()
+    return scenario_from_dict(payload)
+
+
+def _relabeled(payload: dict, names: dict[str, str]) -> dict:
+    """The payload with each edge id and state label renamed through `names`."""
+    out = dict(payload)
+    out["network"] = {
+        "edges": [names[e] for e in payload["network"]["edges"]],
+        "routes": [[names[e] for e in r] for r in payload["network"]["routes"]],
+    }
+    out["states"] = [names[x] for x in payload["states"]]
+    out["true_state"] = names[payload["true_state"]]
+    out["costs"] = [
+        {**c, "edge": names[c["edge"]], "state": names[c["state"]]} for c in payload["costs"]
+    ]
+    return out
+
+
+def _both_writers(traj, tmp_path) -> tuple[bytes, bytes]:
+    fast = write_trajectory_csv(traj, tmp_path / "fast.csv").read_bytes()
+    slow = reference_write_trajectory_csv(traj, tmp_path / "slow.csv").read_bytes()
+    return fast, slow
 
 
 class TestNoiseSampler:
@@ -52,6 +87,17 @@ class TestNoiseSampler:
         bound = 3.0 / np.sqrt(n) * max(1.0, np.max(np.abs(sigma)))
         assert np.max(np.abs(emp_mean)) <= bound
         assert np.max(np.abs(emp_cov - sigma)) <= bound
+
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_chunks_equal_successive_draws_bit_for_bit(self, n):
+        # correlated sigma: a matrix product over the whole chunk would sum
+        # in another order
+        sigma = random_spd(np.random.default_rng(n), n)
+        one_at_a_time = NoiseSampler(sigma, 29)
+        singles = np.array([one_at_a_time.sample() for _ in range(80)])
+        chunked = NoiseSampler(sigma, 29)
+        parts = [chunked.sample(64), chunked.sample()[None, :], chunked.sample(15)]
+        assert np.array_equal(np.vstack(parts), singles)
 
 
 class TestRealizeCosts:
@@ -200,6 +246,48 @@ class TestTrajectoryCsv:
         assert row["c_e2"] == ""
         assert row["c_e1"] != ""
 
+    @pytest.mark.parametrize("name", [*BUILTIN_NAMES, "wheatstone"])
+    def test_bytes_equal_reference_writer(self, name, tmp_path):
+        if name == "wheatstone":
+            scenario = scenario_from_dict(wheatstone_poly_payload())
+        else:
+            scenario = load_scenario(name)
+        for traj in run_block(scenario, [0, 1, 231]):
+            fast, slow = _both_writers(traj, tmp_path)
+            assert fast == slow
+
+    def test_labels_that_need_quoting(self, three_edge, tmp_path):
+        names = {"e1": "e,1", "e2": 'e"2"', "e3": "e3", "none": 'no, "ne"'}
+        scenario = scenario_from_dict(_relabeled(scenario_to_dict(three_edge), names))
+        traj = run(scenario, 231)
+        assert {tuple(u) for u in traj.used.tolist()} == {(True, True, True), (True, False, True)}
+        fast, slow = _both_writers(traj, tmp_path)
+        assert fast == slow
+        assert fast.startswith(b'stage,"theta_e,1","theta_e""2""",theta_e3,"theta_no, ""ne"""')
+
+    def test_special_values(self, three_edge, tmp_path):
+        # -0.0, the smallest subnormal, NaN, huge and infinite values in every
+        # float column, under three used-edge patterns
+        traj = run(three_edge, 0, max_stages=4, window=4)
+        special = np.array(
+            [[-0.0, 5e-324, np.nan, 1e300],
+             [1e300, -0.0, 5e-324, np.nan],
+             [np.nan, 1e300, -np.inf, 2.2250738585072014e-308],
+             [0.1, -1e-300, np.inf, -0.0]]
+        )
+        used = np.array([[1, 1, 1], [1, 0, 1], [1, 1, 0], [1, 0, 1]], dtype=bool)
+        traj = dataclasses.replace(
+            traj,
+            beliefs=np.vstack([traj.beliefs[0], special]),
+            equilibria=dataclasses.replace(traj.equilibria, edge_loads=special[:, 1:]),
+            used=used,
+            costs=np.where(used, special[:, ::-1][:, :3], np.nan),
+        )
+        fast, slow = _both_writers(traj, tmp_path)
+        assert fast == slow
+        for cell in (b",-0,", b",4.9406564584124654e-324,", b",nan,", b"e+300,", b",-inf,"):
+            assert cell in fast
+
 
 class TestRestPointClosure:
     def test_converged_terminals_pass_rest_point_check(self, three_edge):
@@ -259,6 +347,57 @@ class TestLockstepBlocks:
                 assert obs.used == rec.observation.used
                 assert np.array_equal(obs.costs, rec.observation.costs)
         assert seen == set(seeds)
+
+    @pytest.mark.parametrize("rule", [{}, {"max_stages": 40, "window": 10}])
+    def test_correlated_noise_replays_one_draw_per_stage(self, correlated, rule):
+        # a stage reads its noise from the seed's current chunk; seeds leave
+        # mid-chunk while the others go on into later chunks, and a cap below
+        # the chunk length leaves most of a chunk unread
+        model = correlated.model
+        coeffs = model.state_coefficients(correlated.true_state)
+        stages = []
+        for traj in run_block(correlated, range(12), **rule):
+            stages.append(traj.n_stages)
+            sampler = NoiseSampler(model.sigma, traj.seed)
+            for k in range(traj.n_stages):
+                used, loads = traj.used[k], traj.equilibria.edge_loads[k]
+                costs = polyval_ascending(coeffs, loads) + sampler.sample()
+                assert np.array_equal(traj.costs[k, used], costs[used])
+        if rule:
+            assert max(stages) == 40 and min(stages) < 40
+        else:
+            assert min(stages) > dynamics._NOISE_CHUNK
+            assert max(stages) > 2 * dynamics._NOISE_CHUNK
+        assert len(set(stages)) > 1
+
+    @pytest.mark.parametrize("rule", [{}, {"max_stages": 40, "window": 10}])
+    def test_correlated_noise_block_matches_reference_loop(self, correlated, rule):
+        # the reference likelihood whitens by a triangular solve, the block
+        # by the cached inverse factor, so beliefs agree to rounding, not bits
+        for traj in run_block(correlated, range(12), **rule):
+            records, status = reference_run(correlated, traj.seed, **rule)
+            assert traj.status == status
+            assert traj.n_stages == len(records)
+            loads = np.array([r.equilibrium.edge_loads for r in records])
+            beliefs = np.array([r.belief_post.probs for r in records])
+            assert np.max(np.abs(traj.equilibria.edge_loads - loads)) <= 1e-12
+            assert np.max(np.abs(traj.beliefs[1:] - beliefs)) <= 1e-12
+            for k, rec in enumerate(records, start=1):
+                assert traj.observation(k).used == rec.observation.used
+                assert np.max(np.abs(traj.observation(k).costs - rec.observation.costs)) <= 1e-12
+
+    def test_correlated_noise_worker_count_does_not_change_outputs(self, correlated, tmp_path):
+        seeds = list(range(12))
+        outputs = {}
+        for workers in (1, 2):
+            out = tmp_path / f"workers{workers}"
+            batch = monte_carlo(correlated, seeds, workers=workers, trajectory_dir=out)
+            outputs[workers] = batch, {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        (batch1, files1), (batch2, files2) = outputs[1], outputs[2]
+        assert len(files1) == len(seeds) and files2 == files1
+        for a, b in zip(batch1.summaries, batch2.summaries):
+            assert (a.seed, a.status, a.n_stages) == (b.seed, b.status, b.n_stages)
+            assert np.array_equal(a.terminal_belief, b.terminal_belief)
 
     def test_wheatstone_block_matches_reference_loop(self):
         # degree-4 costs: the reference Frank-Wolfe stops at a gap of 1e-8,
