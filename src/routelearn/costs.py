@@ -191,6 +191,7 @@ class CostModel:
         self._edge_index = {e: i for i, e in enumerate(self.edges)}
         self._state_index = {s: i for i, s in enumerate(self.states)}
         self._whitener_cache: dict[tuple[int, ...], tuple[np.ndarray, float]] = {}
+        self._slab_cache: dict[tuple[int, ...], np.ndarray] = {}
         self._slope_ok: bool | None = None
 
     @property
@@ -223,12 +224,21 @@ class CostModel:
     def cost_matrix(self, loads, edge_indices: Sequence[int]) -> np.ndarray:
         """Per-state cost values on the selected edges.
 
-        Loads of shape (..., n_edges) give costs of shape (..., S, m).
+        Loads of shape (..., n_edges) give costs of shape (..., S, m). Each
+        edge selection's coefficients are gathered once and cached, read-only,
+        as a degree-major (C, S, m) view of the (m, S, C) gather, so that a
+        repeated selection, such as the used edges of a settled trajectory,
+        costs no gather or axis move. The view keeps the strides the costs
+        have always had, so the results keep their memory layout too.
         """
-        idx = list(edge_indices)
-        w = np.asarray(loads, dtype=float)[..., idx]
-        sub = self._coeffs[idx]  # (m, S, C)
-        return polyval_ascending(np.swapaxes(sub, 0, 1), w[..., None, :])
+        key = tuple(int(i) for i in edge_indices)
+        slab = self._slab_cache.get(key)
+        if slab is None:
+            sub = self._coeffs[list(key)]  # (m, S, C)
+            sub.setflags(write=False)
+            slab = self._slab_cache[key] = sub.transpose(2, 1, 0)
+        w = np.asarray(loads, dtype=float)[..., key]
+        return polyval_ascending(slab, w[..., None, :], axis=0)
 
     def sigma_whitener(self, edge_indices: tuple[int, ...]) -> tuple[np.ndarray, float]:
         """Cached inverse of the Cholesky factor of a sigma submatrix, and its log-determinant.

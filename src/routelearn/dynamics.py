@@ -14,7 +14,11 @@ though only used-edge components enter the observation; that keeps the
 random stream's consumption independent of which edges were used, so
 trajectories replay exactly. A block draws each seed's noise in chunks of
 stages from that seed's own stream, which gives the same values as one draw
-per stage.
+per stage. The per-stage cost of a block is mostly fixed, so the loop keeps
+it small: a chunk's noise and stage rows live in buffers filled in place, a
+stage whose rows all used the same edges updates the block's own arrays
+without regrouping them, and the likelihood reuses each used-edge set's
+cached coefficients.
 """
 
 from __future__ import annotations
@@ -161,15 +165,19 @@ def _stage(
         raise BeliefError("observation needs at least one used edge").at_row(
             np.argmin(used.any(axis=1))
         )
-    true_costs = polyval_ascending(model.state_coefficients(scenario.true_state), loads)
+    true_costs = polyval_ascending(
+        model.state_coefficients(scenario.true_state).T, loads, axis=0
+    )
     costs = np.where(used, true_costs + noise, np.nan)
     post = np.empty_like(probs)
     for pattern, rows in row_groups(used):
         idx = tuple(np.flatnonzero(pattern).tolist())
+        if len(rows) == len(probs):  # one pattern, as in a settled block: no gathering
+            sel, observed = slice(None), costs[:, idx]
+        else:
+            sel, observed = rows, costs[np.ix_(rows, idx)]
         try:
-            post[rows] = bayes_update_block(
-                probs[rows], model, idx, loads[rows], costs[np.ix_(rows, idx)]
-            )
+            post[sel] = bayes_update_block(probs[sel], model, idx, loads[sel], observed)
         except RoutelearnError as exc:
             if exc.row is not None:
                 exc.at_row(rows[exc.row])
@@ -211,14 +219,19 @@ def _for_seed(exc: RoutelearnError, seed: int, stage: int) -> RoutelearnError:
     return named
 
 
-def _unpack(scenario: Scenario, seed: int, status: str, rows: np.ndarray) -> Trajectory:
-    """A trajectory from its packed stage rows, one row per stage.
+def _row_fields(scenario: Scenario) -> tuple[int, ...]:
+    """Widths of the fields of a packed stage row.
 
-    A row holds the posterior, route flows, edge loads, gap, route costs,
-    iterations, potential, used flags and realized costs, in that order.
+    In order: posterior, route flows, edge loads, gap, route costs,
+    iterations, potential, used flags and realized costs.
     """
     n_s, n_r, n_e = scenario.model.n_states, scenario.network.n_routes, scenario.network.n_edges
-    cuts = np.cumsum((n_s, n_r, n_e, 1, n_r, 1, 1, n_e))
+    return (n_s, n_r, n_e, 1, n_r, 1, 1, n_e, n_e)
+
+
+def _unpack(scenario: Scenario, seed: int, status: str, rows: np.ndarray) -> Trajectory:
+    """A trajectory from its packed stage rows (see `_row_fields`), one row per stage."""
+    cuts = np.cumsum(_row_fields(scenario)[:-1])
     post, flows, loads, gap, route_costs, iters, potential, used, costs = np.split(
         rows, cuts, axis=1
     )
@@ -260,8 +273,11 @@ def run_block(
     stage starts from the seed's previous equilibrium, which lies close
     once the belief settles. Each trajectory is the one `run` gives for its
     seed. Each seed's noise is drawn `_NOISE_CHUNK` stages at a time from its
-    own stream, the values one draw per stage would give. A seed keeps
-    copies of its stage rows, so they are freed as soon as it leaves.
+    own stream, the values one draw per stage would give. The chunk's noise
+    and stage rows sit in two buffers indexed by block position, one
+    stage's rows written at once; a seed copies its rows out at the chunk's
+    last stage and when it leaves, so its trajectory owns its memory and
+    the next chunk can overwrite the buffers.
     """
     cap, w_len, d_tol = _stopping_rule(scenario, max_stages, window, delta)
     seeds = [int(s) for s in seeds]
@@ -270,26 +286,29 @@ def run_block(
     probs = np.tile(prior, (len(seeds), 1))
     live = np.arange(len(seeds))  # block positions of the seeds still playing
     streak = np.zeros(len(seeds), dtype=int)  # stages in a row with small moves
-    rows: list[list | None] = [[] for _ in seeds]  # per seed, one packed row per stage
+    # the current chunk's noise and packed stage rows, by block position and
+    # stage within the chunk
+    noise = np.empty((len(seeds), _NOISE_CHUNK, scenario.network.n_edges))
+    buf = np.empty((len(seeds), _NOISE_CHUNK, sum(_row_fields(scenario))))
+    done: list[list | None] = [[] for _ in seeds]  # per seed, copies of its full chunks
     load_bound = d_tol * scenario.demand
     prev_loads = prev_flows = None
 
     for k in range(1, cap + 1):
         at = (k - 1) % _NOISE_CHUNK
         if at == 0:  # each live seed's noise for the next chunk of stages
-            noise = np.stack([samplers[i].sample(_NOISE_CHUNK) for i in live.tolist()])
+            for i in live.tolist():
+                noise[i] = samplers[i].sample(_NOISE_CHUNK)
         try:
-            eq, used, costs, post = _stage(scenario, probs, noise[:, at], prev_flows)
+            eq, used, costs, post = _stage(scenario, probs, noise[live, at], prev_flows)
         except RoutelearnError as exc:
             if exc.row is None:
                 raise
             raise _for_seed(exc, seeds[live[exc.row]], k) from exc
-        packed = np.hstack([
+        buf[live, at] = np.concatenate([
             post, eq.route_flows, eq.edge_loads, eq.gap[:, None], eq.route_costs,
             eq.n_iterations[:, None], eq.potential[:, None], used, costs,
-        ])
-        for i, row in zip(live.tolist(), packed):
-            rows[i].append(row.copy())
+        ], axis=1)
         if prev_loads is not None:
             small = (np.abs(post - probs).max(axis=1) < d_tol) & (
                 np.abs(eq.edge_loads - prev_loads).max(axis=1) < load_bound
@@ -300,13 +319,17 @@ def run_block(
         for j in np.flatnonzero(leaving).tolist():
             i = int(live[j])
             status = CONVERGED if converged[j] else MAX_STAGES
-            yield _unpack(scenario, seeds[i], status, np.array(rows[i]))
-            rows[i] = None
+            rows = np.concatenate([*done[i], buf[i, : at + 1]])  # a copy of its own
+            done[i] = None
+            yield _unpack(scenario, seeds[i], status, rows)
         stay = ~leaving
-        live, probs, streak, noise = live[stay], post[stay], streak[stay], noise[stay]
+        live, probs, streak = live[stay], post[stay], streak[stay]
         prev_loads, prev_flows = eq.edge_loads[stay], eq.route_flows[stay]
         if not live.size:
             return
+        if at == _NOISE_CHUNK - 1:  # the next chunk overwrites the buffer
+            for i in live.tolist():
+                done[i].append(buf[i].copy())
 
 
 def run(
@@ -425,7 +448,7 @@ def monte_carlo(
     if workers == 1:
         blocks = [_run_block_case(a) for a in args]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=n_blocks) as pool:
             blocks = list(pool.map(_run_block_case, args))
     summaries = [s for block in blocks for s in block]
 

@@ -86,8 +86,13 @@ def row_groups(mask: np.ndarray):
 
     Block computations use it to share one stacked solve among the rows
     that use the same edges or routes. Groups come in the order of their
-    first row, and each lists its rows in increasing order.
+    first row, and each lists its rows in increasing order. When every row
+    equals the first, as in most stages of a settled block, the one group
+    comes back at once, without a sort.
     """
+    if len(mask) and (mask == mask[0]).all():
+        yield mask[0], np.arange(len(mask))
+        return
     packed = np.packbits(mask, axis=1)
     order = np.lexsort(packed.T)  # stable, so each group's rows stay in order
     ranked = packed[order]

@@ -654,6 +654,24 @@ def exact_solve_wardrop(
     raise AssertionError("no active route set was certified")
 
 
+def reference_cost_matrix(model: CostModel, loads, edge_indices) -> np.ndarray:
+    """Per-state costs on the selected edges, shape (..., S, m): one scalar
+    Horner evaluation of `model._coeffs[idx]` per load, state and edge."""
+    idx = [int(i) for i in edge_indices]
+    coeffs = model._coeffs[idx].tolist()  # [edge][state][power]
+    w = np.asarray(loads, dtype=float)
+    out = np.empty(w.shape[:-1] + (model.n_states, len(idx)))
+    for pos in np.ndindex(w.shape[:-1]):
+        for j, e in enumerate(idx):
+            x = float(w[pos + (e,)])
+            for s, c in enumerate(coeffs[j]):
+                acc = c[-1]
+                for ck in reversed(c[:-1]):
+                    acc = acc * x + ck
+                out[pos + (s, j)] = acc
+    return out
+
+
 def reference_log_likelihoods(model: CostModel, obs: Observation) -> np.ndarray:
     """Log density of the observation under every state, shape (n_states,).
 

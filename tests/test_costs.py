@@ -12,6 +12,8 @@ from routelearn import (
 )
 from routelearn.costs import polyint_ascending, polyval_ascending, validate_slope_bound
 
+from oracles import reference_cost_matrix
+
 
 def tiny_model(functions, edges=("e",), states=("s0", "s1")):
     """One-edge or few-edge model from a {(edge, state): fn} mapping."""
@@ -313,3 +315,41 @@ class TestCostModelValidation:
         }
         with pytest.raises(CostError):
             CostModel(["a", "b"], ["s"], fns, [[1.0, 0.5], [0.0, 1.0]])
+
+
+class TestCostMatrixCache:
+    @pytest.fixture(params=["affine", "polynomial"])
+    def model(self, request):
+        rng = np.random.default_rng(12)
+        edges, states = ("a", "b", "c"), ("s0", "s1", "s2", "s3")
+        if request.param == "affine":
+            table = {
+                (e, s): CostFunction.affine(*rng.uniform(0.1, 3.0, 2)) for e in edges for s in states
+            }
+        else:  # mixed degrees, so lower-degree entries are padded with zeros
+            table = {
+                (e, s): CostFunction.polynomial(rng.uniform(0.1, 3.0, rng.integers(2, 6)))
+                for e in edges
+                for s in states
+            }
+        return CostModel(edges, states, table, np.eye(3))
+
+    @pytest.mark.parametrize("idx", [(0,), (0, 2), (2, 1), (0, 1, 2)])
+    @pytest.mark.parametrize("shape", [(3,), (6, 3)], ids=["1-D", "2-D"])
+    def test_first_and_later_calls_equal_scalar_horner(self, model, idx, shape):
+        loads = np.random.default_rng(len(idx)).uniform(0.0, 2.0, shape)
+        want = reference_cost_matrix(model, loads, idx)
+        first = model.cost_matrix(loads, idx)
+        again = model.cost_matrix(loads, list(idx))  # same key from a list
+        assert first.shape == shape[:-1] + (model.n_states, len(idx))
+        assert np.array_equal(first, want) and np.array_equal(again, want)
+        assert np.array_equal(model.cost_matrix(loads, np.array(idx)), want)
+
+    def test_cached_slab_is_read_only(self, model):
+        model.cost_matrix(np.ones(3), (2, 0))
+        slab = model._slab_cache[(2, 0)]
+        assert slab.shape == (model._coeffs.shape[2], model.n_states, 2)
+        assert not slab.flags.writeable
+        with pytest.raises(ValueError):
+            slab[0, 0, 0] = 1.0
+        assert len(model._slab_cache) == 1

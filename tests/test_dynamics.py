@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -61,6 +63,27 @@ def _relabeled(payload: dict, names: dict[str, str]) -> dict:
         {**c, "edge": names[c["edge"]], "state": names[c["state"]]} for c in payload["costs"]
     ]
     return out
+
+
+def _assert_reference_bits(scenario, traj, **rule) -> None:
+    """The trajectory is the reference loop's for its seed, bit for bit."""
+    records, status = reference_run(scenario, traj.seed, **rule)
+    assert traj.status == status
+    assert traj.n_stages == len(records)
+    for k, rec in enumerate(records, start=1):
+        assert np.array_equal(traj.beliefs[k], rec.belief_post.probs)
+        assert np.array_equal(traj.equilibria.edge_loads[k - 1], rec.equilibrium.edge_loads)
+        obs = traj.observation(k)
+        assert obs.used == rec.observation.used
+        assert np.array_equal(obs.costs, rec.observation.costs)
+
+
+def _trajectory_arrays(traj) -> list[np.ndarray]:
+    eq = traj.equilibria
+    return [
+        traj.beliefs, traj.used, traj.costs, eq.route_flows, eq.edge_loads, eq.gap,
+        eq.route_costs, eq.n_iterations, eq.potential, eq.converged,
+    ]
 
 
 def _both_writers(traj, tmp_path) -> tuple[bytes, bytes]:
@@ -205,6 +228,20 @@ class TestMonteCarlo:
         assert np.array_equal(got.terminal_belief, single.terminal_belief)
         assert batch.clusters[0].count == 1
 
+    def test_pool_starts_one_process_per_block(self, three_edge, monkeypatch):
+        # two seeds make two blocks, so four workers start only two processes
+        started = []
+        spawn = ProcessPoolExecutor._spawn_process
+
+        def counting(pool):
+            started.append(1)
+            spawn(pool)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "_spawn_process", counting)
+        batch = monte_carlo(three_edge, [1, 2], workers=4, max_stages=55)
+        assert [s.seed for s in batch.summaries] == [1, 2]
+        assert len(started) == 2
+
     def test_duplicate_seeds_rejected(self, three_edge):
         with pytest.raises(ValueError):
             monte_carlo(three_edge, [1, 1])
@@ -337,15 +374,7 @@ class TestLockstepBlocks:
         seen = set()
         for traj in run_block(scenario, seeds):
             seen.add(traj.seed)
-            records, status = reference_run(scenario, traj.seed)
-            assert traj.status == status
-            assert traj.n_stages == len(records)
-            for k, rec in enumerate(records, start=1):
-                assert np.array_equal(traj.beliefs[k], rec.belief_post.probs)
-                assert np.array_equal(traj.equilibria.edge_loads[k - 1], rec.equilibrium.edge_loads)
-                obs = traj.observation(k)
-                assert obs.used == rec.observation.used
-                assert np.array_equal(obs.costs, rec.observation.costs)
+            _assert_reference_bits(scenario, traj)
         assert seen == set(seeds)
 
     @pytest.mark.parametrize("rule", [{}, {"max_stages": 40, "window": 10}])
@@ -514,3 +543,52 @@ class TestLockstepBlocks:
         with pytest.raises(ValueError, match="max_stages"):
             monte_carlo(three_edge, range(4), max_stages=3, window=5, workers=2)
 
+
+
+class TestChunkBuffers:
+    # a block keeps a chunk of _NOISE_CHUNK = 64 stages of noise and stage
+    # rows per seed; running seeds 0..599 found these seeds leaving next to a
+    # chunk edge under the default rule: on three-edge seed 8 leaves at stage
+    # 64, the first chunk's last, and seed 42 at 65, the second's first; on
+    # three-edge-cond2 seed 138 leaves at 128 and seed 104 at 129
+    EDGE_SEEDS = {"three-edge": {8: 64, 42: 65}, "three-edge-cond2": {138: 128, 104: 129}}
+
+    @pytest.mark.parametrize("name", sorted(EDGE_SEEDS))
+    def test_seeds_leaving_at_chunk_edges_match_reference_loop(self, name):
+        scenario = load_scenario(name)
+        edges = self.EDGE_SEEDS[name]
+        stages = {}
+        for traj in run_block(scenario, [*edges, 0, 1, 2]):
+            stages[traj.seed] = traj.n_stages
+            _assert_reference_bits(scenario, traj)
+        assert {s: stages[s] for s in edges} == edges
+        assert dynamics._NOISE_CHUNK == 64
+        # a seed leaves on a chunk's last stage while the others go on
+        assert max(stages.values()) > min(edges.values())
+
+    @pytest.mark.parametrize("max_stages", [64, 65, 128])
+    def test_stage_cap_at_chunk_edges_matches_reference_loop(self, cond2, max_stages):
+        # seeds 138 and 104 play past stage 128, seeds 0 and 1 leave earlier
+        rule = {"max_stages": max_stages}
+        trajs = list(run_block(cond2, [138, 104, 0, 1], **rule))
+        assert max(t.n_stages for t in trajs) == max_stages
+        for traj in trajs:
+            _assert_reference_bits(cond2, traj, **rule)
+
+    def test_trajectories_own_their_memory(self, three_edge):
+        # seeds that leave before, at and after the first chunk's end
+        seeds = [8, 42, 11, 0, 1]
+        trajs = list(run_block(three_edge, seeds))
+        assert sorted(t.n_stages for t in trajs)[-1] > dynamics._NOISE_CHUNK
+        for a, b in itertools.combinations(trajs, 2):
+            for x in _trajectory_arrays(a):
+                for y in _trajectory_arrays(b):
+                    assert not np.shares_memory(x, y)
+        # no array is a view into the block's (seeds, chunk, row) buffer
+        buffer_rows = len(seeds) * dynamics._NOISE_CHUNK
+        for traj in trajs:
+            for x in _trajectory_arrays(traj):
+                base = x
+                while base is not None:
+                    assert base.ndim < 3 and base.size // max(base.shape[-1], 1) < buffer_rows
+                    base = base.base

@@ -168,3 +168,33 @@ class TestRowGroups:
         mask = np.zeros((4, 70), dtype=bool)
         mask[1, 64] = mask[2, 69] = mask[3, 64] = True
         assert [rows.tolist() for _, rows in row_groups(mask)] == [[0], [1, 3], [2]]
+
+    @pytest.mark.parametrize(
+        "mask",
+        [
+            np.ones((7, 3), dtype=bool),
+            np.zeros((5, 4), dtype=bool),
+            np.array([[True, False, True]]),
+            np.tile(np.arange(70) % 3 == 0, (6, 1)),
+        ],
+        ids=["all-true", "all-false", "one-row", "uniform-70-columns"],
+    )
+    def test_uniform_mask_is_one_group_of_every_row(self, mask):
+        got = list(row_groups(mask))
+        assert len(got) == 1
+        (pattern, rows), ((ref_pattern, ref_rows),) = got[0], list(reference_row_groups(mask))
+        assert np.array_equal(pattern, ref_pattern) and np.array_equal(pattern, mask[0])
+        assert np.array_equal(rows, ref_rows)
+        assert rows.tolist() == list(range(len(mask)))
+
+    def test_zero_row_mask_yields_nothing(self):
+        assert list(row_groups(np.zeros((0, 5), dtype=bool))) == []
+
+    def test_first_row_differing_only_in_last_column(self):
+        # the uniform check must look at every column, the last one included
+        mask = np.zeros((5, 70), dtype=bool)
+        mask[0, -1] = True
+        got = [(p.tolist(), rows.tolist()) for p, rows in row_groups(mask)]
+        want = [(p.tolist(), rows.tolist()) for p, rows in reference_row_groups(mask)]
+        assert got == want
+        assert [rows for _, rows in got] == [[0], [1, 2, 3, 4]]
