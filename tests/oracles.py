@@ -655,8 +655,11 @@ def exact_solve_wardrop(
 
 
 def reference_cost_matrix(model: CostModel, loads, edge_indices) -> np.ndarray:
-    """Per-state costs on the selected edges, shape (..., S, m): one scalar
-    Horner evaluation of `model._coeffs[idx]` per load, state and edge."""
+    """Per-state costs on the selected edges, shape (..., S, m).
+
+    One scalar Horner evaluation of `model._coeffs[idx]` per load, state and
+    edge, in Python floats.
+    """
     idx = [int(i) for i in edge_indices]
     coeffs = model._coeffs[idx].tolist()  # [edge][state][power]
     w = np.asarray(loads, dtype=float)
