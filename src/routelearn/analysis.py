@@ -4,12 +4,17 @@ A rest point pairs a belief with the equilibrium load it induces such that
 the belief puts no mass on states whose costs differ from the truth on any
 used edge. Trajectories settle exactly on such pairs, so these checks close
 the loop between simulation output and the underlying fixed-point structure.
+
+The sweep solves the face of the belief grid where rest points can lie in
+blocks, then refines each two-state family's boundary by bisection; one
+block solve evaluates the midpoints of four halvings.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -288,16 +293,53 @@ def _face_states(
     return np.flatnonzero(~(network.incidence.T @ d_s > 0).all(axis=0))
 
 
+_BISECT_LEVELS = 4  # halvings whose midpoints one predicate call evaluates
+
+
 def _bisect_boundary(predicate, x_fail: float, x_pass: float, tol: float) -> float:
-    """Refine a pass/fail boundary; returns the passing-side endpoint."""
+    """Refine a pass/fail boundary; returns the passing-side endpoint.
+
+    Halves [x_fail, x_pass] toward the boundary, each midpoint 0.5 * (lo + hi),
+    until the endpoints are within `tol` or a midpoint rounds onto one of
+    them. `predicate` maps an array of points to their pass mask. One call
+    evaluates every midpoint the next `_BISECT_LEVELS` halvings could need,
+    up to 2**_BISECT_LEVELS - 1 of them, and the walk down that tree takes
+    the endpoints that probing one midpoint at a time would. A call that
+    raises SolverError had a point that did not converge, which may lie off
+    the walk; the walk then asks about its own points one at a time, so only
+    a point on it can raise.
+    """
     lo, hi = x_fail, x_pass
-    while abs(hi - lo) > tol:
-        mid = 0.5 * (lo + hi)
-        if predicate(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    size = 2**_BISECT_LEVELS - 1
+    while True:
+        # node k spans (lo, hi); its midpoint passing leads to 2k + 1, failing to 2k + 2
+        spans, probe, xs = {0: (lo, hi)}, {}, []
+        for k in range(size):
+            if k not in spans:
+                continue
+            a, b = spans[k]
+            mid = 0.5 * (a + b)
+            if abs(b - a) <= tol or mid == a or mid == b:
+                continue
+            probe[k] = len(xs)
+            xs.append(mid)
+            spans[2 * k + 1], spans[2 * k + 2] = (a, mid), (mid, b)
+        if not xs:
+            return hi
+        xs = np.array(xs)
+        try:
+            passed = predicate(xs)
+        except SolverError:
+            passed = None
+        k = 0
+        while k in probe:
+            i = probe[k]
+            if predicate(xs[i : i + 1])[0] if passed is None else passed[i]:
+                hi, k = xs[i], 2 * k + 1
+            else:
+                lo, k = xs[i], 2 * k + 2
+        if k < size:
+            return hi
 
 
 def enumerate_rest_points(
@@ -321,7 +363,11 @@ def enumerate_rest_points(
     rows, raising SolverError, which names the belief, for a node that does
     not converge), clusters passing nodes by their used-edge set, and for
     families supported on exactly two states refines the boundary of the
-    belief range by bisection down to `refine_tol`.
+    belief range by bisection down to `refine_tol`. The bisection solves
+    the midpoints of four halvings, up to 15 beliefs, in one block
+    (`_bisect_boundary`); a midpoint off its path that does not converge
+    does not raise. `chunk_size` must be a positive integer and
+    `refine_tol` finite and positive, or ValueError names them.
 
     Only the face of the grid where rest points can lie is solved: when
     mass_tol < 1/grid_n and used_tol < demand / n_routes, states that are
@@ -334,6 +380,10 @@ def enumerate_rest_points(
         raise ValueError("simplex grid enumeration is limited to at most 6 states")
     if grid_n < 1:
         raise ValueError("grid_n must be at least 1")
+    if isinstance(chunk_size, bool) or not isinstance(chunk_size, numbers.Integral) or chunk_size < 1:
+        raise ValueError(f"chunk_size must be a positive integer, not {chunk_size!r}")
+    if not (math.isfinite(refine_tol) and refine_tol > 0):
+        raise ValueError(f"refine_tol must be finite and positive, not {refine_tol!r}")
     if used_tol is None:
         used_tol = 1e-9 * demand
     true_idx = model.state_index(true_state)
@@ -395,11 +445,11 @@ def enumerate_rest_points(
                 v[:, j] = 1.0 - xs
                 return v
 
-            def at(x: float) -> bool:
-                return bool(passes(face(np.array([x])), want_key=key)[0])
+            def at(xs: np.ndarray) -> np.ndarray:
+                return passes(face(xs), want_key=key)
 
             xs = np.arange(grid_n + 1) / grid_n
-            ok = passes(face(xs), want_key=key)
+            ok = at(xs)
             if ok.any():
                 lo_idx = int(np.argmax(ok))
                 hi_idx = int(len(ok) - 1 - np.argmax(ok[::-1]))

@@ -187,6 +187,9 @@ class CostModel:
                 coeffs[i, j, : len(fn.coefficients)] = fn.coefficients
         coeffs.setflags(write=False)
         self._coeffs = coeffs
+        by_state = np.ascontiguousarray(coeffs.transpose(1, 0, 2))  # (S, E, C)
+        by_state.setflags(write=False)
+        self._by_state = by_state
 
         self._edge_index = {e: i for i, e in enumerate(self.edges)}
         self._state_index = {s: i for i, s in enumerate(self.states)}
@@ -215,8 +218,21 @@ class CostModel:
             raise CostError(f"unknown state {state!r}") from None
 
     def mixed_coefficients_batch(self, prob_rows: np.ndarray) -> np.ndarray:
-        """Mixed coefficients for many beliefs at once, shape (n, E, degree + 1)."""
-        return np.einsum("esc,ns->nec", self._coeffs, np.asarray(prob_rows, dtype=float))
+        """Mixed coefficients for many beliefs at once, shape (n, E, degree + 1).
+
+        Row i is the sum over states s of prob_rows[i, s] times state s's
+        (E, C) coefficients, added in place in state order from a
+        state-major copy of the table. That is the order and rounding of
+        np.einsum("esc,ns->nec"), so the bits are the same, without its
+        cost and with no temporary larger than the result.
+        """
+        p = np.asarray(prob_rows, dtype=float)
+        by_state = self._by_state
+        out = np.multiply.outer(p[:, 0], by_state[0])
+        term = np.empty_like(out)
+        for s in range(1, len(by_state)):
+            out += np.multiply.outer(p[:, s], by_state[s], out=term)
+        return out
 
     def state_coefficients(self, state: str) -> np.ndarray:
         return self._coeffs[:, self.state_index(state), :]

@@ -8,6 +8,11 @@ solves the equal-cost system with costs linearized at the current loads
 (exactly, in one step, for affine mixtures). It pins interior solutions to
 machine precision and leaves unused routes at exactly zero flow, which
 Frank-Wolfe alone reaches only at O(1/k).
+
+A row's certificates come from the evaluation that certified it: the
+polish's loads and route costs at the flows it returns, or the Frank-Wolfe
+iteration at which the row stopped. Only rows whose returned flows were
+never evaluated, those stopped by the iteration cap, are evaluated again.
 """
 
 from __future__ import annotations
@@ -137,9 +142,21 @@ def _line_search(
     return gamma
 
 
+def _potential(pcoef: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The Beckmann potential of each row of loads `w`, from the degree-major
+    coefficients of `polyint_coefficients`."""
+    return np.add.reduce(polyval_ascending(pcoef, w, axis=0) * w, axis=1)
+
+
 def _face_polish(
-    inc: np.ndarray, coef: np.ndarray, demand: float, q: np.ndarray, rmin: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+    inc: np.ndarray,
+    coef: np.ndarray,
+    demand: float,
+    q: np.ndarray,
+    rmin: np.ndarray,
+    loads: np.ndarray,
+    costs: np.ndarray,
+) -> np.ndarray:
     """Newton on the equal-cost system of each row's active route set.
 
     The active set is the row's positive routes plus its cheapest one. A
@@ -154,12 +171,14 @@ def _face_polish(
     from flows that already pass passes again, which leaves them at
     rounding level. Certified rows leave; the others step again from their
     new flows, with the cheapest route at them added to the set, at most
-    `_NEWTON_STEPS` times. Returns the flows, polished on the rows the
-    returned mask certifies.
+    `_NEWTON_STEPS` times. Returns the mask of certified rows; each one's
+    flows are written into its row of `q`, and the edge loads and route
+    costs at them, from the evaluation that certified them, into `loads`
+    and `costs`. Other rows of the three arrays are left as they were.
     """
     n, n_routes = q.shape
     affine = ~coef[2:].any(axis=(0, 2))
-    flows = q.copy()  # each row's current flows, certified ones at the end
+    flows = q.copy()  # each uncertified row's current flows
     active = flows > 1e-12 * demand
     active[np.arange(n), rmin] = True
     # affine rows keep their own coefficients, their exact linearization
@@ -210,7 +229,8 @@ def _face_polish(
                 cand[:, routes] = np.maximum(sol, 0.0)
                 top = routes[np.argmax(sol, axis=1)]
                 cand[np.arange(len(rows)), top] += demand - np.add.reduce(cand, axis=1)
-                t = np.matvec(inc.T, polyval_ascending(coef[:, rows], np.matvec(inc, cand), axis=0))
+                wc = np.matvec(inc, cand)
+                t = np.matvec(inc.T, polyval_ascending(coef[:, rows], wc, axis=0))
                 on = t[:, routes]
                 common = np.add.reduce(on, axis=1) / k
                 scale = 1e-9 * (1.0 + np.abs(common))
@@ -220,8 +240,9 @@ def _face_polish(
                 # a step from flows that pass is exact to rounding
                 good = ~bad & (affine[rows] | passed[rows])
                 passed[rows] = ~bad
-                flows[rows[good]] = cand[good]
-                ok[rows[good]] = True
+                fin = rows[good]
+                q[fin], loads[fin], costs[fin] = cand[good], wc[good], t[good]
+                ok[fin] = True
                 step = ~good & ~affine[rows]
                 if step.any():
                     rows, cand = rows[step], cand[step]
@@ -233,7 +254,7 @@ def _face_polish(
         if not again:
             break
         live = lin = np.concatenate(again)
-    return flows, ok
+    return ok
 
 
 def _solve_each(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -317,6 +338,7 @@ def solve_wardrop_block(
     n_iter = np.full(n, max_iter, dtype=np.intp)
     converged = np.zeros(n, dtype=bool)
     polished = np.zeros(n, dtype=bool)  # polished at the iterate the row stops at
+    stale = np.zeros(n, dtype=bool)  # returned flows never evaluated
 
     # The loop works on the rows still iterating; a row that stops leaves.
     live = np.arange(n)
@@ -326,7 +348,7 @@ def solve_wardrop_block(
         w = np.matvec(inc, ql)
         costs = polyval_ascending(cl, w, axis=0)
         t = np.matvec(inc.T, costs)
-        phi = np.add.reduce(polyval_ascending(pl, w, axis=0) * w, axis=1)
+        phi = _potential(pl, w)
         if (phi > ceiling).any():
             i = int(np.argmax(phi > ceiling))
             raise SolverError(
@@ -338,22 +360,34 @@ def solve_wardrop_block(
         rm = t.argmin(axis=1)
         t_min = np.minimum.reduce(t, axis=1)
         lb = np.maximum(lb, phi - (np.vecdot(t, ql) - t_min * demand))
+        if it == 1:
+            # every row is live: the result keeps these arrays, and a row
+            # that stops later copies in the evaluation it stopped at
+            loads, route_costs, potential = w, t, phi
+        polish = not it & (it - 1)
+        if polish:
+            # A route that carries no flow at equilibrium drains only at
+            # O(1/k), so rows try the polish at every power of two and stop
+            # with the flows it certifies, evaluated there. Rows that stop
+            # now anyway have had their final polish.
+            ok = _face_polish(inc, cl, demand, ql, rm, w, t)
+            if it == 1 and ok.all():
+                potential[:] = _potential(pcoef, loads)
+                best_lb, n_iter[:], converged[:], polished[:] = lb, 1, True, True
+                break
+            fix = ok.nonzero()[0]
+            phi[fix] = _potential(pl[:, fix], w[fix])
         rel_gap = (phi - lb) / np.maximum(phi, _TINY)
         # the largest route flow is at least demand / n_routes > flow_tol
         worst = np.maximum.reduce(t, axis=1, where=ql > flow_tol, initial=-np.inf) - t_min
         done = (rel_gap <= tol) | (worst <= tol * np.maximum(1.0, t_min))
-        if not it & (it - 1):
-            # A route that carries no flow at equilibrium drains only at
-            # O(1/k), so rows try the polish at every power of two and stop
-            # with the flows it certifies. Rows that stop now anyway have
-            # had their final polish.
-            flows, ok = _face_polish(inc, cl, demand, ql, rm)
-            ql[ok] = flows[ok]
+        if polish:
             done |= ok
             polished[live[done]] = True
         if done.any():
             fin = live[done]
             q[fin], rmin[fin], best_lb[fin], n_iter[fin] = ql[done], rm[done], lb[done], it
+            loads[fin], route_costs[fin], potential[fin] = w[done], t[done], phi[done]
             converged[fin] = True
             go = ~done
             live = live[go]
@@ -369,31 +403,39 @@ def solve_wardrop_block(
         ql = np.where(g >= 1.0, y, ql + g * step)
     else:
         q[live], rmin[live], best_lb[live] = ql, rm, lb
+        stale[live] = True
 
     final = ~polished
     if final.any():
-        rows = slice(None) if final.all() else final.nonzero()[0]
-        flows, ok = _face_polish(inc, coef[:, rows], demand, q[rows], rmin[rows])
-        q[rows] = np.where(ok[:, None], flows, q[rows])
-        converged[rows] |= ok
+        rows = final.nonzero()[0]
+        qr, wr, tr = q[rows], loads[rows], route_costs[rows]
+        ok = _face_polish(inc, coef[:, rows], demand, qr, rmin[rows], wr, tr)
+        fin = rows[ok]
+        q[fin], loads[fin], route_costs[fin] = qr[ok], wr[ok], tr[ok]
+        potential[fin] = _potential(pcoef[:, fin], wr[ok])
+        converged[fin] = True
+        stale[fin] = False
+    if stale.any():
+        rows = stale.nonzero()[0]
+        w = np.matvec(inc, q[rows])
+        loads[rows] = w
+        route_costs[rows] = np.matvec(inc.T, polyval_ascending(coef[:, rows], w, axis=0))
+        potential[rows] = _potential(pcoef[:, rows], w)
 
     # final certificates at the returned point
-    w = np.matvec(inc, q)
-    t = np.matvec(inc.T, polyval_ascending(coef, w, axis=0))
-    phi = np.add.reduce(polyval_ascending(pcoef, w, axis=0) * w, axis=1)
-    abs_gap = np.vecdot(t, q) - np.minimum.reduce(t, axis=1) * demand
-    best_lb = np.maximum(best_lb, phi - abs_gap)
-    gap = np.maximum(0.0, (phi - best_lb) / np.maximum(np.abs(phi), _TINY))
+    abs_gap = np.vecdot(route_costs, q) - np.minimum.reduce(route_costs, axis=1) * demand
+    best_lb = np.maximum(best_lb, potential - abs_gap)
+    gap = np.maximum(0.0, (potential - best_lb) / np.maximum(np.abs(potential), _TINY))
     converged |= gap <= tol
-    for a in (q, w, gap, t, n_iter, phi, converged):
+    for a in (q, loads, gap, route_costs, n_iter, potential, converged):
         a.setflags(write=False)
     return EquilibriumBlock(
         route_flows=q,
-        edge_loads=w,
+        edge_loads=loads,
         gap=gap,
-        route_costs=t,
+        route_costs=route_costs,
         n_iterations=n_iter,
-        potential=phi,
+        potential=potential,
         converged=converged,
     )
 

@@ -15,7 +15,10 @@ reference loop's active route set, certified at 1e-12, for comparisons the
 reference loop's 1e-8 gap is too coarse for. `certify_nothing` stands in
 for the face polish where a test needs Frank-Wolfe alone. The reference
 trajectory writer is the csv.writer loop that formats one cell at a time,
-which the one-format-per-row writer replaced.
+which the one-format-per-row writer replaced. The reference bisection
+probes one midpoint at a time, where the package probes four halvings'
+midpoints in one block, and the oracles mix cost coefficients with their
+own einsum, which the package's in-place accumulation replaced.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from scipy.optimize import root
 from routelearn.analysis import (
     RestPointFamily,
     RestPointReport,
-    _bisect_boundary,
     _ClusterAccumulator,
     _distinguishable,
     _rest_point_rows,
@@ -68,7 +70,7 @@ from routelearn.graph import Network, used_edges
 
 def _mixed(model: CostModel, theta: Belief) -> np.ndarray:
     """Belief-weighted cost coefficients, shape (n_edges, degree + 1)."""
-    return model.mixed_coefficients_batch(theta.probs[None, :])[0]
+    return np.einsum("esc,ns->nec", model._coeffs, theta.probs[None, :])[0]
 
 
 def two_route_affine_loads(network: Network, model: CostModel, theta: Belief, demand: float) -> np.ndarray:
@@ -591,10 +593,23 @@ def reference_solve_wardrop(
     return result
 
 
-def certify_nothing(inc, coef, demand, q, rmin):
+def reference_block_evaluation(
+    network: Network, model: CostModel, probs: np.ndarray, flows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Edge loads, route costs and potentials at each row of route flows,
+    evaluated afresh for the whole block, as the block solver's final step
+    once did for every row."""
+    coef = np.einsum("esc,ns->nec", model._coeffs, probs).transpose(2, 0, 1).copy()
+    w = np.matvec(network.incidence, flows)
+    t = np.matvec(network.incidence.T, polyval_ascending(coef, w, axis=0))
+    phi = np.add.reduce(polyint_ascending(coef, w, axis=0), axis=1)
+    return w, t, phi
+
+
+def certify_nothing(inc, coef, demand, q, rmin, loads, costs):
     """A stand-in for `equilibrium._face_polish` that certifies no row, so
-    only Frank-Wolfe can finish."""
-    return q, np.zeros(len(q), dtype=bool)
+    only Frank-Wolfe can finish; it writes nothing."""
+    return np.zeros(len(q), dtype=bool)
 
 
 def exact_solve_wardrop(
@@ -967,6 +982,22 @@ def reference_row_groups(mask: np.ndarray):
 
 
 # --- Reference full simplex sweep ------------------------------------------
+def reference_bisect_boundary(predicate, x_fail: float, x_pass: float, tol: float) -> float:
+    """Refine a pass/fail boundary one midpoint at a time; returns the
+    passing-side endpoint. Stops when the endpoints are within `tol` or a
+    midpoint rounds onto one of them."""
+    lo, hi = x_fail, x_pass
+    while abs(hi - lo) > tol:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if predicate(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 # enumerate_rest_points as it was before it swept only the face where rest
 # points can lie: every node of the grid is solved. Kept verbatim, on the
 # package's own helpers, so that the face sweep can be checked against it.
@@ -1071,9 +1102,9 @@ def reference_enumerate_rest_points(
                 lo = xs[lo_idx]
                 hi = xs[hi_idx]
                 if lo_idx > 0:
-                    lo = _bisect_boundary(at, xs[lo_idx - 1], lo, refine_tol)
+                    lo = reference_bisect_boundary(at, xs[lo_idx - 1], lo, refine_tol)
                 if hi_idx < len(xs) - 1:
-                    hi = _bisect_boundary(at, xs[hi_idx + 1], hi, refine_tol)
+                    hi = reference_bisect_boundary(at, xs[hi_idx + 1], hi, refine_tol)
                 thresholds[model.states[i]] = (float(lo), float(hi))
                 thresholds[model.states[j]] = (float(1.0 - hi), float(1.0 - lo))
                 refined = True

@@ -38,6 +38,7 @@ from routelearn.errors import SolverError
 from oracles import (
     bench_reference,
     random_multi_route_instance,
+    reference_bisect_boundary,
     reference_enumerate_rest_points,
     reference_complete_learning_conditions,
     reference_distinguishable_states,
@@ -655,6 +656,136 @@ class TestUnconvergedSweepRows:
         monkeypatch.setattr(analysis, "solve_wardrop_block", flagged)
         with pytest.raises(SolverError, match=r"^belief \(0, 0.05, 0, 0.95\): no convergence"):
             enumerate_rest_points(three_edge.network, three_edge.model, "none", 20, 1.0)
+
+
+class TestBatchedBisection:
+    """`_bisect_boundary` probes four halvings per predicate call; it must end
+    where the one-midpoint-at-a-time oracle ends, and raise only when that
+    oracle does."""
+
+    @staticmethod
+    def predicates(boundary, x_fail, x_pass, closed, bad):
+        """One-point and vectorised forms of a monotone predicate that passes
+        on the x_pass side of `boundary` (including it when `closed`), and
+        that cannot decide the point `bad`."""
+        above = x_pass > x_fail
+
+        def one(x):
+            if x == bad:
+                raise SolverError("no convergence")
+            if x == boundary:
+                return closed
+            return (x > boundary) == above
+
+        def many(xs):
+            calls.append(len(xs))
+            return np.array([one(float(x)) for x in xs], dtype=bool)
+
+        calls = []
+        return one, many, calls
+
+    @staticmethod
+    def outcome(bisect, predicate, x_fail, x_pass, tol):
+        try:
+            return float(bisect(predicate, x_fail, x_pass, tol))
+        except SolverError:
+            return "raised"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_sequential_bisection(self, data):
+        lo = data.draw(st.floats(-100.0, 100.0), label="lo")
+        # a width of a few float spacings leaves midpoints that round onto an endpoint
+        ulps = st.integers(1, 4).map(lambda k: k * math.ulp(lo))
+        hi = lo + data.draw(st.one_of(st.floats(0.0, 10.0), ulps), label="width")
+        x_fail, x_pass = (lo, hi) if data.draw(st.booleans(), label="passes above") else (hi, lo)
+        tol = data.draw(
+            st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 1e-15, 1e-6]), st.floats(1e-12, 1.0)),
+            label="tol",
+        )
+        closed = data.draw(st.booleans(), label="closed")
+        boundary = data.draw(st.floats(min(lo, hi), max(lo, hi)), label="boundary")
+        if data.draw(st.booleans(), label="tie"):
+            # move the boundary onto a midpoint that the bisection probes
+            mids = []
+            probe = self.predicates(boundary, x_fail, x_pass, closed, None)[0]
+            reference_bisect_boundary(lambda x: mids.append(x) or probe(x), x_fail, x_pass, tol)
+            if mids:
+                boundary = data.draw(st.sampled_from(mids), label="tied midpoint")
+
+        one, many, calls = self.predicates(boundary, x_fail, x_pass, closed, None)
+        want = self.outcome(reference_bisect_boundary, one, x_fail, x_pass, tol)
+        assert self.outcome(analysis._bisect_boundary, many, x_fail, x_pass, tol) == want
+        if not calls:
+            return
+        # one point of the first block cannot be decided; on the walked path
+        # it raises, as it does in the oracle, and off it, it changes nothing
+        assert calls[0] <= 2**analysis._BISECT_LEVELS - 1
+        block = []
+        analysis._bisect_boundary(lambda xs: block.append(xs) or many(xs), x_fail, x_pass, tol)
+        bad = data.draw(st.sampled_from(block[0].tolist()), label="undecidable")
+        one, many, _ = self.predicates(boundary, x_fail, x_pass, closed, bad)
+        want = self.outcome(reference_bisect_boundary, one, x_fail, x_pass, tol)
+        assert self.outcome(analysis._bisect_boundary, many, x_fail, x_pass, tol) == want
+
+    def test_calls_cover_four_halvings_each(self):
+        # 13 halvings, from a grid step of 1/200 down to 1e-6, take 4 calls
+        one, many, calls = self.predicates(0.2, 0.195, 0.2, True, None)
+        got = analysis._bisect_boundary(many, 0.195, 0.2, 1e-6)
+        seq = []
+        want = reference_bisect_boundary(lambda x: seq.append(x) or one(x), 0.195, 0.2, 1e-6)
+        assert got == want and len(seq) == 13
+        assert calls == [15, 15, 15, 1]
+
+    def test_adjacent_endpoints_end_at_once(self):
+        x = 0.2
+        nxt = math.nextafter(x, 1.0)
+        one, many, calls = self.predicates(x, x, nxt, True, None)
+        assert analysis._bisect_boundary(many, x, nxt, 0.0) == nxt
+        assert calls == []
+
+
+class TestSweepArguments:
+    GRID = 20
+
+    def sweep(self, sc, **kw):
+        return enumerate_rest_points(sc.network, sc.model, "none", self.GRID, sc.demand, **kw)
+
+    @pytest.mark.parametrize("chunk_size", [-5, 0, 2.5, True, None])
+    def test_chunk_size_must_be_a_positive_integer(self, three_edge, chunk_size):
+        with pytest.raises(ValueError, match="chunk_size"):
+            self.sweep(three_edge, chunk_size=chunk_size)
+
+    @pytest.mark.parametrize("refine_tol", [0.0, -1e-6, math.nan, math.inf])
+    def test_refine_tol_must_be_finite_and_positive(self, three_edge, refine_tol):
+        with pytest.raises(ValueError, match="refine_tol"):
+            self.sweep(three_edge, refine_tol=refine_tol)
+
+    def test_small_chunks_and_a_tolerance_below_float_spacing(self, three_edge):
+        # the refinement stops once a midpoint rounds onto an endpoint
+        default = self.sweep(three_edge)
+        assert (len(default.families), default.n_passing) == (2, 18)
+        for kw in ({"chunk_size": 1}, {"chunk_size": np.int64(7)}, {"refine_tol": 1e-300}):
+            got = self.sweep(three_edge, **kw)
+            assert (len(got.families), got.n_passing) == (2, 18)
+            assert [f.used for f in got.families] == [f.used for f in default.families]
+        assert got.families[1].thresholds["e2"][0] == pytest.approx(0.2, abs=1e-6)
+
+    def test_refinement_at_grid_200_takes_four_block_solves(self, three_edge, monkeypatch):
+        real, sizes = analysis._rest_point_rows, []
+
+        def spy(network, model, true_idx, thetas, **kw):
+            sizes.append(len(thetas))
+            return real(network, model, true_idx, thetas, **kw)
+
+        monkeypatch.setattr(analysis, "_rest_point_rows", spy)
+        rep = enumerate_rest_points(
+            three_edge.network, three_edge.model, "none", 200, three_edge.demand,
+            used_tol=three_edge.used_edge_tol, cost_tol=three_edge.tolerances.cost_equality,
+        )
+        # one scan of the (e2, none) edge, then the bisection below e2 = 0.2
+        assert sizes[0] == 201 and len(sizes[1:]) <= 4
+        assert [f.thresholds for f in rep.families][1]["e2"][0] == pytest.approx(0.2, abs=1e-6)
 
 
 def _face_case(rng):

@@ -345,6 +345,20 @@ class TestCostMatrixCache:
         assert np.array_equal(first, want) and np.array_equal(again, want)
         assert np.array_equal(model.cost_matrix(loads, np.array(idx)), want)
 
+    @pytest.mark.parametrize("idx", [(0,), (0, 2), (2, 1), (0, 1, 2)])
+    @pytest.mark.parametrize("shape", [(3,), (6, 3)], ids=["1-D", "2-D"])
+    def test_costs_keep_the_legacy_memory_layout(self, model, idx, shape):
+        # check_rest_point's `theta.probs @ per_state` sums in an order that
+        # depends on the layout of the costs, so its bits move if the layout
+        # does; the costs must keep the strides of the swapaxes/moveaxis
+        # evaluation they once had
+        loads = np.random.default_rng(len(idx)).uniform(0.0, 2.0, shape)
+        w = loads[..., list(idx)]
+        legacy = polyval_ascending(np.swapaxes(model._coeffs[list(idx)], 0, 1), w[..., None, :])
+        got = model.cost_matrix(loads, idx)
+        assert got.strides == legacy.strides
+        assert got.tobytes() == legacy.tobytes()
+
     def test_cached_slab_is_read_only(self, model):
         model.cost_matrix(np.ones(3), (2, 0))
         slab = model._slab_cache[(2, 0)]
@@ -353,3 +367,29 @@ class TestCostMatrixCache:
         with pytest.raises(ValueError):
             slab[0, 0, 0] = 1.0
         assert len(model._slab_cache) == 1
+
+
+class TestMixedCoefficients:
+    """The in-place accumulation over states gives the bits of the einsum it replaced."""
+
+    @pytest.mark.parametrize("n_states", range(1, 13))
+    @pytest.mark.parametrize("degree", range(1, 6))
+    def test_equals_einsum_bit_for_bit(self, n_states, degree):
+        rng = np.random.default_rng(100 * n_states + degree)
+        edges, states = ("a", "b", "c"), [f"s{j}" for j in range(n_states)]
+        table = {}
+        for e in edges:
+            for s in states:
+                c = rng.uniform(0.0, 3.0, degree + 1) * 10.0 ** rng.integers(-3, 4, degree + 1)
+                c[rng.random(degree + 1) < 0.2] = 0.0
+                c[1] = max(c[1], 1e-3)  # the slope bound
+                table[(e, s)] = CostFunction.polynomial(c)
+        model = CostModel(edges, states, table, np.eye(3))
+        for n in (1, 25, 20301):
+            probs = rng.dirichlet(np.ones(n_states), size=n)
+            probs[rng.random(probs.shape) < 0.2] = 0.0  # zero masses
+            probs[rng.random(probs.shape) < 0.1] = 5e-324  # subnormal masses
+            probs[rng.random(probs.shape) < 0.1] = 2.2e-308
+            want = np.einsum("esc,ns->nec", model._coeffs, probs)
+            got = model.mixed_coefficients_batch(probs)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()

@@ -26,6 +26,7 @@ from oracles import (
     random_multi_route_instance,
     random_simplex,
     random_two_route_instance,
+    reference_block_evaluation,
     reference_solve_wardrop,
     two_route_affine_loads,
     verify_equilibrium,
@@ -581,3 +582,132 @@ class TestBatchSolverRows:
             assert np.array_equal(eq.edge_loads[i], alone.edge_loads[0])
             assert eq.gap[i] == alone.gap[0]
             _assert_matches_reference(net, model, theta, demand, eq.edge_loads[i])
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _dependent_routes_case():
+    """Two stages of two parallel edges: route incidence columns have rank 3 of 4."""
+    net = Network(["a", "b", "c", "d"], [["a", "c"], ["a", "d"], ["b", "c"], ["b", "d"]])
+    fns = {(e, s): CostFunction.affine(1.0, 1.0 + k) for k, e in enumerate("abcd") for s in "xy"}
+    fns[("a", "y")] = CostFunction.affine(2.0, 1.0)
+    model = CostModel(list("abcd"), ["x", "y"], fns, np.eye(4))
+    return net, model
+
+
+class TestCertificatesAtReturnedFlows:
+    """Each row's loads, route costs and potential come from the evaluation
+    that certified it, not from a fresh one; they must equal a fresh
+    evaluation of the whole block at the returned flows, bit for bit."""
+
+    def check(self, net, model, thetas, demand, **kwargs):
+        block = solve_wardrop_block(net, model, thetas, demand, **kwargs)
+        w, t, phi = reference_block_evaluation(net, model, thetas, block.route_flows)
+        assert _same_bits(block.edge_loads, w)
+        assert _same_bits(block.route_costs, t)
+        assert _same_bits(block.potential, phi)
+        return block
+
+    def test_rows_the_first_polish_certifies(self, three_edge):
+        thetas = np.random.default_rng(61).dirichlet(np.ones(4), size=300)
+        block = self.check(three_edge.network, three_edge.model, thetas, 1.0, tol=1e-10)
+        assert (block.n_iterations == 1).all() and block.converged.all()
+
+    @pytest.mark.parametrize("max_degree", [1, 2])
+    def test_random_tables(self, max_degree):
+        # affine rows and quadratic rows that take Newton steps, some of them
+        # certified after iteration 1
+        rng = np.random.default_rng(62 + max_degree)
+        stops = set()
+        for _ in range(8):
+            net, model, _, demand = random_multi_route_instance(rng, max_degree=max_degree)
+            thetas = np.array([random_simplex(rng, model.n_states) for _ in range(20)])
+            stops |= set(self.check(net, model, thetas, demand).n_iterations.tolist())
+        assert stops >= {1}
+
+    def test_polynomial_newton_rows(self):
+        scenario = scenario_from_dict(wheatstone_poly_payload())
+        thetas = np.random.default_rng(64).dirichlet(np.ones(4), size=40)
+        block = self.check(scenario.network, scenario.model, thetas, scenario.demand)
+        assert block.converged.all()
+
+    def test_rows_certified_by_frank_wolfe_alone(self, monkeypatch):
+        monkeypatch.setattr(equilibrium, "_face_polish", certify_nothing)
+        rng = np.random.default_rng(65)
+        stops = set()
+        for _ in range(6):
+            net, model, _, demand = random_multi_route_instance(rng, max_degree=2)
+            thetas = np.array([random_simplex(rng, model.n_states) for _ in range(12)])
+            stops |= set(self.check(net, model, thetas, demand, max_iter=60).n_iterations.tolist())
+        assert len(stops) > 2
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 3])
+    def test_capped_rows(self, monkeypatch, max_iter):
+        # with the polish certifying nothing, most rows stop at the cap, and
+        # the final polish is the real one
+        real, calls = equilibrium._face_polish, []
+
+        def late(*args):
+            calls.append(len(args[3]))
+            return (real if len(calls) > max_iter.bit_length() else certify_nothing)(*args)
+
+        monkeypatch.setattr(equilibrium, "_face_polish", late)
+        rng = np.random.default_rng(66)
+        capped = 0
+        for max_degree in (1, 2):
+            net, model, _, demand = random_multi_route_instance(rng, max_degree=max_degree)
+            thetas = np.array([random_simplex(rng, model.n_states) for _ in range(16)])
+            calls.clear()
+            block = self.check(net, model, thetas, demand, max_iter=max_iter)
+            capped += int((block.n_iterations == max_iter).sum())
+        assert capped > 0
+
+    def test_rows_the_final_polish_certifies(self, monkeypatch):
+        # the loop's polish calls (iterations 1 and 2) certify nothing; rows
+        # that Frank-Wolfe stops at iteration 3 and rows at the cap get the
+        # real final polish
+        real, calls, certified = equilibrium._face_polish, [], []
+
+        def final_only(*args):
+            calls.append(1)
+            if len(calls) <= 2:
+                return certify_nothing(*args)
+            ok = real(*args)
+            certified.append(int(ok.sum()))
+            return ok
+
+        monkeypatch.setattr(equilibrium, "_face_polish", final_only)
+        rng = np.random.default_rng(67)
+        for _ in range(4):
+            net, model, _, demand = random_multi_route_instance(rng, max_degree=2)
+            thetas = np.array([random_simplex(rng, model.n_states) for _ in range(16)])
+            calls.clear()
+            self.check(net, model, thetas, demand, max_iter=3)
+        assert sum(certified) > 0
+
+    def test_dropped_route_retries(self, three_edge):
+        # from an even split, beliefs in the {e1, e3} family solve the
+        # two-route system to a negative flow on route 0, drop it and retry
+        # with route 1 alone, all at iteration 1
+        thetas = np.array([[0.0, 0.5, 0.0, 0.5], [0.0, 0.3, 0.0, 0.7], [0.1, 0.6, 0.1, 0.2]])
+        block = self.check(
+            three_edge.network, three_edge.model, thetas, 1.0, init_flows=np.full((3, 2), 0.5)
+        )
+        assert (block.n_iterations == 1).all()
+        assert (block.route_flows[:, 0] == 0.0).all()
+
+    def test_singular_systems_solved_one_by_one(self, monkeypatch):
+        real, calls = equilibrium._solve_each, []
+
+        def counting(m, rhs):
+            calls.append(len(m))
+            return real(m, rhs)
+
+        monkeypatch.setattr(equilibrium, "_solve_each", counting)
+        net, model = _dependent_routes_case()
+        thetas = np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]])
+        block = self.check(net, model, thetas, 1.0, init_flows=np.full((3, 4), 0.25))
+        assert calls and block.converged.all()
