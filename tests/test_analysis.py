@@ -668,7 +668,7 @@ class TestBatchedBisection:
         """One-point and vectorised forms of a monotone predicate that passes
         on the x_pass side of `boundary` (including it when `closed`), and
         that cannot decide the point `bad`."""
-        above = x_pass > x_fail
+        above, calls = x_pass > x_fail, []
 
         def one(x):
             if x == bad:
@@ -681,7 +681,6 @@ class TestBatchedBisection:
             calls.append(len(xs))
             return np.array([one(float(x)) for x in xs], dtype=bool)
 
-        calls = []
         return one, many, calls
 
     @staticmethod
