@@ -187,9 +187,6 @@ class CostModel:
                 coeffs[i, j, : len(fn.coefficients)] = fn.coefficients
         coeffs.setflags(write=False)
         self._coeffs = coeffs
-        by_state = np.ascontiguousarray(coeffs.transpose(1, 0, 2))  # (S, E, C)
-        by_state.setflags(write=False)
-        self._by_state = by_state
 
         self._edge_index = {e: i for i, e in enumerate(self.edges)}
         self._state_index = {s: i for i, s in enumerate(self.states)}
@@ -221,13 +218,14 @@ class CostModel:
         """Mixed coefficients for many beliefs at once, shape (n, E, degree + 1).
 
         Row i is the sum over states s of prob_rows[i, s] times state s's
-        (E, C) coefficients, added in place in state order from a
-        state-major copy of the table. That is the order and rounding of
-        np.einsum("esc,ns->nec"), so the bits are the same, without its
-        cost and with no temporary larger than the result.
+        (E, C) coefficients, added in place in state order. That is the
+        order and rounding of np.einsum("esc,ns->nec"), so the bits are the
+        same, without its cost and with no temporary larger than the result.
         """
         p = np.asarray(prob_rows, dtype=float)
-        by_state = self._by_state
+        # a contiguous (E, C) slice lets each outer product run as one flat
+        # loop per row; on the strided view it takes twice as long
+        by_state = [self._coeffs[:, s].copy() for s in range(self.n_states)]
         out = np.multiply.outer(p[:, 0], by_state[0])
         term = np.empty_like(out)
         for s in range(1, len(by_state)):

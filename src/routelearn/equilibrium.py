@@ -371,12 +371,7 @@ def solve_wardrop_block(
             # with the flows it certifies, evaluated there. Rows that stop
             # now anyway have had their final polish.
             ok = _face_polish(inc, cl, demand, ql, rm, w, t)
-            if it == 1 and ok.all():
-                potential[:] = _potential(pcoef, loads)
-                best_lb, n_iter[:], converged[:], polished[:] = lb, 1, True, True
-                break
-            fix = ok.nonzero()[0]
-            phi[fix] = _potential(pl[:, fix], w[fix])
+            np.copyto(phi, _potential(pl, w), where=ok)
         rel_gap = (phi - lb) / np.maximum(phi, _TINY)
         # the largest route flow is at least demand / n_routes > flow_tol
         worst = np.maximum.reduce(t, axis=1, where=ql > flow_tol, initial=-np.inf) - t_min

@@ -2,16 +2,18 @@
 
     python3 tools/bench_pairs.py --parent REV --change REV --out BENCH_N.json \
         --workload enumerate-three-edge:10:1301 --workload batch-three-edge:5:1311 \
-        [--seconds 35] [--trace batch-three-edge:1331] [--note TEXT] [--workdir DIR]
+        [--trace batch-three-edge:1331] [--note TEXT] [--workdir DIR]
 
 Run from anywhere inside the repository; only the standard library is used.
 Every run extracts a fresh `git archive` of its commit into a scratch
-directory (`--workdir`, a temporary directory by default), runs
+directory (`--workdir`, or a temporary directory that is removed at the
+end), runs
 
     OPENBLAS_NUM_THREADS=1 python3 bench/run.py --workload W --seed N \
         --seconds S --trace 0
 
-there and deletes the copy. `--workload NAME:PAIRS:SEED` asks for PAIRS
+there and deletes the copy. S is BENCHMARK.json's `run_seconds`, the same
+for both sides. `--workload NAME:PAIRS:SEED` asks for PAIRS
 pairs on seeds SEED, SEED + 1, ...; both sides of a pair use the same seed
 and run back to back, the parent first in even pairs and the change first
 in odd ones. Workloads run in the order given.
@@ -155,8 +157,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("--workload", action="append", required=True, type=workload_spec,
                         help="NAME:PAIRS:FIRST_SEED, repeatable")
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="run length; BENCHMARK.json's run_seconds by default")
     parser.add_argument("--trace", type=trace_spec, default=None, help="NAME:SEED")
     parser.add_argument("--note", default="")
     parser.add_argument("--workdir", type=Path, default=None)
@@ -164,7 +164,7 @@ def main(argv=None) -> int:
 
     repo = Path(git(Path(__file__).resolve().parent, "rev-parse", "--show-toplevel").decode().strip())
     spec = json.loads((repo / "BENCHMARK.json").read_text())
-    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
+    seconds = spec["run_seconds"]
     metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
     commits = {s: git(repo, "rev-parse", f"{rev}^{{commit}}").decode().strip()
                for s, rev in zip(SIDES, (args.parent, args.change))}
@@ -178,25 +178,29 @@ def main(argv=None) -> int:
               f"{len(run['round_wall_s'])} rounds, equilibria_per_s {value}", file=sys.stderr)
         return run
 
-    runs, summary = [], {}
-    for workload, pairs, first in args.workload:
-        seeds = list(range(first, first + pairs))
-        mine = []
-        for pair, seed in enumerate(seeds):
-            order = SIDES if pair % 2 == 0 else SIDES[::-1]
-            for position, side in enumerate(order):
-                run = one(side, workload, seed, 0)
-                mine.append({"workload": workload, "side": side, "seed": seed,
-                             "run_seconds": seconds, "pair": pair, "position_in_pair": position,
-                             **run, "commit": commits[side][:7]})
-        runs += mine
-        summary[workload] = summarize(mine, seeds, metrics)
+    try:
+        runs, summary = [], {}
+        for workload, pairs, first in args.workload:
+            seeds = list(range(first, first + pairs))
+            mine = []
+            for pair, seed in enumerate(seeds):
+                order = SIDES if pair % 2 == 0 else SIDES[::-1]
+                for position, side in enumerate(order):
+                    run = one(side, workload, seed, 0)
+                    mine.append({"workload": workload, "side": side, "seed": seed,
+                                 "run_seconds": seconds, "pair": pair, "position_in_pair": position,
+                                 **run, "commit": commits[side][:7]})
+            runs += mine
+            summary[workload] = summarize(mine, seeds, metrics)
 
-    traced = None
-    if args.trace:
-        workload, seed = args.trace
-        traced = {"workload": workload, "seed": seed}
-        traced |= {side: one(side, workload, seed, 1)["result"] for side in SIDES}
+        traced = None
+        if args.trace:
+            workload, seed = args.trace
+            traced = {"workload": workload, "seed": seed}
+            traced |= {side: one(side, workload, seed, 1)["result"] for side in SIDES}
+    finally:
+        if args.workdir is None:
+            shutil.rmtree(workdir, ignore_errors=True)
 
     plan = "; ".join(f"{w} {p} pairs on seeds {s}-{s + p - 1}" for w, p, s in args.workload)
     description = (
