@@ -372,6 +372,11 @@ def solve_wardrop_block(
             # now anyway have had their final polish.
             ok = _face_polish(inc, cl, demand, ql, rm, w, t)
             np.copyto(phi, _potential(pl, w), where=ok)
+            if it == 1 and ok.all():
+                # every row stops here and the result arrays are this
+                # iteration's, so the done test and the copies are moot
+                best_lb, n_iter[:], converged[:], polished[:] = lb, 1, True, True
+                break
         rel_gap = (phi - lb) / np.maximum(phi, _TINY)
         # the largest route flow is at least demand / n_routes > flow_tol
         worst = np.maximum.reduce(t, axis=1, where=ql > flow_tol, initial=-np.inf) - t_min
