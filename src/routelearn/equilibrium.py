@@ -333,8 +333,6 @@ def solve_wardrop_block(
     else:
         q = _start_flows(init_flows, n, n_routes, demand)
 
-    best_lb = np.full(n, -np.inf)
-    rmin = np.zeros(n, dtype=np.intp)
     n_iter = np.full(n, max_iter, dtype=np.intp)
     converged = np.zeros(n, dtype=bool)
     polished = np.zeros(n, dtype=bool)  # polished at the iterate the row stops at
@@ -342,7 +340,8 @@ def solve_wardrop_block(
 
     # The loop works on the rows still iterating; a row that stops leaves.
     live = np.arange(n)
-    ql, cl, pl, lb, poly = q, coef, pcoef, best_lb, (~affine).nonzero()[0]
+    ql, cl, pl, poly = q, coef, pcoef, (~affine).nonzero()[0]
+    lb = np.full(n, -np.inf)
     ceiling = np.full(n, np.inf)  # largest potential the next iterate may have
     for it in range(1, max_iter + 1):
         w = np.matvec(inc, ql)
@@ -362,8 +361,8 @@ def solve_wardrop_block(
         lb = np.maximum(lb, phi - (np.vecdot(t, ql) - t_min * demand))
         if it == 1:
             # every row is live: the result keeps these arrays, and a row
-            # that stops later copies in the evaluation it stopped at
-            loads, route_costs, potential = w, t, phi
+            # that stops later copies in the iterate it stopped at
+            loads, route_costs, potential, best_lb, rmin = w, t, phi, lb, rm
         polish = not it & (it - 1)
         if polish:
             # A route that carries no flow at equilibrium drains only at
@@ -372,11 +371,6 @@ def solve_wardrop_block(
             # now anyway have had their final polish.
             ok = _face_polish(inc, cl, demand, ql, rm, w, t)
             np.copyto(phi, _potential(pl, w), where=ok)
-            if it == 1 and ok.all():
-                # every row stops here and the result arrays are this
-                # iteration's, so the done test and the copies are moot
-                best_lb, n_iter[:], converged[:], polished[:] = lb, 1, True, True
-                break
         rel_gap = (phi - lb) / np.maximum(phi, _TINY)
         # the largest route flow is at least demand / n_routes > flow_tol
         worst = np.maximum.reduce(t, axis=1, where=ql > flow_tol, initial=-np.inf) - t_min
@@ -386,9 +380,10 @@ def solve_wardrop_block(
             polished[live[done]] = True
         if done.any():
             fin = live[done]
-            q[fin], rmin[fin], best_lb[fin], n_iter[fin] = ql[done], rm[done], lb[done], it
-            loads[fin], route_costs[fin], potential[fin] = w[done], t[done], phi[done]
-            converged[fin] = True
+            if it > 1:  # at iteration 1 the live arrays are the result's
+                q[fin], rmin[fin], best_lb[fin] = ql[done], rm[done], lb[done]
+                loads[fin], route_costs[fin], potential[fin] = w[done], t[done], phi[done]
+            n_iter[fin], converged[fin] = it, True
             go = ~done
             live = live[go]
             if not live.size:
