@@ -229,40 +229,33 @@ def _used_key(used: np.ndarray) -> int:
     return int.from_bytes(np.packbits(used, bitorder="little").tobytes(), "little")
 
 
-def _raise_at_belief(eq: EquilibriumBlock, thetas: np.ndarray) -> None:
-    """Raise SolverError, naming its belief, for the first row that did not converge."""
-    try:
-        eq.raise_unconverged()
-    except SolverError as exc:
-        belief = ", ".join(f"{p:g}" for p in thetas[exc.row])
-        raise SolverError(f"belief ({belief}): {exc}", best=exc.best) from exc
-
-
-def _rest_point_rows(
+def _rest_point_screen(
     network: Network,
     model: CostModel,
     true_idx: int,
     thetas: np.ndarray,
     *,
     demand: float,
-    want_key: int,
     mass_tol: float,
     cost_tol: float,
     used_tol: float,
     solver_tol: float,
-) -> np.ndarray:
-    """Mask of the belief rows that are rest points on the used-edge set `want_key`.
+) -> tuple[EquilibriumBlock, np.ndarray]:
+    """The equilibria of the belief rows `thetas` and the mask of the rows that
+    put at most `mass_tol` on states distinguishable at their loads.
 
-    One block solve; a row passes when its equilibrium uses exactly the
-    edges of `want_key` (see `_used_key`) and it puts at most `mass_tol` on
-    distinguishable states.
+    One block solve; a row that does not converge raises SolverError naming
+    its belief. The sweep clusters the passing rows by used-edge set, and
+    the boundary bisection also asks for its family's set.
     """
-    eq = solve_wardrop_block(network, model, thetas, demand, tol=solver_tol)
-    _raise_at_belief(eq, thetas)
+    eq = solve_wardrop_batch(network, model, thetas, demand, tol=solver_tol)
+    try:
+        eq.raise_unconverged()
+    except SolverError as exc:
+        belief = ", ".join(f"{p:g}" for p in thetas[exc.row])
+        raise SolverError(f"belief ({belief}): {exc}", best=exc.best) from exc
     dist = _distinguishable(model, true_idx, eq.edge_loads, cost_tol, used_tol)
-    want = np.array([want_key >> i & 1 for i in range(network.n_edges)], dtype=bool)
-    same = ((eq.edge_loads > used_tol) == want).all(axis=1)
-    return ((thetas * dist).sum(axis=1) <= mass_tol) & same
+    return eq, (thetas * dist).sum(axis=1) <= mass_tol
 
 
 def _face_states(
@@ -363,11 +356,14 @@ def enumerate_rest_points(
     rows, raising SolverError, which names the belief, for a node that does
     not converge), clusters passing nodes by their used-edge set, and for
     families supported on exactly two states refines the boundary of the
-    belief range by bisection down to `refine_tol`. The bisection solves
-    the midpoints of four halvings, up to 15 beliefs, in one block
-    (`_bisect_boundary`); a midpoint off its path that does not converge
-    does not raise. `chunk_size` must be a positive integer and
-    `refine_tol` finite and positive, or ValueError names them.
+    belief range by bisection down to `refine_tol`, from the family's first
+    and last grid node toward their failing neighbours on the grid edge.
+    The sweep and the bisection screen their beliefs with
+    `_rest_point_screen`. The bisection solves the midpoints of four
+    halvings, up to 15 beliefs, in one block (`_bisect_boundary`); a
+    midpoint off its path that does not converge does not raise.
+    `chunk_size` must be a positive integer and `refine_tol` finite and
+    positive, or ValueError names them.
 
     Only the face of the grid where rest points can lie is solved: when
     mass_tol < 1/grid_n and used_tol < demand / n_routes, states that are
@@ -396,32 +392,26 @@ def enumerate_rest_points(
         network, model, true_idx, demand, grid_n=grid_n, mass_tol=mass_tol,
         cost_tol=cost_tol, used_tol=used_tol,
     )
+    screen = functools.partial(
+        _rest_point_screen, network, model, true_idx, demand=demand, mass_tol=mass_tol,
+        cost_tol=cost_tol, used_tol=used_tol, solver_tol=solver_tol,
+    )
     for face in _simplex_grid_chunks(len(keep), grid_n, chunk_size):
         thetas = np.zeros((len(face), n_states))
         thetas[:, keep] = face
-        eq = solve_wardrop_batch(network, model, thetas, demand, tol=solver_tol)
-        _raise_at_belief(eq, thetas)
-        loads, gaps = eq.edge_loads, eq.gap
-        max_gap = max(max_gap, float(gaps.max()))
-        dist = _distinguishable(model, true_idx, loads, cost_tol, used_tol)
-        residual = (thetas * dist).sum(axis=1)
-        passing = residual <= mass_tol
+        eq, passing = screen(thetas)
+        max_gap = max(max_gap, float(eq.gap.max()))
         n_passing += int(passing.sum())
         if not passing.any():
             continue
         th_pass = thetas[passing]
-        ld_pass = loads[passing]
+        ld_pass = eq.edge_loads[passing]
         for used, sel in row_groups(ld_pass > used_tol):
             key = _used_key(used)
             acc = clusters.get(key)
             if acc is None:
                 acc = clusters[key] = _ClusterAccumulator(n_states, network.n_edges)
             acc.add(th_pass[sel], ld_pass[sel])
-
-    passes = functools.partial(
-        _rest_point_rows, network, model, true_idx, demand=demand, mass_tol=mass_tol,
-        cost_tol=cost_tol, used_tol=used_tol, solver_tol=solver_tol,
-    )
 
     families = []
     for key, acc in sorted(clusters.items()):
@@ -435,33 +425,29 @@ def enumerate_rest_points(
             model.states[i]: (float(acc.theta_min[i]), float(acc.theta_max[i]))
             for i in support_idx
         }
-        refined = False
-        if len(support_idx) == 2:
+        refined = len(support_idx) == 2
+        if refined:
+            # the family's nodes are the passing nodes of the grid edge between
+            # its two states, so its extreme masses on state i are the first
+            # and last passing k / grid_n; the bisection starts from them
             i, j = int(support_idx[0]), int(support_idx[1])
-
-            def face(xs: np.ndarray) -> np.ndarray:
-                v = np.zeros((len(xs), n_states))
-                v[:, i] = xs
-                v[:, j] = 1.0 - xs
-                return v
+            want = np.array([key >> b & 1 for b in range(network.n_edges)], dtype=bool)
 
             def at(xs: np.ndarray) -> np.ndarray:
-                return passes(face(xs), want_key=key)
+                thetas = np.zeros((len(xs), n_states))
+                thetas[:, i] = xs
+                thetas[:, j] = 1.0 - xs
+                eq, ok = screen(thetas)
+                return ok & ((eq.edge_loads > used_tol) == want).all(axis=1)
 
-            xs = np.arange(grid_n + 1) / grid_n
-            ok = at(xs)
-            if ok.any():
-                lo_idx = int(np.argmax(ok))
-                hi_idx = int(len(ok) - 1 - np.argmax(ok[::-1]))
-                lo = xs[lo_idx]
-                hi = xs[hi_idx]
-                if lo_idx > 0:
-                    lo = _bisect_boundary(at, xs[lo_idx - 1], lo, refine_tol)
-                if hi_idx < len(xs) - 1:
-                    hi = _bisect_boundary(at, xs[hi_idx + 1], hi, refine_tol)
-                thresholds[model.states[i]] = (float(lo), float(hi))
-                thresholds[model.states[j]] = (float(1.0 - hi), float(1.0 - lo))
-                refined = True
+            lo, hi = acc.theta_min[i], acc.theta_max[i]
+            lo_k, hi_k = round(lo * grid_n), round(hi * grid_n)
+            if lo_k > 0:
+                lo = _bisect_boundary(at, (lo_k - 1) / grid_n, lo, refine_tol)
+            if hi_k < grid_n:
+                hi = _bisect_boundary(at, (hi_k + 1) / grid_n, hi, refine_tol)
+            thresholds[model.states[i]] = (float(lo), float(hi))
+            thresholds[model.states[j]] = (float(1.0 - hi), float(1.0 - lo))
 
         rep = acc.rep
         check = check_rest_point(

@@ -76,18 +76,25 @@ def _tool_stamp(scenario: Scenario) -> dict:
 
 
 def _load(args) -> Scenario:
+    """The scenario named by --scenario, with the flags that override it applied.
+
+    --max-stages, --window and --delta replace the scenario's stopping rule
+    fields and --tol its equilibrium tolerance. The new values pass the
+    checks a scenario file's values pass, and they are what the summary's
+    stamp and `run`'s re-emitted scenario record.
+    """
     scenario = load_scenario(args.scenario)
-    tol = getattr(args, "tol", None)
-    if tol is not None:
-        if not tol > 0:
-            raise ScenarioError("tol", f"must be positive, got {tol!r}")
-        scenario = dataclasses.replace(
-            scenario,
-            tolerances=dataclasses.replace(
-                scenario.tolerances, equilibrium=tol
-            ),
-        )
-    return scenario
+    rule = {
+        name: value
+        for name in ("max_stages", "window", "delta")
+        if (value := getattr(args, name, None)) is not None
+    }
+    tols = {} if getattr(args, "tol", None) is None else {"equilibrium": args.tol}
+    return dataclasses.replace(
+        scenario,
+        convergence=dataclasses.replace(scenario.convergence, **rule),
+        tolerances=dataclasses.replace(scenario.tolerances, **tols),
+    )
 
 
 def _parse_seeds(text: str) -> list[int]:
@@ -95,12 +102,16 @@ def _parse_seeds(text: str) -> list[int]:
     try:
         if ".." in text:
             lo, hi = text.split("..", 1)
-            return list(range(int(lo), int(hi) + 1))
-        return [int(tok) for tok in text.split(",") if tok.strip()]
+            seeds = list(range(int(lo), int(hi) + 1))
+        else:
+            seeds = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise ScenarioError(
             "seeds", f'expected a range like "0..99" or a list like "1,5,7", got {text!r}'
         ) from None
+    if any(s < 0 for s in seeds):
+        raise ScenarioError("seeds", f"expected non-negative integers, got {text!r}")
+    return seeds
 
 
 def _belief_dict(scenario: Scenario, probs) -> dict:
@@ -112,15 +123,11 @@ def _load_dict(scenario: Scenario, loads) -> dict:
 
 
 def cmd_run(args) -> int:
+    if args.seed < 0:
+        raise ScenarioError("seed", f"expected a non-negative integer, got {args.seed}")
     scenario = _load(args)
     out = Path(args.out_dir)
-    trajectory = run(
-        scenario,
-        args.seed,
-        max_stages=args.max_stages,
-        window=args.window,
-        delta=args.delta,
-    )
+    trajectory = run(scenario, args.seed)
     stem = f"{scenario.name}_seed{args.seed}"
     csv_path = write_trajectory_csv(trajectory, out / f"{stem}_trajectory.csv")
     _write_json(out / f"{stem}_scenario.json", scenario_to_dict(scenario))
@@ -170,9 +177,6 @@ def cmd_batch(args) -> int:
         scenario,
         seeds,
         workers=args.workers,
-        max_stages=args.max_stages,
-        window=args.window,
-        delta=args.delta,
         trajectory_dir=out if args.save_trajectories else None,
     )
     payload = _tool_stamp(scenario)
@@ -366,14 +370,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_enum = sub.add_parser("enumerate", help="enumerate rest-point families")
     common(p_enum)
     p_enum.add_argument("--grid-n", type=int, default=100, help="simplex grid resolution")
-    p_enum.set_defaults(func=cmd_enumerate, tol=None)
+    p_enum.set_defaults(func=cmd_enumerate)
 
     p_check = sub.add_parser(
         "check", help="complete-learning conditions, series-parallel flag, cost comparison"
     )
     common(p_check)
     p_check.add_argument("--grid-n", type=int, default=50)
-    p_check.set_defaults(func=cmd_check, tol=None)
+    p_check.set_defaults(func=cmd_check)
 
     return parser
 

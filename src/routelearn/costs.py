@@ -85,11 +85,6 @@ class CostFunction:
     def intercept(self) -> float:
         return self.coefficients[0]
 
-    def min_derivative(self) -> float:
-        # With nonnegative coefficients the derivative is nondecreasing on
-        # [0, inf), so its infimum over any (0, D] is the linear coefficient.
-        return self.coefficients[1]
-
 
 class Belief:
     """Probability vector over the state set, immutable once built."""
@@ -132,6 +127,13 @@ class CostModel:
     `sigma` is the covariance of the per-stage Gaussian noise on realized
     edge costs; it must be symmetric positive definite so that every
     submatrix taken on a used-edge set stays invertible.
+
+    The minimum-slope bound asks every cost function's derivative to be at
+    least `alpha` on (0, D]. With nonnegative coefficients the derivative
+    does not fall with the load, so its infimum is the linear coefficient.
+    A table that breaks the bound still constructs, and the entries that
+    break it are recorded; `ensure_slope_bound` raises on them, and the
+    solvers and the scenario loader call it.
     """
 
     def __init__(
@@ -187,12 +189,14 @@ class CostModel:
                 coeffs[i, j, : len(fn.coefficients)] = fn.coefficients
         coeffs.setflags(write=False)
         self._coeffs = coeffs
+        self._slope_violations = tuple(
+            (self.edges[i], self.states[j]) for i, j in np.argwhere(coeffs[:, :, 1] < self.alpha)
+        )
 
         self._edge_index = {e: i for i, e in enumerate(self.edges)}
         self._state_index = {s: i for i, s in enumerate(self.states)}
         self._whitener_cache: dict[tuple[int, ...], tuple[np.ndarray, float]] = {}
         self._slab_cache: dict[tuple[int, ...], np.ndarray] = {}
-        self._slope_ok: bool | None = None
 
     @property
     def n_edges(self) -> int:
@@ -278,46 +282,13 @@ class CostModel:
         return linv, logdet
 
     def ensure_slope_bound(self) -> None:
-        """Raise CostError unless every cost function satisfies the slope bound."""
-        if self._slope_ok is None:
-            report = validate_slope_bound(self)
-            self._slope_ok = report.ok
-            if not report.ok:
-                raise CostError(
-                    "minimum-slope violation on entries "
-                    + ", ".join(f"({e}, {s})" for e, s, _ in report.violations)
-                )
-        elif not self._slope_ok:
-            raise CostError("cost model failed the minimum-slope check")
+        """Raise CostError naming, edge by edge, every entry whose slope is below alpha."""
+        if self._slope_violations:
+            entries = ", ".join(f"({e}, {s})" for e, s in self._slope_violations)
+            raise CostError(f"minimum-slope check failed (alpha={self.alpha}) on: {entries}")
 
     def __repr__(self) -> str:
         return (
             f"CostModel(edges={len(self.edges)}, states={len(self.states)}, "
             f"alpha={self.alpha})"
         )
-
-
-@dataclass(frozen=True)
-class SlopeBoundReport:
-    """Outcome of the minimum-slope check over the whole cost table."""
-
-    ok: bool
-    alpha: float
-    violations: tuple[tuple[str, str, float], ...]  # (edge, state, inf derivative)
-
-
-def validate_slope_bound(model: CostModel, alpha: float | None = None) -> SlopeBoundReport:
-    """Check every cost function's derivative is at least alpha on (0, D].
-
-    Affine entries are checked by slope; polynomial entries by the infimum
-    of the derivative, which for nonnegative coefficients is attained as the
-    load tends to zero.
-    """
-    bound = model.alpha if alpha is None else float(alpha)
-    violations = []
-    for e in model.edges:
-        for s in model.states:
-            inf_d = model.table[(e, s)].min_derivative()
-            if inf_d < bound:
-                violations.append((e, s, inf_d))
-    return SlopeBoundReport(not violations, bound, tuple(violations))

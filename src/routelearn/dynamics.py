@@ -196,22 +196,6 @@ def step(
     return eq.row(0), obs, Belief(post[0])
 
 
-def _stopping_rule(
-    scenario: Scenario, max_stages: int | None, window: int | None, delta: float | None
-) -> tuple[int, int, float]:
-    conv = scenario.convergence
-    w_len = conv.window if window is None else int(window)
-    d_tol = conv.delta if delta is None else float(delta)
-    cap = conv.max_stages if max_stages is None else int(max_stages)
-    if w_len < 1:
-        raise ValueError("window must be at least 1")
-    if not d_tol > 0:
-        raise ValueError("delta must be positive")
-    if cap < w_len:
-        raise ValueError("max_stages must be at least the window length")
-    return cap, w_len, d_tol
-
-
 def _for_seed(exc: RoutelearnError, seed: int, stage: int) -> RoutelearnError:
     named = type(exc)(f"seed {seed}, stage {stage}: {exc}")
     if isinstance(exc, SolverError):
@@ -254,20 +238,14 @@ def _unpack(scenario: Scenario, seed: int, status: str, rows: np.ndarray) -> Tra
     )
 
 
-def run_block(
-    scenario: Scenario,
-    seeds: Sequence[int],
-    *,
-    max_stages: int | None = None,
-    window: int | None = None,
-    delta: float | None = None,
-) -> Iterator[Trajectory]:
+def run_block(scenario: Scenario, seeds: Sequence[int]) -> Iterator[Trajectory]:
     """Advance a block of seeds in lockstep; yield each trajectory as its seed leaves.
 
-    The process itself never stops, so a seed leaves once both its belief
-    and its load have moved less than delta (delta * demand for loads)
-    between consecutive stages for `window` stages in a row, or after
-    `max_stages` stages. Stage-to-stage differences start at stage 2, so the
+    The process itself never stops, so under the scenario's stopping rule
+    (`scenario.convergence`) a seed leaves once both its belief and its load
+    have moved less than delta (delta * demand for loads) between
+    consecutive stages for `window` stages in a row, or after `max_stages`
+    stages. Stage-to-stage differences start at stage 2, so the
     earliest possible convergence is stage window + 1. Stage 1 starts its
     equilibrium solve from the default all-or-nothing flows; each later
     stage starts from the seed's previous equilibrium, which lies close
@@ -279,7 +257,7 @@ def run_block(
     last stage and when it leaves, so its trajectory owns its memory and
     the next chunk can overwrite the buffers.
     """
-    cap, w_len, d_tol = _stopping_rule(scenario, max_stages, window, delta)
+    rule = scenario.convergence
     seeds = [int(s) for s in seeds]
     samplers = [NoiseSampler(scenario.model.sigma, s) for s in seeds]
     prior = scenario.initial_belief.probs
@@ -291,10 +269,10 @@ def run_block(
     noise = np.empty((len(seeds), _NOISE_CHUNK, scenario.network.n_edges))
     buf = np.empty((len(seeds), _NOISE_CHUNK, sum(_row_fields(scenario))))
     done: list[list | None] = [[] for _ in seeds]  # per seed, copies of its full chunks
-    load_bound = d_tol * scenario.demand
+    load_bound = rule.delta * scenario.demand
     prev_loads = prev_flows = None
 
-    for k in range(1, cap + 1):
+    for k in range(1, rule.max_stages + 1):
         at = (k - 1) % _NOISE_CHUNK
         if at == 0:  # each live seed's noise for the next chunk of stages
             for i in live.tolist():
@@ -310,12 +288,12 @@ def run_block(
             eq.n_iterations[:, None], eq.potential[:, None], used, costs,
         ], axis=1)
         if prev_loads is not None:
-            small = (np.abs(post - probs).max(axis=1) < d_tol) & (
+            small = (np.abs(post - probs).max(axis=1) < rule.delta) & (
                 np.abs(eq.edge_loads - prev_loads).max(axis=1) < load_bound
             )
             streak = np.where(small, streak + 1, 0)
-        converged = streak >= w_len
-        leaving = converged | (k == cap)
+        converged = streak >= rule.window
+        leaving = converged | (k == rule.max_stages)
         for j in np.flatnonzero(leaving).tolist():
             i = int(live[j])
             status = CONVERGED if converged[j] else MAX_STAGES
@@ -332,21 +310,12 @@ def run_block(
                 done[i].append(buf[i].copy())
 
 
-def run(
-    scenario: Scenario,
-    seed: int,
-    *,
-    max_stages: int | None = None,
-    window: int | None = None,
-    delta: float | None = None,
-) -> Trajectory:
+def run(scenario: Scenario, seed: int) -> Trajectory:
     """Run the learning dynamics for one seed until the stopping window triggers.
 
     A block of one seed; see `run_block` for the stopping rule.
     """
-    return next(
-        run_block(scenario, [seed], max_stages=max_stages, window=window, delta=delta)
-    )
+    return next(run_block(scenario, [seed]))
 
 
 @dataclass(frozen=True)
@@ -402,9 +371,9 @@ class BatchSummary:
 
 
 def _run_block_case(args) -> list[TrajectorySummary]:
-    scenario, seeds, rule, traj_dir = args
+    scenario, seeds, traj_dir = args
     summaries = {}
-    for traj in run_block(scenario, seeds, **rule):
+    for traj in run_block(scenario, seeds):
         if traj_dir is not None:
             write_trajectory_csv(
                 traj, Path(traj_dir) / f"{scenario.name}_seed{traj.seed}_trajectory.csv"
@@ -418,9 +387,6 @@ def monte_carlo(
     seeds: Sequence[int],
     *,
     workers: int = 1,
-    max_stages: int | None = None,
-    window: int | None = None,
-    delta: float | None = None,
     trajectory_dir: str | Path | None = None,
 ) -> BatchSummary:
     """Independent trajectories for each seed, merged after completion.
@@ -437,12 +403,10 @@ def monte_carlo(
         raise ValueError("seeds must be distinct")
     if not seed_list:
         raise ValueError("need at least one seed")
-    _stopping_rule(scenario, max_stages, window, delta)  # fail before any work
-    rule = {"max_stages": max_stages, "window": window, "delta": delta}
     n_blocks = min(workers, len(seed_list))
     bounds = [len(seed_list) * b // n_blocks for b in range(n_blocks + 1)]
     args = [
-        (scenario, seed_list[lo:hi], rule, trajectory_dir)
+        (scenario, seed_list[lo:hi], trajectory_dir)
         for lo, hi in zip(bounds, bounds[1:])
     ]
     if workers == 1:

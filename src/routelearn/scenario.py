@@ -3,19 +3,14 @@
 from __future__ import annotations
 
 import json
+import numbers
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
 
-from .costs import (
-    DEFAULT_ALPHA,
-    Belief,
-    CostFunction,
-    CostModel,
-    validate_slope_bound,
-)
+from .costs import DEFAULT_ALPHA, Belief, CostFunction, CostModel
 from .errors import BeliefError, CostError, NetworkError, ScenarioError
 from .graph import Network
 
@@ -24,16 +19,49 @@ SCHEMA_VERSION = 1
 
 @dataclass(frozen=True)
 class Tolerances:
+    """Solver and classification tolerances; each field is checked on construction.
+
+    A bad value raises ScenarioError naming `tolerances.<field>`, whether it
+    comes from a scenario file, a command-line flag or library code.
+    """
+
     equilibrium: float = 1e-8
     used_edge: float | None = None  # None resolves to 1e-9 * demand
     cost_equality: float = 1e-9
 
+    def __post_init__(self):
+        if self.used_edge is not None:
+            used_edge = _finite(self.used_edge, "tolerances.used_edge")
+            if not used_edge >= 0:
+                raise ScenarioError("tolerances.used_edge", "must be finite and at least 0")
+            object.__setattr__(self, "used_edge", used_edge)
+        for name in ("equilibrium", "cost_equality"):
+            object.__setattr__(self, name, _positive(getattr(self, name), f"tolerances.{name}"))
+
 
 @dataclass(frozen=True)
 class ConvergenceRule:
+    """The stopping rule of the stage loop (see `dynamics.run_block`).
+
+    Checked on construction like `Tolerances`: `window` and `max_stages` are
+    integers (a float with an integer value is taken as one), `window` is at
+    least 1, `max_stages` at least `window`, and `delta` finite and positive.
+    """
+
     window: int = 50
     delta: float = 1e-3
     max_stages: int = 5000
+
+    def __post_init__(self):
+        window = _integer(self.window, "convergence.window")
+        object.__setattr__(self, "window", window)
+        object.__setattr__(self, "delta", _positive(self.delta, "convergence.delta"))
+        max_stages = _integer(self.max_stages, "convergence.max_stages")
+        object.__setattr__(self, "max_stages", max_stages)
+        if window < 1:
+            raise ScenarioError("convergence.window", "must be at least 1")
+        if max_stages < window:
+            raise ScenarioError("convergence.max_stages", "must be at least the window")
 
 
 @dataclass(frozen=True)
@@ -163,9 +191,9 @@ def _integer(value, path: str) -> int:
     """`value` as an int when it is an integer, or a float with an integer value."""
     if isinstance(value, float) and value.is_integer():
         return int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ScenarioError(path, "expected an integer")
-    return value
+    return int(value)
 
 
 def _cost_function_from(entry: Mapping, path: str) -> CostFunction:
@@ -237,13 +265,10 @@ def scenario_from_dict(payload: Mapping[str, Any]) -> Scenario:
         model = CostModel(network.edge_ids, states, table, sigma, alpha)
     except CostError as exc:
         raise ScenarioError("costs/sigma", str(exc)) from None
-
-    slope_report = validate_slope_bound(model)
-    if not slope_report.ok:
-        entries = ", ".join(f"({e}, {s})" for e, s, _ in slope_report.violations)
-        raise ScenarioError(
-            "costs", f"minimum-slope check failed (alpha={slope_report.alpha}) on: {entries}"
-        )
+    try:
+        model.ensure_slope_bound()
+    except CostError as exc:
+        raise ScenarioError("costs", str(exc)) from None
 
     belief_raw = _finite_list(_require(payload, "initial_belief", list, ""), "initial_belief")
     if len(belief_raw) != len(states):
@@ -270,31 +295,16 @@ def scenario_from_dict(payload: Mapping[str, Any]) -> Scenario:
     # schema 1 still carries `feasibility`, which no computation reads
     if "feasibility" in tol_cfg:
         _positive(tol_cfg["feasibility"], "tolerances.feasibility")
-    used_edge = tol_cfg.get("used_edge")
-    if used_edge is not None and not _finite(used_edge, "tolerances.used_edge") >= 0:
-        raise ScenarioError("tolerances.used_edge", "must be finite and at least 0")
     tolerances = Tolerances(
-        used_edge=None if used_edge is None else float(used_edge),
-        **{
-            name: _positive(tol_cfg.get(name, getattr(Tolerances, name)), f"tolerances.{name}")
-            for name in ("equilibrium", "cost_equality")
-        },
+        **{k: tol_cfg[k] for k in ("equilibrium", "used_edge", "cost_equality") if k in tol_cfg}
     )
 
     conv_cfg = payload.get("convergence", {})
     if not isinstance(conv_cfg, dict):
         raise ScenarioError("convergence", "expected an object")
     convergence = ConvergenceRule(
-        window=_integer(conv_cfg.get("window", ConvergenceRule.window), "convergence.window"),
-        delta=_positive(conv_cfg.get("delta", ConvergenceRule.delta), "convergence.delta"),
-        max_stages=_integer(
-            conv_cfg.get("max_stages", ConvergenceRule.max_stages), "convergence.max_stages"
-        ),
+        **{k: conv_cfg[k] for k in ("window", "delta", "max_stages") if k in conv_cfg}
     )
-    if convergence.window < 1:
-        raise ScenarioError("convergence.window", "must be at least 1")
-    if convergence.max_stages < convergence.window:
-        raise ScenarioError("convergence.max_stages", "must be at least the window")
 
     return Scenario(
         name=name,

@@ -43,7 +43,6 @@ from routelearn.analysis import (
     RestPointReport,
     _ClusterAccumulator,
     _distinguishable,
-    _rest_point_rows,
     average_cost,
     check_rest_point,
 )
@@ -757,9 +756,6 @@ def reference_run(
     scenario,
     seed: int,
     *,
-    max_stages: int | None = None,
-    window: int | None = None,
-    delta: float | None = None,
     solve=None,
 ) -> tuple[list[ReferenceStage], str]:
     """Run the learning dynamics until the stopping window triggers.
@@ -767,22 +763,14 @@ def reference_run(
     Each stage's equilibrium comes from `solve`, by default
     `reference_solve_wardrop`.
 
-    The process itself never stops, so a trajectory is declared converged
-    once both the belief and the load have moved less than delta (delta *
-    demand for loads) between consecutive stages for `window` stages in a
-    row. Stage-to-stage differences start at stage 2, so the earliest
-    possible convergence is stage window + 1.
+    The process itself never stops, so under the scenario's stopping rule a
+    trajectory is declared converged once both the belief and the load have
+    moved less than delta (delta * demand for loads) between consecutive
+    stages for `window` stages in a row. Stage-to-stage differences start
+    at stage 2, so the earliest possible convergence is stage window + 1.
     """
     conv = scenario.convergence
-    w_len = conv.window if window is None else int(window)
-    d_tol = conv.delta if delta is None else float(delta)
-    cap = conv.max_stages if max_stages is None else int(max_stages)
-    if w_len < 1:
-        raise ValueError("window must be at least 1")
-    if d_tol <= 0:
-        raise ValueError("delta must be positive")
-    if cap < w_len:
-        raise ValueError("max_stages must be at least the window length")
+    w_len, d_tol, cap = conv.window, conv.delta, conv.max_stages
 
     sampler = NoiseSampler(scenario.model.sigma, seed)
     theta = scenario.initial_belief
@@ -999,8 +987,11 @@ def reference_bisect_boundary(predicate, x_fail: float, x_pass: float, tol: floa
 
 
 # enumerate_rest_points as it was before it swept only the face where rest
-# points can lie: every node of the grid is solved. Kept verbatim, on the
-# package's own helpers, so that the face sweep can be checked against it.
+# points can lie: every node of the grid is solved, and each two-state
+# family's boundary is found by scanning its grid edge and then bisecting,
+# both with the one-row predicate above. The sweep itself runs on the
+# package's kernels, so that the face sweep, and its bisection from the
+# family's extreme nodes, can be checked against it.
 
 
 def reference_enumerate_rest_points(
@@ -1065,8 +1056,8 @@ def reference_enumerate_rest_points(
             acc.add(th_pass[sel], ld_pass[sel])
 
     passes = functools.partial(
-        _rest_point_rows, network, model, true_idx, demand=demand, mass_tol=mass_tol,
-        cost_tol=cost_tol, used_tol=used_tol, solver_tol=solver_tol,
+        reference_rest_point_passes, network, model, true_state, demand=demand,
+        mass_tol=mass_tol, cost_tol=cost_tol, used_tol=used_tol, solver_tol=solver_tol,
     )
 
     families = []
@@ -1092,10 +1083,10 @@ def reference_enumerate_rest_points(
                 return v
 
             def at(x: float) -> bool:
-                return bool(passes(face(np.array([x])), want_key=key)[0])
+                return passes(face(np.array([x]))[0], want_key=key)
 
             xs = np.arange(grid_n + 1) / grid_n
-            ok = passes(face(xs), want_key=key)
+            ok = np.array([passes(theta, want_key=key) for theta in face(xs)])
             if ok.any():
                 lo_idx = int(np.argmax(ok))
                 hi_idx = int(len(ok) - 1 - np.argmax(ok[::-1]))

@@ -485,16 +485,17 @@ def _used_key(loads, used_tol) -> int:
 
 
 class TestBlockRefinement:
-    """The face scan is one block solve; it must agree with one solve per row."""
+    """The rest-point screen is one block solve; with the used-set test the
+    bisection adds, it must agree with one solve per row."""
 
     TOLS = dict(mass_tol=1e-9, cost_tol=1e-9, solver_tol=1e-10)
 
     def check_face(self, network, model, true_idx, face, demand, key):
         used_tol = 1e-9 * demand
-        got = analysis._rest_point_rows(
-            network, model, true_idx, face, demand=demand, want_key=key, used_tol=used_tol,
-            **self.TOLS,
+        eq, ok = analysis._rest_point_screen(
+            network, model, true_idx, face, demand=demand, used_tol=used_tol, **self.TOLS
         )
+        got = ok & np.array([_used_key(w, used_tol) == key for w in eq.edge_loads])
         want = [
             reference_rest_point_passes(
                 network, model, model.states[true_idx], row, demand, key, used_tol=used_tol,
@@ -620,8 +621,8 @@ class TestUnconvergedSweepRows:
     """A sweep row that does not converge raises; it is never classified."""
 
     def test_unconverged_row_raises(self, three_edge, tmp_path, monkeypatch):
-        real_batch, real_block = analysis.solve_wardrop_batch, analysis.solve_wardrop_block
-        swept, refined = [], []
+        real_batch = analysis.solve_wardrop_batch
+        swept = []
 
         def flagged(network, model, thetas, demand, **kw):
             # every other row of a sweep block stops short, with loads of zero
@@ -631,31 +632,34 @@ class TestUnconvergedSweepRows:
             loads = np.where(stop[:, None], 0.0, eq.edge_loads)
             return dataclasses.replace(eq, edge_loads=loads, converged=eq.converged & ~stop)
 
-        def recording(network, model, thetas, demand, **kw):
-            refined.append(thetas)
-            return real_block(network, model, thetas, demand, **kw)
-
         monkeypatch.setattr(analysis, "solve_wardrop_batch", flagged)
-        monkeypatch.setattr(analysis, "solve_wardrop_block", recording)
         # the error names the first flagged row's grid node
         with pytest.raises(SolverError, match=r"^belief \(0, 0, 0, 1\): no convergence"):
             enumerate_rest_points(three_edge.network, three_edge.model, "none", 20, 1.0)
-        # the first sweep block raised, before any refinement
-        assert len(swept) == 1 and refined == []
+        # the first sweep block raised, before any refinement: the sweep and
+        # the bisection solve through the same function
+        assert len(swept) == 1 and len(swept[0]) == math.comb(22, 2)
         argv = ["enumerate", "--scenario", "three-edge", "--grid-n", "5", "--out-dir", str(tmp_path)]
         assert main(argv) == 3
 
     def test_unconverged_refinement_row_names_its_belief(self, three_edge, monkeypatch):
-        real_block = analysis.solve_wardrop_block
+        real_batch, calls = analysis.solve_wardrop_batch, []
 
         def flagged(network, model, thetas, demand, **kw):
-            # row 1 of a refinement block, the node at 1/20 of its edge, stops short
-            eq = real_block(network, model, thetas, demand, **kw)
-            return dataclasses.replace(eq, converged=eq.converged & (np.arange(len(thetas)) != 1))
+            # after the one sweep block, row 0 of each bisection block stops
+            # short: the first midpoint, e2 = 0.175 between the grid nodes
+            # 0.15 and 0.2, which every walk down the tree starts from
+            calls.append(len(thetas))
+            eq = real_batch(network, model, thetas, demand, **kw)
+            if len(calls) == 1:
+                return eq
+            return dataclasses.replace(eq, converged=eq.converged & (np.arange(len(thetas)) != 0))
 
-        monkeypatch.setattr(analysis, "solve_wardrop_block", flagged)
-        with pytest.raises(SolverError, match=r"^belief \(0, 0.05, 0, 0.95\): no convergence"):
+        monkeypatch.setattr(analysis, "solve_wardrop_batch", flagged)
+        with pytest.raises(SolverError, match=r"^belief \(0, 0.175, 0, 0.825\): no convergence"):
             enumerate_rest_points(three_edge.network, three_edge.model, "none", 20, 1.0)
+        # the block of 15 midpoints, then the walk's first midpoint alone
+        assert calls == [math.comb(22, 2), 15, 1]
 
 
 class TestBatchedBisection:
@@ -771,19 +775,20 @@ class TestSweepArguments:
         assert got.families[1].thresholds["e2"][0] == pytest.approx(0.2, abs=1e-6)
 
     def test_refinement_at_grid_200_takes_four_block_solves(self, three_edge, monkeypatch):
-        real, sizes = analysis._rest_point_rows, []
+        real, sizes = analysis._rest_point_screen, []
 
         def spy(network, model, true_idx, thetas, **kw):
             sizes.append(len(thetas))
             return real(network, model, true_idx, thetas, **kw)
 
-        monkeypatch.setattr(analysis, "_rest_point_rows", spy)
+        monkeypatch.setattr(analysis, "_rest_point_screen", spy)
         rep = enumerate_rest_points(
             three_edge.network, three_edge.model, "none", 200, three_edge.demand,
             used_tol=three_edge.used_edge_tol, cost_tol=three_edge.tolerances.cost_equality,
         )
-        # one scan of the (e2, none) edge, then the bisection below e2 = 0.2
-        assert sizes[0] == 201 and len(sizes[1:]) <= 4
+        # the face sweep, then the bisection below e2 = 0.2 from the family's
+        # first node, with no scan of the (e2, none) edge in between
+        assert sizes == [math.comb(202, 2), 15, 15, 15, 1]
         assert [f.thresholds for f in rep.families][1]["e2"][0] == pytest.approx(0.2, abs=1e-6)
 
 
@@ -881,7 +886,11 @@ class TestFaceSweep:
             used_tol=three_edge.used_edge_tol, chunk_size=50,
         )
         full = np.concatenate(list(analysis._simplex_grid_chunks(4, 20, 10**6)))
-        face = np.concatenate(solved)  # the reference sweep calls the solver directly
+        # the reference sweep calls the solver directly; the sweep's five
+        # blocks of at most 50 rows come before the bisection's blocks
+        assert [len(t) for t in solved[:5]] == [50, 50, 50, 50, 31]
+        assert all(len(t) <= 15 for t in solved[5:])
+        face = np.concatenate(solved[:5])
         assert np.array_equal(face, full[full[:, 0] == 0.0])
         assert len(face) == math.comb(22, 2) == 231
         assert got.n_nodes == len(full) == math.comb(23, 3)
@@ -962,4 +971,5 @@ class TestFaceStates:
         monkeypatch.setattr(analysis, "solve_wardrop_batch", counting)
         kw = {"mass_tol": 1 / 12} if case == "mass_tol" else {"used_tol": 0.5}
         _assert_matches_full_sweep(three_edge.network, three_edge.model, "none", 12, 1.0, **kw)
-        assert rows == [math.comb(15, 3)]
+        # one sweep block of the full grid; any later blocks are the bisection's
+        assert rows[0] == math.comb(15, 3) and all(n <= 15 for n in rows[1:])

@@ -114,7 +114,42 @@ class TestOverrides:
         argv = [command[0], "--scenario", "three-edge", *command[1:], "--delta", "nan"]
         code = main(argv + ["--max-stages", "60", "--out-dir", str(tmp_path)])
         assert code == 2
-        assert "delta must be positive" in capsys.readouterr().err
+        assert "validation error: convergence.delta:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command", [["run", "--seed", "0"], ["batch", "--seeds", "0..1"]], ids=["run", "batch"]
+    )
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [
+            ("--delta", "inf", "convergence.delta"),
+            ("--delta", "1e400", "convergence.delta"),
+            ("--delta", "0", "convergence.delta"),
+            ("--tol", "inf", "tolerances.equilibrium"),
+            ("--window", "0", "convergence.window"),
+            ("--max-stages", "10", "convergence.max_stages"),
+        ],
+    )
+    def test_bad_overrides_name_the_field(self, tmp_path, capsys, command, flag, value, field):
+        # the flags pass the checks a scenario file's values pass
+        argv = [command[0], "--scenario", "three-edge", *command[1:], flag, value]
+        assert main(argv + ["--out-dir", str(tmp_path)]) == 2
+        assert f"validation error: {field}:" in capsys.readouterr().err
+        assert not tmp_path.exists() or not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["run", "--seed", "-1"], "seed"),
+            (["batch", "--seeds=-3..-1"], "seeds"),
+            (["batch", "--seeds=0,-2"], "seeds"),
+        ],
+    )
+    def test_negative_seeds_name_the_field(self, tmp_path, capsys, argv, field):
+        argv = [*argv, "--scenario", "three-edge", "--out-dir", str(tmp_path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"validation error: {field}: expected") and "non-negative" in err
 
     def test_run_checks_rest_point_with_scenario_cost_equality(self, tmp_path):
         # every cost gap in three-edge is below 100, so with that cost
@@ -132,6 +167,39 @@ class TestOverrides:
             residual[name] = summary["rest_point"]["residual_mass"]
         assert residual["builtin"] > 0.0
         assert residual["loose"] == 0.0
+
+
+class TestOverridesRecorded:
+    """Override flags replace the scenario's values, so the outputs record what ran."""
+
+    FLAGS = ["--max-stages", "40", "--window", "10", "--delta", "0.01", "--tol", "1e-9"]
+    RULE = {"max_stages": 40, "window": 10, "delta": 0.01}
+
+    def test_run_summary_and_emitted_scenario_replay(self, tmp_path):
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        argv = ["run", "--scenario", "three-edge", "--seed", "0", *self.FLAGS]
+        assert main(argv + ["--out-dir", str(out1)]) == 0
+        summary = read_json(out1 / "three-edge_seed0_summary.json")
+        assert summary["convergence"] == self.RULE
+        assert summary["tolerances"]["equilibrium"] == 1e-9
+        emitted = out1 / "three-edge_seed0_scenario.json"
+        scenario = read_json(emitted)
+        assert scenario["convergence"] == self.RULE
+        assert scenario["tolerances"]["equilibrium"] == 1e-9
+        # the emitted file alone, with no flags, replays the run
+        replay = ["run", "--scenario", str(emitted), "--seed", "0", "--out-dir", str(out2)]
+        assert main(replay) == 0
+        csv = "three-edge_seed0_trajectory.csv"
+        assert (out1 / csv).read_bytes() == (out2 / csv).read_bytes()
+        assert read_json(out2 / "three-edge_seed0_summary.json") == summary
+
+    def test_batch_summary(self, tmp_path):
+        argv = ["batch", "--scenario", "three-edge", "--seeds", "0..3", *self.FLAGS]
+        assert main(argv + ["--out-dir", str(tmp_path)]) == 0
+        payload = read_json(tmp_path / "three-edge_batch.json")
+        assert payload["convergence"] == self.RULE
+        assert payload["tolerances"]["equilibrium"] == 1e-9
+        assert max(s["stages"] for s in payload["per_seed"]) <= 40
 
 
 class TestBatch:

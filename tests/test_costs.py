@@ -10,7 +10,9 @@ from routelearn import (
     CostFunction,
     CostModel,
 )
-from routelearn.costs import polyint_ascending, polyval_ascending, validate_slope_bound
+from routelearn.costs import polyint_ascending, polyval_ascending
+from routelearn.equilibrium import solve_wardrop
+from routelearn.graph import Network
 
 from oracles import reference_cost_matrix
 
@@ -268,30 +270,40 @@ class TestBeckmannIntegral:
             )
 
 
-class TestValidateSlopeBound:
+class TestSlopeBound:
+    """A table below the slope bound constructs; `ensure_slope_bound` names its
+    entries edge by edge, and the solver rejects it."""
+
     def test_all_slopes_pass(self):
         fns = {("e", "s"): CostFunction.affine(1.0, 0.0)}
-        model = tiny_model(fns, states=("s",))
-        report = validate_slope_bound(model, alpha=0.5)
-        assert report.ok and not report.violations
+        CostModel(("e",), ("s",), fns, np.eye(1), alpha=0.5).ensure_slope_bound()
 
     def test_zero_slope_fails_with_entry(self):
         fns = {
             ("e", "s0"): CostFunction.affine(0.0, 5.0),
             ("e", "s1"): CostFunction.affine(1.0, 5.0),
         }
-        model = tiny_model(fns)
-        report = validate_slope_bound(model, alpha=1e-3)
-        assert not report.ok
-        assert report.violations == (("e", "s0", 0.0),)
+        model = CostModel(("e",), ("s0", "s1"), fns, np.eye(1), alpha=1e-3)
+        with pytest.raises(CostError) as exc:
+            model.ensure_slope_bound()
+        assert str(exc.value) == "minimum-slope check failed (alpha=0.001) on: (e, s0)"
 
     def test_quadratic_without_linear_term_fails(self):
         # derivative of 2w^2 is 4w, which vanishes at zero load
         fns = {("e", "s"): CostFunction.polynomial([0.0, 0.0, 2.0])}
-        model = tiny_model(fns, states=("s",))
-        report = validate_slope_bound(model, alpha=0.1)
-        assert not report.ok
-        assert report.violations[0][:2] == ("e", "s")
+        model = CostModel(("e",), ("s",), fns, np.eye(1), alpha=0.1)
+        with pytest.raises(CostError, match=r"\(alpha=0\.1\) on: \(e, s\)$"):
+            model.ensure_slope_bound()
+
+    def test_entries_in_edge_major_order_and_solver_rejects(self):
+        slopes = {("b", "s0"): 0.0, ("a", "s1"): 0.5, ("a", "s0"): 0.25, ("b", "s1"): 1.0}
+        fns = {key: CostFunction.affine(slope, 1.0) for key, slope in slopes.items()}
+        model = CostModel(("a", "b"), ("s0", "s1"), fns, np.eye(2), alpha=0.75)
+        with pytest.raises(CostError, match=r"on: \(a, s0\), \(a, s1\), \(b, s0\)$"):
+            model.ensure_slope_bound()
+        network = Network(["a", "b"], [["a"], ["b"]])
+        with pytest.raises(CostError, match="minimum-slope check failed"):
+            solve_wardrop(network, model, Belief.uniform(2), 1.0)
 
 
 class TestCostModelValidation:

@@ -15,6 +15,7 @@ from routelearn import (
     CONVERGED,
     MAX_STAGES,
     Belief,
+    ScenarioError,
     SolverError,
     load_scenario,
     monte_carlo,
@@ -50,6 +51,13 @@ def correlated():
     return scenario_from_dict(payload)
 
 
+def _with_rule(scenario, **rule):
+    """The scenario with the given stopping-rule fields replaced."""
+    return dataclasses.replace(
+        scenario, convergence=dataclasses.replace(scenario.convergence, **rule)
+    )
+
+
 def _relabeled(payload: dict, names: dict[str, str]) -> dict:
     """The payload with each edge id and state label renamed through `names`."""
     out = dict(payload)
@@ -65,9 +73,9 @@ def _relabeled(payload: dict, names: dict[str, str]) -> dict:
     return out
 
 
-def _assert_reference_bits(scenario, traj, **rule) -> None:
+def _assert_reference_bits(scenario, traj) -> None:
     """The trajectory is the reference loop's for its seed, bit for bit."""
-    records, status = reference_run(scenario, traj.seed, **rule)
+    records, status = reference_run(scenario, traj.seed)
     assert traj.status == status
     assert traj.n_stages == len(records)
     for k, rec in enumerate(records, start=1):
@@ -193,7 +201,7 @@ class TestRun:
         assert traj.n_stages <= 5000
 
     def test_chain_consistency_with_replay(self, three_edge):
-        traj = run(three_edge, seed=3, max_stages=200)
+        traj = run(_with_rule(three_edge, max_stages=200), seed=3)
         replayed = replay_posterior(
             three_edge.initial_belief, three_edge.model, traj.observations()
         )
@@ -201,18 +209,19 @@ class TestRun:
 
     def test_posterior_chain_links_records(self, three_edge):
         # stage k updates belief row k - 1 with its observation into row k
-        traj = run(three_edge, seed=13, max_stages=80)
+        traj = run(_with_rule(three_edge, max_stages=80), seed=13)
         for k in range(1, traj.n_stages + 1):
             prior = Belief(traj.beliefs[k - 1])
             post = bayes_update(prior, three_edge.model, traj.observation(k))
             assert np.array_equal(post.probs, traj.beliefs[k])
 
     def test_window_requirement(self, three_edge):
-        with pytest.raises(ValueError):
-            run(three_edge, seed=0, max_stages=10, window=20)
+        # a cap below the window is a rule that cannot be built
+        with pytest.raises(ScenarioError, match="^convergence.max_stages:"):
+            _with_rule(three_edge, max_stages=10, window=20)
 
     def test_max_stages_status(self, three_edge):
-        traj = run(three_edge, seed=0, max_stages=5, window=5)
+        traj = run(_with_rule(three_edge, max_stages=5, window=5), seed=0)
         assert traj.status == "max_stages"
         assert traj.n_stages == 5
 
@@ -238,7 +247,7 @@ class TestMonteCarlo:
             spawn(pool)
 
         monkeypatch.setattr(ProcessPoolExecutor, "_spawn_process", counting)
-        batch = monte_carlo(three_edge, [1, 2], workers=4, max_stages=55)
+        batch = monte_carlo(_with_rule(three_edge, max_stages=55), [1, 2], workers=4)
         assert [s.seed for s in batch.summaries] == [1, 2]
         assert len(started) == 2
 
@@ -263,9 +272,10 @@ class TestMonteCarlo:
 
 class TestTrajectoryCsv:
     def test_layout_and_replay_determinism(self, three_edge, tmp_path):
-        traj = run(three_edge, seed=2, max_stages=60)
+        short = _with_rule(three_edge, max_stages=60)
+        traj = run(short, seed=2)
         p1 = write_trajectory_csv(traj, tmp_path / "a.csv")
-        p2 = write_trajectory_csv(run(three_edge, seed=2, max_stages=60), tmp_path / "b.csv")
+        p2 = write_trajectory_csv(run(short, seed=2), tmp_path / "b.csv")
         assert p1.read_bytes() == p2.read_bytes()
         header = p1.read_text().splitlines()[0].split(",")
         assert header[0] == "stage"
@@ -305,7 +315,7 @@ class TestTrajectoryCsv:
     def test_special_values(self, three_edge, tmp_path):
         # -0.0, the smallest subnormal, NaN, huge and infinite values in every
         # float column, under three used-edge patterns
-        traj = run(three_edge, 0, max_stages=4, window=4)
+        traj = run(_with_rule(three_edge, max_stages=4, window=4), 0)
         special = np.array(
             [[-0.0, 5e-324, np.nan, 1e300],
              [1e300, -0.0, 5e-324, np.nan],
@@ -385,7 +395,7 @@ class TestLockstepBlocks:
         model = correlated.model
         coeffs = model.state_coefficients(correlated.true_state)
         stages = []
-        for traj in run_block(correlated, range(12), **rule):
+        for traj in run_block(_with_rule(correlated, **rule), range(12)):
             stages.append(traj.n_stages)
             sampler = NoiseSampler(model.sigma, traj.seed)
             for k in range(traj.n_stages):
@@ -403,8 +413,9 @@ class TestLockstepBlocks:
     def test_correlated_noise_block_matches_reference_loop(self, correlated, rule):
         # the reference likelihood whitens by a triangular solve, the block
         # by the cached inverse factor, so beliefs agree to rounding, not bits
-        for traj in run_block(correlated, range(12), **rule):
-            records, status = reference_run(correlated, traj.seed, **rule)
+        scenario = _with_rule(correlated, **rule)
+        for traj in run_block(scenario, range(12)):
+            records, status = reference_run(scenario, traj.seed)
             assert traj.status == status
             assert traj.n_stages == len(records)
             loads = np.array([r.equilibrium.edge_loads for r in records])
@@ -450,7 +461,7 @@ class TestLockstepBlocks:
         for workers in (1, 2, 3):
             out = tmp_path / f"workers{workers}"
             batch = monte_carlo(
-                three_edge, seeds, workers=workers, max_stages=70, trajectory_dir=out
+                _with_rule(three_edge, max_stages=70), seeds, workers=workers, trajectory_dir=out
             )
             files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
             outputs[workers] = (batch, files)
@@ -515,15 +526,16 @@ class TestLockstepBlocks:
 
         monkeypatch.setattr(dynamics, "solve_wardrop_block", recording)
         # a window as long as the run: every seed stays all 20 stages, in its row
-        trajs = list(run_block(scenario, [0, 1, 2], max_stages=20, window=20))
+        trajs = list(run_block(_with_rule(scenario, max_stages=20, window=20), [0, 1, 2]))
         assert [t.n_stages for t in trajs] == [20, 20, 20] and len(starts) == 20
         assert starts[0] is None
         for k in range(1, 20):
             assert np.array_equal(starts[k], flows[k - 1])
 
     def test_block_trajectories_equal_single_runs(self, three_edge):
-        for traj in run_block(three_edge, [5, 6, 7], max_stages=60, window=5):
-            single = run(three_edge, traj.seed, max_stages=60, window=5)
+        scenario = _with_rule(three_edge, max_stages=60, window=5)
+        for traj in run_block(scenario, [5, 6, 7]):
+            single = run(scenario, traj.seed)
             assert traj.status == single.status and traj.n_stages == single.n_stages
             assert np.array_equal(traj.beliefs, single.beliefs)
             assert np.array_equal(traj.costs, single.costs, equal_nan=True)
@@ -540,8 +552,9 @@ class TestLockstepBlocks:
         assert info.value.best is not None
 
     def test_invalid_stopping_rule_fails_before_any_work(self, three_edge):
-        with pytest.raises(ValueError, match="max_stages"):
-            monte_carlo(three_edge, range(4), max_stages=3, window=5, workers=2)
+        # the rule is checked when it is built, so no batch can start with it
+        with pytest.raises(ScenarioError, match="^convergence.max_stages:"):
+            _with_rule(three_edge, max_stages=3, window=5)
 
 
 
@@ -569,11 +582,11 @@ class TestChunkBuffers:
     @pytest.mark.parametrize("max_stages", [64, 65, 128])
     def test_stage_cap_at_chunk_edges_matches_reference_loop(self, cond2, max_stages):
         # seeds 138 and 104 play past stage 128, seeds 0 and 1 leave earlier
-        rule = {"max_stages": max_stages}
-        trajs = list(run_block(cond2, [138, 104, 0, 1], **rule))
+        scenario = _with_rule(cond2, max_stages=max_stages)
+        trajs = list(run_block(scenario, [138, 104, 0, 1]))
         assert max(t.n_stages for t in trajs) == max_stages
         for traj in trajs:
-            _assert_reference_bits(cond2, traj, **rule)
+            _assert_reference_bits(scenario, traj)
 
     def test_trajectories_own_their_memory(self, three_edge):
         # seeds that leave before, at and after the first chunk's end

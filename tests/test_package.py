@@ -1,7 +1,7 @@
 from __future__ import annotations
 
+import ast
 import importlib
-import importlib.util
 import inspect
 import os
 import subprocess
@@ -74,20 +74,29 @@ def test_public_names_are_pinned():
         assert getattr(routelearn, name) is not None
 
 
+def _tracer_targets() -> list[tuple[str, str]]:
+    """The (module, attribute) pairs of TARGETS in bench/tracing.py, read with
+    ast so that no benchmark code runs."""
+    tree = ast.parse((ROOT / "bench" / "tracing.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]:
+            return [(entry.elts[0].value, entry.elts[1].value) for entry in node.value.elts]
+    raise AssertionError("bench/tracing.py defines no TARGETS")
+
+
 def test_names_the_benchmark_binds_resolve():
     # the benchmark's tracer rebinds these by name, and its grid timing
     # reads the chunk generator and its default chunk size
-    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    assert tracing.TARGETS
-    for module_name, attr, _, _ in tracing.TARGETS:
+    targets = _tracer_targets()
+    assert ("routelearn.dynamics", "NoiseSampler.sample") in targets
+    for module_name, attr in targets:
         owner = importlib.import_module(module_name)
         for part in attr.split("."):
+            assert hasattr(owner, part), f"{module_name}.{attr}"
             owner = getattr(owner, part)
         assert callable(owner), f"{module_name}.{attr}"
     analysis = importlib.import_module("routelearn.analysis")
     assert callable(analysis._simplex_grid_chunks)
     chunk = inspect.signature(analysis.enumerate_rest_points).parameters["chunk_size"].default
-    assert isinstance(chunk, int) and chunk > 0
+    assert type(chunk) is int and chunk > 0
     assert next(analysis._simplex_grid_chunks(3, 2, chunk)).shape == (6, 3)

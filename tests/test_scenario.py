@@ -8,7 +8,9 @@ import pytest
 
 from routelearn import (
     BUILTIN_NAMES,
+    ConvergenceRule,
     ScenarioError,
+    Tolerances,
     load_scenario,
     scenario_from_dict,
     scenario_to_dict,
@@ -143,8 +145,9 @@ class TestValidation:
         for entry in p["costs"]:
             if entry["edge"] == "e2" and entry["state"] == "none":
                 entry["params"]["slope"] = 0.0
-        with pytest.raises(ScenarioError, match=r"\(e2, none\)"):
+        with pytest.raises(ScenarioError) as exc:
             scenario_from_dict(p)
+        assert str(exc.value) == "costs: minimum-slope check failed (alpha=0.001) on: (e2, none)"
 
     def test_unknown_edge_in_costs(self, three_edge):
         p = self.payload(three_edge)
@@ -277,6 +280,41 @@ class TestValidation:
         conv = scenario_from_dict(payload).convergence
         assert (conv.window, conv.max_stages) == (20, 400)
         assert type(conv.window) is type(conv.max_stages) is int
+
+
+class TestRuleFields:
+    """The stopping rule and the tolerances check their own fields, wherever
+    they are built: a scenario file, a command-line flag or library code."""
+
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            (lambda: ConvergenceRule(window=0), "convergence.window"),
+            (lambda: ConvergenceRule(window=5, max_stages=3), "convergence.max_stages"),
+            (lambda: ConvergenceRule(delta=float("inf")), "convergence.delta"),
+            (lambda: ConvergenceRule(delta=float("nan")), "convergence.delta"),
+            (lambda: ConvergenceRule(delta=0.0), "convergence.delta"),
+            (lambda: ConvergenceRule(window=2.5), "convergence.window"),
+            (lambda: ConvergenceRule(max_stages=True), "convergence.max_stages"),
+            (lambda: Tolerances(equilibrium=0.0), "tolerances.equilibrium"),
+            (lambda: Tolerances(equilibrium=float("inf")), "tolerances.equilibrium"),
+            (lambda: Tolerances(cost_equality=-1e-9), "tolerances.cost_equality"),
+            (lambda: Tolerances(used_edge=-1.0), "tolerances.used_edge"),
+            (lambda: Tolerances(used_edge=float("nan")), "tolerances.used_edge"),
+        ],
+    )
+    def test_bad_values_name_the_field(self, build, field):
+        with pytest.raises(ScenarioError) as exc:
+            build()
+        assert exc.value.path == field
+
+    def test_counts_and_numbers_are_normalized(self):
+        rule = ConvergenceRule(window=np.int64(10), delta=1, max_stages=40.0)
+        assert (rule.window, rule.delta, rule.max_stages) == (10, 1.0, 40)
+        assert type(rule.window) is type(rule.max_stages) is int and type(rule.delta) is float
+        tols = Tolerances(equilibrium=1, used_edge=0)
+        assert (tols.equilibrium, tols.used_edge) == (1.0, 0.0)
+        assert Tolerances().used_edge is None
 
 
 class TestStateLabels:
