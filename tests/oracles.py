@@ -384,6 +384,64 @@ def wheatstone_drain_table():
     return dataclasses.replace(table, name="wheatstone-drain", coeffs=coeffs)
 
 
+def grid_payload(r: int, c: int, g: int) -> dict:
+    """Scenario payload on a directed r x c node grid, table g.
+
+    Edges go right or down, listed node by node in row-major order, right
+    before down; routes are every path from the top-left node to the
+    bottom-right one, found depth first, right before down. With
+    `np.random.default_rng(g)` the table draws 4 distinct compromised
+    edges, then slopes from U(0.5, 2) and intercepts from U(1, 5), one per
+    edge. State `s{k}` compromises the k-th drawn edge, tripling its slope
+    and raising its intercept by 2; the truth is `none`. Identity noise,
+    demand 1, uniform prior. Many routes share edges, so tied routes often
+    have linearly dependent incidence columns (4 x 4: 24 edges, 20 routes).
+    """
+    edges, index = [], {}
+    for i in range(r):
+        for j in range(c):
+            for step, ok in (("r", j + 1 < c), ("d", i + 1 < r)):
+                if ok:
+                    index[i, j, step] = len(edges)
+                    edges.append(f"{step}{i}{j}")
+    routes = []
+
+    def walk(i, j, path):
+        if (i, j) == (r - 1, c - 1):
+            routes.append([edges[e] for e in path])
+        if j + 1 < c:
+            walk(i, j + 1, [*path, index[i, j, "r"]])
+        if i + 1 < r:
+            walk(i + 1, j, [*path, index[i, j, "d"]])
+
+    walk(0, 0, [])
+    rng = np.random.default_rng(g)
+    hit = rng.choice(len(edges), 4, replace=False)
+    slopes = rng.uniform(0.5, 2.0, len(edges))
+    intercepts = rng.uniform(1.0, 5.0, len(edges))
+    states = ["s0", "s1", "s2", "s3", "none"]
+    costs = []
+    for e, edge in enumerate(edges):
+        for k, state in enumerate(states):
+            bad = k < 4 and hit[k] == e
+            params = {
+                "slope": float(slopes[e] * (3.0 if bad else 1.0)),
+                "intercept": float(intercepts[e] + (2.0 if bad else 0.0)),
+            }
+            costs.append({"edge": edge, "state": state, "form": "affine", "params": params})
+    return {
+        "schema_version": 1,
+        "name": f"grid-{r}x{c}-g{g}",
+        "network": {"edges": edges, "routes": routes},
+        "states": states,
+        "true_state": "none",
+        "costs": costs,
+        "sigma": np.eye(len(edges)).tolist(),
+        "demand": 1.0,
+        "initial_belief": [0.2] * 5,
+    }
+
+
 # --- Reference per-seed stage loop -----------------------------------------
 # The stage loop as it was before seeds advanced in lockstep blocks: one
 # scalar Frank-Wolfe solve, one triangular solve and one Bayes update per

@@ -19,10 +19,14 @@ from routelearn.equilibrium import (
     solve_wardrop_block,
 )
 
+from routelearn.analysis import enumerate_rest_points
+from routelearn.dynamics import run_block
+
 from oracles import (
     bench_reference,
     certify_nothing,
     exact_solve_wardrop,
+    grid_payload,
     random_multi_route_instance,
     random_simplex,
     random_two_route_instance,
@@ -532,6 +536,48 @@ class TestDrainTable:
             slsqp = bench_reference().beckmann_loads(table, theta)
             assert np.max(np.abs(eq.edge_loads - slsqp)) <= 1e-8
             assert verify_equilibrium(net, model, Belief(theta), eq, tol=1e-12).ok
+
+
+class TestDependentRouteSets:
+    """Directed grid tables, where tied routes often have linearly dependent
+    incidence columns; every row the solver returns must be an equilibrium."""
+
+    @pytest.mark.parametrize("g", range(6), ids=lambda g: f"g{g}")
+    def test_grid_4x4_block_of_64_seeds_finishes(self, g):
+        scenario = scenario_from_dict(grid_payload(4, 4, g))
+        trajectories = list(run_block(scenario, range(64)))
+        assert len(trajectories) == 64
+        for traj in trajectories:
+            for k in range(traj.n_stages):
+                flows = traj.equilibria.route_flows[k]
+                cert = verify_equilibrium(
+                    scenario.network, scenario.model, Belief(traj.beliefs[k]), flows, tol=1e-9
+                )
+                assert cert.ok, (traj.seed, k + 1, cert.worst_violation)
+
+    @pytest.mark.parametrize("g", range(6), ids=lambda g: f"g{g}")
+    def test_grid_3x4_sweep_finishes(self, monkeypatch, g):
+        import routelearn.analysis as analysis
+
+        real, solved = analysis.solve_wardrop_batch, []
+
+        def recording(network, model, thetas, demand, **kwargs):
+            block = real(network, model, thetas, demand, **kwargs)
+            solved.append((thetas, block))
+            return block
+
+        monkeypatch.setattr(analysis, "solve_wardrop_batch", recording)
+        scenario = scenario_from_dict(grid_payload(3, 4, g))
+        report = enumerate_rest_points(
+            scenario.network, scenario.model, scenario.true_state, 24, scenario.demand
+        )
+        assert report.families
+        for thetas, block in solved:
+            for theta, flows in zip(thetas, block.route_flows):
+                cert = verify_equilibrium(
+                    scenario.network, scenario.model, Belief(theta), flows, tol=1e-9
+                )
+                assert cert.ok, (theta, cert.worst_violation)
 
 
 class TestBatchSolverRows:
