@@ -1,18 +1,24 @@
-"""Wardrop equilibrium computation via route-based Frank-Wolfe.
+"""Wardrop equilibria by Newton steps on each row's active route set.
 
 The potential minimized is the sum over edges of the integral of the
 belief-weighted cost, so its minimizers are exactly the equilibria and the
-duality gap provides a no-better-route certificate. Every row also tries a
-Newton polish on its active route set (Bertsekas & Gafni 1982), which
-solves the equal-cost system with costs linearized at the current loads
-(exactly, in one step, for affine mixtures). It pins interior solutions to
-machine precision and leaves unused routes at exactly zero flow, which
-Frank-Wolfe alone reaches only at O(1/k).
+duality gap provides a no-better-route certificate. Each row is evaluated
+at its start, a warm start or all-or-nothing flows on the route cheapest
+at free flow, which gives a duality bound and a stop test. Then a finite
+active-set, projected Newton method (Bertsekas & Gafni 1982; Jayakrishnan
+et al. 1994) solves the equal-cost system of the row's active routes with
+costs linearized at the current loads, exactly in one step for affine
+mixtures, on a maximal independent subset of those routes. It drops
+negative flows and adds the cheapest route until the true costs certify
+the flows; polynomial rows backtrack so that no step raises the
+potential. Interior solutions come out at machine precision and unused
+routes at exactly zero flow.
 
 A row's certificates come from the evaluation that certified it: the
-polish's loads and route costs at the flows it returns, or the Frank-Wolfe
-iteration at which the row stopped. Only rows whose returned flows were
-never evaluated, those stopped by the iteration cap, are evaluated again.
+polish's loads and route costs at the flows it returns, or the start's for
+a row left at its start. The reported relative gap bounds the row's
+suboptimality: it is the smaller of the duality gap at the returned flows
+and the distance to the start's duality bound.
 """
 
 from __future__ import annotations
@@ -31,9 +37,10 @@ from .errors import CostError, SolverError
 from .graph import Network, row_groups
 
 DEFAULT_TOL = 1e-8
-DEFAULT_MAX_ITER = 100_000
 _TINY = np.finfo(float).tiny
-_NEWTON_STEPS = 8  # per polish; Frank-Wolfe goes on for rows it leaves uncertified
+_ROUND = 8  # Newton steps per round of the polish
+_MAX_ROUNDS = 8  # rounds before a row is reported unconverged
+_HALVINGS = 30  # backtracking steps before a polynomial row keeps its flows
 
 
 @dataclass(frozen=True)
@@ -58,7 +65,7 @@ class EquilibriumBlock:
     """Equilibria of a block of beliefs, row i for belief i.
 
     Rows whose certificates did not meet the tolerance are marked False in
-    `converged` and hold the best iterate found.
+    `converged` and hold their start flows and the certificates there.
     """
 
     route_flows: np.ndarray
@@ -85,7 +92,7 @@ class EquilibriumBlock:
             return
         i = int(np.argmin(self.converged))
         raise SolverError(
-            f"no convergence within {self.n_iterations[i]} iterations "
+            f"no convergence after round {self.n_iterations[i]} "
             f"(relative gap {self.gap[i]:.3e})",
             best=self.row(i),
         ).at_row(i)
@@ -111,86 +118,121 @@ def _check_model(network: Network, model: CostModel) -> None:
 # product would not promise.
 
 
-def _line_search(
-    coef: np.ndarray, w: np.ndarray, d: np.ndarray, costs: np.ndarray, poly: np.ndarray
-) -> np.ndarray:
-    """Exact step toward the all-or-nothing target, one per row.
-
-    Minimizes the potential along w + g*d for g in [0, 1]. The directional
-    derivative sum_e cost_e(w + g d) d_e is nondecreasing in g, so affine
-    rows have a closed form and the rows listed in `poly` bisect on its
-    sign. `coef` holds the mixed cost coefficients degree-major, (C, n, E).
-    """
-    num = -np.vecdot(costs, d)
-    den = np.vecdot(coef[1], d * d)
-    # a direction that changes no loaded edge makes any step equivalent
-    ratio = np.divide(num, den, out=np.ones(len(num)), where=den > 0.0)
-    gamma = np.minimum(1.0, np.maximum(0.0, ratio))
-    if not poly.size:
-        return gamma
-    c, w, d = coef[:, poly], w[poly], d[poly]
-    need = np.vecdot(polyval_ascending(c, w + d, axis=0), d) > 0.0
-    gamma[poly] = 1.0
-    rows, c, w, d = poly[need], c[:, need], w[need], d[need]
-    lo, hi = np.zeros((len(rows), 1)), np.ones((len(rows), 1))
-    for _ in range(60 if rows.size else 0):
-        mid = 0.5 * (lo + hi)
-        pos = np.vecdot(polyval_ascending(c, w + mid * d, axis=0), d)[:, None] > 0.0
-        hi = np.where(pos, mid, hi)
-        lo = np.where(pos, lo, mid)
-    gamma[rows] = 0.5 * (lo + hi)[:, 0]
-    return gamma
-
-
 def _potential(pcoef: np.ndarray, w: np.ndarray) -> np.ndarray:
     """The Beckmann potential of each row of loads `w`, from the degree-major
     coefficients of `polyint_coefficients`."""
     return np.add.reduce(polyval_ascending(pcoef, w, axis=0) * w, axis=1)
 
 
+def _independent(cols: np.ndarray, routes: np.ndarray) -> np.ndarray:
+    """A maximal subset of `routes` whose columns of `cols` are independent,
+    each route kept unless it depends on the routes kept before it."""
+    a, k = cols[:, routes], len(routes)
+    # one route, two distinct ones or a set of full rank: the common cases
+    if k < 2 or (k == 2 and (a[:, 0] != a[:, 1]).any()) or np.linalg.matrix_rank(a) == k:
+        return routes
+    keep = routes[:1]
+    for r in routes[1:]:
+        more = np.append(keep, r)
+        if np.linalg.matrix_rank(cols[:, more]) == len(more):
+            keep = more
+    return keep
+
+
+def _backtrack(
+    inc: np.ndarray, pcoef: np.ndarray, ceil: np.ndarray, x: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Backtracking on the Beckmann potential (Armijo's rule with no margin).
+
+    For rows whose step from flows `x` to `y` took the potential above
+    `ceil`: each row takes the first of the steps halved 1, 2, ... times
+    that keeps it at most `ceil`, or stays at `x` when none of the first
+    `_HALVINGS` does. Returns the flows stepped to, their loads and their
+    potentials.
+    """
+    d = y - x
+    y = x.copy()
+    w = np.matvec(inc, x)
+    phi = _potential(pcoef, w)
+    todo = np.arange(len(x))
+    for h in range(1, _HALVINGS + 1):
+        yt = x[todo] + 0.5**h * d[todo]
+        wt = np.matvec(inc, yt)
+        pt = _potential(pcoef[:, todo], wt)
+        fine = pt <= ceil[todo]
+        rows = todo[fine]
+        y[rows], w[rows], phi[rows] = yt[fine], wt[fine], pt[fine]
+        todo = todo[~fine]
+        if not todo.size:
+            break
+    return y, w, phi
+
+
 def _face_polish(
     inc: np.ndarray,
     coef: np.ndarray,
+    pcoef: np.ndarray,
     demand: float,
     q: np.ndarray,
-    rmin: np.ndarray,
     loads: np.ndarray,
     costs: np.ndarray,
-) -> np.ndarray:
-    """Newton on the equal-cost system of each row's active route set.
+    settled: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Newton steps on the equal-cost system of each row's active route set.
 
+    Each row starts from its flows in `q`, at `loads` and route `costs`.
     The active set is the row's positive routes plus its cheapest one. A
-    Newton step solves the equal-cost linear system on that set with each
-    edge cost linearized at the current loads, intercept c(w) - c'(w) w and
-    slope c'(w), dropping negative flows active-set style; rows with the
-    same active set share one stacked solve. Affine rows take their own
-    coefficients, so one step solves their system exactly and is all they
-    take; such a row is certified when its new flows pass the equal-cost
-    and no-cheaper-route test on the true costs. Other linearizations are
-    exact only to second order, so those rows are certified when a step
-    from flows that already pass passes again, which leaves them at
-    rounding level. Certified rows leave; the others step again from their
-    new flows, with the cheapest route at them added to the set, at most
-    `_NEWTON_STEPS` times. Returns the mask of certified rows; each one's
-    flows are written into its row of `q`, and the edge loads and route
-    costs at them, from the evaluation that certified them, into `loads`
-    and `costs`. Other rows of the three arrays are left as they were.
+    step solves the equal-cost linear system on that set, with each edge
+    cost linearized at the current loads (intercept c(w) - c'(w) w, slope
+    c'(w)), and drops negative flows active-set style; rows with the same
+    active set share one stacked solve. The system is solved on a maximal
+    independent subset of the active routes, with a 1 appended to each
+    incidence column for the demand row: it is singular exactly when those
+    columns are dependent, and a dependent route's cost is then an affine
+    combination of the kept routes' costs, equal to theirs when theirs are
+    equal.
+
+    Affine rows take their own coefficients, so one step solves their
+    system exactly; such a row is certified when its new flows pass the
+    equal-cost and no-cheaper-route test on the true costs. Other
+    linearizations are exact only to second order, so those rows are
+    certified when a step from flows that already pass passes again, which
+    leaves them at rounding level; they step through `_backtrack`, so no
+    step raises their potential. Certified rows leave, and the others step
+    again from their new flows, with the cheapest route at them added to
+    the set.
+
+    `_ROUND` steps make a round; rows in `settled` stop after the first
+    round, the others after `_MAX_ROUNDS`. Returns the mask of certified
+    rows and the number of rounds each row took. Each certified row's flows
+    are written into its row of `q`, and the loads and route costs at them,
+    from the evaluation that certified them, into `loads` and `costs`;
+    other rows of the three arrays are left as they were.
     """
     n, n_routes = q.shape
     affine = ~coef[2:].any(axis=(0, 2))
     flows = q.copy()  # each uncertified row's current flows
     active = flows > 1e-12 * demand
-    active[np.arange(n), rmin] = True
+    active[np.arange(n), costs.argmin(axis=1)] = True
     # affine rows keep their own coefficients, their exact linearization
     icpt, slope = coef[0], coef[1]
-    live, lin = np.arange(n), (~affine).nonzero()[0]
-    if lin.size:
+    polynomial = not affine.all()
+    if polynomial:
         icpt, slope = icpt.copy(), slope.copy()
         dcoef = coef[1:] * np.arange(1, len(coef))[:, None, None]  # c', degree-major
+        phi = _potential(pcoef, loads)  # each row's potential at its current flows
+    cols = np.vstack([inc, np.ones(n_routes)])
+    kept = {}  # active pattern -> its independent routes
     ok = np.zeros(n, dtype=bool)
     passed = np.zeros(n, dtype=bool)  # the current flows pass the cost test
-    for _ in range(_NEWTON_STEPS):
-        if lin.size:
+    rounds = np.ones(n, dtype=np.intp)
+    live = np.arange(n)
+    for it in range(_ROUND * _MAX_ROUNDS):
+        if it and not it % _ROUND:
+            live = live[~settled[live]]
+            rounds[live] += 1
+        if polynomial:
+            lin = live[~affine[live]]
             w = np.matvec(inc, flows[lin])
             slope[lin] = polyval_ascending(dcoef[:, lin], w, axis=0)
             icpt[lin] = polyval_ascending(coef[:, lin], w, axis=0) - slope[lin] * w
@@ -200,7 +242,10 @@ def _face_polish(
             retry = []
             for pattern, sub in row_groups(active[pending]):
                 rows = pending[sub]
-                routes = pattern.nonzero()[0]
+                key = pattern.tobytes()
+                if key not in kept:
+                    kept[key] = _independent(cols, pattern.nonzero()[0])
+                routes = kept[key]
                 k = len(routes)
                 if k == 1:
                     sol = np.full((len(rows), 1), demand)
@@ -213,12 +258,7 @@ def _face_polish(
                     f = np.matvec(inc.T, icpt[rows])[:, routes]
                     rhs = f[:, -1:] - f
                     rhs[:, -1] = demand
-                    try:
-                        sol = np.linalg.solve(m, rhs[:, :, None])[:, :, 0]
-                    except np.linalg.LinAlgError:
-                        sol = _solve_each(m, rhs)
-                        solved = ~np.isnan(sol).all(axis=1)
-                        rows, sol = rows[solved], sol[solved]
+                    sol = np.linalg.solve(m, rhs[:, :, None])[:, :, 0]
                     drop = ~(np.minimum.reduce(sol, axis=1) >= -1e-12 * demand)
                     if drop.any():
                         active[rows[drop], routes[np.argmin(sol[drop], axis=1)]] = False
@@ -230,6 +270,16 @@ def _face_polish(
                 top = routes[np.argmax(sol, axis=1)]
                 cand[np.arange(len(rows)), top] += demand - np.add.reduce(cand, axis=1)
                 wc = np.matvec(inc, cand)
+                if polynomial:
+                    at = _potential(pcoef[:, rows], wc)
+                    ceil = phi[rows] * (1.0 + 1e-12)  # potentials are sums of nonnegative terms
+                    up = ~affine[rows] & (at > ceil)
+                    if up.any():
+                        r = rows[up]
+                        cand[up], wc[up], at[up] = _backtrack(
+                            inc, pcoef[:, r], ceil[up], flows[r], cand[up]
+                        )
+                    phi[rows] = at
                 t = np.matvec(inc.T, polyval_ascending(coef[:, rows], wc, axis=0))
                 on = t[:, routes]
                 common = np.add.reduce(on, axis=1) / k
@@ -243,29 +293,18 @@ def _face_polish(
                 fin = rows[good]
                 q[fin], loads[fin], costs[fin] = cand[good], wc[good], t[good]
                 ok[fin] = True
-                step = ~good & ~affine[rows]
-                if step.any():
-                    rows, cand = rows[step], cand[step]
+                go = ~good
+                if go.any():
+                    rows, cand = rows[go], cand[go]
                     flows[rows] = cand
                     active[rows] = cand > 1e-12 * demand
-                    active[rows, np.argmin(t[step], axis=1)] = True
+                    active[rows, np.argmin(t[go], axis=1)] = True
                     again.append(rows)
             pending = np.concatenate(retry) if retry else pending[:0]
         if not again:
             break
-        live = lin = np.concatenate(again)
-    return ok
-
-
-def _solve_each(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve the systems one by one; rows of singular systems come back NaN."""
-    out = np.full(rhs.shape, np.nan)
-    for i in range(len(m)):
-        try:
-            out[i] = np.linalg.solve(m[i], rhs[i])
-        except np.linalg.LinAlgError:
-            pass
-    return out
+        live = np.concatenate(again)
+    return ok, rounds
 
 
 def _start_flows(init_flows, n: int, n_routes: int, demand: float) -> np.ndarray:
@@ -289,7 +328,6 @@ def solve_wardrop_block(
     demand: float,
     *,
     tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
     init_flows=None,
 ) -> EquilibriumBlock:
     """Equilibria for a block of beliefs, one per row of `probs`.
@@ -298,22 +336,20 @@ def solve_wardrop_block(
     flows that sum to `demand`, or by default from all-or-nothing flows on
     the route cheapest at free flow. A start near the equilibrium, such as
     that of a nearby belief, saves the polish most of its Newton steps.
-    Each row iterates all-or-nothing assignment to its cheapest route with
-    exact line search, and stops once its relative duality gap or its
-    no-better-route certificate falls below `tol`. A row that stops leaves
-    the iteration, so every row gets the result it would get alone. Ties in
-    the cheapest route go to the lowest index so runs are deterministic.
-    Every row tries the Newton face polish at iterations 1, 2, 4, 8, ...
-    and stops with its flows once it certifies them; a row that stops
-    elsewhere gets a final polish. Rows that do not converge are reported in
-    `converged`, not raised.
+    The evaluation at the start gives each row a duality bound on its
+    potential and a stop test: a relative duality gap or a no-better-route
+    certificate below `tol`. Then `_face_polish` steps every row until it
+    certifies its flows; a row the stop test passed keeps its start flows
+    when the first round does not certify it. Ties in the cheapest route go
+    to the lowest index so runs are deterministic, and every row gets the
+    result it would get alone. `n_iterations` counts the rounds a row
+    took. Rows that do not converge are reported in `converged`, not
+    raised.
     """
     if demand <= 0:
         raise ValueError("demand must be positive")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
     probs = np.asarray(probs, dtype=float)
     if probs.ndim != 2 or probs.shape[1] != model.n_states:
         raise ValueError(f"belief matrix has shape {probs.shape}")
@@ -324,104 +360,31 @@ def solve_wardrop_block(
     # mixed cost coefficients, degree-major: coef[k] is the (n, E) degree-k slice
     coef = model.mixed_coefficients_batch(probs).transpose(2, 0, 1).copy()
     pcoef = polyint_coefficients(coef, axis=0)  # the potential is w times their polynomial
-    affine = ~coef[2:].any(axis=(0, 2))
-    flow_tol = 1e-9 * demand
-
-    targets = np.eye(n_routes) * demand  # all-or-nothing flows, one row per route
     if init_flows is None:
-        q = targets[np.argmin(np.matvec(inc.T, coef[0]), axis=1)]  # cheapest at free flow
+        # all-or-nothing flows on the route cheapest at free flow
+        q = (np.eye(n_routes) * demand)[np.argmin(np.matvec(inc.T, coef[0]), axis=1)]
     else:
         q = _start_flows(init_flows, n, n_routes, demand)
 
-    n_iter = np.full(n, max_iter, dtype=np.intp)
-    converged = np.zeros(n, dtype=bool)
-    polished = np.zeros(n, dtype=bool)  # polished at the iterate the row stops at
-    stale = np.zeros(n, dtype=bool)  # returned flows never evaluated
-
-    # The loop works on the rows still iterating; a row that stops leaves.
-    live = np.arange(n)
-    ql, cl, pl, poly = q, coef, pcoef, (~affine).nonzero()[0]
-    lb = np.full(n, -np.inf)
-    ceiling = np.full(n, np.inf)  # largest potential the next iterate may have
-    for it in range(1, max_iter + 1):
-        w = np.matvec(inc, ql)
-        costs = polyval_ascending(cl, w, axis=0)
-        t = np.matvec(inc.T, costs)
-        phi = _potential(pl, w)
-        if (phi > ceiling).any():
-            i = int(np.argmax(phi > ceiling))
-            raise SolverError(
-                f"potential increased at iteration {it} (to {phi[i]!r})"
-            ).at_row(live[i])
-        # potentials and route costs are nonnegative: no abs() needed below
-        ceiling = phi * (1.0 + 1e-9) + 1e-9
-
-        rm = t.argmin(axis=1)
-        t_min = np.minimum.reduce(t, axis=1)
-        lb = np.maximum(lb, phi - (np.vecdot(t, ql) - t_min * demand))
-        if it == 1:
-            # every row is live: the result keeps these arrays, and a row
-            # that stops later copies in the iterate it stopped at
-            loads, route_costs, potential, best_lb, rmin = w, t, phi, lb, rm
-        polish = not it & (it - 1)
-        if polish:
-            # A route that carries no flow at equilibrium drains only at
-            # O(1/k), so rows try the polish at every power of two and stop
-            # with the flows it certifies, evaluated there. Rows that stop
-            # now anyway have had their final polish.
-            ok = _face_polish(inc, cl, demand, ql, rm, w, t)
-            np.copyto(phi, _potential(pl, w), where=ok)
-        rel_gap = (phi - lb) / np.maximum(phi, _TINY)
-        # the largest route flow is at least demand / n_routes > flow_tol
-        worst = np.maximum.reduce(t, axis=1, where=ql > flow_tol, initial=-np.inf) - t_min
-        done = (rel_gap <= tol) | (worst <= tol * np.maximum(1.0, t_min))
-        if polish:
-            done |= ok
-            polished[live[done]] = True
-        if done.any():
-            fin = live[done]
-            if it > 1:  # at iteration 1 the live arrays are the result's
-                q[fin], rmin[fin], best_lb[fin] = ql[done], rm[done], lb[done]
-                loads[fin], route_costs[fin], potential[fin] = w[done], t[done], phi[done]
-            n_iter[fin], converged[fin] = it, True
-            go = ~done
-            live = live[go]
-            if not live.size:
-                break
-            ql, lb, ceiling, w, costs, rm = (a[go] for a in (ql, lb, ceiling, w, costs, rm))
-            cl, pl = cl[:, go], pl[:, go]
-            poly = (~affine[live]).nonzero()[0]
-        y = targets[rm]
-        step = y - ql
-        gamma = _line_search(cl, w, np.matvec(inc, step), costs, poly)
-        g = gamma[:, None]
-        ql = np.where(g >= 1.0, y, ql + g * step)
-    else:
-        q[live], rmin[live], best_lb[live] = ql, rm, lb
-        stale[live] = True
-
-    final = ~polished
-    if final.any():
-        rows = final.nonzero()[0]
-        qr, wr, tr = q[rows], loads[rows], route_costs[rows]
-        ok = _face_polish(inc, coef[:, rows], demand, qr, rmin[rows], wr, tr)
-        fin = rows[ok]
-        q[fin], loads[fin], route_costs[fin] = qr[ok], wr[ok], tr[ok]
-        potential[fin] = _potential(pcoef[:, fin], wr[ok])
-        converged[fin] = True
-        stale[fin] = False
-    if stale.any():
-        rows = stale.nonzero()[0]
-        w = np.matvec(inc, q[rows])
-        loads[rows] = w
-        route_costs[rows] = np.matvec(inc.T, polyval_ascending(coef[:, rows], w, axis=0))
-        potential[rows] = _potential(pcoef[:, rows], w)
+    loads = np.matvec(inc, q)
+    route_costs = np.matvec(inc.T, polyval_ascending(coef, loads, axis=0))
+    potential = _potential(pcoef, loads)
+    # potentials and route costs are nonnegative: no abs() needed below
+    t_min = np.minimum.reduce(route_costs, axis=1)
+    lb = potential - (np.vecdot(route_costs, q) - t_min * demand)
+    rel_gap = (potential - lb) / np.maximum(potential, _TINY)
+    # the largest route flow is at least demand / n_routes > 1e-9 * demand
+    used = q > 1e-9 * demand
+    worst = np.maximum.reduce(route_costs, axis=1, where=used, initial=-np.inf) - t_min
+    settled = (rel_gap <= tol) | (worst <= tol * np.maximum(1.0, t_min))
+    ok, n_iter = _face_polish(inc, coef, pcoef, demand, q, loads, route_costs, settled)
+    np.copyto(potential, _potential(pcoef, loads), where=ok)
 
     # final certificates at the returned point
     abs_gap = np.vecdot(route_costs, q) - np.minimum.reduce(route_costs, axis=1) * demand
-    best_lb = np.maximum(best_lb, potential - abs_gap)
-    gap = np.maximum(0.0, (potential - best_lb) / np.maximum(np.abs(potential), _TINY))
-    converged |= gap <= tol
+    lb = np.maximum(lb, potential - abs_gap)
+    gap = np.maximum(0.0, (potential - lb) / np.maximum(np.abs(potential), _TINY))
+    converged = ok | settled  # a row left at its start keeps the start's gap
     for a in (q, loads, gap, route_costs, n_iter, potential, converged):
         a.setflags(write=False)
     return EquilibriumBlock(
@@ -442,21 +405,13 @@ def solve_wardrop(
     demand: float,
     *,
     tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> EquilibriumResult:
     """Equilibrium route flows and edge loads for one belief.
 
     The block solver on a block of one row; raises SolverError, carrying the
-    best iterate, when the row does not converge within `max_iter`.
+    row's start flows and their certificates, when the row does not converge.
     """
-    block = solve_wardrop_block(
-        network,
-        model,
-        theta.probs[None, :],
-        demand,
-        tol=tol,
-        max_iter=max_iter,
-    )
+    block = solve_wardrop_block(network, model, theta.probs[None, :], demand, tol=tol)
     block.raise_unconverged()
     return block.row(0)
 

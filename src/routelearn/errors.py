@@ -40,8 +40,8 @@ class ScenarioError(RoutelearnError, ValueError):
 class SolverError(RoutelearnError, RuntimeError):
     """Equilibrium computation failed.
 
-    When raised for non-convergence, `best` carries the best iterate found
-    so callers can inspect how far the solver got.
+    When raised for non-convergence, `best` carries the row's result, its
+    start flows and their certificates, so callers can inspect it.
     """
 
     def __init__(self, message: str, best=None):

@@ -13,8 +13,8 @@ kept as the slow paths the package is checked against. The exact
 equilibrium solve is scipy.optimize.root on the equal-cost system of the
 reference loop's active route set, certified at 1e-12, for comparisons the
 reference loop's 1e-8 gap is too coarse for. `certify_nothing` stands in
-for the face polish where a test needs Frank-Wolfe alone. The reference
-trajectory writer is the csv.writer loop that formats one cell at a time,
+for the face polish where a test needs a row that no round certifies. The
+reference trajectory writer is the csv.writer loop that formats one cell at a time,
 which the one-format-per-row writer replaced. The reference bisection
 probes one midpoint at a time, where the package probes four halvings'
 midpoints in one block, and the oracles mix cost coefficients with their
@@ -56,7 +56,6 @@ from routelearn.costs import (
 )
 from routelearn.dynamics import CONVERGED, MAX_STAGES, NoiseSampler, realize_costs
 from routelearn.equilibrium import (
-    DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     EquilibriumResult,
     complete_info_equilibrium,
@@ -271,7 +270,8 @@ def random_two_route_instance(rng: np.random.Generator):
 
 
 def random_multi_route_instance(rng: np.random.Generator, max_degree: int = 1):
-    """Random network with 2 to 4 routes; costs affine or quadratic."""
+    """Random network with 2 to 4 routes; costs affine or, from max_degree 2
+    on, about half of them polynomials of degree max_degree."""
     n_routes = int(rng.integers(2, 5))
     n_shared = int(rng.integers(0, 3))
     shared = [f"s{i}" for i in range(n_shared)]
@@ -296,7 +296,7 @@ def random_multi_route_instance(rng: np.random.Generator, max_degree: int = 1):
                     [
                         float(rng.uniform(0.0, 5.0)),
                         0.2 + float(rng.uniform(0.0, 2.0)),
-                        float(rng.uniform(0.0, 1.0)),
+                        *rng.uniform(0.0, 1.0, max_degree - 1).tolist(),
                     ]
                 )
             else:
@@ -458,6 +458,7 @@ class ReferenceStage(NamedTuple):
 
 
 _REFERENCE_LOG_2PI = float(np.log(2.0 * np.pi))
+_REFERENCE_MAX_ITER = 100_000
 
 
 def _reference_line_search(mixed: np.ndarray, w: np.ndarray, d: np.ndarray, affine: bool) -> float:
@@ -542,7 +543,7 @@ def reference_solve_wardrop(
     demand: float,
     *,
     tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
+    max_iter: int = _REFERENCE_MAX_ITER,
     init_route: int | None = None,
 ) -> EquilibriumResult:
     """Equilibrium route flows and edge loads for one belief.
@@ -663,26 +664,36 @@ def reference_block_evaluation(
     return w, t, phi
 
 
-def certify_nothing(inc, coef, demand, q, rmin, loads, costs):
-    """A stand-in for `equilibrium._face_polish` that certifies no row, so
-    only Frank-Wolfe can finish; it writes nothing."""
-    return np.zeros(len(q), dtype=bool)
+def certify_nothing(inc, coef, pcoef, demand, q, loads, costs, settled):
+    """A stand-in for `equilibrium._face_polish` that certifies no row in
+    one round and writes nothing, so only the stop test at the start point
+    can certify a row."""
+    return np.zeros(len(q), dtype=bool), np.ones(len(q), dtype=np.intp)
 
 
 def exact_solve_wardrop(
-    network: Network, model: CostModel, theta: Belief, demand: float, **_
+    network: Network,
+    model: CostModel,
+    theta: Belief,
+    demand: float,
+    *,
+    init_route: int | None = None,
+    **_,
 ) -> EquilibriumResult:
     """Equilibrium accurate to rounding, for any cost form.
 
-    The reference Frank-Wolfe loop (at most 2,000 iterations) guesses the
-    active route set, and scipy.optimize.root solves that set's equal-cost
+    The reference Frank-Wolfe loop (at most 2,000 iterations, started on
+    `init_route` when given) guesses the active route set, and
+    scipy.optimize.root solves that set's equal-cost
     system. A negative flow drops its route and an unused route cheaper
     than the used ones joins, until `verify_equilibrium` certifies the flows
     at 1e-12; no certified set raises AssertionError. Accepts and ignores
     the solver keywords, so it can stand in for `reference_solve_wardrop`.
     """
     try:
-        guess = reference_solve_wardrop(network, model, theta, demand, max_iter=2000)
+        guess = reference_solve_wardrop(
+            network, model, theta, demand, max_iter=2000, init_route=init_route
+        )
     except SolverError as err:
         guess = err.best
     inc = network.incidence
@@ -1070,8 +1081,8 @@ def reference_enumerate_rest_points(
 
     Evaluates the rest-point predicate at every grid node theta with
     components k/grid_n (equilibrium solved for all nodes in vectorized
-    batches at the default iteration cap, raising SolverError for a node
-    that does not converge), clusters passing nodes by their used-edge set, and for
+    batches, raising SolverError for a node that does not converge),
+    clusters passing nodes by their used-edge set, and for
     families supported on exactly two states refines the boundary of the
     belief range by bisection down to `refine_tol`.
     """

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
 from concurrent.futures import ProcessPoolExecutor
 
@@ -34,6 +33,7 @@ from routelearn.graph import used_edges
 from oracles import (
     certify_nothing,
     exact_solve_wardrop,
+    grid_payload,
     random_spd,
     reference_run,
     reference_write_trajectory_csv,
@@ -484,11 +484,17 @@ class TestLockstepBlocks:
                 assert np.array_equal(a.terminal_loads, b.terminal_loads)
                 assert np.array_equal(a.terminal_belief, b.terminal_belief)
 
-    def test_wheatstone_worker_count_does_not_change_outputs(self, tmp_path):
+    @pytest.mark.parametrize(
+        "payload, n_seeds",
+        [(wheatstone_poly_payload(), 6), (grid_payload(4, 4, 0), 24)],
+        ids=["wheatstone-poly", "grid-4x4-g0"],
+    )
+    def test_polish_worker_count_does_not_change_outputs(self, tmp_path, payload, n_seeds):
         # Newton polish from each seed's previous equilibrium: the start is the
-        # seed's own history, not its block mates'
-        scenario = scenario_from_dict(wheatstone_poly_payload())
-        seeds = list(range(6))
+        # seed's own history, not its block mates'; on the grid, tied routes
+        # have dependent incidence columns
+        scenario = scenario_from_dict(payload)
+        seeds = list(range(n_seeds))
         outputs = {}
         for workers in (1, 2):
             out = tmp_path / f"workers{workers}"
@@ -541,13 +547,11 @@ class TestLockstepBlocks:
             assert np.array_equal(traj.costs, single.costs, equal_nan=True)
 
     def test_nonconvergence_names_seed_and_stage(self, monkeypatch):
-        # the polish would certify every stage at iteration 1; without it,
-        # two Frank-Wolfe iterations do not converge
+        # the polish would certify every stage in its first round; without
+        # it, the all-or-nothing start of stage 1 does not pass
         monkeypatch.setattr(equilibrium, "_face_polish", certify_nothing)
         scenario = scenario_from_dict(wheatstone_poly_payload())
-        short = functools.partial(dynamics.solve_wardrop_block, max_iter=2)
-        monkeypatch.setattr(dynamics, "solve_wardrop_block", short)
-        with pytest.raises(SolverError, match="seed 11, stage 1: no convergence within 2") as info:
+        with pytest.raises(SolverError, match="seed 11, stage 1: no convergence after round 1") as info:
             monte_carlo(scenario, [11, 12])
         assert info.value.best is not None
 

@@ -195,18 +195,18 @@ class TestSolverProperties:
             )
             assert spread < 10 * 1e-8 * max(1.0, demand)
 
-    def test_polish_trial_ends_a_draining_solve(self):
+    def test_polish_ends_a_draining_solve(self):
         # from route 1, a route that is empty at equilibrium drains at O(1/k)
         # and the gap never reaches 1e-8, so the reference loop, which
-        # polishes only at the end, runs to its cap; the polish tried at
-        # iterations 1, 2, 4, ... certifies the equilibrium at iteration 2
+        # polishes only at the end, runs to its cap; the polish certifies the
+        # equilibrium in its first round
         rng = np.random.default_rng(21)
         for _ in range(9):
             net, model, theta, demand = random_multi_route_instance(rng)
         capped = reference_solve_wardrop(net, model, theta, demand, init_route=1, max_iter=2000)
         assert capped.n_iterations == 2000
         eq = _solve_from_route(net, model, theta, demand, 1, tol=1e-8)
-        assert eq.n_iterations == 2
+        assert eq.n_iterations == 1
         assert verify_equilibrium(net, model, theta, eq, tol=1e-12).ok
         direct = solve_wardrop(net, model, theta, demand, tol=1e-8)
         assert direct.n_iterations == 1
@@ -284,9 +284,9 @@ class TestSolverProperties:
         eq2 = solve_wardrop(three_edge.network, three_edge.model, theta, 1.0)
         assert np.array_equal(eq1.route_flows, eq2.route_flows)
 
-    def test_nonconvergence_reports_best_iterate(self, monkeypatch):
-        # with a polish that certifies nothing, one Frank-Wolfe iteration
-        # cannot equalize three routes, so the best iterate is reported
+    def test_nonconvergence_reports_the_start(self, monkeypatch):
+        # with a polish that certifies nothing, the all-or-nothing start
+        # cannot equalize three routes, so the start is reported
         monkeypatch.setattr(equilibrium, "_face_polish", certify_nothing)
         net = Network(["a", "b", "c"], [["a"], ["b"], ["c"]])
         fns = {
@@ -295,10 +295,10 @@ class TestSolverProperties:
             ("c", "s"): CostFunction.polynomial([0.8, 0.7, 0.1]),
         }
         model = CostModel(["a", "b", "c"], ["s"], fns, np.eye(3))
-        with pytest.raises(SolverError) as info:
-            solve_wardrop(net, model, Belief.point_mass(1, 0), 2.0, tol=1e-17, max_iter=1)
-        assert info.value.best is not None
-        assert info.value.best.gap >= 0.0
+        with pytest.raises(SolverError, match="no convergence after round 1") as info:
+            solve_wardrop(net, model, Belief.point_mass(1, 0), 2.0, tol=1e-17)
+        assert info.value.best.route_flows.tolist() == [0.0, 2.0, 0.0]
+        assert info.value.best.gap > 0.0
 
     def test_invalid_inputs(self, three_edge):
         with pytest.raises(ValueError):
@@ -352,27 +352,6 @@ class TestBlockSolver:
                     assert np.array_equal(block.edge_loads[i], eq.edge_loads)
                     assert block.n_iterations[i] == eq.n_iterations
 
-    def test_frank_wolfe_rows_equal_one_row_solves_bit_for_bit(self, monkeypatch):
-        # the polish certifies every polynomial row above at iteration 1; with
-        # one that certifies nothing, rows leave the loop at different
-        # iterations and polynomial rows bisect in the line search
-        monkeypatch.setattr(equilibrium, "_face_polish", certify_nothing)
-        rng = np.random.default_rng(58)
-        stops, bisected = set(), 0
-        for _ in range(6):
-            net, model, _, demand = random_multi_route_instance(rng, max_degree=2)
-            thetas = np.array([random_simplex(rng, model.n_states) for _ in range(12)])
-            block = solve_wardrop_block(net, model, thetas, demand, max_iter=60)
-            stops |= set(block.n_iterations.tolist())
-            poly = model.mixed_coefficients_batch(thetas)[:, :, 2:].any(axis=(1, 2))
-            bisected += int((poly & (block.n_iterations > 1)).sum())
-            for i, theta in enumerate(thetas):
-                one = solve_wardrop_block(net, model, theta[None, :], demand, max_iter=60)
-                assert np.array_equal(block.route_flows[i], one.route_flows[0])
-                assert np.array_equal(block.gap[i], one.gap[0])
-                assert block.n_iterations[i] == one.n_iterations[0]
-        assert len(stops) > 2 and bisected > 0
-
     def test_matches_reference_solver(self):
         rng = np.random.default_rng(56)
         for max_degree in (1, 2):
@@ -412,30 +391,25 @@ class TestBlockSolver:
             ref = _oracle(model, theta)(net, model, Belief(theta), 1.0)
             assert np.max(np.abs(block.edge_loads[i] - ref.edge_loads)) <= 1e-12
 
-    def test_nonconverged_rows_are_flagged_not_raised(self, monkeypatch):
-        monkeypatch.setattr(equilibrium, "_face_polish", certify_nothing)
+    @pytest.mark.parametrize("rounds, certified", [(3, False), (4, True)])
+    def test_rows_stop_at_the_step_cap(self, monkeypatch, rounds, certified):
+        # these rows take 7 Newton steps from the zig-zag route; rounds of 2
+        # steps certify them in round 4, and a cap of 3 rounds leaves them
+        # unconverged at their start, flagged, not raised
+        monkeypatch.setattr(equilibrium, "_ROUND", 2)
+        monkeypatch.setattr(equilibrium, "_MAX_ROUNDS", rounds)
         scenario = scenario_from_dict(wheatstone_poly_payload())
         thetas = np.array([[0.25] * 4, [0.5, 0.5, 0.0, 0.0]])
-        block = solve_wardrop_block(scenario.network, scenario.model, thetas, 1.0, max_iter=3)
-        assert not block.converged.any()
-        assert (block.n_iterations == 3).all()
-        with pytest.raises(SolverError, match="no convergence within 3 iterations") as info:
+        block = solve_wardrop_block(scenario.network, scenario.model, thetas, 1.0)
+        assert (block.n_iterations == rounds).all()
+        assert (block.converged == certified).all()
+        if certified:
+            return
+        assert (block.route_flows == [0.0, 0.0, 1.0]).all()
+        with pytest.raises(SolverError, match="no convergence after round 3") as info:
             block.raise_unconverged()
         assert info.value.row == 0
         assert info.value.best.n_iterations == 3
-
-    def test_potential_increase_raises_solver_error(self, monkeypatch):
-        # full steps overshoot: from all flow on route a, the full step to
-        # route b raises the potential from 1.5 to 2.0
-        net = Network(["a", "b"], [["a"], ["b"]])
-        fns = {("a", "s"): CostFunction.affine(1.0, 1.0), ("b", "s"): CostFunction.affine(1.0, 1.5)}
-        model = CostModel(["a", "b"], ["s"], fns, np.eye(2))
-        monkeypatch.setattr(equilibrium, "_line_search", lambda *args: np.ones(1))
-        # a polish that certifies nothing, or it would end the solve at iteration 1
-        monkeypatch.setattr(equilibrium, "_face_polish", certify_nothing)
-        with pytest.raises(SolverError, match="potential increased at iteration 2") as info:
-            solve_wardrop_block(net, model, np.array([[1.0]]), 1.0)
-        assert info.value.row == 0
 
     def test_invalid_block_shape(self, three_edge):
         with pytest.raises(ValueError, match="belief matrix"):
@@ -520,7 +494,7 @@ class TestInitFlows:
 class TestDrainTable:
     """Point masses on the Wheatstone table whose free-flow-cheapest route carries no flow."""
 
-    def test_point_masses_are_certified_within_eight_iterations(self):
+    def test_point_masses_are_certified_in_the_first_round(self):
         table = wheatstone_drain_table()
         scenario = scenario_from_dict(table.to_scenario())
         net, model = scenario.network, scenario.model
@@ -531,11 +505,49 @@ class TestDrainTable:
         assert block.converged.all()
         for i, theta in enumerate(thetas):
             eq = solve_wardrop(net, model, Belief(theta), scenario.demand)
-            assert eq.n_iterations == block.n_iterations[i] <= 8
+            assert eq.n_iterations == block.n_iterations[i] == 1
             assert eq.route_flows[2] == 0.0
             slsqp = bench_reference().beckmann_loads(table, theta)
             assert np.max(np.abs(eq.edge_loads - slsqp)) <= 1e-8
             assert verify_equilibrium(net, model, Belief(theta), eq, tol=1e-12).ok
+
+
+class TestPolynomialSafeguard:
+    """Degree-4 rows from far starts: a Newton step that would raise the
+    potential is backtracked, and every row still certifies."""
+
+    @staticmethod
+    def _check(net, model, theta, demand, eq, **kwargs):
+        exact = exact_solve_wardrop(net, model, theta, demand, **kwargs)
+        assert np.max(np.abs(eq.edge_loads - exact.edge_loads)) <= 1e-9
+        # the gap bounds the relative suboptimality, up to the rounding of
+        # two potentials summed in different orders
+        assert eq.potential - exact.potential <= (eq.gap + 1e-14) * eq.potential
+
+    def test_random_tables_from_every_route(self, monkeypatch):
+        real, backtracked = equilibrium._backtrack, []
+
+        def recording(*args):
+            backtracked.append(len(args[3]))
+            return real(*args)
+
+        monkeypatch.setattr(equilibrium, "_backtrack", recording)
+        rng = np.random.default_rng(3)
+        for _ in range(6):
+            net, model, theta, demand = random_multi_route_instance(rng, max_degree=4)
+            for route in range(net.n_routes):
+                eq = _solve_from_route(net, model, theta, demand, route)
+                self._check(net, model, theta, demand, eq)
+        assert sum(backtracked) > 0
+
+    def test_drain_table_point_masses(self):
+        scenario = scenario_from_dict(wheatstone_drain_table().to_scenario())
+        net, model = scenario.network, scenario.model
+        block = solve_wardrop_block(net, model, np.eye(model.n_states), scenario.demand)
+        assert block.converged.all()
+        for i, theta in enumerate(np.eye(model.n_states)):
+            # the reference loop drains the zig-zag only at O(1/k): start it elsewhere
+            self._check(net, model, Belief(theta), scenario.demand, block.row(i), init_route=0)
 
 
 class TestDependentRouteSets:
@@ -580,27 +592,49 @@ class TestDependentRouteSets:
                 assert cert.ok, (theta, cert.worst_violation)
 
 
+_WHEATSTONE_THETAS = np.array(
+    [
+        [0.25, 0.25, 0.25, 0.25],
+        [0.5, 0.5, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 1.0],
+        [0.7, 0.1, 0.1, 0.1],
+        [0.0, 0.0, 1.0, 0.0],
+    ]
+)
+
+
+def _grid_rows(g: int):
+    """Table g of the 4 x 4 grid with six beliefs and six random starts: all
+    20 routes start loaded, and 20 route columns have rank 10 on this grid."""
+    rng = np.random.default_rng(g)
+    return (
+        grid_payload(4, 4, g),
+        rng.dirichlet(np.full(5, 0.5), size=6),
+        rng.dirichlet(np.ones(20), size=6),
+    )
+
+
 class TestBatchSolverRows:
-    def test_rows_equal_rows_solved_alone(self):
+    @pytest.mark.parametrize(
+        "payload, thetas, starts",
+        [(wheatstone_poly_payload(), _WHEATSTONE_THETAS, None)] + [_grid_rows(g) for g in (0, 1, 2, 4)],
+        ids=["wheatstone-poly", "grid-4x4-g0", "grid-4x4-g1", "grid-4x4-g2", "grid-4x4-g4"],
+    )
+    def test_rows_equal_rows_solved_alone(self, payload, thetas, starts):
         # each row of a mixed batch equals the same row solved in a batch of
-        # its own; the Newton polish certifies every row at iteration 1
-        scenario = scenario_from_dict(wheatstone_poly_payload())
-        assert scenario.network.routes == wheatstone_network().routes
-        thetas = np.array(
-            [
-                [0.25, 0.25, 0.25, 0.25],
-                [0.5, 0.5, 0.0, 0.0],
-                [0.0, 0.0, 0.0, 1.0],
-                [0.7, 0.1, 0.1, 0.1],
-                [0.0, 0.0, 1.0, 0.0],
-            ]
-        )
-        eq = solve_wardrop_batch(scenario.network, scenario.model, thetas, 1.0)
+        # its own; on the grids, active routes have dependent incidence columns
+        scenario = scenario_from_dict(payload)
+        net, model = scenario.network, scenario.model
+        eq = solve_wardrop_block(net, model, thetas, 1.0, tol=1e-10, init_flows=starts)
+        assert eq.converged.all()
         for i, theta in enumerate(thetas):
-            alone = solve_wardrop_batch(scenario.network, scenario.model, theta[None, :], 1.0)
+            start = None if starts is None else starts[i : i + 1]
+            alone = solve_wardrop_block(net, model, theta[None, :], 1.0, tol=1e-10, init_flows=start)
+            assert np.array_equal(eq.route_flows[i], alone.route_flows[0])
             assert np.array_equal(eq.edge_loads[i], alone.edge_loads[0])
             assert eq.gap[i] == alone.gap[0]
-            _assert_matches_reference(scenario.network, scenario.model, theta, 1.0, eq.edge_loads[i])
+            exact = exact_solve_wardrop(net, model, Belief(theta), 1.0)
+            assert np.max(np.abs(eq.edge_loads[i] - exact.edge_loads)) <= 1e-12
 
 
     @pytest.mark.parametrize("seed", range(6))
@@ -664,8 +698,7 @@ class TestCertificatesAtReturnedFlows:
 
     @pytest.mark.parametrize("max_degree", [1, 2])
     def test_random_tables(self, max_degree):
-        # affine rows and quadratic rows that take Newton steps, some of them
-        # certified after iteration 1
+        # affine rows and quadratic rows that take Newton steps
         rng = np.random.default_rng(62 + max_degree)
         stops = set()
         for _ in range(8):
@@ -680,64 +713,10 @@ class TestCertificatesAtReturnedFlows:
         block = self.check(scenario.network, scenario.model, thetas, scenario.demand)
         assert block.converged.all()
 
-    def test_rows_certified_by_frank_wolfe_alone(self, monkeypatch):
-        monkeypatch.setattr(equilibrium, "_face_polish", certify_nothing)
-        rng = np.random.default_rng(65)
-        stops = set()
-        for _ in range(6):
-            net, model, _, demand = random_multi_route_instance(rng, max_degree=2)
-            thetas = np.array([random_simplex(rng, model.n_states) for _ in range(12)])
-            stops |= set(self.check(net, model, thetas, demand, max_iter=60).n_iterations.tolist())
-        assert len(stops) > 2
-
-    @pytest.mark.parametrize("max_iter", [1, 2, 3])
-    def test_capped_rows(self, monkeypatch, max_iter):
-        # with the polish certifying nothing, most rows stop at the cap, and
-        # the final polish is the real one
-        real, calls = equilibrium._face_polish, []
-
-        def late(*args):
-            calls.append(len(args[3]))
-            return (real if len(calls) > max_iter.bit_length() else certify_nothing)(*args)
-
-        monkeypatch.setattr(equilibrium, "_face_polish", late)
-        rng = np.random.default_rng(66)
-        capped = 0
-        for max_degree in (1, 2):
-            net, model, _, demand = random_multi_route_instance(rng, max_degree=max_degree)
-            thetas = np.array([random_simplex(rng, model.n_states) for _ in range(16)])
-            calls.clear()
-            block = self.check(net, model, thetas, demand, max_iter=max_iter)
-            capped += int((block.n_iterations == max_iter).sum())
-        assert capped > 0
-
-    def test_rows_the_final_polish_certifies(self, monkeypatch):
-        # the loop's polish calls (iterations 1 and 2) certify nothing; rows
-        # that Frank-Wolfe stops at iteration 3 and rows at the cap get the
-        # real final polish
-        real, calls, certified = equilibrium._face_polish, [], []
-
-        def final_only(*args):
-            calls.append(1)
-            if len(calls) <= 2:
-                return certify_nothing(*args)
-            ok = real(*args)
-            certified.append(int(ok.sum()))
-            return ok
-
-        monkeypatch.setattr(equilibrium, "_face_polish", final_only)
-        rng = np.random.default_rng(67)
-        for _ in range(4):
-            net, model, _, demand = random_multi_route_instance(rng, max_degree=2)
-            thetas = np.array([random_simplex(rng, model.n_states) for _ in range(16)])
-            calls.clear()
-            self.check(net, model, thetas, demand, max_iter=3)
-        assert sum(certified) > 0
-
     def test_dropped_route_retries(self, three_edge):
         # from an even split, beliefs in the {e1, e3} family solve the
         # two-route system to a negative flow on route 0, drop it and retry
-        # with route 1 alone, all at iteration 1
+        # with route 1 alone, all in the first round
         thetas = np.array([[0.0, 0.5, 0.0, 0.5], [0.0, 0.3, 0.0, 0.7], [0.1, 0.6, 0.1, 0.2]])
         block = self.check(
             three_edge.network, three_edge.model, thetas, 1.0, init_flows=np.full((3, 2), 0.5)
@@ -745,15 +724,19 @@ class TestCertificatesAtReturnedFlows:
         assert (block.n_iterations == 1).all()
         assert (block.route_flows[:, 0] == 0.0).all()
 
-    def test_singular_systems_solved_one_by_one(self, monkeypatch):
-        real, calls = equilibrium._solve_each, []
+    def test_dependent_route_sets(self, monkeypatch):
+        # from an even split all four routes are active and their incidence
+        # columns have rank 3, so the equal-cost system is solved on three
+        real, kept = equilibrium._independent, []
 
-        def counting(m, rhs):
-            calls.append(len(m))
-            return real(m, rhs)
+        def recording(cols, routes):
+            out = real(cols, routes)
+            kept.append((len(routes), len(out)))
+            return out
 
-        monkeypatch.setattr(equilibrium, "_solve_each", counting)
+        monkeypatch.setattr(equilibrium, "_independent", recording)
         net, model = _dependent_routes_case()
         thetas = np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]])
         block = self.check(net, model, thetas, 1.0, init_flows=np.full((3, 4), 0.25))
-        assert calls and block.converged.all()
+        assert (4, 3) in kept
+        assert block.converged.all() and (block.n_iterations == 1).all()
