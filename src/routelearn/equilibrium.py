@@ -23,6 +23,7 @@ and the distance to the start's duality bound.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,18 +125,24 @@ def _potential(pcoef: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.add.reduce(polyval_ascending(pcoef, w, axis=0) * w, axis=1)
 
 
-def _independent(cols: np.ndarray, routes: np.ndarray) -> np.ndarray:
-    """A maximal subset of `routes` whose columns of `cols` are independent,
-    each route kept unless it depends on the routes kept before it."""
-    a, k = cols[:, routes], len(routes)
-    # one route, two distinct ones or a set of full rank: the common cases
-    if k < 2 or (k == 2 and (a[:, 0] != a[:, 1]).any()) or np.linalg.matrix_rank(a) == k:
-        return routes
+@functools.lru_cache(maxsize=256)
+def _independent(inc: bytes, n_routes: int, pattern: bytes) -> np.ndarray:
+    """A maximal independent subset of the routes in a route mask.
+
+    `inc` and `pattern` are the bytes of the (E, n_routes) incidence matrix
+    and of the boolean mask. Each route's incidence column gets a 1
+    appended for the demand row, and a route is kept unless its column
+    depends on those of the routes kept before it. Cached, since it
+    depends on nothing else: solvers ask once per active set and call.
+    """
+    cols = np.vstack([np.frombuffer(inc).reshape(-1, n_routes), np.ones(n_routes)])
+    routes = np.flatnonzero(np.frombuffer(pattern, dtype=bool))
     keep = routes[:1]
     for r in routes[1:]:
         more = np.append(keep, r)
         if np.linalg.matrix_rank(cols[:, more]) == len(more):
             keep = more
+    keep.setflags(write=False)
     return keep
 
 
@@ -176,11 +183,13 @@ def _face_polish(
     q: np.ndarray,
     loads: np.ndarray,
     costs: np.ndarray,
+    potential: np.ndarray,
     settled: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Newton steps on the equal-cost system of each row's active route set.
 
-    Each row starts from its flows in `q`, at `loads` and route `costs`.
+    Each row starts from its flows in `q`, at `loads`, route `costs` and
+    `potential`.
     The active set is the row's positive routes plus its cheapest one. A
     step solves the equal-cost linear system on that set, with each edge
     cost linearized at the current loads (intercept c(w) - c'(w) w, slope
@@ -220,9 +229,8 @@ def _face_polish(
     if polynomial:
         icpt, slope = icpt.copy(), slope.copy()
         dcoef = coef[1:] * np.arange(1, len(coef))[:, None, None]  # c', degree-major
-        phi = _potential(pcoef, loads)  # each row's potential at its current flows
-    cols = np.vstack([inc, np.ones(n_routes)])
-    kept = {}  # active pattern -> its independent routes
+        phi = potential.copy()  # each row's potential at its current flows
+    incidence = inc.tobytes()
     ok = np.zeros(n, dtype=bool)
     passed = np.zeros(n, dtype=bool)  # the current flows pass the cost test
     rounds = np.ones(n, dtype=np.intp)
@@ -242,10 +250,7 @@ def _face_polish(
             retry = []
             for pattern, sub in row_groups(active[pending]):
                 rows = pending[sub]
-                key = pattern.tobytes()
-                if key not in kept:
-                    kept[key] = _independent(cols, pattern.nonzero()[0])
-                routes = kept[key]
+                routes = _independent(incidence, n_routes, pattern.tobytes())
                 k = len(routes)
                 if k == 1:
                     sol = np.full((len(rows), 1), demand)
@@ -377,7 +382,9 @@ def solve_wardrop_block(
     used = q > 1e-9 * demand
     worst = np.maximum.reduce(route_costs, axis=1, where=used, initial=-np.inf) - t_min
     settled = (rel_gap <= tol) | (worst <= tol * np.maximum(1.0, t_min))
-    ok, n_iter = _face_polish(inc, coef, pcoef, demand, q, loads, route_costs, settled)
+    ok, n_iter = _face_polish(
+        inc, coef, pcoef, demand, q, loads, route_costs, potential, settled
+    )
     np.copyto(potential, _potential(pcoef, loads), where=ok)
 
     # final certificates at the returned point

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import routelearn.analysis as analysis
 import routelearn.equilibrium as equilibrium
 from routelearn import (
     Belief,
@@ -12,15 +13,14 @@ from routelearn import (
     SolverError,
     scenario_from_dict,
 )
+from routelearn.analysis import enumerate_rest_points
+from routelearn.dynamics import run_block
 from routelearn.equilibrium import (
     complete_info_equilibrium,
     solve_wardrop,
     solve_wardrop_batch,
     solve_wardrop_block,
 )
-
-from routelearn.analysis import enumerate_rest_points
-from routelearn.dynamics import run_block
 
 from oracles import (
     bench_reference,
@@ -569,8 +569,6 @@ class TestDependentRouteSets:
 
     @pytest.mark.parametrize("g", range(6), ids=lambda g: f"g{g}")
     def test_grid_3x4_sweep_finishes(self, monkeypatch, g):
-        import routelearn.analysis as analysis
-
         real, solved = analysis.solve_wardrop_batch, []
 
         def recording(network, model, thetas, demand, **kwargs):
@@ -617,7 +615,8 @@ def _grid_rows(g: int):
 class TestBatchSolverRows:
     @pytest.mark.parametrize(
         "payload, thetas, starts",
-        [(wheatstone_poly_payload(), _WHEATSTONE_THETAS, None)] + [_grid_rows(g) for g in (0, 1, 2, 4)],
+        [(wheatstone_poly_payload(), _WHEATSTONE_THETAS, None)]
+        + [_grid_rows(g) for g in (0, 1, 2, 4)],
         ids=["wheatstone-poly", "grid-4x4-g0", "grid-4x4-g1", "grid-4x4-g2", "grid-4x4-g4"],
     )
     def test_rows_equal_rows_solved_alone(self, payload, thetas, starts):
@@ -713,6 +712,18 @@ class TestCertificatesAtReturnedFlows:
         block = self.check(scenario.network, scenario.model, thetas, scenario.demand)
         assert block.converged.all()
 
+    @pytest.mark.parametrize("rounds", [3, 4])
+    def test_rows_of_later_rounds_and_at_the_cap(self, monkeypatch, rounds):
+        # rounds of 2 Newton steps: rows certified after the first round,
+        # and with a cap of 3 rounds rows left at their start
+        monkeypatch.setattr(equilibrium, "_ROUND", 2)
+        monkeypatch.setattr(equilibrium, "_MAX_ROUNDS", rounds)
+        scenario = scenario_from_dict(wheatstone_poly_payload())
+        thetas = np.random.default_rng(68).dirichlet(np.ones(4), size=20)
+        block = self.check(scenario.network, scenario.model, thetas, scenario.demand)
+        assert block.n_iterations.max() == rounds
+        assert block.converged.all() == (rounds == 4)
+
     def test_dropped_route_retries(self, three_edge):
         # from an even split, beliefs in the {e1, e3} family solve the
         # two-route system to a negative flow on route 0, drop it and retry
@@ -729,9 +740,9 @@ class TestCertificatesAtReturnedFlows:
         # columns have rank 3, so the equal-cost system is solved on three
         real, kept = equilibrium._independent, []
 
-        def recording(cols, routes):
-            out = real(cols, routes)
-            kept.append((len(routes), len(out)))
+        def recording(inc, n_routes, pattern):
+            out = real(inc, n_routes, pattern)
+            kept.append((np.frombuffer(pattern, dtype=bool).sum(), len(out)))
             return out
 
         monkeypatch.setattr(equilibrium, "_independent", recording)
