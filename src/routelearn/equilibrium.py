@@ -10,9 +10,10 @@ et al. 1994) solves the equal-cost system of the row's active routes with
 costs linearized at the current loads, exactly in one step for affine
 mixtures, on a maximal independent subset of those routes. It drops
 negative flows and adds the cheapest route until the true costs certify
-the flows; polynomial rows backtrack so that no step raises the
-potential. Interior solutions come out at machine precision and unused
-routes at exactly zero flow.
+the flows. Polynomial rows that the first round of steps leaves
+uncertified backtrack, so that no later step raises the potential.
+Interior solutions come out at machine precision and unused routes at
+exactly zero flow.
 
 A row's certificates come from the evaluation that certified it: the
 polish's loads and route costs at the flows it returns, or the start's for
@@ -183,13 +184,11 @@ def _face_polish(
     q: np.ndarray,
     loads: np.ndarray,
     costs: np.ndarray,
-    potential: np.ndarray,
     settled: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Newton steps on the equal-cost system of each row's active route set.
 
-    Each row starts from its flows in `q`, at `loads`, route `costs` and
-    `potential`.
+    Each row starts from its flows in `q`, at `loads` and route `costs`.
     The active set is the row's positive routes plus its cheapest one. A
     step solves the equal-cost linear system on that set, with each edge
     cost linearized at the current loads (intercept c(w) - c'(w) w, slope
@@ -206,13 +205,14 @@ def _face_polish(
     equal-cost and no-cheaper-route test on the true costs. Other
     linearizations are exact only to second order, so those rows are
     certified when a step from flows that already pass passes again, which
-    leaves them at rounding level; they step through `_backtrack`, so no
-    step raises their potential. Certified rows leave, and the others step
-    again from their new flows, with the cheapest route at them added to
-    the set.
+    leaves them at rounding level. Certified rows leave, and the others
+    step again from their new flows, with the cheapest route at them added
+    to the set.
 
     `_ROUND` steps make a round; rows in `settled` stop after the first
-    round, the others after `_MAX_ROUNDS`. Returns the mask of certified
+    round, the others after `_MAX_ROUNDS`. The first round takes full
+    Newton steps; after it, polynomial rows step through `_backtrack`, so
+    no later step raises their potential. Returns the mask of certified
     rows and the number of rounds each row took. Each certified row's flows
     are written into its row of `q`, and the loads and route costs at them,
     from the evaluation that certified them, into `loads` and `costs`;
@@ -229,7 +229,6 @@ def _face_polish(
     if polynomial:
         icpt, slope = icpt.copy(), slope.copy()
         dcoef = coef[1:] * np.arange(1, len(coef))[:, None, None]  # c', degree-major
-        phi = potential.copy()  # each row's potential at its current flows
     incidence = inc.tobytes()
     ok = np.zeros(n, dtype=bool)
     passed = np.zeros(n, dtype=bool)  # the current flows pass the cost test
@@ -239,6 +238,8 @@ def _face_polish(
         if it and not it % _ROUND:
             live = live[~settled[live]]
             rounds[live] += 1
+            if polynomial and it == _ROUND:
+                phi = _potential(pcoef, np.matvec(inc, flows))  # at each row's current flows
         if polynomial:
             lin = live[~affine[live]]
             w = np.matvec(inc, flows[lin])
@@ -275,7 +276,7 @@ def _face_polish(
                 top = routes[np.argmax(sol, axis=1)]
                 cand[np.arange(len(rows)), top] += demand - np.add.reduce(cand, axis=1)
                 wc = np.matvec(inc, cand)
-                if polynomial:
+                if polynomial and it >= _ROUND:
                     at = _potential(pcoef[:, rows], wc)
                     ceil = phi[rows] * (1.0 + 1e-12)  # potentials are sums of nonnegative terms
                     up = ~affine[rows] & (at > ceil)
@@ -382,9 +383,7 @@ def solve_wardrop_block(
     used = q > 1e-9 * demand
     worst = np.maximum.reduce(route_costs, axis=1, where=used, initial=-np.inf) - t_min
     settled = (rel_gap <= tol) | (worst <= tol * np.maximum(1.0, t_min))
-    ok, n_iter = _face_polish(
-        inc, coef, pcoef, demand, q, loads, route_costs, potential, settled
-    )
+    ok, n_iter = _face_polish(inc, coef, pcoef, demand, q, loads, route_costs, settled)
     np.copyto(potential, _potential(pcoef, loads), where=ok)
 
     # final certificates at the returned point

@@ -664,7 +664,7 @@ def reference_block_evaluation(
     return w, t, phi
 
 
-def certify_nothing(inc, coef, pcoef, demand, q, loads, costs, potential, settled):
+def certify_nothing(inc, coef, pcoef, demand, q, loads, costs, settled):
     """A stand-in for `equilibrium._face_polish` that certifies no row in
     one round and writes nothing, so only the stop test at the start point
     can certify a row."""

@@ -14,6 +14,7 @@ from routelearn import (
     scenario_from_dict,
 )
 from routelearn.analysis import enumerate_rest_points
+from routelearn.costs import polyint_coefficients
 from routelearn.dynamics import run_block
 from routelearn.equilibrium import (
     complete_info_equilibrium,
@@ -524,7 +525,19 @@ class TestPolynomialSafeguard:
         # two potentials summed in different orders
         assert eq.potential - exact.potential <= (eq.gap + 1e-14) * eq.potential
 
-    def test_random_tables_from_every_route(self, monkeypatch):
+    def test_random_tables_from_every_route(self):
+        rng = np.random.default_rng(3)
+        for _ in range(6):
+            net, model, theta, demand = random_multi_route_instance(rng, max_degree=4)
+            for route in range(net.n_routes):
+                eq = _solve_from_route(net, model, theta, demand, route)
+                self._check(net, model, theta, demand, eq)
+
+    def test_guarded_steps_backtrack(self, monkeypatch):
+        # rounds of one step guard every step after the first; at 20 times
+        # the drawn demand two of them would raise the potential
+        monkeypatch.setattr(equilibrium, "_ROUND", 1)
+        monkeypatch.setattr(equilibrium, "_MAX_ROUNDS", 64)
         real, backtracked = equilibrium._backtrack, []
 
         def recording(*args):
@@ -536,9 +549,26 @@ class TestPolynomialSafeguard:
         for _ in range(6):
             net, model, theta, demand = random_multi_route_instance(rng, max_degree=4)
             for route in range(net.n_routes):
-                eq = _solve_from_route(net, model, theta, demand, route)
-                self._check(net, model, theta, demand, eq)
+                eq = _solve_from_route(net, model, theta, 20 * demand, route)
+                self._check(net, model, theta, 20 * demand, eq)
         assert sum(backtracked) > 0
+
+    def test_backtrack_halves_until_the_potential_does_not_rise(self):
+        # two parallel routes costing 1 + w^3, so loads equal flows: from
+        # (0.6, 0.4) toward (0, 1) the potential first stays below its start
+        # at a quarter step; toward (1, 0), uphill, every step raises it
+        coef = np.zeros((4, 2, 2))
+        coef[0] = coef[3] = 1.0
+        pcoef = polyint_coefficients(coef, axis=0)
+        x = np.array([[0.6, 0.4], [0.6, 0.4]])
+        y = np.array([[0.0, 1.0], [1.0, 0.0]])
+        phi = equilibrium._potential(pcoef, x)
+        flows, loads, potential = equilibrium._backtrack(np.eye(2), pcoef, phi, x, y)
+        assert np.allclose(flows[0], [0.45, 0.55], rtol=0.0, atol=1e-15)
+        assert np.array_equal(flows[1], x[1])
+        assert np.array_equal(loads, flows)
+        assert np.array_equal(potential, equilibrium._potential(pcoef, flows))
+        assert potential[0] < phi[0] and potential[1] == phi[1]
 
     def test_drain_table_point_masses(self):
         scenario = scenario_from_dict(wheatstone_drain_table().to_scenario())
