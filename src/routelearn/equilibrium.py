@@ -299,12 +299,12 @@ def _face_polish(
                 fin = rows[good]
                 q[fin], loads[fin], costs[fin] = cand[good], wc[good], t[good]
                 ok[fin] = True
-                go = ~good
-                if go.any():
-                    rows, cand = rows[go], cand[go]
+                step = ~good
+                if step.any():
+                    rows, cand = rows[step], cand[step]
                     flows[rows] = cand
                     active[rows] = cand > 1e-12 * demand
-                    active[rows, np.argmin(t[go], axis=1)] = True
+                    active[rows, np.argmin(t[step], axis=1)] = True
                     again.append(rows)
             pending = np.concatenate(retry) if retry else pending[:0]
         if not again:
