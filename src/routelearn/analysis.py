@@ -28,7 +28,7 @@ from .equilibrium import (
     solve_wardrop_block,
 )
 from .errors import SolverError
-from .graph import Network, is_series_parallel, row_groups
+from .graph import Network, is_series_parallel, row_any, row_groups
 
 
 def _distinguishable(
@@ -48,7 +48,7 @@ def _distinguishable(
         if j == true_idx:
             continue
         vals = polyval_ascending(model._coeffs[:, j, :], loads)
-        dist[:, j] = (used_mask & (np.abs(vals - true_vals) > cost_tol)).any(axis=1)
+        dist[:, j] = row_any(used_mask & (np.abs(vals - true_vals) > cost_tol))
     return dist
 
 

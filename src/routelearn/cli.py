@@ -3,7 +3,9 @@
 Exit codes: 0 on success, 2 on scenario/validation failure, 3 on solver
 failure. Every emitted summary embeds the tool version plus the tolerances
 and convergence parameters in force, and `run` re-emits the fully resolved
-scenario so outputs alone determine replays.
+scenario so outputs alone determine replays. Each command imports the
+stage loop (`dynamics`) or the rest-point code (`analysis`) when it runs,
+so a command loads only what it uses.
 """
 
 from __future__ import annotations
@@ -17,13 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import (
-    check_complete_learning_conditions,
-    compare_average_costs,
-    check_rest_point,
-    enumerate_rest_points,
-)
-from .dynamics import monte_carlo, run, summarize, write_trajectory_csv
 from .errors import (
     BeliefError,
     CostError,
@@ -123,6 +118,9 @@ def _load_dict(scenario: Scenario, loads) -> dict:
 
 
 def cmd_run(args) -> int:
+    from .analysis import check_rest_point
+    from .dynamics import run, summarize, write_trajectory_csv
+
     if args.seed < 0:
         raise ScenarioError("seed", f"expected a non-negative integer, got {args.seed}")
     scenario = _load(args)
@@ -170,6 +168,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_batch(args) -> int:
+    from .dynamics import monte_carlo
+
     scenario = _load(args)
     out = Path(args.out_dir)
     seeds = _parse_seeds(args.seeds)
@@ -221,6 +221,8 @@ def cmd_batch(args) -> int:
 
 def _rest_points(scenario: Scenario, grid_n: int):
     """Rest-point families and their average-cost comparison, and the payload of both."""
+    from .analysis import compare_average_costs, enumerate_rest_points
+
     report = enumerate_rest_points(
         scenario.network,
         scenario.model,
@@ -287,6 +289,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from .analysis import check_complete_learning_conditions
+
     scenario = _load(args)
     out = Path(args.out_dir)
     conditions = check_complete_learning_conditions(

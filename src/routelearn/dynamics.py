@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import csv
 import io
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -412,6 +411,8 @@ def monte_carlo(
     if workers == 1:
         blocks = [_run_block_case(a) for a in args]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing; only pools need it
+
         with ProcessPoolExecutor(max_workers=n_blocks) as pool:
             blocks = list(pool.map(_run_block_case, args))
     summaries = [s for block in blocks for s in block]

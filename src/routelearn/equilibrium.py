@@ -36,7 +36,7 @@ from .costs import (
     polyval_ascending,
 )
 from .errors import CostError, SolverError
-from .graph import Network, row_groups
+from .graph import Network, row_groups, row_max, row_min
 
 DEFAULT_TOL = 1e-8
 _TINY = np.finfo(float).tiny
@@ -265,7 +265,7 @@ def _face_polish(
                     rhs = f[:, -1:] - f
                     rhs[:, -1] = demand
                     sol = np.linalg.solve(m, rhs[:, :, None])[:, :, 0]
-                    drop = ~(np.minimum.reduce(sol, axis=1) >= -1e-12 * demand)
+                    drop = ~(row_min(sol) >= -1e-12 * demand)
                     if drop.any():
                         active[rows[drop], routes[np.argmin(sol[drop], axis=1)]] = False
                         retry.append(rows[drop])
@@ -290,9 +290,9 @@ def _face_polish(
                 on = t[:, routes]
                 common = np.add.reduce(on, axis=1) / k
                 scale = 1e-9 * (1.0 + np.abs(common))
-                bad = np.minimum.reduce(t, axis=1) < common - scale
+                bad = row_min(t) < common - scale
                 if k > 1:
-                    bad |= np.maximum.reduce(np.abs(on - common[:, None]), axis=1) > scale
+                    bad |= row_max(np.abs(on - common[:, None])) > scale
                 # a step from flows that pass is exact to rounding
                 good = ~bad & (affine[rows] | passed[rows])
                 passed[rows] = ~bad
@@ -376,18 +376,18 @@ def solve_wardrop_block(
     route_costs = np.matvec(inc.T, polyval_ascending(coef, loads, axis=0))
     potential = _potential(pcoef, loads)
     # potentials and route costs are nonnegative: no abs() needed below
-    t_min = np.minimum.reduce(route_costs, axis=1)
+    t_min = row_min(route_costs)
     lb = potential - (np.vecdot(route_costs, q) - t_min * demand)
     rel_gap = (potential - lb) / np.maximum(potential, _TINY)
     # the largest route flow is at least demand / n_routes > 1e-9 * demand
     used = q > 1e-9 * demand
-    worst = np.maximum.reduce(route_costs, axis=1, where=used, initial=-np.inf) - t_min
+    worst = row_max(np.where(used, route_costs, -np.inf)) - t_min
     settled = (rel_gap <= tol) | (worst <= tol * np.maximum(1.0, t_min))
     ok, n_iter = _face_polish(inc, coef, pcoef, demand, q, loads, route_costs, settled)
     np.copyto(potential, _potential(pcoef, loads), where=ok)
 
     # final certificates at the returned point
-    abs_gap = np.vecdot(route_costs, q) - np.minimum.reduce(route_costs, axis=1) * demand
+    abs_gap = np.vecdot(route_costs, q) - row_min(route_costs) * demand
     lb = np.maximum(lb, potential - abs_gap)
     gap = np.maximum(0.0, (potential - lb) / np.maximum(np.abs(potential), _TINY))
     converged = ok | settled  # a row left at its start keeps the start's gap

@@ -104,6 +104,38 @@ def row_groups(mask: np.ndarray):
         yield mask[groups[g][0]], groups[g]
 
 
+# Row reductions over the short second axis of an (n, k) array, k being a
+# network's routes or edges, one column at a time. numpy reduces along a
+# short last axis slowly: np.minimum.reduce over (20301, 2) takes about
+# 1.2 ms, a column loop 0.02 ms. A minimum, maximum or `or` does not depend
+# on the order of its operands, so the results are numpy's bit for bit.
+# numpy's argmin and argmax stay: along a short axis they cost a fraction
+# of a microsecond on a stage loop's block, where a column loop costs
+# several, and the loop saved the sweep less than it cost the stage loop.
+
+
+def _columnwise(ufunc, a: np.ndarray) -> np.ndarray:
+    out = a[:, 0].copy()
+    for j in range(1, a.shape[1]):
+        ufunc(out, a[:, j], out=out)
+    return out
+
+
+def row_min(a: np.ndarray) -> np.ndarray:
+    """np.minimum.reduce(a, axis=1) of a 2-D array with at least one column."""
+    return _columnwise(np.minimum, a)
+
+
+def row_max(a: np.ndarray) -> np.ndarray:
+    """np.maximum.reduce(a, axis=1) of a 2-D array with at least one column."""
+    return _columnwise(np.maximum, a)
+
+
+def row_any(a: np.ndarray) -> np.ndarray:
+    """a.any(axis=1) of a 2-D boolean array with at least one column."""
+    return _columnwise(np.logical_or, a)
+
+
 @dataclass(frozen=True)
 class TwoTerminalGraph:
     """Multigraph reconstructed from a route list, nodes numbered 0..n-1."""

@@ -112,6 +112,9 @@ def verify_equilibrium(
 ) -> WardropCertificate:
     """Recompute route costs and certify the no-better-route condition.
 
+    A used route may cost more than the cheapest route by at most
+    `tol * max(1, cheapest cost)`, the solver's own stop test: route costs
+    of large polynomial loads carry rounding error relative to their size.
     Accepts a solver result or a raw route-flow vector. Returns a failing
     certificate (never raises) so callers can inspect the worst violation.
     """
@@ -127,7 +130,7 @@ def verify_equilibrium(
     t_min = float(t.min())
     worst = max((float(t[i]) - t_min for i in used), default=0.0)
     return WardropCertificate(
-        ok=worst <= tol,
+        ok=worst <= tol * max(1.0, t_min),
         worst_violation=worst,
         min_route_cost=t_min,
         route_costs=t,

@@ -171,6 +171,27 @@ class TestVerifyEquilibrium:
         assert cert.route_costs == pytest.approx([12.0, 11.0])
         assert cert.worst_violation == pytest.approx(1.0)
 
+    def test_tolerance_scales_with_route_costs(self):
+        # degree-4 costs at 20 times the demand: route costs up to about 1.7e6,
+        # exact to rounding, which exceeds 1e-9 in absolute terms
+        rng = np.random.default_rng(0)
+        worst = 0.0
+        for _ in range(10):
+            net, model, theta, demand = random_multi_route_instance(rng, max_degree=4)
+            demand *= 20.0
+            eq = solve_wardrop(net, model, theta, demand)
+            cert = verify_equilibrium(net, model, theta, eq, tol=1e-9)
+            assert cert.ok, cert.worst_violation
+            worst = max(worst, cert.worst_violation)
+            # move 1e-6 of the demand from the cheapest used route to another route
+            src = min(cert.used_routes, key=lambda r: cert.route_costs[r])
+            dst = next(r for r in range(net.n_routes) if r != src)
+            q = eq.route_flows.copy()
+            q[src] -= 1e-6 * demand
+            q[dst] += 1e-6 * demand
+            assert not verify_equilibrium(net, model, theta, q, tol=1e-9).ok
+        assert worst > 1e-9
+
     def test_never_raises_on_bad_input(self, three_edge):
         cert = verify_equilibrium(
             three_edge.network,

@@ -8,7 +8,14 @@ from routelearn import (
     NetworkError,
     is_series_parallel,
 )
-from routelearn.graph import row_groups, underlying_graph, used_edges
+from routelearn.graph import (
+    row_any,
+    row_groups,
+    row_max,
+    row_min,
+    underlying_graph,
+    used_edges,
+)
 
 from oracles import reference_row_groups, wheatstone_network
 
@@ -198,3 +205,24 @@ class TestRowGroups:
         want = [(p.tolist(), rows.tolist()) for p, rows in reference_row_groups(mask)]
         assert got == want
         assert [rows for _, rows in got] == [[0], [1, 2, 3, 4]]
+
+
+class TestRowReductions:
+    @pytest.mark.parametrize("n_cols", range(1, 10))
+    def test_match_numpy_bit_for_bit(self, n_cols):
+        rng = np.random.default_rng(n_cols)
+        a = rng.normal(size=(500, n_cols)) * 10.0 ** rng.integers(-3, 4, size=(500, 1))
+        # forced ties: copy one column onto others in some rows, and rows of one value
+        ties = rng.random((500, n_cols)) < 0.3
+        a = np.where(ties, a[:, :1], a)
+        a[::7] = 2.5
+        a[3::11, -1] = 0.0
+        a[5::13, 0] = -0.0
+        for got, want in (
+            (row_min(a), np.minimum.reduce(a, axis=1)),
+            (row_max(a), np.maximum.reduce(a, axis=1)),
+            (row_any(a > 0.0), (a > 0.0).any(axis=1)),
+        ):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert row_min(a[:0]).shape == (0,)

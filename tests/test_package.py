@@ -56,15 +56,50 @@ PUBLIC = {
 }
 
 
-def test_import_leaves_scipy_unloaded():
-    # scipy is a test-only dependency; the package itself needs numpy alone
+def _loaded_after(code: str, *argv: str) -> set[str]:
+    """The modules a fresh interpreter holds after running `code` with `argv`."""
     src = str(Path(routelearn.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, routelearn; print('scipy' in sys.modules)"
+    script = code + "\nimport sys; print(); print(' '.join(sys.modules))"
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", script, *argv],
+        env=env, capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == "False"
+    return set(out.stdout.splitlines()[-1].split())
+
+
+def test_import_leaves_scipy_unloaded(tmp_path):
+    # scipy is a test-only dependency; the package itself needs numpy alone.
+    # Each entry point loads only what it runs: loading a scenario needs no
+    # solver, a one-worker batch no process pool and no sweep, and a sweep
+    # no stage loop.
+    loaded = _loaded_after('import routelearn; routelearn.load_scenario("three-edge")')
+    assert {m for m in loaded if m.split(".")[0] == "routelearn"} == {
+        "routelearn",
+        "routelearn.costs",
+        "routelearn.errors",
+        "routelearn.graph",
+        "routelearn.scenario",
+    }
+    assert "scipy" not in loaded and "concurrent.futures" not in loaded
+
+    main = "import sys; from routelearn import cli; assert cli.main(sys.argv[1:]) == 0"
+    common = ["--scenario", "three-edge", "--out-dir", str(tmp_path)]
+    loaded = _loaded_after(main, "batch", *common, "--seeds", "0..3", "--workers", "1")
+    assert "routelearn.dynamics" in loaded
+    assert not loaded & {"scipy", "concurrent.futures.process", "routelearn.analysis"}
+    loaded = _loaded_after(main, "enumerate", *common, "--grid-n", "10")
+    assert "routelearn.analysis" in loaded
+    assert not loaded & {"scipy", "concurrent.futures", "routelearn.dynamics"}
+
+    # names still resolve as if the package root imported every module
+    loaded = _loaded_after("import routelearn; routelearn.equilibrium.solve_wardrop_block")
+    assert "routelearn.equilibrium" in loaded
+    star: dict = {}
+    exec("from routelearn import *", star)
+    assert set(routelearn.__all__) <= set(star)
+    assert set(routelearn.__all__) <= set(dir(routelearn))
+    assert not hasattr(routelearn, "no_such_name")
 
 
 def test_public_names_are_pinned():
