@@ -411,7 +411,8 @@ def monte_carlo(
     if workers == 1:
         blocks = [_run_block_case(a) for a in args]
     else:
-        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing; only pools need it
+        # imported here: it loads multiprocessing, which only a pool needs
+        from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=n_blocks) as pool:
             blocks = list(pool.map(_run_block_case, args))

@@ -210,6 +210,7 @@ class TestRowGroups:
 class TestRowReductions:
     @pytest.mark.parametrize("n_cols", range(1, 10))
     def test_match_numpy_bit_for_bit(self, n_cols):
+        # 500 rows take the column loop for every n_cols here
         rng = np.random.default_rng(n_cols)
         a = rng.normal(size=(500, n_cols)) * 10.0 ** rng.integers(-3, 4, size=(500, 1))
         # forced ties: copy one column onto others in some rows, and rows of one value
