@@ -66,8 +66,9 @@ _EXPORTS = {
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+# The submodules an eager `__init__` used to import; `cli` was never one.
 _SUBMODULES = frozenset(
-    {"analysis", "belief", "cli", "costs", "dynamics", "equilibrium", "errors", "graph", "scenario"}
+    {"analysis", "belief", "costs", "dynamics", "equilibrium", "errors", "graph", "scenario"}
 )
 
 __all__ = sorted(_HOME)

@@ -105,18 +105,25 @@ def row_groups(mask: np.ndarray):
 
 
 # Row reductions over the short second axis of an (n, k) array, k being a
-# network's routes or edges. numpy's reduction along a short last axis costs
-# about 0.06 us a row, a loop over the columns about 1.3 us a column (2-core
-# host, numpy 2.4.6): on (20301, 2) route costs, 1.2 ms against 0.02 ms.
-# Blocks with fewer than 16 rows a column take numpy's reduction, larger
-# ones the loop. A minimum, maximum or `or` does not depend on the order of
-# its operands, so both give the same bits. numpy's argmin and argmax stay:
-# along a short axis they cost about a fifth of its minimum, and a column
-# loop beat them only for two columns.
+# network's routes or edges. numpy's reduction pays a fixed cost a row, a
+# loop over the columns one a column, so the loop wins from some number of
+# rows a column. The loop's time over numpy's (median of 9 alternating
+# trials, 2-core host, numpy 2.4.6):
+#   minimum, maximum, k = 2 to 40:  0.81-1.75 at 8 rows a column,
+#                                   0.53-1.07 at 16, 0.43-0.69 at 32;
+#   or (bool), k = 2 to 9:          up to 1.46 at 64 rows a column,
+#                                   0.34-0.73 at 128 (1.30 for k = 40).
+# Below its crossover each function takes numpy's reduction, and so does
+# any array of more than 8 columns. Up to 8 columns numpy reduces a row in
+# column order, as the loop does, so both give the same bits, down to the
+# sign of a zero (checked on every sign pattern of zeros); from 9 columns
+# numpy's order, and with it that sign, can differ. numpy's argmin and
+# argmax stay: along a short axis they cost about a fifth of its minimum,
+# and a column loop beat them only for two columns.
 
 
-def _columnwise(ufunc, a: np.ndarray) -> np.ndarray:
-    if len(a) < 16 * a.shape[1]:
+def _columnwise(ufunc, a: np.ndarray, rows_per_column: int) -> np.ndarray:
+    if a.shape[1] > 8 or len(a) < rows_per_column * a.shape[1]:
         return ufunc.reduce(a, axis=1)
     out = a[:, 0].copy()
     for j in range(1, a.shape[1]):
@@ -126,17 +133,17 @@ def _columnwise(ufunc, a: np.ndarray) -> np.ndarray:
 
 def row_min(a: np.ndarray) -> np.ndarray:
     """np.minimum.reduce(a, axis=1) of a 2-D array with at least one column."""
-    return _columnwise(np.minimum, a)
+    return _columnwise(np.minimum, a, 16)
 
 
 def row_max(a: np.ndarray) -> np.ndarray:
     """np.maximum.reduce(a, axis=1) of a 2-D array with at least one column."""
-    return _columnwise(np.maximum, a)
+    return _columnwise(np.maximum, a, 16)
 
 
 def row_any(a: np.ndarray) -> np.ndarray:
     """a.any(axis=1) of a 2-D boolean array with at least one column."""
-    return _columnwise(np.logical_or, a)
+    return _columnwise(np.logical_or, a, 128)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -210,15 +212,18 @@ class TestRowGroups:
 class TestRowReductions:
     @pytest.mark.parametrize("n_cols", range(1, 10))
     def test_match_numpy_bit_for_bit(self, n_cols):
-        # 500 rows take the column loop for every n_cols here
+        # 1200 rows take the column loop of every function up to 8 columns
         rng = np.random.default_rng(n_cols)
-        a = rng.normal(size=(500, n_cols)) * 10.0 ** rng.integers(-3, 4, size=(500, 1))
+        a = rng.normal(size=(1200, n_cols)) * 10.0 ** rng.integers(-3, 4, size=(1200, 1))
         # forced ties: copy one column onto others in some rows, and rows of one value
-        ties = rng.random((500, n_cols)) < 0.3
+        ties = rng.random((1200, n_cols)) < 0.3
         a = np.where(ties, a[:, :1], a)
         a[::7] = 2.5
         a[3::11, -1] = 0.0
         a[5::13, 0] = -0.0
+        # and rows of zeros in every pattern of signs
+        signs = np.array(list(itertools.product((0.0, -0.0), repeat=n_cols)))
+        a = np.concatenate([a, signs])
         for got, want in (
             (row_min(a), np.minimum.reduce(a, axis=1)),
             (row_max(a), np.maximum.reduce(a, axis=1)),

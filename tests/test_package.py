@@ -92,9 +92,13 @@ def test_import_leaves_scipy_unloaded(tmp_path):
     assert "routelearn.analysis" in loaded
     assert not loaded & {"scipy", "concurrent.futures", "routelearn.dynamics"}
 
-    # names still resolve as if the package root imported every module
-    loaded = _loaded_after("import routelearn; routelearn.equilibrium.solve_wardrop_block")
-    assert "routelearn.equilibrium" in loaded
+    # names still resolve as if the package root imported every module,
+    # which never included the command line
+    loaded = _loaded_after(
+        "import routelearn; routelearn.equilibrium.solve_wardrop_block; "
+        "assert not hasattr(routelearn, 'cli')"
+    )
+    assert "routelearn.equilibrium" in loaded and "routelearn.cli" not in loaded
     star: dict = {}
     exec("from routelearn import *", star)
     assert set(routelearn.__all__) <= set(star)
