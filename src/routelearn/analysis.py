@@ -25,23 +25,23 @@ from .equilibrium import (
     complete_info_equilibrium,
     solve_wardrop,
     solve_wardrop_batch,
-    solve_wardrop_block,
 )
 from .errors import SolverError
-from .graph import Network, is_series_parallel, row_any, row_groups
+from .graph import Network, is_series_parallel, row_any, row_groups, used_edges
 
 
 def _distinguishable(
-    model: CostModel, true_idx: int, loads: np.ndarray, cost_tol: float, used_tol: float
+    network: Network, model: CostModel, true_idx: int, loads: np.ndarray, cost_tol: float,
+    used_tol: float,
 ) -> np.ndarray:
     """(n, S) mask of the states whose cost differs from the truth on an edge
-    that row i of `loads` loads above `used_tol`.
+    that row i of `loads` uses at `used_tol`.
 
     A state that differs only on edges carrying no load produces the same
     observed-cost distribution as the truth and cannot be told apart. The
     loop over states keeps memory at a few (n, E) arrays.
     """
-    used_mask = loads > used_tol
+    used_mask = used_edges(network, loads, used_tol)
     true_vals = polyval_ascending(model._coeffs[:, true_idx, :], loads)
     dist = np.zeros((len(loads), model.n_states), dtype=bool)
     for j in range(model.n_states):
@@ -104,16 +104,19 @@ def check_rest_point(
     if gap > load_tol:
         violations.append("equilibrium_load_mismatch")
 
-    dist = _distinguishable(model, true_idx, w_claim[None, :], cost_tol, used_tol)
+    dist = _distinguishable(network, model, true_idx, w_claim[None, :], cost_tol, used_tol)
     mass = float((theta.probs[None, :] * dist).sum(axis=1)[0])
     if mass > mass_tol:
         violations.append("distinguishable_mass")
 
-    used_idx = np.flatnonzero(w_claim > used_tol)
+    used_idx = np.flatnonzero(used_edges(network, w_claim, used_tol))
     used_labels = tuple(model.edges[i] for i in used_idx)
     if used_idx.size:
         per_state = model.cost_matrix(w_claim, used_idx)  # (S, m)
-        believed = theta.probs @ per_state
+        # state by state, as mixed_coefficients_batch adds: bits free of per_state's layout
+        believed = theta.probs[0] * per_state[0]
+        for p, costs in zip(theta.probs[1:], per_state[1:]):
+            believed += p * costs
         true_vals = per_state[true_idx]
         consistency = float(np.max(np.abs(believed - true_vals)))
         worst_state_gap = float(np.max(np.abs(per_state - true_vals[None, :])))
@@ -254,7 +257,7 @@ def _rest_point_screen(
     except SolverError as exc:
         belief = ", ".join(f"{p:g}" for p in thetas[exc.row])
         raise SolverError(f"belief ({belief}): {exc}", best=exc.best) from exc
-    dist = _distinguishable(model, true_idx, eq.edge_loads, cost_tol, used_tol)
+    dist = _distinguishable(network, model, true_idx, eq.edge_loads, cost_tol, used_tol)
     return eq, (thetas * dist).sum(axis=1) <= mass_tol
 
 
@@ -406,7 +409,7 @@ def enumerate_rest_points(
             continue
         th_pass = thetas[passing]
         ld_pass = eq.edge_loads[passing]
-        for used, sel in row_groups(ld_pass > used_tol):
+        for used, sel in row_groups(used_edges(network, ld_pass, used_tol)):
             key = _used_key(used)
             acc = clusters.get(key)
             if acc is None:
@@ -438,7 +441,7 @@ def enumerate_rest_points(
                 thetas[:, i] = xs
                 thetas[:, j] = 1.0 - xs
                 eq, ok = screen(thetas)
-                return ok & ((eq.edge_loads > used_tol) == want).all(axis=1)
+                return ok & (used_edges(network, eq.edge_loads, used_tol) == want).all(axis=1)
 
             lo, hi = acc.theta_min[i], acc.theta_max[i]
             lo_k, hi_k = round(lo * grid_n), round(hi * grid_n)
@@ -597,7 +600,7 @@ def check_complete_learning_conditions(
     # The first state whose known-state equilibrium leaves an edge unused is
     # the witness. A solve that fails at or before it is an error; the states
     # after it are not examined.
-    eq = solve_wardrop_block(network, model, np.eye(model.n_states), demand)
+    eq = solve_wardrop_batch(network, model, np.eye(model.n_states), demand)
     low = np.argmin(eq.edge_loads, axis=1)
     low_load = eq.edge_loads[np.arange(model.n_states), low]
     stop = np.flatnonzero((low_load <= load_tol) | ~eq.converged)

@@ -1,14 +1,13 @@
 """Gaussian likelihood of observed edge costs and Bayesian belief updates.
 
-All likelihood arithmetic is done in log space. After a few dozen stages the
-raw densities underflow, so posteriors are normalized with the usual
-subtract-the-max trick and histories are replayed by summing log densities.
+Functions take a block of observations that used the same edges, one per
+row. All likelihood arithmetic is done in log space. After a few dozen
+stages the raw densities underflow, so posteriors are normalized with the
+usual subtract-the-max trick and histories are replayed by summing log
+densities.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -18,53 +17,26 @@ from .errors import BeliefError
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 
-@dataclass(frozen=True)
-class Observation:
-    """Realized costs on the edges that carried traffic in one stage.
-
-    `loads` is the full equilibrium edge-load vector; `costs` holds one entry
-    per used edge, aligned with `used`.
-    """
-
-    used: tuple[str, ...]
-    loads: np.ndarray
-    costs: np.ndarray
-
-    def __post_init__(self):
-        used = tuple(str(e) for e in self.used)
-        if not used:
-            raise BeliefError("observation needs at least one used edge")
-        if len(set(used)) != len(used):
-            raise BeliefError("duplicate edges in observation")
-        loads = np.array(self.loads, dtype=float)
-        costs = np.array(self.costs, dtype=float)
-        if loads.ndim != 1:
-            raise BeliefError("loads must be a vector")
-        if costs.shape != (len(used),):
-            raise BeliefError(
-                f"costs have shape {costs.shape}, expected ({len(used)},)"
-            )
-        if not np.isfinite(costs).all():
-            raise BeliefError("observed costs must be finite")
-        loads.setflags(write=False)
-        costs.setflags(write=False)
-        object.__setattr__(self, "used", used)
-        object.__setattr__(self, "loads", loads)
-        object.__setattr__(self, "costs", costs)
-
-
-def log_likelihood_block(
+def log_likelihoods(
     model: CostModel, used: tuple[int, ...], loads: np.ndarray, costs: np.ndarray
 ) -> np.ndarray:
     """Log densities of a block of observations under every state, shape (n, n_states).
 
     Row i observed `costs[i]` on the edges with indices `used` at the edge
-    loads `loads[i]`. The mean under state s is the state-s cost of each used
-    edge at its load; the covariance is the noise submatrix on the used
-    edges, whitened by the inverse of its Cholesky factor, which the model
-    caches once per distinct used set.
+    loads `loads[i]`: `loads` is (n, n_edges) and `costs` (n, len(used)).
+    The mean under state s is the state-s cost of each used edge at its
+    load; the covariance is the noise submatrix on the used edges, whitened
+    by the inverse of its Cholesky factor, which the model caches once per
+    distinct used set.
     """
-    n, m = len(costs), len(used)
+    loads = np.asarray(loads, dtype=float)
+    costs = np.asarray(costs, dtype=float)
+    n, m, n_edges = len(costs), len(used), model.n_edges
+    if not m or len(set(used)) != m or not 0 <= min(used) <= max(used) < n_edges:
+        raise BeliefError(f"used edges {used} are not one or more distinct edges of {n_edges}")
+    if loads.shape != (n, n_edges) or costs.shape != (n, m):
+        shapes = f"loads {loads.shape} and costs {costs.shape}"
+        raise BeliefError(f"{shapes} are not ({n}, {n_edges}) and ({n}, {m})")
     linv, logdet = model.sigma_whitener(used)
     means = model.cost_matrix(loads, used)  # (n, S, m)
     resid = costs[:, None, :] - means
@@ -98,7 +70,7 @@ def _normalize(log_post: np.ndarray) -> np.ndarray:
     return out
 
 
-def bayes_update_block(
+def bayes_update(
     prior: np.ndarray,
     model: CostModel,
     used: tuple[int, ...],
@@ -107,59 +79,36 @@ def bayes_update_block(
 ) -> np.ndarray:
     """Posterior rows after one observation each, for rows that used the same edges.
 
-    States with zero prior mass stay at exactly zero; no probability floor is
-    applied, so masses may reach numeric zero.
+    Row i of `prior` observed row i of `loads` and `costs` (see
+    `log_likelihoods`). States with zero prior mass stay at exactly zero;
+    no probability floor is applied, so masses may reach numeric zero.
     """
+    prior = np.asarray(prior, dtype=float)
+    if prior.shape != (len(costs), model.n_states):
+        raise BeliefError(f"prior has shape {prior.shape}, not ({len(costs)}, {model.n_states})")
     with np.errstate(divide="ignore"):
         log_prior = np.log(prior)
-    return _normalize(log_prior + log_likelihood_block(model, used, loads, costs))
-
-
-def _used_indices(model: CostModel, obs: Observation) -> tuple[int, ...]:
-    return tuple(model.edge_index(e) for e in obs.used)
-
-
-def log_likelihoods(model: CostModel, obs: Observation) -> np.ndarray:
-    """Log density of the observation under every state, shape (n_states,)."""
-    return log_likelihood_block(
-        model, _used_indices(model, obs), obs.loads[None, :], obs.costs[None, :]
-    )[0]
-
-
-def bayes_update(theta: Belief, model: CostModel, obs: Observation) -> Belief:
-    """Posterior belief after one observation: the block update on one row."""
-    if len(theta) != model.n_states:
-        raise BeliefError(
-            f"belief has {len(theta)} entries, model has {model.n_states} states"
-        )
-    post = bayes_update_block(
-        theta.probs[None, :],
-        model,
-        _used_indices(model, obs),
-        obs.loads[None, :],
-        obs.costs[None, :],
-    )
-    return Belief(post[0])
+    return _normalize(log_prior + log_likelihoods(model, used, loads, costs))
 
 
 def replay_posterior(
-    theta0: Belief, model: CostModel, history: Sequence[Observation]
+    theta0: Belief, model: CostModel, used: np.ndarray, loads: np.ndarray, costs: np.ndarray
 ) -> Belief:
-    """Posterior from the initial belief and a whole observation history.
+    """Posterior from the initial belief and a whole history of stages.
 
-    Costs in different stages are independent given their edge loads, so the
-    joint log density is the per-stage sum and the result coincides with
-    folding bayes_update over the history.
+    Row k of the trajectory's arrays is stage k + 1: its used-edge mask,
+    its loads on every edge and its realized costs, read on the used edges.
+    Costs in different stages are independent given their edge loads, so
+    the joint log density is the per-stage sum, added in stage order, and
+    the result coincides with folding bayes_update over the history.
     """
     if len(theta0) != model.n_states:
-        raise BeliefError(
-            f"belief has {len(theta0)} entries, model has {model.n_states} states"
-        )
-    prior = theta0.probs
-    if not history:
-        return Belief(prior.copy())
+        raise BeliefError(f"belief has {len(theta0)} entries, model has {model.n_states} states")
+    if not len(used):
+        return Belief(theta0.probs.copy())
     with np.errstate(divide="ignore"):
-        acc = np.log(prior)
-    for obs in history:
-        acc = acc + log_likelihoods(model, obs)
+        acc = np.log(theta0.probs)
+    for mask, w, c in zip(np.asarray(used, dtype=bool), np.asarray(loads), np.asarray(costs)):
+        idx = tuple(np.flatnonzero(mask).tolist())
+        acc = acc + log_likelihoods(model, idx, w[None, :], c[None, idx])[0]
     return Belief(_normalize(acc[None, :])[0])

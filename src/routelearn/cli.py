@@ -19,13 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import (
-    BeliefError,
-    CostError,
-    NetworkError,
-    ScenarioError,
-    SolverError,
-)
+from .errors import ScenarioError, SolverError
 from .graph import is_series_parallel
 from .scenario import (
     BUILTIN_NAMES,
@@ -106,6 +100,8 @@ def _parse_seeds(text: str) -> list[int]:
         ) from None
     if any(s < 0 for s in seeds):
         raise ScenarioError("seeds", f"expected non-negative integers, got {text!r}")
+    if not seeds or len(set(seeds)) != len(seeds):
+        raise ScenarioError("seeds", f"expected one or more distinct seeds, got {text!r}")
     return seeds
 
 
@@ -391,7 +387,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioError, NetworkError, CostError, BeliefError, ValueError) as exc:
+    except ValueError as exc:  # every validation error of the package is one
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
     except SolverError as exc:

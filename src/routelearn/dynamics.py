@@ -27,15 +27,15 @@ import csv
 import io
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .belief import Observation, bayes_update_block
+from .belief import bayes_update
 from .costs import Belief, CostModel, polyval_ascending
-from .equilibrium import EquilibriumBlock, EquilibriumResult, solve_wardrop_block
+from .equilibrium import EquilibriumBlock, solve_wardrop_batch
 from .errors import BeliefError, RoutelearnError, SolverError
-from .graph import row_groups
+from .graph import row_groups, used_edges
 from .scenario import Scenario
 
 CONVERGED = "converged"
@@ -63,24 +63,12 @@ class NoiseSampler:
 
 
 def realize_costs(
-    model: CostModel,
-    true_state: str,
-    loads,
-    used: Iterable[str],
-    noise,
-) -> Observation:
-    """Observation of true-state costs plus noise, restricted to used edges.
-
-    Unused edges' realized costs are discarded; their noise components are
-    consumed by the caller but never observed.
-    """
-    w = np.asarray(loads, dtype=float)
-    eps = np.asarray(noise, dtype=float)
-    order = sorted(used, key=model.edge_index)
-    idx = [model.edge_index(e) for e in order]
-    coeffs = model.state_coefficients(true_state)[idx]
-    costs = polyval_ascending(coeffs, w[idx]) + eps[idx]
-    return Observation(used=tuple(order), loads=w, costs=costs)
+    model: CostModel, true_state: str, loads: np.ndarray, used_mask: np.ndarray, noise: np.ndarray
+) -> np.ndarray:
+    """True-state costs plus noise on the used edges, NaN on the others, one row per
+    row of `loads`. The noise of unused edges is drawn but never observed."""
+    true_costs = polyval_ascending(model.state_coefficients(true_state).T, loads, axis=0)
+    return np.where(used_mask, true_costs + noise, np.nan)
 
 
 @dataclass(frozen=True)
@@ -114,26 +102,10 @@ class Trajectory:
 
     @property
     def final_used(self) -> tuple[str, ...]:
-        return _edge_labels(self.scenario, self.used[-1])
-
-    def observation(self, k: int) -> Observation:
-        """What the information system observed in stage k (1-based)."""
-        used = self.used[k - 1]
-        return Observation(
-            used=_edge_labels(self.scenario, used),
-            loads=self.equilibria.edge_loads[k - 1],
-            costs=self.costs[k - 1, used],
-        )
-
-    def observations(self) -> tuple[Observation, ...]:
-        return tuple(self.observation(k) for k in range(1, self.n_stages + 1))
+        return tuple(e for e, u in zip(self.scenario.model.edges, self.used[-1]) if u)
 
 
-def _edge_labels(scenario: Scenario, mask) -> tuple[str, ...]:
-    return tuple(e for e, u in zip(scenario.model.edges, mask) if u)
-
-
-def _stage(
+def step(
     scenario: Scenario,
     probs: np.ndarray,
     noise: np.ndarray,
@@ -142,14 +114,14 @@ def _stage(
     """One stage for a block of beliefs, one per row of `probs`.
 
     One equilibrium solve for the block, started from `init_flows` when
-    given (see `solve_wardrop_block`), and one likelihood and Bayes update
+    given (see `solve_wardrop_batch`), and one likelihood and Bayes update
     per group of rows that used the same edges. Row i of `noise` is row i's
     draw on every edge.
     Returns the equilibria, the used-edge mask, the realized costs (NaN on
     unused edges) and the posteriors. An error names its row in `row`.
     """
     model = scenario.model
-    eq = solve_wardrop_block(
+    eq = solve_wardrop_batch(
         scenario.network,
         model,
         probs,
@@ -159,15 +131,12 @@ def _stage(
     )
     eq.raise_unconverged()
     loads = eq.edge_loads
-    used = loads > scenario.used_edge_tol
+    used = used_edges(scenario.network, loads, scenario.used_edge_tol)
     if not used.any(axis=1).all():
         raise BeliefError("observation needs at least one used edge").at_row(
             np.argmin(used.any(axis=1))
         )
-    true_costs = polyval_ascending(
-        model.state_coefficients(scenario.true_state).T, loads, axis=0
-    )
-    costs = np.where(used, true_costs + noise, np.nan)
+    costs = realize_costs(model, scenario.true_state, loads, used, noise)
     post = np.empty_like(probs)
     for pattern, rows in row_groups(used):
         idx = tuple(np.flatnonzero(pattern).tolist())
@@ -176,23 +145,12 @@ def _stage(
         else:
             sel, observed = rows, costs[np.ix_(rows, idx)]
         try:
-            post[sel] = bayes_update_block(probs[sel], model, idx, loads[sel], observed)
+            post[sel] = bayes_update(probs[sel], model, idx, loads[sel], observed)
         except RoutelearnError as exc:
             if exc.row is not None:
                 exc.at_row(rows[exc.row])
             raise
     return eq, used, costs, post
-
-
-def step(
-    scenario: Scenario, belief: Belief, sampler: NoiseSampler
-) -> tuple[EquilibriumResult, Observation, Belief]:
-    """Play one stage: the equilibrium at the belief, its observation, the posterior."""
-    eq, used, costs, post = _stage(scenario, belief.probs[None, :], sampler.sample()[None, :])
-    obs = Observation(
-        used=_edge_labels(scenario, used[0]), loads=eq.edge_loads[0], costs=costs[0, used[0]]
-    )
-    return eq.row(0), obs, Belief(post[0])
 
 
 def _for_seed(exc: RoutelearnError, seed: int, stage: int) -> RoutelearnError:
@@ -277,7 +235,7 @@ def run_block(scenario: Scenario, seeds: Sequence[int]) -> Iterator[Trajectory]:
             for i in live.tolist():
                 noise[i] = samplers[i].sample(_NOISE_CHUNK)
         try:
-            eq, used, costs, post = _stage(scenario, probs, noise[live, at], prev_flows)
+            eq, used, costs, post = step(scenario, probs, noise[live, at], prev_flows)
         except RoutelearnError as exc:
             if exc.row is None:
                 raise

@@ -327,16 +327,16 @@ def _start_flows(init_flows, n: int, n_routes: int, demand: float) -> np.ndarray
     return q
 
 
-def solve_wardrop_block(
+def solve_wardrop_batch(
     network: Network,
     model: CostModel,
-    probs,
+    thetas,
     demand: float,
     *,
     tol: float = DEFAULT_TOL,
     init_flows=None,
 ) -> EquilibriumBlock:
-    """Equilibria for a block of beliefs, one per row of `probs`.
+    """Equilibria for a block of beliefs, one per row of `thetas`.
 
     Each row starts from its row of `init_flows`, an (n, R) array of route
     flows that sum to `demand`, or by default from all-or-nothing flows on
@@ -356,15 +356,15 @@ def solve_wardrop_block(
         raise ValueError("demand must be positive")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    probs = np.asarray(probs, dtype=float)
-    if probs.ndim != 2 or probs.shape[1] != model.n_states:
-        raise ValueError(f"belief matrix has shape {probs.shape}")
+    thetas = np.asarray(thetas, dtype=float)
+    if thetas.ndim != 2 or thetas.shape[1] != model.n_states:
+        raise ValueError(f"belief matrix has shape {thetas.shape}")
     _check_model(network, model)
 
     inc = network.incidence
-    n, n_routes = len(probs), network.n_routes
+    n, n_routes = len(thetas), network.n_routes
     # mixed cost coefficients, degree-major: coef[k] is the (n, E) degree-k slice
-    coef = model.mixed_coefficients_batch(probs).transpose(2, 0, 1).copy()
+    coef = model.mixed_coefficients_batch(thetas).transpose(2, 0, 1).copy()
     pcoef = polyint_coefficients(coef, axis=0)  # the potential is w times their polynomial
     if init_flows is None:
         # all-or-nothing flows on the route cheapest at free flow
@@ -417,7 +417,7 @@ def solve_wardrop(
     The block solver on a block of one row; raises SolverError, carrying the
     row's start flows and their certificates, when the row does not converge.
     """
-    block = solve_wardrop_block(network, model, theta.probs[None, :], demand, tol=tol)
+    block = solve_wardrop_batch(network, model, theta.probs[None, :], demand, tol=tol)
     block.raise_unconverged()
     return block.row(0)
 
@@ -433,14 +433,3 @@ def complete_info_equilibrium(
     theta = Belief.point_mass(model.n_states, model.state_index(state))
     return solve_wardrop(network, model, theta, demand, **kwargs)
 
-
-def solve_wardrop_batch(
-    network: Network, model: CostModel, thetas: np.ndarray, demand: float, *,
-    tol: float = 1e-10,
-) -> EquilibriumBlock:
-    """Equilibria of many beliefs, for dense simplex sweeps.
-
-    The block solver at the sweep's tolerance; a row that does not converge
-    is flagged in `converged`, not raised.
-    """
-    return solve_wardrop_block(network, model, thetas, demand, tol=tol)

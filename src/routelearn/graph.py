@@ -71,14 +71,17 @@ class Network:
         return f"Network(edges={list(self.edge_ids)!r}, routes={len(self.routes)})"
 
 
-def used_edges(network: Network, loads, tol: float) -> frozenset[str]:
-    """Edges carrying load strictly above `tol`."""
+def used_edges(network: Network, loads, tol: float) -> np.ndarray:
+    """Mask of the edges that carry load strictly above `tol`, the used-edge rule.
+
+    `loads` has the edges on its last axis and any leading shape; so has the mask.
+    """
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
     w = np.asarray(loads, dtype=float)
-    if w.shape != (network.n_edges,):
-        raise NetworkError(f"load vector has shape {w.shape}, expected ({network.n_edges},)")
-    return frozenset(e for e, we in zip(network.edge_ids, w) if we > tol)
+    if w.shape[-1:] != (network.n_edges,):
+        raise NetworkError(f"load vector has shape {w.shape}, not (..., {network.n_edges})")
+    return w > tol
 
 
 def row_groups(mask: np.ndarray):

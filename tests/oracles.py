@@ -3,11 +3,13 @@
 Everything here deliberately avoids the production code paths: the
 two-route solver is closed-form algebra, the Wardrop certificate recomputes
 route costs from route flows, the series-parallel oracle searches over every
-reduction order, and instance generators build inputs from scratch. The reference stage loop is the per-seed loop that the lockstep
-block loop replaced, the reference rest-point analysis is the label-based
-loop that the index-mask kernel replaced, and the reference sweep at the
-end solves every node of the simplex grid where the package solves only
-the face rest points can lie on. The reference grid generator and row
+reduction order, and instance generators build inputs from scratch. The
+reference stage loop is the per-seed loop that the lockstep block loop
+replaced, with its own one-row observation record and its own used-edge
+and realized-cost helpers, the reference rest-point analysis is the
+label-based loop that the index-mask kernel replaced, and the reference
+sweep at the end solves every node of the simplex grid where the package
+solves only the face rest points can lie on. The reference grid generator and row
 grouping are the itertools and dict loops that numpy replaced. All are
 kept as the slow paths the package is checked against. The exact
 equilibrium solve is scipy.optimize.root on the equal-cost system of the
@@ -46,7 +48,6 @@ from routelearn.analysis import (
     average_cost,
     check_rest_point,
 )
-from routelearn.belief import Observation
 from routelearn.costs import (
     Belief,
     CostFunction,
@@ -54,16 +55,16 @@ from routelearn.costs import (
     polyint_ascending,
     polyval_ascending,
 )
-from routelearn.dynamics import CONVERGED, MAX_STAGES, NoiseSampler, realize_costs
+from routelearn.dynamics import CONVERGED, MAX_STAGES, NoiseSampler
 from routelearn.equilibrium import (
     DEFAULT_TOL,
     EquilibriumResult,
     complete_info_equilibrium,
     solve_wardrop,
-    solve_wardrop_block,
+    solve_wardrop_batch,
 )
 from routelearn.errors import BeliefError, SolverError
-from routelearn.graph import Network, used_edges
+from routelearn.graph import Network
 
 
 def _mixed(model: CostModel, theta: Belief) -> np.ndarray:
@@ -449,14 +450,79 @@ def grid_payload(r: int, c: int, g: int) -> dict:
 # The stage loop as it was before seeds advanced in lockstep blocks: one
 # scalar Frank-Wolfe solve, one triangular solve and one Bayes update per
 # stage and seed. Kept verbatim so that the block loop in
-# routelearn.dynamics can be checked against it bit for bit.
+# routelearn.dynamics can be checked against it bit for bit. Its observation
+# is a one-row record of edge labels, built by its own used-edge and
+# realized-cost helpers, so that it shares no code with the block loop's
+# masks and NaN-filled cost rows.
+
+
+@dataclass(frozen=True)
+class ReferenceObservation:
+    """Realized costs on the edges that carried traffic in one stage.
+
+    `loads` is the full equilibrium edge-load vector; `costs` holds one entry
+    per used edge, aligned with `used`.
+    """
+
+    used: tuple[str, ...]
+    loads: np.ndarray
+    costs: np.ndarray
+
+    def __post_init__(self):
+        used = tuple(str(e) for e in self.used)
+        if not used:
+            raise BeliefError("observation needs at least one used edge")
+        if len(set(used)) != len(used):
+            raise BeliefError("duplicate edges in observation")
+        loads = np.array(self.loads, dtype=float)
+        costs = np.array(self.costs, dtype=float)
+        if loads.ndim != 1:
+            raise BeliefError("loads must be a vector")
+        if costs.shape != (len(used),):
+            raise BeliefError(
+                f"costs have shape {costs.shape}, expected ({len(used)},)"
+            )
+        if not np.isfinite(costs).all():
+            raise BeliefError("observed costs must be finite")
+        loads.setflags(write=False)
+        costs.setflags(write=False)
+        object.__setattr__(self, "used", used)
+        object.__setattr__(self, "loads", loads)
+        object.__setattr__(self, "costs", costs)
+
+
+def reference_used_edges(network: Network, loads, tol: float) -> frozenset[str]:
+    """Edges carrying load strictly above `tol`."""
+    if tol < 0:
+        raise ValueError("tolerance must be nonnegative")
+    w = np.asarray(loads, dtype=float)
+    if w.shape != (network.n_edges,):
+        raise ValueError(f"load vector has shape {w.shape}, expected ({network.n_edges},)")
+    return frozenset(e for e, we in zip(network.edge_ids, w) if we > tol)
+
+
+def reference_realize_costs(
+    model: CostModel, true_state: str, loads, used, noise
+) -> ReferenceObservation:
+    """Observation of true-state costs plus noise, restricted to used edges.
+
+    Unused edges' realized costs are discarded; their noise components are
+    consumed by the caller but never observed.
+    """
+    w = np.asarray(loads, dtype=float)
+    eps = np.asarray(noise, dtype=float)
+    order = sorted(used, key=model.edge_index)
+    idx = [model.edge_index(e) for e in order]
+    coeffs = model.state_coefficients(true_state)[idx]
+    costs = polyval_ascending(coeffs, w[idx]) + eps[idx]
+    return ReferenceObservation(used=tuple(order), loads=w, costs=costs)
 
 
 class ReferenceStage(NamedTuple):
     stage: int
     belief_prior: Belief
     equilibrium: EquilibriumResult
-    observation: Observation
+    observation: ReferenceObservation
     belief_post: Belief
 
 
@@ -761,7 +827,7 @@ def reference_cost_matrix(model: CostModel, loads, edge_indices) -> np.ndarray:
     return out
 
 
-def reference_log_likelihoods(model: CostModel, obs: Observation) -> np.ndarray:
+def reference_log_likelihoods(model: CostModel, obs: ReferenceObservation) -> np.ndarray:
     """Log density of the observation under every state, shape (n_states,).
 
     The mean under state s is the state-s cost of each used edge at its
@@ -781,7 +847,9 @@ def reference_log_likelihoods(model: CostModel, obs: Observation) -> np.ndarray:
     return out
 
 
-def reference_bayes_update(theta: Belief, model: CostModel, obs: Observation) -> Belief:
+def reference_bayes_update(
+    theta: Belief, model: CostModel, obs: ReferenceObservation
+) -> Belief:
     """Posterior belief after one observation.
 
     States with zero prior mass stay at exactly zero; no probability floor is
@@ -818,8 +886,10 @@ def reference_step(
         tol=scenario.tolerances.equilibrium,
     )
     noise = sampler.sample()
-    used = used_edges(scenario.network, eq.edge_loads, scenario.used_edge_tol)
-    obs = realize_costs(scenario.model, scenario.true_state, eq.edge_loads, used, noise)
+    used = reference_used_edges(scenario.network, eq.edge_loads, scenario.used_edge_tol)
+    obs = reference_realize_costs(
+        scenario.model, scenario.true_state, eq.edge_loads, used, noise
+    )
     post = reference_bayes_update(belief, scenario.model, obs)
     return ReferenceStage(stage, belief, eq, obs, post)
 
@@ -952,7 +1022,8 @@ def reference_rest_point_passes(
     mass = float(sum(theta.probs[model.state_index(s)] for s in dist))
     if mass > mass_tol:
         return False
-    key = sum(1 << network.edge_index(e) for e in used_edges(network, eq.edge_loads, used_tol))
+    used = reference_used_edges(network, eq.edge_loads, used_tol)
+    key = sum(1 << network.edge_index(e) for e in used)
     return key == want_key
 
 
@@ -1105,11 +1176,11 @@ def reference_enumerate_rest_points(
 
     for thetas in reference_simplex_grid_chunks(n_states, grid_n, chunk_size):
         n_nodes += len(thetas)
-        eq = solve_wardrop_block(network, model, thetas, demand, tol=solver_tol)
+        eq = solve_wardrop_batch(network, model, thetas, demand, tol=solver_tol)
         eq.raise_unconverged()
         loads, gaps = eq.edge_loads, eq.gap
         max_gap = max(max_gap, float(gaps.max()))
-        dist = _distinguishable(model, true_idx, loads, cost_tol, used_tol)
+        dist = _distinguishable(network, model, true_idx, loads, cost_tol, used_tol)
         residual = (thetas * dist).sum(axis=1)
         passing = residual <= mass_tol
         n_passing += int(passing.sum())

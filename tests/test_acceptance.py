@@ -20,7 +20,7 @@ from routelearn import (
     monte_carlo,
 )
 from routelearn.analysis import average_cost
-from routelearn.belief import Observation, bayes_update, bayes_update_block, replay_posterior
+from routelearn.belief import bayes_update, replay_posterior
 from routelearn.equilibrium import complete_info_equilibrium, solve_wardrop
 from routelearn.graph import series_parallel_reducible, used_edges
 
@@ -180,18 +180,15 @@ def test_criterion_7_martingale_property(three_edge):
     start = time.perf_counter()
     theta = Belief.uniform(4)
     eq = solve_wardrop(three_edge.network, three_edge.model, theta, 1.0)
-    order = sorted(
-        used_edges(three_edge.network, eq.edge_loads, three_edge.used_edge_tol),
-        key=three_edge.model.edge_index,
-    )
-    idx = [three_edge.model.edge_index(e) for e in order]
+    used = used_edges(three_edge.network, eq.edge_loads, three_edge.used_edge_tol)
+    idx = np.flatnonzero(used).tolist()
     means = three_edge.model.cost_matrix(eq.edge_loads, idx)
     chol = np.linalg.cholesky(three_edge.model.sigma[np.ix_(idx, idx)])
     n = 100_000
     rng = np.random.default_rng(20240617)
     states = rng.choice(4, size=n, p=theta.probs)
     draws = means[states] + rng.standard_normal((n, len(idx))) @ chol.T
-    post = bayes_update_block(
+    post = bayes_update(
         np.tile(theta.probs, (n, 1)),
         three_edge.model,
         tuple(idx),
@@ -210,7 +207,7 @@ def test_criterion_7_martingale_property(three_edge):
 
 
 def test_criterion_8a_replay_matches_fold():
-    from test_belief import make_model  # reuse the single-module builder
+    from test_belief import fold_updates, make_model, random_history  # reuse the builders
 
     rng = np.random.default_rng(88)
     worst = 0.0
@@ -221,23 +218,9 @@ def test_criterion_8a_replay_matches_fold():
         model = make_model(intercepts, sigma=random_spd(rng, m))
         p = rng.dirichlet(np.ones(n_states))
         theta0 = Belief(p / p.sum())
-        history = []
-        for _ in range(50):
-            k = int(rng.integers(1, m + 1))
-            idx = sorted(rng.choice(m, size=k, replace=False))
-            loads = np.zeros(m)
-            loads[idx] = rng.uniform(0.1, 2.0, size=k)
-            history.append(
-                Observation(
-                    tuple(model.edges[i] for i in idx),
-                    loads,
-                    rng.uniform(0, 12, size=k),
-                )
-            )
-        batch = replay_posterior(theta0, model, history)
-        theta = theta0
-        for obs in history:
-            theta = bayes_update(theta, model, obs)
+        history = random_history(rng, model, 50)
+        batch = replay_posterior(theta0, model, *history)
+        theta = fold_updates(theta0, model, *history)
         worst = max(worst, float(np.max(np.abs(batch.probs - theta.probs))))
     report(
         8,

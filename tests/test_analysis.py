@@ -66,10 +66,17 @@ def fully_distinguishable_scenario(three_edge):
     return scenario_from_dict(payload)
 
 
+def one_route_per_edge(model) -> Network:
+    """A network on the model's edges in which each edge is a route of its own."""
+    return Network(model.edges, [[e] for e in model.edges])
+
+
 def distinguishable_states(model, true_state, loads, cost_tol=1e-9, used_tol=0.0):
     """Labels of the states the kernel marks distinguishable at one load vector."""
     w = np.asarray(loads, dtype=float)[None, :]
-    dist = analysis._distinguishable(model, model.state_index(true_state), w, cost_tol, used_tol)
+    dist = analysis._distinguishable(
+        one_route_per_edge(model), model, model.state_index(true_state), w, cost_tol, used_tol
+    )
     return {model.states[j] for j in np.flatnonzero(dist[0])}
 
 
@@ -426,7 +433,8 @@ class TestDistinguishableKernel:
     def test_kernel_matches_label_loop(self, case):
         model, true_idx, loads, cost_tol, used_tol = case
         truth = model.states[true_idx]
-        dist = analysis._distinguishable(model, true_idx, loads, cost_tol, used_tol)
+        net = one_route_per_edge(model)
+        dist = analysis._distinguishable(net, model, true_idx, loads, cost_tol, used_tol)
         assert dist.shape == (len(loads), model.n_states)
         for row, w in zip(dist, loads):
             want = reference_distinguishable_states(model, truth, w, cost_tol, used_tol)
@@ -445,9 +453,39 @@ class TestDistinguishableKernel:
         fns = {("a", "ok"): CostFunction.affine(1.0, 2.0), ("a", "alt"): CostFunction.affine(1.0, 2.5)}
         model = CostModel(["a"], ["ok", "alt"], fns, np.eye(1))
         w = np.array([[load]])
-        dist = analysis._distinguishable(model, 0, w, cost_tol, used_tol)
+        dist = analysis._distinguishable(one_route_per_edge(model), model, 0, w, cost_tol, used_tol)
         assert {model.states[j] for j in np.flatnonzero(dist[0])} == expected
         assert reference_distinguishable_states(model, "ok", w[0], cost_tol, used_tol) == expected
+
+
+class TestRestPointCheckLayout:
+    def test_cost_matrix_layout_does_not_change_the_check(self, three_edge, monkeypatch):
+        # a vector-matrix product sums a C-ordered and an F-ordered (S, m)
+        # matrix in different orders (22 of these 50 draws differed), and at
+        # 12 states numpy's pairwise sum of a product does too; the believed
+        # cost adds the states one at a time, in state order
+        net = three_edge.network
+        rng = np.random.default_rng(2024)
+        states = [f"s{j}" for j in range(12)]
+        fns = {
+            (e, s): CostFunction.polynomial(list(rng.uniform(0.5, 3.0, size=3)))
+            for e in net.edge_ids
+            for s in states
+        }
+        model = CostModel(net.edge_ids, states, fns, np.eye(3))
+        real = CostModel.cost_matrix
+
+        def check(theta, loads, order):
+            def laid_out(self, w, idx):
+                return np.asarray(real(self, w, idx), order=order)
+
+            monkeypatch.setattr(CostModel, "cost_matrix", laid_out)
+            return check_rest_point(net, model, "s0", theta, loads, 1.0)
+
+        for _ in range(50):
+            theta = Belief(rng.dirichlet(np.ones(12)))
+            loads = rng.uniform(0.1, 1.0, size=3)
+            assert check(theta, loads, "C") == check(theta, loads, "F")
 
 
 class TestResidualMassHashSeed:
@@ -582,18 +620,18 @@ class TestBlockConditions:
 @pytest.fixture
 def unconverged_known_state(monkeypatch):
     """Make the known-state solve of one state report no convergence."""
-    real = analysis.solve_wardrop_block
+    real = analysis.solve_wardrop_batch
     row = {}
 
-    def patched(network, model, probs, demand, **kw):
-        block = real(network, model, probs, demand, **kw)
-        if "index" in row and np.array_equal(probs, np.eye(model.n_states)):
+    def patched(network, model, thetas, demand, **kw):
+        block = real(network, model, thetas, demand, **kw)
+        if "index" in row and np.array_equal(thetas, np.eye(model.n_states)):
             converged = block.converged.copy()
             converged[row["index"]] = False
             block = dataclasses.replace(block, converged=converged)
         return block
 
-    monkeypatch.setattr(analysis, "solve_wardrop_block", patched)
+    monkeypatch.setattr(analysis, "solve_wardrop_batch", patched)
     return row
 
 

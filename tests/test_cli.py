@@ -101,7 +101,7 @@ class TestOverrides:
         field = f"{section}.{key}" if section else key
         assert f"validation error: {field}:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("seeds", ["x", "0..x", "1,y"])
+    @pytest.mark.parametrize("seeds", ["x", "0..x", "1,y", "5..3", ",,", "1,1"])
     def test_bad_seeds_name_the_field(self, tmp_path, capsys, seeds):
         argv = ["batch", "--scenario", "three-edge", "--seeds", seeds]
         assert main(argv + ["--out-dir", str(tmp_path)]) == 2
@@ -327,7 +327,7 @@ class TestExitCodes:
         def boom(*args, **kwargs):
             raise SolverError("forced failure")
 
-        monkeypatch.setattr(dynamics, "solve_wardrop_block", boom)
+        monkeypatch.setattr(dynamics, "solve_wardrop_batch", boom)
         code = main(
             ["run", "--scenario", "three-edge", "--seed", "0", "--out-dir", str(tmp_path)]
         )

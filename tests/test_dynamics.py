@@ -27,7 +27,7 @@ from routelearn import (
 from routelearn.belief import bayes_update, replay_posterior
 from routelearn.costs import polyval_ascending
 from routelearn.dynamics import NoiseSampler, realize_costs, run_block, step
-from routelearn.equilibrium import solve_wardrop_block
+from routelearn.equilibrium import solve_wardrop_batch
 from routelearn.graph import used_edges
 
 from oracles import (
@@ -81,9 +81,14 @@ def _assert_reference_bits(scenario, traj) -> None:
     for k, rec in enumerate(records, start=1):
         assert np.array_equal(traj.beliefs[k], rec.belief_post.probs)
         assert np.array_equal(traj.equilibria.edge_loads[k - 1], rec.equilibrium.edge_loads)
-        obs = traj.observation(k)
-        assert obs.used == rec.observation.used
-        assert np.array_equal(obs.costs, rec.observation.costs)
+        used = traj.used[k - 1]
+        assert _labels(scenario, used) == rec.observation.used
+        assert np.array_equal(traj.costs[k - 1, used], rec.observation.costs)
+
+
+def _labels(scenario, mask) -> tuple[str, ...]:
+    """The edge ids of a used-edge mask, in edge order."""
+    return tuple(e for e, u in zip(scenario.network.edge_ids, mask) if u)
 
 
 def _trajectory_arrays(traj) -> list[np.ndarray]:
@@ -133,30 +138,38 @@ class TestNoiseSampler:
 
 class TestRealizeCosts:
     def test_zero_noise_gives_true_costs(self, three_edge):
-        w = np.array([1.0, 0.5, 0.5])
-        obs = realize_costs(
-            three_edge.model, "none", w, ("e1", "e2", "e3"), np.zeros(3)
-        )
-        assert obs.used == ("e1", "e2", "e3")
-        assert np.allclose(obs.costs, [6.0, 5.5, 5.5], atol=1e-15)
+        w = np.array([[1.0, 0.5, 0.5]])
+        costs = realize_costs(three_edge.model, "none", w, np.ones((1, 3), bool), np.zeros((1, 3)))
+        assert np.allclose(costs, [[6.0, 5.5, 5.5]], atol=1e-15)
 
     def test_restricted_to_used_edges(self, three_edge):
-        w = np.array([1.0, 0.0, 1.0])
-        obs = realize_costs(three_edge.model, "none", w, ("e1", "e3"), np.zeros(3))
-        assert obs.used == ("e1", "e3")
-        assert obs.costs.shape == (2,)
-        assert np.allclose(obs.costs, [6.0, 6.0])
+        w = np.array([[1.0, 0.0, 1.0]])
+        used = np.array([[True, False, True]])
+        costs = realize_costs(three_edge.model, "none", w, used, np.zeros((1, 3)))
+        assert costs.shape == (1, 3)
+        assert np.isnan(costs[0, 1])
+        assert np.allclose(costs[used], [6.0, 6.0])
 
     def test_noise_added_componentwise(self, three_edge):
-        w = np.array([1.0, 0.5, 0.5])
-        noise = np.array([0.1, -0.2, 0.3])
-        obs = realize_costs(three_edge.model, "none", w, ("e1", "e2", "e3"), noise)
-        assert np.allclose(obs.costs, [6.1, 5.3, 5.8], atol=1e-15)
+        w = np.array([[1.0, 0.5, 0.5]])
+        noise = np.array([[0.1, -0.2, 0.3]])
+        costs = realize_costs(three_edge.model, "none", w, np.ones((1, 3), bool), noise)
+        assert np.allclose(costs, [[6.1, 5.3, 5.8]], atol=1e-15)
 
-    def test_used_order_follows_edge_order(self, three_edge):
-        w = np.array([1.0, 0.0, 1.0])
-        obs = realize_costs(three_edge.model, "none", w, ("e3", "e1"), np.zeros(3))
-        assert obs.used == ("e1", "e3")
+    def test_rows_are_independent_observations(self, three_edge):
+        w = np.array([[1.0, 0.5, 0.5], [1.0, 0.0, 1.0]])
+        used = np.array([[True, True, True], [True, False, True]])
+        noise = np.array([[0.1, -0.2, 0.3], [0.0, 5.0, 0.0]])
+        costs = realize_costs(three_edge.model, "none", w, used, noise)
+        for i in range(2):
+            one = realize_costs(three_edge.model, "none", w[i], used[i], noise[i])
+            assert np.array_equal(costs[i], one, equal_nan=True)
+        assert np.allclose(costs[1, [0, 2]], [6.0, 6.0]) and np.isnan(costs[1, 1])
+
+
+def _one_stage(scenario, theta: Belief, sampler: NoiseSampler):
+    """`step` on a block of one belief, with one noise draw."""
+    return step(scenario, theta.probs[None, :], sampler.sample()[None, :])
 
 
 class TestStep:
@@ -166,24 +179,26 @@ class TestStep:
         theta = Belief([0.0, 0.5, 0.0, 0.5])
         sampler = NoiseSampler(three_edge.model.sigma, 99)
         for _ in range(5):
-            eq, _, post = step(three_edge, theta, sampler)
-            assert np.allclose(eq.edge_loads, [1.0, 0.0, 1.0], atol=1e-12)
-            assert np.allclose(post.probs, theta.probs, atol=1e-14)
-            theta = post
+            eq, _, _, post = _one_stage(three_edge, theta, sampler)
+            assert np.allclose(eq.edge_loads[0], [1.0, 0.0, 1.0], atol=1e-12)
+            assert np.allclose(post[0], theta.probs, atol=1e-14)
+            theta = Belief(post[0])
 
     def test_point_mass_on_truth_unchanged(self, three_edge):
         theta = Belief([0.0, 0.0, 0.0, 1.0])
         sampler = NoiseSampler(three_edge.model.sigma, 5)
-        _, _, post = step(three_edge, theta, sampler)
-        assert np.array_equal(post.probs, theta.probs)
+        _, _, _, post = _one_stage(three_edge, theta, sampler)
+        assert np.array_equal(post[0], theta.probs)
 
     def test_record_chains_are_consistent(self, three_edge):
         sampler = NoiseSampler(three_edge.model.sigma, 11)
-        eq, obs, _ = step(three_edge, Belief.uniform(4), sampler)
-        assert np.array_equal(obs.loads, eq.edge_loads)
-        assert set(obs.used) == used_edges(
-            three_edge.network, eq.edge_loads, three_edge.used_edge_tol
+        eq, used, costs, _ = _one_stage(three_edge, Belief.uniform(4), sampler)
+        loads = eq.edge_loads[0]
+        assert _labels(three_edge, used[0]) == tuple(
+            e for e, w in zip(three_edge.network.edge_ids, loads) if w > three_edge.used_edge_tol
         )
+        assert np.array_equal(used, used_edges(three_edge.network, eq.edge_loads, three_edge.used_edge_tol))
+        assert np.isfinite(costs[used]).all() and np.isnan(costs[~used]).all()
 
 
 class TestRun:
@@ -203,7 +218,8 @@ class TestRun:
     def test_chain_consistency_with_replay(self, three_edge):
         traj = run(_with_rule(three_edge, max_stages=200), seed=3)
         replayed = replay_posterior(
-            three_edge.initial_belief, three_edge.model, traj.observations()
+            three_edge.initial_belief, three_edge.model, traj.used, traj.equilibria.edge_loads,
+            traj.costs,
         )
         assert np.max(np.abs(replayed.probs - traj.final_belief.probs)) <= 1e-9
 
@@ -211,9 +227,12 @@ class TestRun:
         # stage k updates belief row k - 1 with its observation into row k
         traj = run(_with_rule(three_edge, max_stages=80), seed=13)
         for k in range(1, traj.n_stages + 1):
-            prior = Belief(traj.beliefs[k - 1])
-            post = bayes_update(prior, three_edge.model, traj.observation(k))
-            assert np.array_equal(post.probs, traj.beliefs[k])
+            used = traj.used[k - 1]
+            post = bayes_update(
+                traj.beliefs[k - 1 : k], three_edge.model, tuple(np.flatnonzero(used).tolist()),
+                traj.equilibria.edge_loads[k - 1 : k], traj.costs[k - 1 : k, used],
+            )
+            assert np.array_equal(post[0], traj.beliefs[k])
 
     def test_window_requirement(self, three_edge):
         # a cap below the window is a rule that cannot be built
@@ -423,8 +442,9 @@ class TestLockstepBlocks:
             assert np.max(np.abs(traj.equilibria.edge_loads - loads)) <= 1e-12
             assert np.max(np.abs(traj.beliefs[1:] - beliefs)) <= 1e-12
             for k, rec in enumerate(records, start=1):
-                assert traj.observation(k).used == rec.observation.used
-                assert np.max(np.abs(traj.observation(k).costs - rec.observation.costs)) <= 1e-12
+                used = traj.used[k - 1]
+                assert _labels(scenario, used) == rec.observation.used
+                assert np.max(np.abs(traj.costs[k - 1, used] - rec.observation.costs)) <= 1e-12
 
     def test_correlated_noise_worker_count_does_not_change_outputs(self, correlated, tmp_path):
         seeds = list(range(12))
@@ -524,13 +544,13 @@ class TestLockstepBlocks:
         scenario = scenario_from_dict(wheatstone_poly_payload())
         starts, flows = [], []
 
-        def recording(network, model, probs, demand, **kw):
-            eq = solve_wardrop_block(network, model, probs, demand, **kw)
+        def recording(network, model, thetas, demand, **kw):
+            eq = solve_wardrop_batch(network, model, thetas, demand, **kw)
             starts.append(kw.get("init_flows"))
             flows.append(eq.route_flows)
             return eq
 
-        monkeypatch.setattr(dynamics, "solve_wardrop_block", recording)
+        monkeypatch.setattr(dynamics, "solve_wardrop_batch", recording)
         # a window as long as the run: every seed stays all 20 stages, in its row
         trajs = list(run_block(_with_rule(scenario, max_stages=20, window=20), [0, 1, 2]))
         assert [t.n_stages for t in trajs] == [20, 20, 20] and len(starts) == 20

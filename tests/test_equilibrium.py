@@ -20,7 +20,6 @@ from routelearn.equilibrium import (
     complete_info_equilibrium,
     solve_wardrop,
     solve_wardrop_batch,
-    solve_wardrop_block,
 )
 
 from oracles import (
@@ -55,7 +54,7 @@ def _solve_from_route(net, model, theta, demand, route, **kwargs):
     """One-row solve that starts with all demand on `route`."""
     start = np.zeros((1, net.n_routes))
     start[0, route] = demand
-    block = solve_wardrop_block(
+    block = solve_wardrop_batch(
         net, model, theta.probs[None, :], demand, init_flows=start, **kwargs
     )
     block.raise_unconverged()
@@ -293,7 +292,7 @@ class TestSolverProperties:
                 thetas = np.array(
                     [random_simplex(rng, model.n_states) for _ in range(25)]
                 )
-                eq = solve_wardrop_batch(net, model, thetas, demand)
+                eq = solve_wardrop_batch(net, model, thetas, demand, tol=1e-10)
                 batch_loads, gaps = eq.edge_loads, eq.gap
                 assert (gaps <= 1e-9).all()
                 for i in range(len(thetas)):
@@ -353,9 +352,8 @@ class TestSolverProperties:
         eq = solve_wardrop(net, model, Belief.point_mass(1, 0), 1.0)
         assert eq.edge_loads.tolist() == [1.0, 0.0]
         swapped = CostModel(["b", "a"], ["s"], fns, np.eye(2))
-        for solve in (solve_wardrop_block, solve_wardrop_batch):
-            with pytest.raises(CostError, match="edges"):
-                solve(net, swapped, np.ones((1, 1)), 1.0)
+        with pytest.raises(CostError, match="edges"):
+            solve_wardrop_batch(net, swapped, np.ones((1, 1)), 1.0)
 
 
 class TestBlockSolver:
@@ -366,7 +364,7 @@ class TestBlockSolver:
             for _ in range(8):
                 net, model, _, demand = random_multi_route_instance(rng, max_degree=max_degree)
                 thetas = np.array([random_simplex(rng, model.n_states) for _ in range(12)])
-                block = solve_wardrop_block(net, model, thetas, demand)
+                block = solve_wardrop_batch(net, model, thetas, demand)
                 assert block.converged.all()
                 for i, theta in enumerate(thetas):
                     eq = solve_wardrop(net, model, Belief(theta), demand)
@@ -380,7 +378,7 @@ class TestBlockSolver:
             for _ in range(8):
                 net, model, _, demand = random_multi_route_instance(rng, max_degree=max_degree)
                 thetas = np.array([random_simplex(rng, model.n_states) for _ in range(6)])
-                block = solve_wardrop_block(net, model, thetas, demand)
+                block = solve_wardrop_batch(net, model, thetas, demand)
                 for i, theta in enumerate(thetas):
                     ref = _oracle(model, theta)(net, model, Belief(theta), demand)
                     assert np.max(np.abs(block.edge_loads[i] - ref.edge_loads)) <= 1e-12 * max(
@@ -392,7 +390,7 @@ class TestBlockSolver:
         thetas = rng.dirichlet(np.ones(4), size=40)
         thetas[::4, 1] = 0.0
         thetas /= thetas.sum(axis=1, keepdims=True)
-        block = solve_wardrop_block(three_edge.network, three_edge.model, thetas, 1.0)
+        block = solve_wardrop_batch(three_edge.network, three_edge.model, thetas, 1.0)
         for i, theta in enumerate(thetas):
             ref = reference_solve_wardrop(three_edge.network, three_edge.model, Belief(theta), 1.0)
             assert np.array_equal(block.edge_loads[i], ref.edge_loads)
@@ -408,7 +406,7 @@ class TestBlockSolver:
             fns[(e, "quad")] = CostFunction.polynomial([1.0, 1.0, 0.5])
         model = CostModel(net.edge_ids, ["lin", "quad"], fns, np.eye(net.n_edges))
         thetas = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
-        block = solve_wardrop_block(net, model, thetas, 1.0)
+        block = solve_wardrop_batch(net, model, thetas, 1.0)
         for i, theta in enumerate(thetas):
             ref = _oracle(model, theta)(net, model, Belief(theta), 1.0)
             assert np.max(np.abs(block.edge_loads[i] - ref.edge_loads)) <= 1e-12
@@ -422,7 +420,7 @@ class TestBlockSolver:
         monkeypatch.setattr(equilibrium, "_MAX_ROUNDS", rounds)
         scenario = scenario_from_dict(wheatstone_poly_payload())
         thetas = np.array([[0.25] * 4, [0.5, 0.5, 0.0, 0.0]])
-        block = solve_wardrop_block(scenario.network, scenario.model, thetas, 1.0)
+        block = solve_wardrop_batch(scenario.network, scenario.model, thetas, 1.0)
         assert (block.n_iterations == rounds).all()
         assert (block.converged == certified).all()
         if certified:
@@ -435,7 +433,7 @@ class TestBlockSolver:
 
     def test_invalid_block_shape(self, three_edge):
         with pytest.raises(ValueError, match="belief matrix"):
-            solve_wardrop_block(three_edge.network, three_edge.model, np.full((2, 3), 1 / 3), 1.0)
+            solve_wardrop_batch(three_edge.network, three_edge.model, np.full((2, 3), 1 / 3), 1.0)
 
 
 class TestInitFlows:
@@ -462,20 +460,20 @@ class TestInitFlows:
     def test_invalid_start_raises_naming_it(self, bad, match):
         net, model, thetas, demand = self._case()
         with pytest.raises(ValueError, match=match):
-            solve_wardrop_block(net, model, thetas, demand, init_flows=bad)
+            solve_wardrop_batch(net, model, thetas, demand, init_flows=bad)
 
     def test_row_sum_within_rounding_is_accepted(self):
         net, model, thetas, demand = self._case()
         start = np.array([[1.0 / 3.0] * 3] * 3) * demand
         start[:, 0] += 5e-10 * demand
-        assert solve_wardrop_block(net, model, thetas, demand, init_flows=start).converged.all()
+        assert solve_wardrop_batch(net, model, thetas, demand, init_flows=start).converged.all()
 
     def test_default_start_given_explicitly_gives_the_same_bits(self):
         net, model, thetas, demand = self._case()
         free_flow = net.incidence.T @ model.mixed_coefficients_batch(thetas)[:, :, 0].T
         start = np.eye(net.n_routes)[free_flow.argmin(axis=0)] * demand
-        given = solve_wardrop_block(net, model, thetas, demand, init_flows=start)
-        default = solve_wardrop_block(net, model, thetas, demand)
+        given = solve_wardrop_batch(net, model, thetas, demand, init_flows=start)
+        default = solve_wardrop_batch(net, model, thetas, demand)
         for field in ("route_flows", "edge_loads", "gap", "route_costs", "n_iterations",
                       "potential", "converged"):
             assert np.array_equal(getattr(given, field), getattr(default, field)), field
@@ -484,13 +482,13 @@ class TestInitFlows:
         net, model, thetas, demand = self._case()
         start = np.full((3, net.n_routes), demand / net.n_routes)
         kept = start.copy()
-        solve_wardrop_block(net, model, thetas, demand, init_flows=start)
+        solve_wardrop_batch(net, model, thetas, demand, init_flows=start)
         assert np.array_equal(start, kept)
 
     def test_start_at_the_equilibrium_certifies_at_iteration_1(self):
         net, model, thetas, demand = self._case()
-        cold = solve_wardrop_block(net, model, thetas, demand)
-        warm = solve_wardrop_block(net, model, thetas, demand, init_flows=cold.route_flows)
+        cold = solve_wardrop_batch(net, model, thetas, demand)
+        warm = solve_wardrop_batch(net, model, thetas, demand, init_flows=cold.route_flows)
         assert warm.converged.all() and (warm.n_iterations == 1).all()
         assert np.max(np.abs(warm.edge_loads - cold.edge_loads)) <= 1e-12
 
@@ -502,10 +500,10 @@ class TestInitFlows:
                 net, model, _, demand = random_multi_route_instance(rng, max_degree=max_degree)
                 thetas = np.array([random_simplex(rng, model.n_states) for _ in range(10)])
                 starts = rng.dirichlet(np.ones(net.n_routes), size=len(thetas)) * demand
-                block = solve_wardrop_block(net, model, thetas, demand, init_flows=starts)
+                block = solve_wardrop_batch(net, model, thetas, demand, init_flows=starts)
                 assert block.converged.all()
                 for i, theta in enumerate(thetas):
-                    one = solve_wardrop_block(
+                    one = solve_wardrop_batch(
                         net, model, theta[None, :], demand, init_flows=starts[i : i + 1]
                     )
                     assert np.array_equal(block.route_flows[i], one.route_flows[0])
@@ -523,7 +521,7 @@ class TestDrainTable:
         free_flow = net.incidence.T @ table.coeffs[:, :, 0]  # (routes, states)
         assert (free_flow.argmin(axis=0) == 2).all()  # every solve starts on the zig-zag
         thetas = np.eye(model.n_states)
-        block = solve_wardrop_block(net, model, thetas, scenario.demand)
+        block = solve_wardrop_batch(net, model, thetas, scenario.demand)
         assert block.converged.all()
         for i, theta in enumerate(thetas):
             eq = solve_wardrop(net, model, Belief(theta), scenario.demand)
@@ -594,7 +592,7 @@ class TestPolynomialSafeguard:
     def test_drain_table_point_masses(self):
         scenario = scenario_from_dict(wheatstone_drain_table().to_scenario())
         net, model = scenario.network, scenario.model
-        block = solve_wardrop_block(net, model, np.eye(model.n_states), scenario.demand)
+        block = solve_wardrop_batch(net, model, np.eye(model.n_states), scenario.demand)
         assert block.converged.all()
         for i, theta in enumerate(np.eye(model.n_states)):
             # the reference loop drains the zig-zag only at O(1/k): start it elsewhere
@@ -675,11 +673,11 @@ class TestBatchSolverRows:
         # its own; on the grids, active routes have dependent incidence columns
         scenario = scenario_from_dict(payload)
         net, model = scenario.network, scenario.model
-        eq = solve_wardrop_block(net, model, thetas, 1.0, tol=1e-10, init_flows=starts)
+        eq = solve_wardrop_batch(net, model, thetas, 1.0, tol=1e-10, init_flows=starts)
         assert eq.converged.all()
         for i, theta in enumerate(thetas):
             start = None if starts is None else starts[i : i + 1]
-            alone = solve_wardrop_block(net, model, theta[None, :], 1.0, tol=1e-10, init_flows=start)
+            alone = solve_wardrop_batch(net, model, theta[None, :], 1.0, tol=1e-10, init_flows=start)
             assert np.array_equal(eq.route_flows[i], alone.route_flows[0])
             assert np.array_equal(eq.edge_loads[i], alone.edge_loads[0])
             assert eq.gap[i] == alone.gap[0]
@@ -701,14 +699,14 @@ class TestBatchSolverRows:
         thetas = np.array([random_simplex(rng, model.n_states) for _ in range(16)])
         thetas[::2, -1] = 0.0
         thetas /= thetas.sum(axis=1, keepdims=True)
-        eq = solve_wardrop_batch(net, model, thetas, demand)
+        eq = solve_wardrop_batch(net, model, thetas, demand, tol=1e-10)
         assert eq.converged.all()
         order = rng.permutation(len(thetas))
-        shuffled = solve_wardrop_batch(net, model, thetas[order], demand)
+        shuffled = solve_wardrop_batch(net, model, thetas[order], demand, tol=1e-10)
         assert np.array_equal(shuffled.edge_loads, eq.edge_loads[order])
         assert np.array_equal(shuffled.gap, eq.gap[order])
         for i, theta in enumerate(thetas):
-            alone = solve_wardrop_batch(net, model, theta[None, :], demand)
+            alone = solve_wardrop_batch(net, model, theta[None, :], demand, tol=1e-10)
             assert np.array_equal(eq.edge_loads[i], alone.edge_loads[0])
             assert eq.gap[i] == alone.gap[0]
             _assert_matches_reference(net, model, theta, demand, eq.edge_loads[i])
@@ -734,7 +732,7 @@ class TestCertificatesAtReturnedFlows:
     evaluation of the whole block at the returned flows, bit for bit."""
 
     def check(self, net, model, thetas, demand, **kwargs):
-        block = solve_wardrop_block(net, model, thetas, demand, **kwargs)
+        block = solve_wardrop_batch(net, model, thetas, demand, **kwargs)
         w, t, phi = reference_block_evaluation(net, model, thetas, block.route_flows)
         assert _same_bits(block.edge_loads, w)
         assert _same_bits(block.route_costs, t)

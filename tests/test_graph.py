@@ -88,24 +88,39 @@ class TestEdgeLoads:
 
 class TestUsedEdges:
     def test_complete_information_load(self, three_edge_net):
-        assert used_edges(three_edge_net, [1.0, 0.5, 0.5], 1e-9) == {"e1", "e2", "e3"}
+        assert used_edges(three_edge_net, [1.0, 0.5, 0.5], 1e-9).tolist() == [True, True, True]
 
     def test_rest_point_load(self, three_edge_net):
-        assert used_edges(three_edge_net, [1.0, 0.0, 1.0], 1e-9) == {"e1", "e3"}
+        assert used_edges(three_edge_net, [1.0, 0.0, 1.0], 1e-9).tolist() == [True, False, True]
 
     def test_zero_load(self, three_edge_net):
-        assert used_edges(three_edge_net, [0.0, 0.0, 0.0], 0.0) == frozenset()
+        assert not used_edges(three_edge_net, [0.0, 0.0, 0.0], 0.0).any()
+
+    def test_load_at_the_tolerance_is_unused(self, three_edge_net):
+        assert used_edges(three_edge_net, [1e-9, 2e-9, 0.0], 1e-9).tolist() == [False, True, False]
 
     def test_monotone_in_tolerance(self, three_edge_net):
         rng = np.random.default_rng(11)
         for _ in range(40):
             w = rng.uniform(0.0, 1e-6, size=3)
             t1, t2 = sorted(rng.uniform(0.0, 1e-6, size=2))
-            assert used_edges(three_edge_net, w, t2) <= used_edges(three_edge_net, w, t1)
+            assert (used_edges(three_edge_net, w, t2) <= used_edges(three_edge_net, w, t1)).all()
+
+    def test_any_leading_shape_row_by_row(self, three_edge_net):
+        w = np.random.default_rng(12).uniform(0.0, 2e-9, size=(4, 5, 3))
+        mask = used_edges(three_edge_net, w, 1e-9)
+        assert mask.shape == (4, 5, 3)
+        for i, j in np.ndindex(4, 5):
+            assert np.array_equal(mask[i, j], used_edges(three_edge_net, w[i, j], 1e-9))
 
     def test_negative_tolerance_rejected(self, three_edge_net):
         with pytest.raises(ValueError):
             used_edges(three_edge_net, [1.0, 0.0, 0.0], -1.0)
+
+    @pytest.mark.parametrize("loads", [[1.0, 0.0], [[1.0, 0.0, 0.0, 1.0]], 1.0])
+    def test_loads_need_one_entry_per_edge(self, three_edge_net, loads):
+        with pytest.raises(NetworkError, match="load vector has shape"):
+            used_edges(three_edge_net, loads, 1e-9)
 
 
 class TestUnderlyingGraph:

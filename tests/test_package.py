@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import ast
+import functools
 import importlib
 import inspect
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import routelearn
@@ -95,7 +97,7 @@ def test_import_leaves_scipy_unloaded(tmp_path):
     # names still resolve as if the package root imported every module,
     # which never included the command line
     loaded = _loaded_after(
-        "import routelearn; routelearn.equilibrium.solve_wardrop_block; "
+        "import routelearn; routelearn.equilibrium.solve_wardrop_batch; "
         "assert not hasattr(routelearn, 'cli')"
     )
     assert "routelearn.equilibrium" in loaded and "routelearn.cli" not in loaded
@@ -139,3 +141,48 @@ def test_names_the_benchmark_binds_resolve():
     chunk = inspect.signature(analysis.enumerate_rest_points).parameters["chunk_size"].default
     assert type(chunk) is int and chunk > 0
     assert next(analysis._simplex_grid_chunks(3, 2, chunk)).shape == (6, 3)
+
+
+def test_the_traced_layers_run(tmp_path, monkeypatch):
+    # a traced name that no command calls reads 0 in every per-layer metric;
+    # wrap each target by identity in every routelearn module, as the tracer
+    # does, and run each command on a small three-edge case
+    for name in ("analysis", "belief", "cli", "dynamics", "equilibrium", "scenario"):
+        importlib.import_module(f"routelearn.{name}")
+    modules = [m for n, m in list(sys.modules.items()) if n.split(".")[0] == "routelearn"]
+    calls: Counter = Counter()
+
+    def counting(target, fn):
+        @functools.wraps(fn)
+        def counted(*args, **kwargs):
+            calls[target] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    targets = _tracer_targets()
+    for module_name, attr in targets:
+        owner = importlib.import_module(module_name)
+        if "." in attr:
+            cls_name, method = attr.split(".")
+            cls = getattr(owner, cls_name)
+            monkeypatch.setattr(cls, method, counting((module_name, attr), cls.__dict__[method]))
+            continue
+        original = getattr(owner, attr)
+        wrapper = counting((module_name, attr), original)
+        for module in modules:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, wrapper)
+
+    cli = importlib.import_module("routelearn.cli")
+    common = ["--scenario", "three-edge", "--out-dir", str(tmp_path)]
+    for command in (
+        ["run", "--seed", "0"],
+        ["batch", "--seeds", "0..3", "--workers", "1", "--save-trajectories"],
+        ["enumerate", "--grid-n", "10"],
+        ["check", "--grid-n", "5"],
+    ):
+        assert cli.main([command[0], *common, *command[1:]]) == 0
+    assert len(targets) == 19
+    assert [t for t in targets if not calls[t]] == []
