@@ -2,10 +2,11 @@
 
 Each stage plays the Wardrop equilibrium of the current public belief,
 realizes Gaussian-noised costs on the used edges, and applies the Bayes
-update. Seeds advance in lockstep blocks: a stage of a block is one batched
-equilibrium solve, one likelihood and Bayes update per set of used edges,
-and one stopping-window test, and each seed leaves its block once it
-converges or reaches max_stages. Each stage starts its equilibrium solve
+update. Seeds advance in lockstep blocks: a stage of a block (`step`) is
+one batched equilibrium solve, the used-edge mask and realized costs of
+every row, and one likelihood and Bayes update per set of used edges. After
+each stage one stopping-window test runs, and each seed leaves its block
+once it converges or reaches max_stages. Each stage starts its equilibrium solve
 from the seed's previous equilibrium, so polynomial costs need only a Newton
 step or two once the belief settles. Every row of a block is computed as it
 would be alone, from its own history, so a trajectory does not depend on

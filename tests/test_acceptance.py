@@ -207,7 +207,7 @@ def test_criterion_7_martingale_property(three_edge):
 
 
 def test_criterion_8a_replay_matches_fold():
-    from test_belief import fold_updates, make_model, random_history  # reuse the builders
+    from test_belief import fold_updates, make_model, random_history  # the same histories
 
     rng = np.random.default_rng(88)
     worst = 0.0
