@@ -349,10 +349,14 @@ def monte_carlo(
 ) -> BatchSummary:
     """Independent trajectories for each seed, merged after completion.
 
-    The seeds are split into contiguous blocks, one per worker, and each
-    block advances in lockstep. Results are keyed by seed and identical
-    regardless of worker count: each trajectory draws from its own generator
-    seeded by its own seed, and a block computes every row as it would alone.
+    The seeds are split into contiguous blocks, one per worker but no more
+    than there are seeds, and each block advances in lockstep. The calling
+    process runs the first block while a process pool runs the others, so
+    `workers` k starts at most k - 1 processes, and one block starts none.
+    The first failing block, in block order, raises. Results are keyed by
+    seed and identical regardless of worker count: each trajectory draws
+    from its own generator seeded by its own seed, and a block computes
+    every row as it would alone.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
@@ -367,14 +371,15 @@ def monte_carlo(
         (scenario, seed_list[lo:hi], trajectory_dir)
         for lo, hi in zip(bounds, bounds[1:])
     ]
-    if workers == 1:
-        blocks = [_run_block_case(a) for a in args]
+    if n_blocks == 1:
+        blocks = [_run_block_case(args[0])]
     else:
         # imported here: it loads multiprocessing, which only a pool needs
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=n_blocks) as pool:
-            blocks = list(pool.map(_run_block_case, args))
+        with ProcessPoolExecutor(max_workers=n_blocks - 1) as pool:
+            rest = pool.map(_run_block_case, args[1:])  # submitted before block 0 runs here
+            blocks = [_run_block_case(args[0]), *rest]
     summaries = [s for block in blocks for s in block]
 
     groups: dict[tuple[str, ...], list[TrajectorySummary]] = {}

@@ -183,22 +183,23 @@ def _face_polish(
     demand: float,
     q: np.ndarray,
     loads: np.ndarray,
+    edge_costs: np.ndarray,
     costs: np.ndarray,
     settled: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Newton steps on the equal-cost system of each row's active route set.
 
-    Each row starts from its flows in `q`, at `loads` and route `costs`.
-    The active set is the row's positive routes plus its cheapest one. A
-    step solves the equal-cost linear system on that set, with each edge
-    cost linearized at the current loads (intercept c(w) - c'(w) w, slope
-    c'(w)), and drops negative flows active-set style; rows with the same
-    active set share one stacked solve. The system is solved on a maximal
-    independent subset of the active routes, with a 1 appended to each
-    incidence column for the demand row: it is singular exactly when those
-    columns are dependent, and a dependent route's cost is then an affine
-    combination of the kept routes' costs, equal to theirs when theirs are
-    equal.
+    Each row starts from its flows in `q`, at `loads`, edge costs
+    `edge_costs` and route `costs`. The active set is the row's positive
+    routes plus its cheapest one. A step solves the equal-cost linear
+    system on that set, with each edge cost linearized at the current loads
+    (intercept c(w) - c'(w) w, slope c'(w)), and drops negative flows
+    active-set style; rows with the same active set share one stacked
+    solve. The system is solved on a maximal independent subset of the
+    active routes, with a 1 appended to each incidence column for the
+    demand row: it is singular exactly when those columns are dependent,
+    and a dependent route's cost is then an affine combination of the kept
+    routes' costs, equal to theirs when theirs are equal.
 
     Affine rows take their own coefficients, so one step solves their
     system exactly; such a row is certified when its new flows pass the
@@ -207,7 +208,11 @@ def _face_polish(
     certified when a step from flows that already pass passes again, which
     leaves them at rounding level. Certified rows leave, and the others
     step again from their new flows, with the cheapest route at them added
-    to the set.
+    to the set. A polynomial row carries its loads and edge costs from the
+    evaluation that tested its last step (at first the start's) and
+    linearizes from them, so each point is evaluated once. While the rows
+    still stepping are every row of the block, in order, a group reads the
+    per-row arrays through views instead of gathered copies.
 
     `_ROUND` steps make a round; rows in `settled` stop after the first
     round, the others after `_MAX_ROUNDS`. The first round takes full
@@ -216,7 +221,8 @@ def _face_polish(
     rows and the number of rounds each row took. Each certified row's flows
     are written into its row of `q`, and the loads and route costs at them,
     from the evaluation that certified them, into `loads` and `costs`;
-    other rows of the three arrays are left as they were.
+    other rows of the three arrays are left as they were, and `edge_costs`
+    is overwritten.
     """
     n, n_routes = q.shape
     affine = ~coef[2:].any(axis=(0, 2))
@@ -229,39 +235,47 @@ def _face_polish(
     if polynomial:
         icpt, slope = icpt.copy(), slope.copy()
         dcoef = coef[1:] * np.arange(1, len(coef))[:, None, None]  # c', degree-major
+        at_w, at_c = loads.copy(), edge_costs  # loads and edge costs at each row's flows
+        every = slice(None) if not affine.any() else np.flatnonzero(~affine)
     incidence = inc.tobytes()
     ok = np.zeros(n, dtype=bool)
     passed = np.zeros(n, dtype=bool)  # the current flows pass the cost test
     rounds = np.ones(n, dtype=np.intp)
     live = np.arange(n)
+    whole = True  # `live` is every row of the block, in order
     for it in range(_ROUND * _MAX_ROUNDS):
         if it and not it % _ROUND:
-            live = live[~settled[live]]
+            stay = ~settled[live]
+            if not stay.all():
+                live, whole = live[stay], False
             rounds[live] += 1
             if polynomial and it == _ROUND:
-                phi = _potential(pcoef, np.matvec(inc, flows))  # at each row's current flows
+                phi = _potential(pcoef, at_w)  # at each row's current flows
         if polynomial:
-            lin = live[~affine[live]]
-            w = np.matvec(inc, flows[lin])
+            lin = every if whole else live[~affine[live]]
+            w = at_w[lin]
             slope[lin] = polyval_ascending(dcoef[:, lin], w, axis=0)
-            icpt[lin] = polyval_ascending(coef[:, lin], w, axis=0) - slope[lin] * w
+            icpt[lin] = at_c[lin] - slope[lin] * w
         again = []
-        pending = live
+        pending, view = live, whole
+        whole = False
         while pending.size:
             retry = []
             for pattern, sub in row_groups(active[pending]):
                 rows = pending[sub]
+                # one group of every row comes in order: read views, not copies
+                sel = slice(None) if view and len(sub) == n else rows
                 routes = _independent(incidence, n_routes, pattern.tobytes())
                 k = len(routes)
                 if k == 1:
                     sol = np.full((len(rows), 1), demand)
                 else:
                     # each active route's cost minus the last one's, then the demand
-                    route_slope = inc.T @ (slope[rows][:, :, None] * inc)
-                    s = route_slope[:, routes[:, None], routes]
+                    inc_k = inc[:, routes]
+                    s = inc_k.T @ (slope[sel, :, None] * inc_k)
                     m = s - s[:, -1:]
                     m[:, -1] = 1.0
-                    f = np.matvec(inc.T, icpt[rows])[:, routes]
+                    f = np.matvec(inc.T, icpt[sel])[:, routes]
                     rhs = f[:, -1:] - f
                     rhs[:, -1] = demand
                     sol = np.linalg.solve(m, rhs[:, :, None])[:, :, 0]
@@ -270,6 +284,7 @@ def _face_polish(
                         active[rows[drop], routes[np.argmin(sol[drop], axis=1)]] = False
                         retry.append(rows[drop])
                         rows, sol = rows[~drop], sol[~drop]
+                        sel = rows
 
                 cand = np.zeros((len(rows), n_routes))
                 cand[:, routes] = np.maximum(sol, 0.0)
@@ -277,16 +292,17 @@ def _face_polish(
                 cand[np.arange(len(rows)), top] += demand - np.add.reduce(cand, axis=1)
                 wc = np.matvec(inc, cand)
                 if polynomial and it >= _ROUND:
-                    at = _potential(pcoef[:, rows], wc)
-                    ceil = phi[rows] * (1.0 + 1e-12)  # potentials are sums of nonnegative terms
-                    up = ~affine[rows] & (at > ceil)
+                    at = _potential(pcoef[:, sel], wc)
+                    ceil = phi[sel] * (1.0 + 1e-12)  # potentials are sums of nonnegative terms
+                    up = ~affine[sel] & (at > ceil)
                     if up.any():
                         r = rows[up]
                         cand[up], wc[up], at[up] = _backtrack(
                             inc, pcoef[:, r], ceil[up], flows[r], cand[up]
                         )
-                    phi[rows] = at
-                t = np.matvec(inc.T, polyval_ascending(coef[:, rows], wc, axis=0))
+                    phi[sel] = at
+                ec = polyval_ascending(coef[:, sel], wc, axis=0)
+                t = np.matvec(inc.T, ec)
                 on = t[:, routes]
                 common = np.add.reduce(on, axis=1) / k
                 scale = 1e-9 * (1.0 + np.abs(common))
@@ -294,19 +310,22 @@ def _face_polish(
                 if k > 1:
                     bad |= row_max(np.abs(on - common[:, None])) > scale
                 # a step from flows that pass is exact to rounding
-                good = ~bad & (affine[rows] | passed[rows])
-                passed[rows] = ~bad
+                good = ~bad & (affine[sel] | passed[sel])
+                passed[sel] = ~bad
                 fin = rows[good]
                 q[fin], loads[fin], costs[fin] = cand[good], wc[good], t[good]
                 ok[fin] = True
                 step = ~good
                 if step.any():
+                    whole = isinstance(sel, slice) and step.all()
                     rows, cand = rows[step], cand[step]
                     flows[rows] = cand
+                    if polynomial:
+                        at_w[rows], at_c[rows] = wc[step], ec[step]
                     active[rows] = cand > 1e-12 * demand
                     active[rows, np.argmin(t[step], axis=1)] = True
                     again.append(rows)
-            pending = np.concatenate(retry) if retry else pending[:0]
+            pending, view = (np.concatenate(retry) if retry else pending[:0]), False
         if not again:
             break
         live = np.concatenate(again)
@@ -373,7 +392,8 @@ def solve_wardrop_batch(
         q = _start_flows(init_flows, n, n_routes, demand)
 
     loads = np.matvec(inc, q)
-    route_costs = np.matvec(inc.T, polyval_ascending(coef, loads, axis=0))
+    edge_costs = polyval_ascending(coef, loads, axis=0)
+    route_costs = np.matvec(inc.T, edge_costs)
     potential = _potential(pcoef, loads)
     # potentials and route costs are nonnegative: no abs() needed below
     t_min = row_min(route_costs)
@@ -383,7 +403,9 @@ def solve_wardrop_batch(
     used = q > 1e-9 * demand
     worst = row_max(np.where(used, route_costs, -np.inf)) - t_min
     settled = (rel_gap <= tol) | (worst <= tol * np.maximum(1.0, t_min))
-    ok, n_iter = _face_polish(inc, coef, pcoef, demand, q, loads, route_costs, settled)
+    ok, n_iter = _face_polish(
+        inc, coef, pcoef, demand, q, loads, edge_costs, route_costs, settled
+    )
     np.copyto(potential, _potential(pcoef, loads), where=ok)
 
     # final certificates at the returned point

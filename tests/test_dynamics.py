@@ -251,8 +251,15 @@ class TestMonteCarlo:
         assert np.array_equal(got.terminal_belief, single.terminal_belief)
         assert batch.clusters[0].count == 1
 
-    def test_pool_starts_one_process_per_block(self, three_edge, monkeypatch):
-        # two seeds make two blocks, so four workers start only two processes
+    @pytest.mark.parametrize(
+        "seeds, workers, processes",
+        # two seeds make two blocks, so four workers start one process for
+        # the second block; one seed is one block, run without a pool
+        [([1, 2], 4, 1), ([1], 4, 0), ([1, 2, 3], 3, 2)],
+    )
+    def test_pool_starts_one_process_per_block_after_the_first(
+        self, three_edge, monkeypatch, seeds, workers, processes
+    ):
         started = []
         spawn = ProcessPoolExecutor._spawn_process
 
@@ -261,9 +268,9 @@ class TestMonteCarlo:
             spawn(pool)
 
         monkeypatch.setattr(ProcessPoolExecutor, "_spawn_process", counting)
-        batch = monte_carlo(_with_rule(three_edge, max_stages=55), [1, 2], workers=4)
-        assert [s.seed for s in batch.summaries] == [1, 2]
-        assert len(started) == 2
+        batch = monte_carlo(_with_rule(three_edge, max_stages=55), seeds, workers=workers)
+        assert [s.seed for s in batch.summaries] == seeds
+        assert len(started) == processes
 
     def test_duplicate_seeds_rejected(self, three_edge):
         with pytest.raises(ValueError):
@@ -568,6 +575,15 @@ class TestLockstepBlocks:
         scenario = scenario_from_dict(wheatstone_poly_payload())
         with pytest.raises(SolverError, match="seed 11, stage 1: no convergence after round 1") as info:
             monte_carlo(scenario, [11, 12])
+        assert info.value.best is not None
+
+    def test_nonconvergence_in_a_pool_names_the_first_block(self, monkeypatch):
+        # the calling process runs block 0 (seed 11), so its error surfaces
+        # as with one worker, not seed 12's from the pool's block
+        monkeypatch.setattr(equilibrium, "_face_polish", certify_nothing)
+        scenario = scenario_from_dict(wheatstone_poly_payload())
+        with pytest.raises(SolverError, match="seed 11, stage 1: no convergence after round 1") as info:
+            monte_carlo(scenario, [11, 12], workers=2)
         assert info.value.best is not None
 
     def test_invalid_stopping_rule_fails_before_any_work(self, three_edge):
