@@ -349,14 +349,12 @@ def monte_carlo(
 ) -> BatchSummary:
     """Independent trajectories for each seed, merged after completion.
 
-    The seeds are split into contiguous blocks, one per worker but no more
-    than there are seeds, and each block advances in lockstep. The calling
-    process runs the first block while a process pool runs the others, so
-    `workers` k starts at most k - 1 processes, and one block starts none.
-    The first failing block, in block order, raises. Results are keyed by
-    seed and identical regardless of worker count: each trajectory draws
-    from its own generator seeded by its own seed, and a block computes
-    every row as it would alone.
+    The seeds are split into at most `workers` contiguous blocks, each
+    advancing in lockstep. The calling process runs the first block and a
+    pool of one process per other block the rest, so errors surface in
+    block order. Results are keyed by seed and identical regardless of
+    worker count: each trajectory draws from its own generator seeded by
+    its own seed, and a block computes every row as it would alone.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")

@@ -15,11 +15,13 @@ uncertified backtrack, so that no later step raises the potential.
 Interior solutions come out at machine precision and unused routes at
 exactly zero flow.
 
-A row's certificates come from the evaluation that certified it: the
-polish's loads and route costs at the flows it returns, or the start's for
-a row left at its start. The reported relative gap bounds the row's
-suboptimality: it is the smaller of the duality gap at the returned flows
-and the distance to the start's duality bound.
+Each point is evaluated once: a polynomial row linearizes at the loads and
+edge costs of the evaluation that tested its last step, and a row's
+certificates come from the evaluation that certified it, or the start's for
+a row left at its start. While the stepping rows are the whole block, in
+order, the polish reads its per-row arrays through views. The reported
+relative gap bounds the row's suboptimality: it is the smaller of the
+duality gap at the returned flows and the distance to the start's bound.
 """
 
 from __future__ import annotations
@@ -189,17 +191,17 @@ def _face_polish(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Newton steps on the equal-cost system of each row's active route set.
 
-    Each row starts from its flows in `q`, at `loads`, edge costs
-    `edge_costs` and route `costs`. The active set is the row's positive
-    routes plus its cheapest one. A step solves the equal-cost linear
-    system on that set, with each edge cost linearized at the current loads
-    (intercept c(w) - c'(w) w, slope c'(w)), and drops negative flows
-    active-set style; rows with the same active set share one stacked
-    solve. The system is solved on a maximal independent subset of the
-    active routes, with a 1 appended to each incidence column for the
-    demand row: it is singular exactly when those columns are dependent,
-    and a dependent route's cost is then an affine combination of the kept
-    routes' costs, equal to theirs when theirs are equal.
+    Each row starts from its flows in `q`, at `loads` and route `costs`.
+    The active set is the row's positive routes plus its cheapest one. A
+    step solves the equal-cost linear system on that set, with each edge
+    cost linearized at the current loads (intercept c(w) - c'(w) w, slope
+    c'(w)), and drops negative flows active-set style; rows with the same
+    active set share one stacked solve. The system is solved on a maximal
+    independent subset of the active routes, with a 1 appended to each
+    incidence column for the demand row: it is singular exactly when those
+    columns are dependent, and a dependent route's cost is then an affine
+    combination of the kept routes' costs, equal to theirs when theirs are
+    equal.
 
     Affine rows take their own coefficients, so one step solves their
     system exactly; such a row is certified when its new flows pass the
@@ -208,11 +210,11 @@ def _face_polish(
     certified when a step from flows that already pass passes again, which
     leaves them at rounding level. Certified rows leave, and the others
     step again from their new flows, with the cheapest route at them added
-    to the set. A polynomial row carries its loads and edge costs from the
-    evaluation that tested its last step (at first the start's) and
-    linearizes from them, so each point is evaluated once. While the rows
-    still stepping are every row of the block, in order, a group reads the
-    per-row arrays through views instead of gathered copies.
+    to the set. A polynomial row linearizes at the loads and edge costs of
+    the evaluation that tested its last step, at first `loads` and
+    `edge_costs` (which it overwrites), so each point is evaluated once.
+    While the stepping rows are every row of the block, in order, a group
+    reads the per-row arrays through views instead of gathered copies.
 
     `_ROUND` steps make a round; rows in `settled` stop after the first
     round, the others after `_MAX_ROUNDS`. The first round takes full
@@ -221,8 +223,7 @@ def _face_polish(
     rows and the number of rounds each row took. Each certified row's flows
     are written into its row of `q`, and the loads and route costs at them,
     from the evaluation that certified them, into `loads` and `costs`;
-    other rows of the three arrays are left as they were, and `edge_costs`
-    is overwritten.
+    other rows of the three arrays are left as they were.
     """
     n, n_routes = q.shape
     affine = ~coef[2:].any(axis=(0, 2))
@@ -245,9 +246,7 @@ def _face_polish(
     whole = True  # `live` is every row of the block, in order
     for it in range(_ROUND * _MAX_ROUNDS):
         if it and not it % _ROUND:
-            stay = ~settled[live]
-            if not stay.all():
-                live, whole = live[stay], False
+            live, whole = live[~settled[live]], whole and not settled.any()
             rounds[live] += 1
             if polynomial and it == _ROUND:
                 phi = _potential(pcoef, at_w)  # at each row's current flows
@@ -257,14 +256,12 @@ def _face_polish(
             slope[lin] = polyval_ascending(dcoef[:, lin], w, axis=0)
             icpt[lin] = at_c[lin] - slope[lin] * w
         again = []
-        pending, view = live, whole
-        whole = False
+        pending, view, whole = live, whole, False
         while pending.size:
             retry = []
             for pattern, sub in row_groups(active[pending]):
                 rows = pending[sub]
-                # one group of every row comes in order: read views, not copies
-                sel = slice(None) if view and len(sub) == n else rows
+                sel = slice(None) if view and len(sub) == n else rows  # the whole block, in order
                 routes = _independent(incidence, n_routes, pattern.tobytes())
                 k = len(routes)
                 if k == 1:
@@ -312,19 +309,22 @@ def _face_polish(
                 # a step from flows that pass is exact to rounding
                 good = ~bad & (affine[sel] | passed[sel])
                 passed[sel] = ~bad
-                fin = rows[good]
-                q[fin], loads[fin], costs[fin] = cand[good], wc[good], t[good]
-                ok[fin] = True
-                step = ~good
-                if step.any():
-                    whole = isinstance(sel, slice) and step.all()
-                    rows, cand = rows[step], cand[step]
-                    flows[rows] = cand
-                    if polynomial:
-                        at_w[rows], at_c[rows] = wc[step], ec[step]
-                    active[rows] = cand > 1e-12 * demand
-                    active[rows, np.argmin(t[step], axis=1)] = True
-                    again.append(rows)
+                whole = isinstance(sel, slice)  # unless a row leaves below
+                if good.any():
+                    fin = rows[good]
+                    q[fin], loads[fin], costs[fin] = cand[good], wc[good], t[good]
+                    ok[fin] = True
+                    step = ~good
+                    if not step.any():
+                        continue
+                    rows, cand, wc, ec, t = rows[step], cand[step], wc[step], ec[step], t[step]
+                    whole = False
+                flows[rows] = cand
+                if polynomial:
+                    at_w[rows], at_c[rows] = wc, ec
+                active[rows] = cand > 1e-12 * demand
+                active[rows, np.argmin(t, axis=1)] = True
+                again.append(rows)
             pending, view = (np.concatenate(retry) if retry else pending[:0]), False
         if not again:
             break
