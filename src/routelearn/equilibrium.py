@@ -268,7 +268,7 @@ def _face_polish(
                     sol = np.full((len(rows), 1), demand)
                 else:
                     # each active route's cost minus the last one's, then the demand
-                    inc_k = inc[:, routes]
+                    inc_k = inc.take(routes, axis=1)  # C-ordered, unlike inc[:, routes]
                     s = inc_k.T @ (slope[sel, :, None] * inc_k)
                     m = s - s[:, -1:]
                     m[:, -1] = 1.0
