@@ -237,7 +237,7 @@ def _face_polish(
         icpt, slope = icpt.copy(), slope.copy()
         dcoef = coef[1:] * np.arange(1, len(coef))[:, None, None]  # c', degree-major
         at_w, at_c = loads.copy(), edge_costs  # loads and edge costs at each row's flows
-        every = slice(None) if not affine.any() else np.flatnonzero(~affine)
+        poly_rows = slice(None) if not affine.any() else np.flatnonzero(~affine)
     incidence = inc.tobytes()
     ok = np.zeros(n, dtype=bool)
     passed = np.zeros(n, dtype=bool)  # the current flows pass the cost test
@@ -251,7 +251,7 @@ def _face_polish(
             if polynomial and it == _ROUND:
                 phi = _potential(pcoef, at_w)  # at each row's current flows
         if polynomial:
-            lin = every if whole else live[~affine[live]]
+            lin = poly_rows if whole else live[~affine[live]]
             w = at_w[lin]
             slope[lin] = polyval_ascending(dcoef[:, lin], w, axis=0)
             icpt[lin] = at_c[lin] - slope[lin] * w
@@ -309,7 +309,7 @@ def _face_polish(
                 # a step from flows that pass is exact to rounding
                 good = ~bad & (affine[sel] | passed[sel])
                 passed[sel] = ~bad
-                whole = isinstance(sel, slice)  # unless a row leaves below
+                whole = isinstance(sel, slice)  # every row steps again, unless one certifies
                 if good.any():
                     fin = rows[good]
                     q[fin], loads[fin], costs[fin] = cand[good], wc[good], t[good]
