@@ -212,9 +212,8 @@ def _face_polish(
     step again from their new flows, with the cheapest route at them added
     to the set. A polynomial row linearizes at the loads and edge costs of
     the evaluation that tested its last step, at first `loads` and
-    `edge_costs` (which it overwrites), so each point is evaluated once.
-    While the stepping rows are every row of the block, in order, a group
-    reads the per-row arrays through views instead of gathered copies.
+    `edge_costs` (overwritten), so each point is evaluated once. While the
+    stepping rows are the whole block, in order, groups read views.
 
     `_ROUND` steps make a round; rows in `settled` stop after the first
     round, the others after `_MAX_ROUNDS`. The first round takes full
@@ -299,7 +298,10 @@ def _face_polish(
                         )
                     phi[sel] = at
                 ec = polyval_ascending(coef[:, sel], wc, axis=0)
+                if polynomial:  # where each row that steps again linearizes next
+                    at_w[rows], at_c[rows] = wc, ec
                 t = np.matvec(inc.T, ec)
+                del ec  # its memory serves the cost test
                 on = t[:, routes]
                 common = np.add.reduce(on, axis=1) / k
                 scale = 1e-9 * (1.0 + np.abs(common))
@@ -317,11 +319,8 @@ def _face_polish(
                     step = ~good
                     if not step.any():
                         continue
-                    rows, cand, wc, ec, t = rows[step], cand[step], wc[step], ec[step], t[step]
-                    whole = False
+                    rows, cand, t, whole = rows[step], cand[step], t[step], False
                 flows[rows] = cand
-                if polynomial:
-                    at_w[rows], at_c[rows] = wc, ec
                 active[rows] = cand > 1e-12 * demand
                 active[rows, np.argmin(t, axis=1)] = True
                 again.append(rows)

@@ -568,22 +568,16 @@ class TestLockstepBlocks:
             assert np.array_equal(traj.beliefs, single.beliefs)
             assert np.array_equal(traj.costs, single.costs, equal_nan=True)
 
-    def test_nonconvergence_names_seed_and_stage(self, monkeypatch):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_nonconvergence_names_seed_and_stage(self, monkeypatch, workers):
         # the polish would certify every stage in its first round; without
-        # it, the all-or-nothing start of stage 1 does not pass
+        # it, the all-or-nothing start of stage 1 does not pass. With two
+        # workers the calling process runs block 0 (seed 11), so its error
+        # surfaces first, not seed 12's from the pool's block
         monkeypatch.setattr(equilibrium, "_face_polish", certify_nothing)
         scenario = scenario_from_dict(wheatstone_poly_payload())
         with pytest.raises(SolverError, match="seed 11, stage 1: no convergence after round 1") as info:
-            monte_carlo(scenario, [11, 12])
-        assert info.value.best is not None
-
-    def test_nonconvergence_in_a_pool_names_the_first_block(self, monkeypatch):
-        # the calling process runs block 0 (seed 11), so its error surfaces
-        # as with one worker, not seed 12's from the pool's block
-        monkeypatch.setattr(equilibrium, "_face_polish", certify_nothing)
-        scenario = scenario_from_dict(wheatstone_poly_payload())
-        with pytest.raises(SolverError, match="seed 11, stage 1: no convergence after round 1") as info:
-            monte_carlo(scenario, [11, 12], workers=2)
+            monte_carlo(scenario, [11, 12], workers=workers)
         assert info.value.best is not None
 
     def test_invalid_stopping_rule_fails_before_any_work(self, three_edge):
