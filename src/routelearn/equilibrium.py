@@ -299,7 +299,7 @@ def _face_polish(
                     phi[sel] = at
                 ec = polyval_ascending(coef[:, sel], wc, axis=0)
                 if polynomial:  # where each row that steps again linearizes next
-                    at_w[rows], at_c[rows] = wc, ec
+                    at_w[sel], at_c[sel] = wc, ec
                 t = np.matvec(inc.T, ec)
                 del ec  # its memory serves the cost test
                 on = t[:, routes]
