@@ -1,6 +1,6 @@
 """Byte-for-byte comparison of the routelearn CLI's outputs at two commits.
 
-    python3 tools/compare_outputs.py --parent REV --change REV [--workdir DIR]
+    python3 tools/compare_outputs.py --parent REV --change REV
 
 Run from anywhere inside the repository. Each commit is extracted with
 `git archive`, and the same command list runs against each copy's `src/`
@@ -96,21 +96,19 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True)
     parser.add_argument("--change", required=True)
-    parser.add_argument("--workdir", type=Path, default=None,
-                        help="kept after the run; default a temporary directory, removed")
     args = parser.parse_args(argv)
 
     repo = Path(git(Path(__file__).resolve().parent, "rev-parse", "--show-toplevel").decode().strip())
     commits = {s: git(repo, "rev-parse", f"{rev}^{{commit}}").decode().strip()
                for s, rev in zip(SIDES, (args.parent, args.change))}
     with tempfile.TemporaryDirectory(prefix="compare-outputs-") as tmp:
-        work = (args.workdir or Path(tmp)).resolve()
+        work = Path(tmp).resolve()
         copies = {s: work / f"{s}-src" for s in SIDES}
         for side, commit in commits.items():
             extract(repo, commit, copies[side])
-            (work / side).mkdir(parents=True, exist_ok=True)
+            (work / side).mkdir()
         tables = work / "tables"
-        tables.mkdir(exist_ok=True)
+        tables.mkdir()
         names = subprocess.run(
             [sys.executable, "-c", WRITE_TABLES, str(tables)], cwd=copies["change"],
             capture_output=True, text=True, check=True,
