@@ -359,7 +359,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_batch = sub.add_parser("batch", help="run many seeds, write aggregate JSON")
     common(p_batch)
     p_batch.add_argument("--seeds", required=True, help='e.g. "0..99" or "1,5,7"')
-    p_batch.add_argument("--workers", type=int, default=1)
+    p_batch.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="upper bound on the processes that run blocks of seeds; a small batch "
+        "runs as fewer blocks, down to one in this process",
+    )
     p_batch.add_argument("--max-stages", type=int, default=None)
     p_batch.add_argument("--window", type=int, default=None)
     p_batch.add_argument("--delta", type=float, default=None)

@@ -42,6 +42,11 @@ from .scenario import Scenario
 CONVERGED = "converged"
 MAX_STAGES = "max_stages"
 _NOISE_CHUNK = 64  # stages of noise a block draws per seed at a time
+# fewest seeds a block gets when monte_carlo splits a batch. A lockstep
+# block's stage cost is mostly fixed, so a split costs CPU at every size.
+# On a 2-core host two blocks took 0.72-0.88 of one block's wall time at 512
+# seeds a block, and 0.78-1.01 at 256 (medians; tools/pool_breakeven.py).
+_MIN_BLOCK_SEEDS = 512
 
 
 class NoiseSampler:
@@ -349,12 +354,16 @@ def monte_carlo(
 ) -> BatchSummary:
     """Independent trajectories for each seed, merged after completion.
 
-    The seeds are split into at most `workers` contiguous blocks, each
-    advancing in lockstep. The calling process runs the first block and a
-    pool of one process per other block the rest, so errors surface in
-    block order. Results are keyed by seed and identical regardless of
-    worker count: each trajectory draws from its own generator seeded by
-    its own seed, and a block computes every row as it would alone.
+    The seeds are split into contiguous blocks, each advancing in
+    lockstep: at most `workers` blocks, and only as many as give every
+    block at least `_MIN_BLOCK_SEEDS` seeds, since a block costs nearly as
+    much for a few seeds as for many. So `workers` is an upper bound, and a batch of fewer
+    than 2 * `_MIN_BLOCK_SEEDS` seeds is one block and starts no process.
+    The calling process runs the first block and a pool of one process per
+    other block the rest, so errors surface in block order. Results are
+    keyed by seed and identical regardless of worker count: each trajectory
+    draws from its own generator seeded by its own seed, and a block
+    computes every row as it would alone.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
@@ -363,7 +372,7 @@ def monte_carlo(
         raise ValueError("seeds must be distinct")
     if not seed_list:
         raise ValueError("need at least one seed")
-    n_blocks = min(workers, len(seed_list))
+    n_blocks = min(workers, max(1, len(seed_list) // _MIN_BLOCK_SEEDS))
     bounds = [len(seed_list) * b // n_blocks for b in range(n_blocks + 1)]
     args = [
         (scenario, seed_list[lo:hi], trajectory_dir)

@@ -221,11 +221,13 @@ def scenario_from_dict(payload: Mapping[str, Any]) -> Scenario:
     name = _require(payload, "name", str, "")
 
     net_cfg = _require(payload, "network", dict, "")
+    edges = _require(net_cfg, "edges", list, "network")
+    routes = _require(net_cfg, "routes", list, "network")
+    for k, route in enumerate(routes):
+        if not isinstance(route, list):
+            raise ScenarioError(f"network.routes[{k}]", "expected list")
     try:
-        network = Network(
-            _require(net_cfg, "edges", list, "network"),
-            _require(net_cfg, "routes", list, "network"),
-        )
+        network = Network(edges, routes)
     except NetworkError as exc:
         raise ScenarioError("network", str(exc)) from None
 

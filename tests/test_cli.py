@@ -101,6 +101,31 @@ class TestOverrides:
         field = f"{section}.{key}" if section else key
         assert f"validation error: {field}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command",
+        [["run"], ["enumerate", "--grid-n", "3"], ["check", "--grid-n", "3"]],
+        ids=["run", "enumerate", "check"],
+    )
+    @pytest.mark.parametrize(
+        "routes, field",
+        [
+            ([["e1"], 3], "network.routes[1]"),
+            ([None, ["e2"], ["e3"]], "network.routes[0]"),
+            ([["e1"], ["e2"], True], "network.routes[2]"),
+            ([1, 2], "network.routes[0]"),
+        ],
+        ids=["number", "null", "true", "numbers"],
+    )
+    def test_routes_that_are_not_lists_exit_2(self, tmp_path, capsys, command, routes, field):
+        # each once raised a TypeError out of main
+        payload = scenario_to_dict(load_scenario("three-edge"))
+        payload["network"]["routes"] = routes
+        path = tmp_path / "routes.json"
+        path.write_text(json.dumps(payload))
+        argv = [command[0], "--scenario", str(path), *command[1:], "--out-dir", str(tmp_path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"validation error: {field}: expected list")
+
     @pytest.mark.parametrize("seeds", ["x", "0..x", "1,y", "5..3", ",,", "1,1"])
     def test_bad_seeds_name_the_field(self, tmp_path, capsys, seeds):
         argv = ["batch", "--scenario", "three-edge", "--seeds", seeds]

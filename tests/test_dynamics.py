@@ -50,6 +50,27 @@ def correlated():
     return scenario_from_dict(payload)
 
 
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Let monte_carlo split a batch into blocks of any size, so that a test on
+    a few seeds still runs two or three blocks and the process pool."""
+    monkeypatch.setattr(dynamics, "_MIN_BLOCK_SEEDS", 1)
+
+
+@pytest.fixture
+def spawned(monkeypatch):
+    """One entry per process a ProcessPoolExecutor starts."""
+    started = []
+    spawn = ProcessPoolExecutor._spawn_process
+
+    def counting(pool):
+        started.append(1)
+        spawn(pool)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "_spawn_process", counting)
+    return started
+
+
 def _with_rule(scenario, **rule):
     """The scenario with the given stopping-rule fields replaced."""
     return dataclasses.replace(
@@ -251,6 +272,7 @@ class TestMonteCarlo:
         assert np.array_equal(got.terminal_belief, single.terminal_belief)
         assert batch.clusters[0].count == 1
 
+    @pytest.mark.usefixtures("small_blocks")
     @pytest.mark.parametrize(
         "seeds, workers, processes",
         # two seeds make two blocks, so four workers start one process for
@@ -258,24 +280,30 @@ class TestMonteCarlo:
         [([1, 2], 4, 1), ([1], 4, 0), ([1, 2, 3], 3, 2)],
     )
     def test_pool_starts_one_process_per_block_after_the_first(
-        self, three_edge, monkeypatch, seeds, workers, processes
+        self, three_edge, spawned, seeds, workers, processes
     ):
-        started = []
-        spawn = ProcessPoolExecutor._spawn_process
-
-        def counting(pool):
-            started.append(1)
-            spawn(pool)
-
-        monkeypatch.setattr(ProcessPoolExecutor, "_spawn_process", counting)
         batch = monte_carlo(_with_rule(three_edge, max_stages=55), seeds, workers=workers)
         assert [s.seed for s in batch.summaries] == seeds
-        assert len(started) == processes
+        assert len(spawned) == processes
+
+    @pytest.mark.parametrize(
+        "n_seeds, processes",
+        # two workers split a batch only when each block gets the floor
+        [(4, 0), (2 * dynamics._MIN_BLOCK_SEEDS - 1, 0), (2 * dynamics._MIN_BLOCK_SEEDS, 1)],
+    )
+    def test_pool_starts_only_when_each_block_reaches_the_floor(
+        self, three_edge, spawned, n_seeds, processes
+    ):
+        seeds = list(range(n_seeds))
+        batch = monte_carlo(_with_rule(three_edge, max_stages=2, window=1), seeds, workers=2)
+        assert [s.seed for s in batch.summaries] == seeds
+        assert len(spawned) == processes
 
     def test_duplicate_seeds_rejected(self, three_edge):
         with pytest.raises(ValueError):
             monte_carlo(three_edge, [1, 1])
 
+    @pytest.mark.usefixtures("small_blocks")
     def test_parallel_matches_sequential(self, three_edge):
         seeds = list(range(6))
         seq = monte_carlo(three_edge, seeds, workers=1)
@@ -448,6 +476,7 @@ class TestLockstepBlocks:
                 assert _labels(scenario, used) == rec.observation.used
                 assert np.max(np.abs(traj.costs[k - 1, used] - rec.observation.costs)) <= 1e-12
 
+    @pytest.mark.usefixtures("small_blocks")
     def test_correlated_noise_worker_count_does_not_change_outputs(self, correlated, tmp_path):
         seeds = list(range(12))
         outputs = {}
@@ -475,6 +504,7 @@ class TestLockstepBlocks:
             assert np.max(np.abs(traj.equilibria.edge_loads - loads)) <= 1e-12
             assert np.max(np.abs(traj.beliefs[1:] - beliefs)) <= 1e-12
 
+    @pytest.mark.usefixtures("small_blocks")
     def test_worker_count_does_not_change_outputs(self, three_edge, tmp_path):
         # 10 seeds make blocks of 10, 5 + 5 and 3 + 3 + 4; with max_stages 70
         # seeds 0 and 2 stop at the cap while their block mates converge
@@ -506,6 +536,7 @@ class TestLockstepBlocks:
                 assert np.array_equal(a.terminal_loads, b.terminal_loads)
                 assert np.array_equal(a.terminal_belief, b.terminal_belief)
 
+    @pytest.mark.usefixtures("small_blocks")
     @pytest.mark.parametrize(
         "payload, n_seeds",
         [(wheatstone_poly_payload(), 6), (grid_payload(4, 4, 0), 24)],
@@ -568,6 +599,7 @@ class TestLockstepBlocks:
             assert np.array_equal(traj.beliefs, single.beliefs)
             assert np.array_equal(traj.costs, single.costs, equal_nan=True)
 
+    @pytest.mark.usefixtures("small_blocks")
     @pytest.mark.parametrize("workers", [1, 2])
     def test_nonconvergence_names_seed_and_stage(self, monkeypatch, workers):
         # the polish would certify every stage in its first round; without
