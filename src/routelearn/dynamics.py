@@ -44,8 +44,8 @@ MAX_STAGES = "max_stages"
 _NOISE_CHUNK = 64  # stages of noise a block draws per seed at a time
 # fewest seeds a block gets when monte_carlo splits a batch. A lockstep
 # block's stage cost is mostly fixed, so a split costs CPU at every size.
-# On a 2-core host two blocks took 0.72-0.88 of one block's wall time at 512
-# seeds a block, and 0.78-1.01 at 256 (medians; tools/pool_breakeven.py).
+# On a 2-core host two blocks took 0.68-0.88 of one block's wall time at 512
+# seeds a block, and 0.76-1.01 at 256 (medians; tools/pool_breakeven.py).
 _MIN_BLOCK_SEEDS = 512
 
 
@@ -357,13 +357,13 @@ def monte_carlo(
     The seeds are split into contiguous blocks, each advancing in
     lockstep: at most `workers` blocks, and only as many as give every
     block at least `_MIN_BLOCK_SEEDS` seeds, since a block costs nearly as
-    much for a few seeds as for many. So `workers` is an upper bound, and a batch of fewer
-    than 2 * `_MIN_BLOCK_SEEDS` seeds is one block and starts no process.
-    The calling process runs the first block and a pool of one process per
-    other block the rest, so errors surface in block order. Results are
-    keyed by seed and identical regardless of worker count: each trajectory
-    draws from its own generator seeded by its own seed, and a block
-    computes every row as it would alone.
+    much for a few seeds as for many. So `workers` is an upper bound, and
+    a batch of fewer than 2 * `_MIN_BLOCK_SEEDS` seeds is one block and
+    starts no process. The calling process runs the first block and a pool
+    of one process per other block the rest, so errors surface in block
+    order. Results are keyed by seed and identical regardless of worker
+    count: each trajectory draws from its own generator seeded by its own
+    seed, and a block computes every row as it would alone.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")

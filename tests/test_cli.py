@@ -113,11 +113,13 @@ class TestOverrides:
             ([None, ["e2"], ["e3"]], "network.routes[0]"),
             ([["e1"], ["e2"], True], "network.routes[2]"),
             ([1, 2], "network.routes[0]"),
+            ([["e2", "e1"], {"e3": 0, "e1": 1}], "network.routes[1]"),
         ],
-        ids=["number", "null", "true", "numbers"],
+        ids=["number", "null", "true", "numbers", "object"],
     )
     def test_routes_that_are_not_lists_exit_2(self, tmp_path, capsys, command, routes, field):
-        # each once raised a TypeError out of main
+        # each but the object once raised a TypeError out of main; the object
+        # was read as its keys
         payload = scenario_to_dict(load_scenario("three-edge"))
         payload["network"]["routes"] = routes
         path = tmp_path / "routes.json"

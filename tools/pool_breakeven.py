@@ -3,10 +3,10 @@
     python3 tools/pool_breakeven.py [--repeats 9] [--counts 4,16,64,128,256,512,1024] \
         [--seed 0] [--out FILE]
 
-Run from the repository root; it reads `src/` and the benchmark's
-Wheatstone table (`bench/reference.wheatstone_table`), and uses only the
-standard library besides. `OPENBLAS_NUM_THREADS=1` is set before numpy
-loads.
+Run from the repository root; it imports `routelearn` from `src/` and the
+benchmark's Wheatstone table (`bench/reference.wheatstone_table`), and
+otherwise only the standard library. `OPENBLAS_NUM_THREADS=1` is set
+before numpy loads.
 
 For each table (`three-edge` and the Wheatstone table) and each seed count
 n, it runs `monte_carlo` on seeds seed .. seed + n - 1 with `workers` 1 and
@@ -28,6 +28,7 @@ the median and quartiles of the per-round two-block/one-block ratios.
 from __future__ import annotations
 
 import argparse
+import importlib.metadata
 import json
 import os
 import platform
@@ -61,7 +62,9 @@ def timed(monte_carlo, scenario, seeds: list[int], workers: int) -> tuple[float,
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--repeats", type=int, default=9)
-    parser.add_argument("--counts", default="4,16,64,128,256,512,1024", help="comma-separated seed counts")
+    parser.add_argument(
+        "--counts", default="4,16,64,128,256,512,1024", help="comma-separated seed counts"
+    )
     parser.add_argument("--seed", type=int, default=0, help="first seed of every batch")
     parser.add_argument("--out", type=Path, default=None, help="also write the JSON here")
     args = parser.parse_args(argv)
@@ -71,8 +74,6 @@ def main(argv: list[str] | None = None) -> int:
 
     os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy loads
     sys.path[:0] = ["src", "bench"]
-    import numpy as np
-
     import reference
     from routelearn import dynamics, load_scenario, scenario_from_dict
 
@@ -122,7 +123,7 @@ def main(argv: list[str] | None = None) -> int:
             "cpus": os.cpu_count(),
             "machine": platform.machine(),
             "python": platform.python_version(),
-            "numpy": np.__version__,
+            "numpy": importlib.metadata.version("numpy"),
             "openblas_threads": os.environ["OPENBLAS_NUM_THREADS"],
         },
         "repeats": args.repeats,
