@@ -20,14 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costs import Belief, CostModel, polyval_ascending
-from .equilibrium import (
-    EquilibriumBlock,
-    complete_info_equilibrium,
-    solve_wardrop,
-    solve_wardrop_batch,
-)
+from .equilibrium import EquilibriumBlock, solve_wardrop, solve_wardrop_batch
 from .errors import SolverError
 from .graph import Network, is_series_parallel, row_any, row_groups, used_edges
+from .scenario import Scenario
 
 
 def _distinguishable(
@@ -52,10 +48,10 @@ def _distinguishable(
     return dist
 
 
-def average_cost(model: CostModel, state: str, loads) -> float:
-    """Demand-weighted travel time: sum of load times edge cost in `state`."""
+def average_cost(scenario: Scenario, loads) -> float:
+    """Demand-weighted travel time: sum of load times edge cost in the true state."""
     w = np.asarray(loads, dtype=float)
-    vals = polyval_ascending(model.state_coefficients(state), w)
+    vals = polyval_ascending(scenario.model.state_coefficients(scenario.true_state), w)
     return float(w @ vals)
 
 
@@ -72,34 +68,30 @@ class RestPointCheck:
 
 
 def check_rest_point(
-    network: Network,
-    model: CostModel,
-    true_state: str,
+    scenario: Scenario,
     theta: Belief,
     loads,
-    demand: float,
     *,
     load_tol: float = 1e-6,
     mass_tol: float = 1e-3,
-    cost_tol: float = 1e-9,
-    used_tol: float | None = None,
     solver_tol: float = 1e-10,
 ) -> RestPointCheck:
-    """Verify a claimed rest point and return its certificates.
+    """Verify a claimed rest point of the scenario and return its certificates.
 
     Passes when (i) the equilibrium at `theta` reproduces `loads` within
     `load_tol` and (ii) `theta` puts at most `mass_tol` on states
     distinguishable at `loads`. Also certifies that on used edges the
     belief-weighted cost matches the true cost, which (i) and (ii) imply up
-    to residual-mass leakage.
+    to residual-mass leakage. Used edges and equal costs are the scenario's
+    (`used_edge_tol`, `tolerances.cost_equality`).
     """
-    if used_tol is None:
-        used_tol = 1e-9 * demand
+    network, model = scenario.network, scenario.model
+    cost_tol, used_tol = scenario.tolerances.cost_equality, scenario.used_edge_tol
     w_claim = np.asarray(loads, dtype=float)
-    true_idx = model.state_index(true_state)
+    true_idx = model.state_index(scenario.true_state)
     violations = []
 
-    eq = solve_wardrop(network, model, theta, demand, tol=solver_tol)
+    eq = solve_wardrop(network, model, theta, scenario.demand, tol=solver_tol)
     gap = float(np.max(np.abs(eq.edge_loads - w_claim)))
     if gap > load_tol:
         violations.append("equilibrium_load_mismatch")
@@ -233,16 +225,7 @@ def _used_key(used: np.ndarray) -> int:
 
 
 def _rest_point_screen(
-    network: Network,
-    model: CostModel,
-    true_idx: int,
-    thetas: np.ndarray,
-    *,
-    demand: float,
-    mass_tol: float,
-    cost_tol: float,
-    used_tol: float,
-    solver_tol: float,
+    scenario: Scenario, thetas: np.ndarray, *, mass_tol: float, solver_tol: float
 ) -> tuple[EquilibriumBlock, np.ndarray]:
     """The equilibria of the belief rows `thetas` and the mask of the rows that
     put at most `mass_tol` on states distinguishable at their loads.
@@ -251,20 +234,21 @@ def _rest_point_screen(
     its belief. The sweep clusters the passing rows by used-edge set, and
     the boundary bisection also asks for its family's set.
     """
-    eq = solve_wardrop_batch(network, model, thetas, demand, tol=solver_tol)
+    network, model = scenario.network, scenario.model
+    eq = solve_wardrop_batch(network, model, thetas, scenario.demand, tol=solver_tol)
     try:
         eq.raise_unconverged()
     except SolverError as exc:
         belief = ", ".join(f"{p:g}" for p in thetas[exc.row])
         raise SolverError(f"belief ({belief}): {exc}", best=exc.best) from exc
-    dist = _distinguishable(network, model, true_idx, eq.edge_loads, cost_tol, used_tol)
+    dist = _distinguishable(
+        network, model, model.state_index(scenario.true_state), eq.edge_loads,
+        scenario.tolerances.cost_equality, scenario.used_edge_tol,
+    )
     return eq, (thetas * dist).sum(axis=1) <= mass_tol
 
 
-def _face_states(
-    network: Network, model: CostModel, true_idx: int, demand: float, *,
-    grid_n: int, mass_tol: float, cost_tol: float, used_tol: float,
-) -> np.ndarray:
+def _face_states(scenario: Scenario, *, grid_n: int, mass_tol: float) -> np.ndarray:
     """Indices of the states that can hold mass at a rest point on the grid.
 
     Grid masses are multiples of 1/grid_n, so with mass_tol < 1/grid_n a
@@ -273,8 +257,12 @@ def _face_states(
     lo = demand / n_routes. D_s holds the edges where the coefficients of
     c_s - c_true share one sign, so |c_s - c_true| does not fall with the
     load, and where it exceeds cost_tol at lo by a margin that covers
-    rounding. A state is dropped when every route crosses its D_s.
+    rounding. A state is dropped when every route crosses its D_s. The
+    tolerances cost_tol and used_tol are the scenario's.
     """
+    network, model, demand = scenario.network, scenario.model, scenario.demand
+    cost_tol, used_tol = scenario.tolerances.cost_equality, scenario.used_edge_tol
+    true_idx = model.state_index(scenario.true_state)
     # route flows sum to demand only up to rounding
     lo = demand / network.n_routes * (1.0 - 1e-9)
     if not (mass_tol < 1.0 / grid_n and used_tol < lo):
@@ -339,20 +327,15 @@ def _bisect_boundary(predicate, x_fail: float, x_pass: float, tol: float) -> flo
 
 
 def enumerate_rest_points(
-    network: Network,
-    model: CostModel,
-    true_state: str,
+    scenario: Scenario,
     grid_n: int,
-    demand: float,
     *,
     mass_tol: float = 1e-9,
-    cost_tol: float = 1e-9,
-    used_tol: float | None = None,
     refine_tol: float = 1e-6,
     chunk_size: int = 200_000,
     solver_tol: float = 1e-10,
 ) -> RestPointReport:
-    """Sweep the belief simplex for rest points and cluster them into families.
+    """Sweep the belief simplex for the scenario's rest points and cluster them into families.
 
     Evaluates the rest-point predicate at the grid nodes theta with
     components k/grid_n (equilibrium solved in blocks of `chunk_size`
@@ -366,14 +349,17 @@ def enumerate_rest_points(
     halvings, up to 15 beliefs, in one block (`_bisect_boundary`); a
     midpoint off its path that does not converge does not raise.
     `chunk_size` must be a positive integer and `refine_tol` finite and
-    positive, or ValueError names them.
+    positive, or ValueError names them. Used edges and equal costs are the
+    scenario's (`used_edge_tol`, `tolerances.cost_equality`).
 
     Only the face of the grid where rest points can lie is solved: when
-    mass_tol < 1/grid_n and used_tol < demand / n_routes, states that are
-    distinguishable at every equilibrium are left out (`_face_states`), and
-    the result is the full sweep's. `n_nodes` counts every node of the full
-    grid; `max_solver_gap` is the largest gap over the solved nodes.
+    mass_tol < 1/grid_n and the used-edge tolerance is below
+    demand / n_routes, states that are distinguishable at every equilibrium
+    are left out (`_face_states`), and the result is the full sweep's.
+    `n_nodes` counts every node of the full grid; `max_solver_gap` is the
+    largest gap over the solved nodes.
     """
+    network, model = scenario.network, scenario.model
     n_states = model.n_states
     if n_states > 6:
         raise ValueError("simplex grid enumeration is limited to at most 6 states")
@@ -383,21 +369,15 @@ def enumerate_rest_points(
         raise ValueError(f"chunk_size must be a positive integer, not {chunk_size!r}")
     if not (math.isfinite(refine_tol) and refine_tol > 0):
         raise ValueError(f"refine_tol must be finite and positive, not {refine_tol!r}")
-    if used_tol is None:
-        used_tol = 1e-9 * demand
-    true_idx = model.state_index(true_state)
+    used_tol = scenario.used_edge_tol
 
     clusters: dict[int, _ClusterAccumulator] = {}
     n_passing = 0
     max_gap = 0.0
 
-    keep = _face_states(
-        network, model, true_idx, demand, grid_n=grid_n, mass_tol=mass_tol,
-        cost_tol=cost_tol, used_tol=used_tol,
-    )
+    keep = _face_states(scenario, grid_n=grid_n, mass_tol=mass_tol)
     screen = functools.partial(
-        _rest_point_screen, network, model, true_idx, demand=demand, mass_tol=mass_tol,
-        cost_tol=cost_tol, used_tol=used_tol, solver_tol=solver_tol,
+        _rest_point_screen, scenario, mass_tol=mass_tol, solver_tol=solver_tol
     )
     for face in _simplex_grid_chunks(len(keep), grid_n, chunk_size):
         thetas = np.zeros((len(face), n_states))
@@ -454,16 +434,11 @@ def enumerate_rest_points(
 
         rep = acc.rep
         check = check_rest_point(
-            network,
-            model,
-            true_state,
+            scenario,
             Belief(rep),
             mean_loads,
-            demand,
             load_tol=max(1e-7, 10 * solver_tol),
             mass_tol=max(mass_tol, 1e-12),
-            cost_tol=cost_tol,
-            used_tol=used_tol,
             solver_tol=solver_tol,
         )
         families.append(
@@ -475,7 +450,7 @@ def enumerate_rest_points(
                 representative=rep,
                 thresholds=thresholds,
                 refined=refined,
-                average_cost_true=average_cost(model, true_state, mean_loads),
+                average_cost_true=average_cost(scenario, mean_loads),
                 check=check,
             )
         )
@@ -503,7 +478,9 @@ class AverageCostComparison:
     """Average-cost comparison of rest points against the known-state optimum.
 
     Only meaningful on series-parallel networks; `applicable` is False
-    otherwise and no entries are produced.
+    otherwise and no entries are produced. A rest point passes when its cost
+    is at least the complete-information cost less the scenario's
+    `tolerances.cost_equality`.
     """
 
     applicable: bool
@@ -512,21 +489,17 @@ class AverageCostComparison:
     ok: bool
 
 
-def compare_average_costs(
-    network: Network,
-    model: CostModel,
-    true_state: str,
-    families,
-    demand: float,
-    tol: float = 1e-9,
-) -> AverageCostComparison:
-    if not is_series_parallel(network):
+def compare_average_costs(scenario: Scenario, families) -> AverageCostComparison:
+    if not is_series_parallel(scenario.network):
         return AverageCostComparison(False, None, (), True)
-    eq = complete_info_equilibrium(network, model, true_state, demand)
-    base = average_cost(model, true_state, eq.edge_loads)
+    model = scenario.model
+    truth = Belief.point_mass(model.n_states, model.state_index(scenario.true_state))
+    eq = solve_wardrop(scenario.network, model, truth, scenario.demand)
+    base = average_cost(scenario, eq.edge_loads)
+    tol = scenario.tolerances.cost_equality
     entries = []
     for fam in families:
-        cost = average_cost(model, true_state, fam.loads)
+        cost = average_cost(scenario, fam.loads)
         entries.append(AverageCostEntry(fam.used, cost, cost >= base - tol))
     return AverageCostComparison(True, base, tuple(entries), all(e.ok for e in entries))
 
@@ -539,7 +512,7 @@ class ConditionReport:
     (state, route) pair with no separating edge, for condition 2 an edge
     whose free-flow time depends on the state, for condition 3 a
     (state, edge) pair where the known-state equilibrium leaves the edge
-    unused.
+    unused, with the edge's load.
     """
 
     fully_distinguishable: bool
@@ -558,27 +531,20 @@ class ConditionReport:
         )
 
 
-def check_complete_learning_conditions(
-    network: Network,
-    model: CostModel,
-    true_state: str,
-    demand: float,
-    *,
-    load_tol: float | None = None,
-) -> ConditionReport:
-    """Decide the three sufficient conditions from the parametric cost table.
+def check_complete_learning_conditions(scenario: Scenario) -> ConditionReport:
+    """Decide the scenario's three sufficient conditions from its parametric cost table.
 
     Function identity is decided by exact coefficient comparison, never by
     sampling, so knife-edge equalities cannot slip through. Condition 1 is
     checked route by route: a state is distinguishable under every feasible
     load exactly when each route carries at least one edge whose cost
     function differs from the truth, because any feasible load fully uses at
-    least one route.
+    least one route. Condition 3 asks that every edge be used, under the
+    scenario's used-edge rule, at every known-state equilibrium.
     """
-    if load_tol is None:
-        load_tol = 1e-9 * demand
+    network, model = scenario.network, scenario.model
     coeffs = model._coeffs
-    true_idx = model.state_index(true_state)
+    true_idx = model.state_index(scenario.true_state)
     states, edges = model.states, model.edges
 
     # routes (rows) on which a state (column) differs from the truth nowhere
@@ -598,17 +564,17 @@ def check_complete_learning_conditions(
         wit2 = (edges[i], states[j], float(intercepts[i, j]), float(intercepts[i, 0]))
 
     # The first state whose known-state equilibrium leaves an edge unused is
-    # the witness. A solve that fails at or before it is an error; the states
-    # after it are not examined.
-    eq = solve_wardrop_batch(network, model, np.eye(model.n_states), demand)
-    low = np.argmin(eq.edge_loads, axis=1)
-    low_load = eq.edge_loads[np.arange(model.n_states), low]
-    stop = np.flatnonzero((low_load <= load_tol) | ~eq.converged)
+    # the witness, with its least-loaded edge. A solve that fails at or before
+    # it is an error; the states after it are not examined.
+    eq = solve_wardrop_batch(network, model, np.eye(model.n_states), scenario.demand)
+    unused = ~used_edges(network, eq.edge_loads, scenario.used_edge_tol).all(axis=1)
+    stop = np.flatnonzero(unused | ~eq.converged)
     wit3 = None
     if stop.size:
         j = int(stop[0])
         if not eq.converged[j]:
             eq.raise_unconverged()
-        wit3 = (states[j], edges[low[j]], float(low_load[j]))
+        low = int(np.argmin(eq.edge_loads[j]))
+        wit3 = (states[j], edges[low], float(eq.edge_loads[j, low]))
 
     return ConditionReport(wit1 is None, wit1, wit2 is None, wit2, wit3 is None, wit3)

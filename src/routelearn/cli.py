@@ -127,16 +127,7 @@ def cmd_run(args) -> int:
     _write_json(out / f"{stem}_scenario.json", scenario_to_dict(scenario))
 
     summary = summarize(trajectory)
-    terminal_check = check_rest_point(
-        scenario.network,
-        scenario.model,
-        scenario.true_state,
-        trajectory.final_belief,
-        trajectory.final_loads,
-        scenario.demand,
-        used_tol=scenario.used_edge_tol,
-        cost_tol=scenario.tolerances.cost_equality,
-    )
+    terminal_check = check_rest_point(scenario, trajectory.final_belief, trajectory.final_loads)
     payload = _tool_stamp(scenario)
     payload.update(
         {
@@ -219,22 +210,8 @@ def _rest_points(scenario: Scenario, grid_n: int):
     """Rest-point families and their average-cost comparison, and the payload of both."""
     from .analysis import compare_average_costs, enumerate_rest_points
 
-    report = enumerate_rest_points(
-        scenario.network,
-        scenario.model,
-        scenario.true_state,
-        grid_n,
-        scenario.demand,
-        used_tol=scenario.used_edge_tol,
-        cost_tol=scenario.tolerances.cost_equality,
-    )
-    cost_cmp = compare_average_costs(
-        scenario.network,
-        scenario.model,
-        scenario.true_state,
-        report.families,
-        scenario.demand,
-    )
+    report = enumerate_rest_points(scenario, grid_n)
+    cost_cmp = compare_average_costs(scenario, report.families)
     families = [
         {
             "used": list(f.used),
@@ -289,9 +266,7 @@ def cmd_check(args) -> int:
 
     scenario = _load(args)
     out = Path(args.out_dir)
-    conditions = check_complete_learning_conditions(
-        scenario.network, scenario.model, scenario.true_state, scenario.demand
-    )
+    conditions = check_complete_learning_conditions(scenario)
     sp = is_series_parallel(scenario.network)
     _, rest_points = _rest_points(scenario, args.grid_n)
     payload = _tool_stamp(scenario)

@@ -193,7 +193,6 @@ class CostModel:
             (self.edges[i], self.states[j]) for i, j in np.argwhere(coeffs[:, :, 1] < self.alpha)
         )
 
-        self._edge_index = {e: i for i, e in enumerate(self.edges)}
         self._state_index = {s: i for i, s in enumerate(self.states)}
         self._whitener_cache: dict[tuple[int, ...], tuple[np.ndarray, float]] = {}
         self._slab_cache: dict[tuple[int, ...], np.ndarray] = {}
@@ -205,12 +204,6 @@ class CostModel:
     @property
     def n_states(self) -> int:
         return len(self.states)
-
-    def edge_index(self, edge: str) -> int:
-        try:
-            return self._edge_index[edge]
-        except KeyError:
-            raise CostError(f"unknown edge {edge!r}") from None
 
     def state_index(self, state: str) -> int:
         try:

@@ -33,7 +33,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .belief import bayes_update
-from .costs import Belief, CostModel, polyval_ascending
+from .costs import Belief, polyval_ascending
 from .equilibrium import EquilibriumBlock, solve_wardrop_batch
 from .errors import BeliefError, RoutelearnError, SolverError
 from .graph import row_groups, used_edges
@@ -69,11 +69,12 @@ class NoiseSampler:
 
 
 def realize_costs(
-    model: CostModel, true_state: str, loads: np.ndarray, used_mask: np.ndarray, noise: np.ndarray
+    scenario: Scenario, loads: np.ndarray, used_mask: np.ndarray, noise: np.ndarray
 ) -> np.ndarray:
-    """True-state costs plus noise on the used edges, NaN on the others, one row per
-    row of `loads`. The noise of unused edges is drawn but never observed."""
-    true_costs = polyval_ascending(model.state_coefficients(true_state).T, loads, axis=0)
+    """The scenario's true-state costs plus noise on the used edges, NaN on the others,
+    one row per row of `loads`. The noise of unused edges is drawn but never observed."""
+    coeffs = scenario.model.state_coefficients(scenario.true_state)
+    true_costs = polyval_ascending(coeffs.T, loads, axis=0)
     return np.where(used_mask, true_costs + noise, np.nan)
 
 
@@ -142,7 +143,7 @@ def step(
         raise BeliefError("observation needs at least one used edge").at_row(
             np.argmin(used.any(axis=1))
         )
-    costs = realize_costs(model, scenario.true_state, loads, used, noise)
+    costs = realize_costs(scenario, loads, used, noise)
     post = np.empty_like(probs)
     for pattern, rows in row_groups(used):
         idx = tuple(np.flatnonzero(pattern).tolist())

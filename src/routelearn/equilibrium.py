@@ -368,7 +368,8 @@ def solve_wardrop_batch(
     to the lowest index so runs are deterministic, and every row gets the
     result it would get alone. `n_iterations` counts the rounds a row
     took. Rows that do not converge are reported in `converged`, not
-    raised.
+    raised; a Newton step whose system is singular in floating point, as
+    with costs near the float range, raises SolverError for the block.
     """
     if demand <= 0:
         raise ValueError("demand must be positive")
@@ -402,9 +403,12 @@ def solve_wardrop_batch(
     used = q > 1e-9 * demand
     worst = row_max(np.where(used, route_costs, -np.inf)) - t_min
     settled = (rel_gap <= tol) | (worst <= tol * np.maximum(1.0, t_min))
-    ok, n_iter = _face_polish(
-        inc, coef, pcoef, demand, q, loads, edge_costs, route_costs, settled
-    )
+    try:
+        ok, n_iter = _face_polish(
+            inc, coef, pcoef, demand, q, loads, edge_costs, route_costs, settled
+        )
+    except np.linalg.LinAlgError as exc:  # independent routes, yet singular in floating point
+        raise SolverError(f"Newton step: {exc}") from None
     np.copyto(potential, _potential(pcoef, loads), where=ok)
 
     # final certificates at the returned point
@@ -441,16 +445,4 @@ def solve_wardrop(
     block = solve_wardrop_batch(network, model, theta.probs[None, :], demand, tol=tol)
     block.raise_unconverged()
     return block.row(0)
-
-
-def complete_info_equilibrium(
-    network: Network,
-    model: CostModel,
-    state: str,
-    demand: float,
-    **kwargs,
-) -> EquilibriumResult:
-    """Equilibrium when the state is known, i.e. under a point-mass belief."""
-    theta = Belief.point_mass(model.n_states, model.state_index(state))
-    return solve_wardrop(network, model, theta, demand, **kwargs)
 

@@ -51,7 +51,6 @@ class Network:
         self.edge_ids = edge_ids
         self.routes = route_list
         self.incidence = incidence
-        self._index = index
 
     @property
     def n_edges(self) -> int:
@@ -60,12 +59,6 @@ class Network:
     @property
     def n_routes(self) -> int:
         return len(self.routes)
-
-    def edge_index(self, edge: str) -> int:
-        try:
-            return self._index[edge]
-        except KeyError:
-            raise NetworkError(f"unknown edge {edge!r}") from None
 
     def __repr__(self) -> str:
         return f"Network(edges={list(self.edge_ids)!r}, routes={len(self.routes)})"

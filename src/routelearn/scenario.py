@@ -256,10 +256,13 @@ def scenario_from_dict(payload: Mapping[str, Any]) -> Scenario:
             raise ScenarioError(path, f"duplicate entry for ({edge}, {state})")
         table[(edge, state)] = _cost_function_from(entry, path)
 
-    sigma = [
-        _finite_list(row, f"sigma[{i}]")
-        for i, row in enumerate(_require(payload, "sigma", list, ""))
-    ]
+    sigma = []
+    for i, row in enumerate(_require(payload, "sigma", list, "")):
+        sigma.append(_finite_list(row, f"sigma[{i}]"))
+        if len(row) != network.n_edges:
+            raise ScenarioError(
+                f"sigma[{i}]", f"has {len(row)} entries, expected {network.n_edges}"
+            )
     demand = _positive(_require(payload, "demand", float, ""), "demand")
     alpha = _positive(payload.get("alpha", DEFAULT_ALPHA), "alpha")
 

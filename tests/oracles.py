@@ -59,12 +59,35 @@ from routelearn.dynamics import CONVERGED, MAX_STAGES, NoiseSampler
 from routelearn.equilibrium import (
     DEFAULT_TOL,
     EquilibriumResult,
-    complete_info_equilibrium,
     solve_wardrop,
     solve_wardrop_batch,
 )
 from routelearn.errors import BeliefError, SolverError
 from routelearn.graph import Network
+from routelearn.scenario import Scenario, Tolerances
+
+
+def table_scenario(
+    network: Network, model: CostModel, true_state: str, demand: float, **tolerances
+) -> Scenario:
+    """A scenario around a network and cost table, for the functions that take one.
+
+    `tolerances` are `Tolerances` fields; the initial belief is uniform.
+    """
+    return Scenario(
+        name="table",
+        network=network,
+        true_state=true_state,
+        model=model,
+        demand=demand,
+        initial_belief=Belief.uniform(model.n_states),
+        tolerances=Tolerances(**tolerances),
+    )
+
+
+def known_state(model: CostModel, state: str) -> Belief:
+    """The point-mass belief on `state`: the belief of travelers who know the state."""
+    return Belief.point_mass(model.n_states, model.state_index(state))
 
 
 def _mixed(model: CostModel, theta: Belief) -> np.ndarray:
@@ -511,8 +534,8 @@ def reference_realize_costs(
     """
     w = np.asarray(loads, dtype=float)
     eps = np.asarray(noise, dtype=float)
-    order = sorted(used, key=model.edge_index)
-    idx = [model.edge_index(e) for e in order]
+    order = sorted(used, key=model.edges.index)
+    idx = [model.edges.index(e) for e in order]
     coeffs = model.state_coefficients(true_state)[idx]
     costs = polyval_ascending(coeffs, w[idx]) + eps[idx]
     return ReferenceObservation(used=tuple(order), loads=w, costs=costs)
@@ -834,7 +857,7 @@ def reference_log_likelihoods(model: CostModel, obs: ReferenceObservation) -> np
     observed load; the covariance is the noise submatrix on the used edges,
     factored by Cholesky on every call.
     """
-    idx = tuple(model.edge_index(e) for e in obs.used)
+    idx = tuple(model.edges.index(e) for e in obs.used)
     chol = np.linalg.cholesky(model.sigma[np.ix_(idx, idx)])
     logdet = 2.0 * float(np.log(np.diag(chol)).sum())
     means = model.cost_matrix(obs.loads, idx)  # (S, m)
@@ -1023,7 +1046,7 @@ def reference_rest_point_passes(
     if mass > mass_tol:
         return False
     used = reference_used_edges(network, eq.edge_loads, used_tol)
-    key = sum(1 << network.edge_index(e) for e in used)
+    key = sum(1 << network.edge_ids.index(e) for e in used)
     return key == want_key
 
 
@@ -1042,7 +1065,7 @@ def reference_complete_learning_conditions(
         for k, route in enumerate(network.routes):
             separating = any(
                 not np.array_equal(
-                    coeffs[model.edge_index(e), j], coeffs[model.edge_index(e), true_idx]
+                    coeffs[model.edges.index(e), j], coeffs[model.edges.index(e), true_idx]
                 )
                 for e in route
             )
@@ -1064,7 +1087,7 @@ def reference_complete_learning_conditions(
 
     wit3 = None
     for s in model.states:
-        eq = complete_info_equilibrium(network, model, s, demand)
+        eq = solve_wardrop(network, model, known_state(model, s), demand)
         low = int(np.argmin(eq.edge_loads))
         if eq.edge_loads[low] <= load_tol:
             wit3 = (s, model.edges[low], float(eq.edge_loads[low]))
@@ -1138,15 +1161,10 @@ def reference_bisect_boundary(predicate, x_fail: float, x_pass: float, tol: floa
 
 
 def reference_enumerate_rest_points(
-    network: Network,
-    model: CostModel,
-    true_state: str,
+    scenario: Scenario,
     grid_n: int,
-    demand: float,
     *,
     mass_tol: float = 1e-9,
-    cost_tol: float = 1e-9,
-    used_tol: float | None = None,
     refine_tol: float = 1e-6,
     chunk_size: int = 200_000,
     solver_tol: float = 1e-10,
@@ -1160,13 +1178,14 @@ def reference_enumerate_rest_points(
     families supported on exactly two states refines the boundary of the
     belief range by bisection down to `refine_tol`.
     """
+    network, model, demand = scenario.network, scenario.model, scenario.demand
+    true_state = scenario.true_state
+    cost_tol, used_tol = scenario.tolerances.cost_equality, scenario.used_edge_tol
     n_states = model.n_states
     if n_states > 6:
         raise ValueError("simplex grid enumeration is limited to at most 6 states")
     if grid_n < 1:
         raise ValueError("grid_n must be at least 1")
-    if used_tol is None:
-        used_tol = 1e-9 * demand
     true_idx = model.state_index(true_state)
 
     clusters: dict[int, _ClusterAccumulator] = {}
@@ -1245,16 +1264,11 @@ def reference_enumerate_rest_points(
 
         rep = acc.rep
         check = check_rest_point(
-            network,
-            model,
-            true_state,
+            scenario,
             Belief(rep),
             mean_loads,
-            demand,
             load_tol=max(1e-7, 10 * solver_tol),
             mass_tol=max(mass_tol, 1e-12),
-            cost_tol=cost_tol,
-            used_tol=used_tol,
             solver_tol=solver_tol,
         )
         families.append(
@@ -1266,7 +1280,7 @@ def reference_enumerate_rest_points(
                 representative=rep,
                 thresholds=thresholds,
                 refined=refined,
-                average_cost_true=average_cost(model, true_state, mean_loads),
+                average_cost_true=average_cost(scenario, mean_loads),
                 check=check,
             )
         )

@@ -21,10 +21,11 @@ from routelearn import (
 )
 from routelearn.analysis import average_cost
 from routelearn.belief import bayes_update, replay_posterior
-from routelearn.equilibrium import complete_info_equilibrium, solve_wardrop
+from routelearn.equilibrium import solve_wardrop
 from routelearn.graph import series_parallel_reducible, used_edges
 
 from oracles import (
+    known_state,
     random_spd,
     random_two_route_instance,
     sp_oracle,
@@ -43,20 +44,14 @@ def report(num: int, label: str, ok: bool, detail: str = ""):
 @pytest.fixture(scope="module")
 def rest_point_report(three_edge):
     start = time.perf_counter()
-    rep = enumerate_rest_points(
-        three_edge.network,
-        three_edge.model,
-        "none",
-        200,
-        1.0,
-        used_tol=three_edge.used_edge_tol,
-    )
+    rep = enumerate_rest_points(three_edge, 200)
     return rep, time.perf_counter() - start
 
 
 def test_criterion_1_complete_information_equilibrium(three_edge):
     start = time.perf_counter()
-    eq = complete_info_equilibrium(three_edge.network, three_edge.model, "none", 1.0)
+    truth = known_state(three_edge.model, "none")
+    eq = solve_wardrop(three_edge.network, three_edge.model, truth, 1.0)
     elapsed = time.perf_counter() - start
     load_ok = np.max(np.abs(eq.edge_loads - np.array([1.0, 0.5, 0.5]))) <= 1e-6
     cost_ok = np.max(np.abs(eq.route_costs - 11.5)) <= 1e-6
@@ -69,8 +64,8 @@ def test_criterion_1_complete_information_equilibrium(three_edge):
 
 
 def test_criterion_2_average_costs(three_edge):
-    c_complete = average_cost(three_edge.model, "none", [1.0, 0.5, 0.5])
-    c_rest = average_cost(three_edge.model, "none", [1.0, 0.0, 1.0])
+    c_complete = average_cost(three_edge, [1.0, 0.5, 0.5])
+    c_rest = average_cost(three_edge, [1.0, 0.0, 1.0])
     ok = abs(c_complete - 11.5) <= 1e-9 and abs(c_rest - 12.0) <= 1e-9
     report(
         2,
@@ -112,15 +107,7 @@ def test_criterion_4_convergence_closure(three_edge):
     worst_mass = 0.0
     for s in batch.summaries:
         chk = check_rest_point(
-            three_edge.network,
-            three_edge.model,
-            "none",
-            Belief(s.terminal_belief),
-            s.terminal_loads,
-            1.0,
-            load_tol=1e-4,
-            mass_tol=1e-3,
-            used_tol=three_edge.used_edge_tol,
+            three_edge, Belief(s.terminal_belief), s.terminal_loads, load_tol=1e-4, mass_tol=1e-3
         )
         checks_ok &= chk.ok
         worst_gap = max(worst_gap, chk.equilibrium_gap)
@@ -136,7 +123,7 @@ def test_criterion_4_convergence_closure(three_edge):
 
 
 def test_criterion_5_complete_learning_under_condition_2(cond2):
-    conditions = check_complete_learning_conditions(cond2.network, cond2.model, "none", 1.0)
+    conditions = check_complete_learning_conditions(cond2)
     batch = monte_carlo(cond2, range(100))
     target = np.array([1.0, 0.5, 0.5])
     worst = max(
@@ -266,16 +253,12 @@ def test_criterion_8c_series_parallel_oracle_agreement():
 def test_criterion_9_average_cost_dominance(three_edge, rest_point_report):
     rep, _ = rest_point_report
     sp = is_series_parallel(three_edge.network)
+    truth = known_state(three_edge.model, "none")
     base = average_cost(
-        three_edge.model,
-        "none",
-        complete_info_equilibrium(three_edge.network, three_edge.model, "none", 1.0).edge_loads,
+        three_edge, solve_wardrop(three_edge.network, three_edge.model, truth, 1.0).edge_loads
     )
-    ok = sp and all(
-        average_cost(three_edge.model, "none", fam.loads) >= base - 1e-9
-        for fam in rep.families
-    )
-    costs = sorted(round(average_cost(three_edge.model, "none", f.loads), 6) for f in rep.families)
+    ok = sp and all(average_cost(three_edge, fam.loads) >= base - 1e-9 for fam in rep.families)
+    costs = sorted(round(average_cost(three_edge, f.loads), 6) for f in rep.families)
     report(
         9,
         "every enumerated rest point costs at least the informed equilibrium",

@@ -6,7 +6,6 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,11 +31,12 @@ from routelearn import (
 from routelearn.analysis import average_cost
 from routelearn.cli import main
 from routelearn.costs import polyval_ascending
-from routelearn.equilibrium import complete_info_equilibrium, solve_wardrop
+from routelearn.equilibrium import solve_wardrop
 from routelearn.errors import SolverError
 
 from oracles import (
     bench_reference,
+    known_state,
     random_multi_route_instance,
     reference_bisect_boundary,
     reference_enumerate_rest_points,
@@ -44,6 +44,7 @@ from oracles import (
     reference_distinguishable_states,
     reference_rest_point_passes,
     reference_simplex_grid_chunks,
+    table_scenario,
     wheatstone_network,
     wheatstone_poly_payload,
 )
@@ -101,54 +102,34 @@ class TestDistinguishableStates:
 
 class TestAverageCost:
     def test_complete_information_value(self, three_edge):
-        assert average_cost(three_edge.model, "none", [1.0, 0.5, 0.5]) == pytest.approx(
-            11.5, abs=1e-12
-        )
+        assert average_cost(three_edge, [1.0, 0.5, 0.5]) == pytest.approx(11.5, abs=1e-12)
 
     def test_rest_point_value(self, three_edge):
-        assert average_cost(three_edge.model, "none", [1.0, 0.0, 1.0]) == pytest.approx(
-            12.0, abs=1e-12
-        )
+        assert average_cost(three_edge, [1.0, 0.0, 1.0]) == pytest.approx(12.0, abs=1e-12)
 
     def test_no_travelers(self, three_edge):
-        assert average_cost(three_edge.model, "none", [0.0, 0.0, 0.0]) == 0.0
+        assert average_cost(three_edge, [0.0, 0.0, 0.0]) == 0.0
+
+    def test_costs_are_the_true_states(self, three_edge):
+        # in state e2 the entry edge e2 costs 10 + w, in the truth 5 + w
+        e2 = dataclasses.replace(three_edge, true_state="e2")
+        assert average_cost(e2, [1.0, 0.5, 0.5]) == average_cost(three_edge, [1.0, 0.5, 0.5]) + 2.5
 
 
 class TestCheckRestPoint:
     def test_complete_information_rest_point(self, three_edge):
-        chk = check_rest_point(
-            three_edge.network,
-            three_edge.model,
-            "none",
-            Belief([0.0, 0.0, 0.0, 1.0]),
-            [1.0, 0.5, 0.5],
-            1.0,
-        )
+        chk = check_rest_point(three_edge, Belief([0.0, 0.0, 0.0, 1.0]), [1.0, 0.5, 0.5])
         assert chk.ok
         assert chk.equilibrium_gap <= 1e-9
         assert chk.residual_mass == 0.0
 
     def test_family_member(self, three_edge):
-        chk = check_rest_point(
-            three_edge.network,
-            three_edge.model,
-            "none",
-            Belief([0.0, 0.5, 0.0, 0.5]),
-            [1.0, 0.0, 1.0],
-            1.0,
-        )
+        chk = check_rest_point(three_edge, Belief([0.0, 0.5, 0.0, 0.5]), [1.0, 0.0, 1.0])
         assert chk.ok
         assert chk.consistency_gap <= 1e-9
 
     def test_below_threshold_fails_equilibrium_clause(self, three_edge):
-        chk = check_rest_point(
-            three_edge.network,
-            three_edge.model,
-            "none",
-            Belief([0.0, 0.1, 0.0, 0.9]),
-            [1.0, 0.0, 1.0],
-            1.0,
-        )
+        chk = check_rest_point(three_edge, Belief([0.0, 0.1, 0.0, 0.9]), [1.0, 0.0, 1.0])
         assert not chk.ok
         assert "equilibrium_load_mismatch" in chk.violations
         # the actual equilibrium at x = 0.1 keeps e2 at load 0.25
@@ -158,12 +139,9 @@ class TestCheckRestPoint:
         # the true equilibrium at x = 0.01 keeps all edges loaded, so the
         # stray 1% mass on the e2 state is distinguishable and over budget
         chk = check_rest_point(
-            three_edge.network,
-            three_edge.model,
-            "none",
+            three_edge,
             Belief([0.0, 0.01, 0.0, 0.99]),
             [1.0, 0.475, 0.525],
-            1.0,
             load_tol=1e-6,
             mass_tol=1e-3,
         )
@@ -175,14 +153,7 @@ class TestCheckRestPoint:
 
 @pytest.fixture(scope="module")
 def report(three_edge):
-    return enumerate_rest_points(
-        three_edge.network,
-        three_edge.model,
-        "none",
-        60,
-        1.0,
-        used_tol=three_edge.used_edge_tol,
-    )
+    return enumerate_rest_points(three_edge, 60)
 
 
 class TestEnumerateRestPoints:
@@ -211,7 +182,8 @@ class TestEnumerateRestPoints:
     def test_contains_complete_information_point(self, report, three_edge):
         # a point mass on the truth is always consistent with its own load
         fams = [f for f in report.families if "none" in f.support]
-        eq = complete_info_equilibrium(three_edge.network, three_edge.model, "none", 1.0)
+        truth = known_state(three_edge.model, "none")
+        eq = solve_wardrop(three_edge.network, three_edge.model, truth, 1.0)
         assert any(np.allclose(f.loads, eq.edge_loads, atol=1e-9) for f in fams)
 
     def test_single_state_scenario(self):
@@ -221,16 +193,14 @@ class TestEnumerateRestPoints:
             ("b", "s"): CostFunction.affine(1.0, 4.0),
         }
         model = CostModel(["a", "b"], ["s"], fns, np.eye(2))
-        report = enumerate_rest_points(net, model, "s", 10, 2.0)
+        report = enumerate_rest_points(table_scenario(net, model, "s", 2.0), 10)
         assert len(report.families) == 1
-        eq = complete_info_equilibrium(net, model, "s", 2.0)
+        eq = solve_wardrop(net, model, known_state(model, "s"), 2.0)
         assert np.allclose(report.families[0].loads, eq.edge_loads, atol=1e-9)
 
     def test_fully_distinguishable_only_truth(self, three_edge):
         sc = fully_distinguishable_scenario(three_edge)
-        report = enumerate_rest_points(
-            sc.network, sc.model, "ok", 40, 1.0, used_tol=sc.used_edge_tol
-        )
+        report = enumerate_rest_points(sc, 40)
         for fam in report.families:
             assert fam.support == ("ok",)
 
@@ -259,7 +229,7 @@ class TestEnumerateRestPoints:
         )
         net = Network(["a"], [["a"]])
         with pytest.raises(ValueError):
-            enumerate_rest_points(net, big, "s0", 10, 1.0)
+            enumerate_rest_points(table_scenario(net, big, "s0", 1.0), 10)
 
 
 class TestManyEdges:
@@ -280,7 +250,7 @@ class TestManyEdges:
 
     def test_families_that_differ_past_edge_63(self):
         net, model = self.parallel_edges(70)
-        report = enumerate_rest_points(net, model, "truth", 4, 1.0)
+        report = enumerate_rest_points(table_scenario(net, model, "truth", 1.0), 4)
         assert [(f.used, f.support) for f in report.families] == [
             (("e64", "e65"), ("truth",)),
             (("e64",), ("truth", "x")),
@@ -307,41 +277,31 @@ class TestSimplexGrid:
 
 class TestAverageCostComparison:
     def test_three_edge_holds(self, three_edge):
-        report = enumerate_rest_points(
-            three_edge.network, three_edge.model, "none", 25, 1.0,
-            used_tol=three_edge.used_edge_tol,
-        )
-        cmp = compare_average_costs(
-            three_edge.network, three_edge.model, "none", report.families, 1.0
-        )
+        report = enumerate_rest_points(three_edge, 25)
+        cmp = compare_average_costs(three_edge, report.families)
         assert cmp.applicable and cmp.ok
         assert cmp.complete_info_cost == pytest.approx(11.5)
         costs = sorted(e.rest_cost for e in cmp.entries)
         assert costs == pytest.approx([11.5, 12.0])
 
     def test_equality_at_complete_information_point(self, three_edge):
-        report = enumerate_rest_points(
-            three_edge.network, three_edge.model, "none", 25, 1.0,
-            used_tol=three_edge.used_edge_tol,
-        )
+        report = enumerate_rest_points(three_edge, 25)
         fam = next(f for f in report.families if len(f.used) == 3)
-        cmp = compare_average_costs(three_edge.network, three_edge.model, "none", [fam], 1.0)
+        cmp = compare_average_costs(three_edge, [fam])
         assert cmp.entries[0].rest_cost == pytest.approx(cmp.complete_info_cost)
 
     def test_not_applicable_on_wheatstone(self):
         net = wheatstone_network()
         fns = {(e, "s"): CostFunction.affine(1.0, 1.0) for e in net.edge_ids}
         model = CostModel(net.edge_ids, ["s"], fns, np.eye(5))
-        cmp = compare_average_costs(net, model, "s", [], 1.0)
+        cmp = compare_average_costs(table_scenario(net, model, "s", 1.0), [])
         assert not cmp.applicable
         assert cmp.complete_info_cost is None
 
 
 class TestCompleteLearningConditions:
     def test_base_scenario_all_false(self, three_edge):
-        rep = check_complete_learning_conditions(
-            three_edge.network, three_edge.model, "none", 1.0
-        )
+        rep = check_complete_learning_conditions(three_edge)
         assert not rep.fully_distinguishable
         # the e2 state hides on the route that avoids e2
         assert rep.witness_distinguishable[0] == "e2"
@@ -352,13 +312,13 @@ class TestCompleteLearningConditions:
         assert not rep.any_holds
 
     def test_cond2_variant(self, cond2):
-        rep = check_complete_learning_conditions(cond2.network, cond2.model, "none", 1.0)
+        rep = check_complete_learning_conditions(cond2)
         assert rep.state_independent_free_flow
         assert rep.any_holds
 
     def test_fully_distinguishable_variant(self, three_edge):
         sc = fully_distinguishable_scenario(three_edge)
-        rep = check_complete_learning_conditions(sc.network, sc.model, "ok", 1.0)
+        rep = check_complete_learning_conditions(sc)
         assert rep.fully_distinguishable
 
     def test_all_edges_used_at_high_demand(self, three_edge):
@@ -366,8 +326,19 @@ class TestCompleteLearningConditions:
         payload["name"] = "three-edge-high-demand"
         payload["demand"] = 20.0
         sc = scenario_from_dict(payload)
-        rep = check_complete_learning_conditions(sc.network, sc.model, "none", 20.0)
+        rep = check_complete_learning_conditions(sc)
         assert rep.all_edges_used
+
+    def test_condition_3_applies_the_scenarios_used_edge_rule(self, three_edge):
+        # state e1's known-state loads are (1, 0.5, 0.5): e2 and e3 carry load
+        # but are unused when only loads above 0.6 count, so e1 is the first
+        # witness, ahead of e2, which leaves e2 without load at any tolerance
+        rep = check_complete_learning_conditions(_with_tolerances(three_edge, used_edge=0.6))
+        state, edge, load = rep.witness_utilization
+        assert (state, edge) == ("e1", "e2") and load == pytest.approx(0.5, abs=1e-12)
+        assert check_complete_learning_conditions(three_edge).witness_utilization == (
+            "e2", "e2", 0.0
+        )
 
     def test_knife_edge_equality_not_missed(self):
         # two states whose functions agree at one sampled point but differ as
@@ -380,7 +351,7 @@ class TestCompleteLearningConditions:
             ("b", "alt"): CostFunction.affine(1.0, 2.0),
         }
         model = CostModel(["a", "b"], ["ok", "alt"], fns, np.eye(2))
-        rep = check_complete_learning_conditions(net, model, "ok", 1.0)
+        rep = check_complete_learning_conditions(table_scenario(net, model, "ok", 1.0))
         # the alt state still hides on route [b], so condition 1 fails there
         assert not rep.fully_distinguishable
         assert rep.witness_distinguishable == ("alt", 1)
@@ -390,7 +361,7 @@ class TestConditionImpliesCompleteLearning:
     def test_condition1_scenario_monte_carlo(self, three_edge):
         sc = fully_distinguishable_scenario(three_edge)
         batch = monte_carlo(sc, range(15))
-        eq = complete_info_equilibrium(sc.network, sc.model, "ok", 1.0)
+        eq = solve_wardrop(sc.network, sc.model, known_state(sc.model, "ok"), 1.0)
         assert batch.n_converged == 15
         for s in batch.summaries:
             assert np.max(np.abs(s.terminal_loads - eq.edge_loads)) <= 1e-2
@@ -480,7 +451,7 @@ class TestRestPointCheckLayout:
                 return np.asarray(real(self, w, idx), order=order)
 
             monkeypatch.setattr(CostModel, "cost_matrix", laid_out)
-            return check_rest_point(net, model, "s0", theta, loads, 1.0)
+            return check_rest_point(table_scenario(net, model, "s0", 1.0), theta, loads)
 
         for _ in range(50):
             theta = Belief(rng.dirichlet(np.ones(12)))
@@ -495,8 +466,7 @@ class TestResidualMassHashSeed:
         script = (
             "from routelearn import Belief, check_rest_point, load_scenario\n"
             "sc = load_scenario('three-edge')\n"
-            "chk = check_rest_point(sc.network, sc.model, sc.true_state,"
-            " Belief([0.1, 0.2, 0.3, 0.4]), [1.0, 0.5, 0.5], sc.demand)\n"
+            "chk = check_rest_point(sc, Belief([0.1, 0.2, 0.3, 0.4]), [1.0, 0.5, 0.5])\n"
             "print(chk.residual_mass.hex())\n"
         )
         src = str(Path(routelearn.__file__).resolve().parents[1])
@@ -526,18 +496,17 @@ class TestBlockRefinement:
     """The rest-point screen is one block solve; with the used-set test the
     bisection adds, it must agree with one solve per row."""
 
-    TOLS = dict(mass_tol=1e-9, cost_tol=1e-9, solver_tol=1e-10)
+    TOLS = dict(mass_tol=1e-9, solver_tol=1e-10)
 
     def check_face(self, network, model, true_idx, face, demand, key):
         used_tol = 1e-9 * demand
-        eq, ok = analysis._rest_point_screen(
-            network, model, true_idx, face, demand=demand, used_tol=used_tol, **self.TOLS
-        )
+        sc = table_scenario(network, model, model.states[true_idx], demand)
+        eq, ok = analysis._rest_point_screen(sc, face, **self.TOLS)
         got = ok & np.array([_used_key(w, used_tol) == key for w in eq.edge_loads])
         want = [
             reference_rest_point_passes(
-                network, model, model.states[true_idx], row, demand, key, used_tol=used_tol,
-                **self.TOLS,
+                network, model, sc.true_state, row, demand, key, cost_tol=1e-9,
+                used_tol=used_tol, **self.TOLS,
             )
             for row in face
         ]
@@ -601,8 +570,11 @@ class TestBlockConditions:
         network, model, _, demand = random_multi_route_instance(rng)
         truth = model.states[int(rng.integers(model.n_states))]
         model = _tie_to_truth(model, truth, rng)
-        got = check_complete_learning_conditions(network, model, truth, demand)
-        want = reference_complete_learning_conditions(network, model, truth, demand, 1e-9 * demand)
+        # the default rule, or one that takes up to a quarter of the demand as unused
+        used_edge = [None, 0.25 * demand * rng.random()][int(rng.integers(2))]
+        sc = table_scenario(network, model, truth, demand, used_edge=used_edge)
+        got = check_complete_learning_conditions(sc)
+        want = reference_complete_learning_conditions(network, model, truth, demand, sc.used_edge_tol)
         assert _condition_tuple(got) == want
 
     @pytest.mark.parametrize("name", ["three-edge", "three-edge-cond2", "wheatstone"])
@@ -610,7 +582,7 @@ class TestBlockConditions:
         sc = {"three-edge": three_edge, "three-edge-cond2": cond2}.get(name)
         if sc is None:
             sc = scenario_from_dict(wheatstone_poly_payload())
-        got = check_complete_learning_conditions(sc.network, sc.model, sc.true_state, sc.demand)
+        got = check_complete_learning_conditions(sc)
         want = reference_complete_learning_conditions(
             sc.network, sc.model, sc.true_state, sc.demand, 1e-9 * sc.demand
         )
@@ -639,14 +611,14 @@ class TestConditionExitCodes:
     # In three-edge the first state that leaves an edge unused is e2 (row 1).
     def test_failure_after_the_witness_is_not_examined(self, three_edge, unconverged_known_state):
         unconverged_known_state["index"] = 2
-        rep = check_complete_learning_conditions(three_edge.network, three_edge.model, "none", 1.0)
+        rep = check_complete_learning_conditions(three_edge)
         assert rep.witness_utilization[0] == "e2"
 
     @pytest.mark.parametrize("index", [0, 1])
     def test_failure_up_to_the_witness_raises(self, three_edge, unconverged_known_state, index):
         unconverged_known_state["index"] = index
         with pytest.raises(SolverError):
-            check_complete_learning_conditions(three_edge.network, three_edge.model, "none", 1.0)
+            check_complete_learning_conditions(three_edge)
 
     @pytest.mark.parametrize("index, code", [(0, 3), (1, 3), (2, 0), (3, 0)])
     def test_check_exit_code(self, tmp_path, unconverged_known_state, index, code):
@@ -673,7 +645,7 @@ class TestUnconvergedSweepRows:
         monkeypatch.setattr(analysis, "solve_wardrop_batch", flagged)
         # the error names the first flagged row's grid node
         with pytest.raises(SolverError, match=r"^belief \(0, 0, 0, 1\): no convergence"):
-            enumerate_rest_points(three_edge.network, three_edge.model, "none", 20, 1.0)
+            enumerate_rest_points(three_edge, 20)
         # the first sweep block raised, before any refinement: the sweep and
         # the bisection solve through the same function
         assert len(swept) == 1 and len(swept[0]) == math.comb(22, 2)
@@ -695,7 +667,7 @@ class TestUnconvergedSweepRows:
 
         monkeypatch.setattr(analysis, "solve_wardrop_batch", flagged)
         with pytest.raises(SolverError, match=r"^belief \(0, 0.175, 0, 0.825\): no convergence"):
-            enumerate_rest_points(three_edge.network, three_edge.model, "none", 20, 1.0)
+            enumerate_rest_points(three_edge, 20)
         # the block of 15 midpoints, then the walk's first midpoint alone
         assert calls == [math.comb(22, 2), 15, 1]
 
@@ -790,7 +762,7 @@ class TestSweepArguments:
     GRID = 20
 
     def sweep(self, sc, **kw):
-        return enumerate_rest_points(sc.network, sc.model, "none", self.GRID, sc.demand, **kw)
+        return enumerate_rest_points(sc, self.GRID, **kw)
 
     @pytest.mark.parametrize("chunk_size", [-5, 0, 2.5, True, None])
     def test_chunk_size_must_be_a_positive_integer(self, three_edge, chunk_size):
@@ -815,15 +787,12 @@ class TestSweepArguments:
     def test_refinement_at_grid_200_takes_four_block_solves(self, three_edge, monkeypatch):
         real, sizes = analysis._rest_point_screen, []
 
-        def spy(network, model, true_idx, thetas, **kw):
+        def spy(scenario, thetas, **kw):
             sizes.append(len(thetas))
-            return real(network, model, true_idx, thetas, **kw)
+            return real(scenario, thetas, **kw)
 
         monkeypatch.setattr(analysis, "_rest_point_screen", spy)
-        rep = enumerate_rest_points(
-            three_edge.network, three_edge.model, "none", 200, three_edge.demand,
-            used_tol=three_edge.used_edge_tol, cost_tol=three_edge.tolerances.cost_equality,
-        )
+        rep = enumerate_rest_points(three_edge, 200)
         # the face sweep, then the bisection below e2 = 0.2 from the family's
         # first node, with no scan of the (e2, none) edge in between
         assert sizes == [math.comb(202, 2), 15, 15, 15, 1]
@@ -881,7 +850,7 @@ def _face_case(rng):
                 [t + d for t, d in zip(truth[e], delta)]
             )
     model = CostModel(edges, states, table, np.eye(len(edges)))
-    return network, model, true_state, demand, cost_tol
+    return table_scenario(network, model, true_state, demand, cost_equality=cost_tol)
 
 
 def _family_fields(fam) -> tuple:
@@ -891,10 +860,10 @@ def _family_fields(fam) -> tuple:
     )
 
 
-def _assert_matches_full_sweep(network, model, true_state, grid_n, demand, **kw):
+def _assert_matches_full_sweep(scenario, grid_n, **kw):
     """The face sweep reports what the full sweep of every grid node reports."""
-    got = enumerate_rest_points(network, model, true_state, grid_n, demand, **kw)
-    want = reference_enumerate_rest_points(network, model, true_state, grid_n, demand, **kw)
+    got = enumerate_rest_points(scenario, grid_n, **kw)
+    want = reference_enumerate_rest_points(scenario, grid_n, **kw)
     assert (got.n_nodes, got.n_passing) == (want.n_nodes, want.n_passing)
     assert [_family_fields(f) for f in got.families] == [_family_fields(f) for f in want.families]
     assert got.max_solver_gap <= want.max_solver_gap
@@ -906,8 +875,7 @@ class TestFaceSweep:
     @settings(max_examples=120, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 9))
     def test_random_tables_match_full_sweep(self, seed, grid_n):
-        network, model, true_state, demand, cost_tol = _face_case(np.random.default_rng(seed))
-        _assert_matches_full_sweep(network, model, true_state, grid_n, demand, cost_tol=cost_tol)
+        _assert_matches_full_sweep(_face_case(np.random.default_rng(seed)), grid_n)
 
     def test_full_grid_order_restricted_to_the_face(self, three_edge, monkeypatch):
         # the sweep solves, in order, the full grid's rows that give e1 no mass
@@ -919,10 +887,7 @@ class TestFaceSweep:
             return real(network, model, thetas, demand, **kw)
 
         monkeypatch.setattr(analysis, "solve_wardrop_batch", recording)
-        got = _assert_matches_full_sweep(
-            three_edge.network, three_edge.model, "none", 20, 1.0,
-            used_tol=three_edge.used_edge_tol, chunk_size=50,
-        )
+        got = _assert_matches_full_sweep(three_edge, 20, chunk_size=50)
         full = np.concatenate(list(analysis._simplex_grid_chunks(4, 20, 10**6)))
         # the reference sweep calls the solver directly; the sweep's five
         # blocks of at most 50 rows come before the bisection's blocks
@@ -939,10 +904,15 @@ def _bench_wheatstone():
     return scenario_from_dict(bench_reference().wheatstone_table().to_scenario())
 
 
-def _face_labels(sc, grid_n=200, **kw):
-    tols = dict(mass_tol=1e-9, cost_tol=1e-9, used_tol=1e-9 * sc.demand) | kw
-    true_idx = sc.model.state_index(sc.true_state)
-    keep = analysis._face_states(sc.network, sc.model, true_idx, sc.demand, grid_n=grid_n, **tols)
+def _with_tolerances(sc, **tolerances):
+    """The scenario with the given `Tolerances` fields replaced."""
+    return dataclasses.replace(sc, tolerances=dataclasses.replace(sc.tolerances, **tolerances))
+
+
+def _face_labels(sc, grid_n=200, mass_tol=1e-9, **tolerances):
+    keep = analysis._face_states(
+        _with_tolerances(sc, **tolerances), grid_n=grid_n, mass_tol=mass_tol
+    )
     return [sc.model.states[i] for i in keep]
 
 
@@ -953,7 +923,7 @@ def _shared_exit_scenario(alt_exit: list[float]):
     fns |= {("a", "alt"): fns[("a", "ok")], ("b", "alt"): fns[("b", "ok")]}
     fns[("c", "alt")] = CostFunction.polynomial([2.0 + alt_exit[0], 1.0 + alt_exit[1], alt_exit[2]])
     model = CostModel(["a", "b", "c"], ["ok", "alt"], fns, np.eye(3))
-    return SimpleNamespace(network=net, model=model, true_state="ok", demand=1.0)
+    return table_scenario(net, model, "ok", 1.0)
 
 
 class TestFaceStates:
@@ -969,8 +939,8 @@ class TestFaceStates:
 
     def test_used_tolerance_at_the_route_floor_keeps_all(self, three_edge):
         # two routes and demand 1: some route carries at least 0.5
-        assert _face_labels(three_edge, used_tol=0.5) == list(three_edge.model.states)
-        assert _face_labels(three_edge, used_tol=0.49) == ["e2", "e3", "none"]
+        assert _face_labels(three_edge, used_edge=0.5) == list(three_edge.model.states)
+        assert _face_labels(three_edge, used_edge=0.49) == ["e2", "e3", "none"]
 
     @pytest.mark.parametrize(
         "alt_exit, kept",
@@ -983,19 +953,19 @@ class TestFaceStates:
     def test_only_one_signed_differences_count(self, alt_exit, kept):
         sc = _shared_exit_scenario(alt_exit)
         assert _face_labels(sc, grid_n=40) == kept
-        _assert_matches_full_sweep(sc.network, sc.model, "ok", 40, 1.0)
+        _assert_matches_full_sweep(sc, 40)
 
     @pytest.mark.parametrize("cost_tol, kept", [(0.5, ["ok", "alt"]), (0.499, ["ok"])])
     def test_difference_exactly_at_cost_tol_at_the_route_floor(self, cost_tol, kept):
         # alt adds w on the exit: exactly 0.5 at the floor 0.5, which is not above 0.5
         sc = _shared_exit_scenario([0.0, 1.0, 0.0])
-        assert _face_labels(sc, grid_n=40, cost_tol=cost_tol) == kept
-        _assert_matches_full_sweep(sc.network, sc.model, "ok", 40, 1.0, cost_tol=cost_tol)
+        assert _face_labels(sc, grid_n=40, cost_equality=cost_tol) == kept
+        _assert_matches_full_sweep(_with_tolerances(sc, cost_equality=cost_tol), 40)
 
     def test_wheatstone_has_no_cut(self):
         sc = _bench_wheatstone()
         assert _face_labels(sc, grid_n=20) == list(sc.model.states)
-        _assert_matches_full_sweep(sc.network, sc.model, sc.true_state, 6, sc.demand)
+        _assert_matches_full_sweep(sc, 6)
 
     @pytest.mark.parametrize("case", ["mass_tol", "used_tol"])
     def test_full_sweep_when_nothing_is_dropped(self, three_edge, case, monkeypatch):
@@ -1007,7 +977,9 @@ class TestFaceStates:
             return real(network, model, thetas, demand, **kw)
 
         monkeypatch.setattr(analysis, "solve_wardrop_batch", counting)
-        kw = {"mass_tol": 1 / 12} if case == "mass_tol" else {"used_tol": 0.5}
-        _assert_matches_full_sweep(three_edge.network, three_edge.model, "none", 12, 1.0, **kw)
+        if case == "mass_tol":
+            _assert_matches_full_sweep(three_edge, 12, mass_tol=1 / 12)
+        else:
+            _assert_matches_full_sweep(_with_tolerances(three_edge, used_edge=0.5), 12)
         # one sweep block of the full grid; any later blocks are the bisection's
         assert rows[0] == math.comb(15, 3) and all(n <= 15 for n in rows[1:])

@@ -1,11 +1,23 @@
 from __future__ import annotations
 
+import contextlib
+import copy
+import functools
+import io
 import json
+import math
+import operator
+import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from routelearn import SolverError, load_scenario, scenario_to_dict
 from routelearn.cli import main
+from routelearn.scenario import _builtin_payloads
 
 from oracles import wheatstone_drain_table
 
@@ -326,6 +338,22 @@ class TestCheck:
         assert conds["any_holds"] is True
 
 
+class TestCheckTolerances:
+    def test_condition_3_applies_the_stamped_used_edge_tolerance(self, tmp_path):
+        # state e1's known-state loads are (1, 0.5, 0.5): above the default
+        # tolerance every edge is used, at 0.6 only e1 is
+        payload = scenario_to_dict(load_scenario("three-edge"))
+        payload["tolerances"]["used_edge"] = 0.6
+        path = tmp_path / "used-edge.json"
+        path.write_text(json.dumps(payload))
+        argv = ["check", "--scenario", str(path), "--grid-n", "20", "--out-dir", str(tmp_path)]
+        assert main(argv) == 0
+        out = read_json(tmp_path / "three-edge_check.json")
+        assert out["tolerances"]["used_edge"] == 0.6
+        state, edge, load = out["complete_learning_conditions"]["witness_utilization"]
+        assert [state, edge] == ["e1", "e2"] and load == pytest.approx(0.5, abs=1e-12)
+
+
 class TestDrainTable:
     def test_check_exits_0(self, tmp_path):
         # Frank-Wolfe alone ran this check to its 100,000-iteration cap and exit 3
@@ -359,3 +387,75 @@ class TestExitCodes:
             ["run", "--scenario", "three-edge", "--seed", "0", "--out-dir", str(tmp_path)]
         )
         assert code == 3
+
+    def test_singular_newton_step_is_a_solver_failure(self, tmp_path, capsys):
+        # a slope of 1e300 on (e1, e2) leaves the Newton step's system singular
+        # in floating point; numpy's LinAlgError once exited 2 as a validation error
+        payload = scenario_to_dict(load_scenario("three-edge"))
+        payload["costs"][1]["params"]["slope"] = 1e300
+        path = tmp_path / "steep.json"
+        path.write_text(json.dumps(payload))
+        for command in (["run"], ["check", "--grid-n", "3"]):
+            argv = [command[0], "--scenario", str(path), *command[1:], "--out-dir", str(tmp_path)]
+            assert main(argv) == 3
+            assert capsys.readouterr().err.startswith("solver error: Newton step: ")
+
+
+DELETE = object()  # stands for deleting the entry instead of replacing it
+BAD_VALUES = (
+    None, True, False, 0, -1, 10**400, math.nan, math.inf, -math.inf,
+    "", "e1", [], [1.0], {}, {"form": "affine"},
+)
+FIELD_PATH = re.compile(r"validation error: [A-Za-z_]\w*(\[\d+\])*([./][A-Za-z_]\w*(\[\d+\])*)*: ")
+
+
+def _json_paths(value, path=()):
+    """The path of every entry below `value`, down to the first 3 entries of each list."""
+    if isinstance(value, dict):
+        entries = list(value.items())
+    elif isinstance(value, list):
+        entries = list(enumerate(value))[:3]
+    else:
+        entries = []
+    for key, child in entries:
+        yield (*path, key)
+        yield from _json_paths(child, (*path, key))
+
+
+THREE_EDGE = _builtin_payloads()["three-edge"]
+
+
+class TestMutatedScenarios:
+    """A scenario file one field away from three-edge exits 0, 2 or 3 and never
+    raises out of main; exit 2 names a field path and exit 3 says it is the solver."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        path=st.sampled_from(tuple(_json_paths(THREE_EDGE))),
+        value=st.sampled_from((*BAD_VALUES, DELETE)),
+        command=st.sampled_from(
+            [["run"], ["enumerate", "--grid-n", "3"], ["check", "--grid-n", "3"]]
+        ),
+    )
+    # a sigma row of the wrong length once exited 2 with numpy's message, naming no field
+    @example(path=("sigma", 1), value=[1.0], command=["run"])
+    def test_every_outcome_is_an_exit_code(self, path, value, command):
+        payload = copy.deepcopy(THREE_EDGE)
+        *parents, key = path
+        target = functools.reduce(operator.getitem, parents, payload)
+        if value is DELETE:
+            del target[key]
+        else:
+            target[key] = value
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            scenario = Path(tmp) / "mutated.json"
+            scenario.write_text(json.dumps(payload))
+            argv = [command[0], "--scenario", str(scenario), *command[1:], "--out-dir", tmp]
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv)
+        assert code in (0, 2, 3)
+        if code == 2:
+            assert FIELD_PATH.match(err.getvalue()), err.getvalue()
+        if code == 3:
+            assert err.getvalue().startswith("solver error: "), err.getvalue()

@@ -159,13 +159,13 @@ class TestNoiseSampler:
 class TestRealizeCosts:
     def test_zero_noise_gives_true_costs(self, three_edge):
         w = np.array([[1.0, 0.5, 0.5]])
-        costs = realize_costs(three_edge.model, "none", w, np.ones((1, 3), bool), np.zeros((1, 3)))
+        costs = realize_costs(three_edge, w, np.ones((1, 3), bool), np.zeros((1, 3)))
         assert np.allclose(costs, [[6.0, 5.5, 5.5]], atol=1e-15)
 
     def test_restricted_to_used_edges(self, three_edge):
         w = np.array([[1.0, 0.0, 1.0]])
         used = np.array([[True, False, True]])
-        costs = realize_costs(three_edge.model, "none", w, used, np.zeros((1, 3)))
+        costs = realize_costs(three_edge, w, used, np.zeros((1, 3)))
         assert costs.shape == (1, 3)
         assert np.isnan(costs[0, 1])
         assert np.allclose(costs[used], [6.0, 6.0])
@@ -173,16 +173,16 @@ class TestRealizeCosts:
     def test_noise_added_componentwise(self, three_edge):
         w = np.array([[1.0, 0.5, 0.5]])
         noise = np.array([[0.1, -0.2, 0.3]])
-        costs = realize_costs(three_edge.model, "none", w, np.ones((1, 3), bool), noise)
+        costs = realize_costs(three_edge, w, np.ones((1, 3), bool), noise)
         assert np.allclose(costs, [[6.1, 5.3, 5.8]], atol=1e-15)
 
     def test_rows_are_independent_observations(self, three_edge):
         w = np.array([[1.0, 0.5, 0.5], [1.0, 0.0, 1.0]])
         used = np.array([[True, True, True], [True, False, True]])
         noise = np.array([[0.1, -0.2, 0.3], [0.0, 5.0, 0.0]])
-        costs = realize_costs(three_edge.model, "none", w, used, noise)
+        costs = realize_costs(three_edge, w, used, noise)
         for i in range(2):
-            one = realize_costs(three_edge.model, "none", w[i], used[i], noise[i])
+            one = realize_costs(three_edge, w[i], used[i], noise[i])
             assert np.array_equal(costs[i], one, equal_nan=True)
         assert np.allclose(costs[1, [0, 2]], [6.0, 6.0]) and np.isnan(costs[1, 1])
 
@@ -393,15 +393,7 @@ class TestRestPointClosure:
             traj = run(three_edge, seed=seed)
             assert traj.status == CONVERGED
             chk = check_rest_point(
-                three_edge.network,
-                three_edge.model,
-                "none",
-                traj.final_belief,
-                traj.final_loads,
-                three_edge.demand,
-                load_tol=1e-2,
-                mass_tol=1e-2,
-                used_tol=three_edge.used_edge_tol,
+                three_edge, traj.final_belief, traj.final_loads, load_tol=1e-2, mass_tol=1e-2
             )
             assert chk.ok, chk.violations
 

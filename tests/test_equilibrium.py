@@ -16,17 +16,14 @@ from routelearn import (
 from routelearn.analysis import enumerate_rest_points
 from routelearn.costs import polyint_coefficients
 from routelearn.dynamics import run_block
-from routelearn.equilibrium import (
-    complete_info_equilibrium,
-    solve_wardrop,
-    solve_wardrop_batch,
-)
+from routelearn.equilibrium import solve_wardrop, solve_wardrop_batch
 
 from oracles import (
     bench_reference,
     certify_nothing,
     exact_solve_wardrop,
     grid_payload,
+    known_state,
     random_multi_route_instance,
     random_simplex,
     random_two_route_instance,
@@ -95,23 +92,29 @@ class TestThreeEdgeScenario:
 
 
 class TestCompleteInformation:
+    @staticmethod
+    def known(scenario, state):
+        """The equilibrium when `state` is known: under its point-mass belief."""
+        belief = known_state(scenario.model, state)
+        return solve_wardrop(scenario.network, scenario.model, belief, scenario.demand)
+
     def test_true_state(self, three_edge):
-        eq = complete_info_equilibrium(three_edge.network, three_edge.model, "none", 1.0)
+        eq = self.known(three_edge, "none")
         assert np.allclose(eq.edge_loads, [1.0, 0.5, 0.5], atol=1e-12)
 
     def test_e2_compromised_pushes_flow_off(self, three_edge):
         # entry cost 10 on e2 exceeds the full-load e3 route; corner solution
-        eq = complete_info_equilibrium(three_edge.network, three_edge.model, "e2", 1.0)
+        eq = self.known(three_edge, "e2")
         assert np.allclose(eq.edge_loads, [1.0, 0.0, 1.0], atol=1e-12)
 
     def test_e3_compromised_interior(self, three_edge):
         # slope-3 compromise on e3: q2 + 11 = 3*(1 - q2) + 11 gives q2 = 0.75
-        eq = complete_info_equilibrium(three_edge.network, three_edge.model, "e3", 1.0)
+        eq = self.known(three_edge, "e3")
         assert np.allclose(eq.edge_loads, [1.0, 0.75, 0.25], atol=1e-12)
         assert np.allclose(eq.route_costs, [11.75, 11.75], atol=1e-12)
 
     def test_e1_compromised_symmetric_split(self, three_edge):
-        eq = complete_info_equilibrium(three_edge.network, three_edge.model, "e1", 1.0)
+        eq = self.known(three_edge, "e1")
         assert np.allclose(eq.edge_loads, [1.0, 0.5, 0.5], atol=1e-12)
 
 
@@ -627,9 +630,7 @@ class TestDependentRouteSets:
 
         monkeypatch.setattr(analysis, "solve_wardrop_batch", recording)
         scenario = scenario_from_dict(grid_payload(3, 4, g))
-        report = enumerate_rest_points(
-            scenario.network, scenario.model, scenario.true_state, 24, scenario.demand
-        )
+        report = enumerate_rest_points(scenario, 24)
         assert report.families
         for thetas, block in solved:
             for theta, flows in zip(thetas, block.route_flows):

@@ -33,7 +33,7 @@ class TestNetworkConstruction:
         rebuilt = np.zeros_like(inc)
         for k, route in enumerate(three_edge_net.routes):
             for e in route:
-                rebuilt[three_edge_net.edge_index(e), k] = 1.0
+                rebuilt[three_edge_net.edge_ids.index(e), k] = 1.0
         assert np.array_equal(inc, rebuilt)
 
     def test_incidence_read_only(self, three_edge_net):

@@ -17,7 +17,7 @@ from routelearn import (
 )
 from routelearn.cli import main
 from routelearn.costs import Belief
-from routelearn.equilibrium import complete_info_equilibrium, solve_wardrop
+from routelearn.equilibrium import solve_wardrop
 
 
 class TestBuiltins:
@@ -60,7 +60,8 @@ class TestCostReconstruction:
     """The built-in cost table must reproduce the pinned identities."""
 
     def test_complete_information_split_and_cost(self, three_edge):
-        eq = complete_info_equilibrium(three_edge.network, three_edge.model, "none", 1.0)
+        truth = Belief([0.0, 0.0, 0.0, 1.0])
+        eq = solve_wardrop(three_edge.network, three_edge.model, truth, 1.0)
         assert np.allclose(eq.edge_loads, [1.0, 0.5, 0.5], atol=1e-12)
         assert np.allclose(eq.route_costs, [11.5, 11.5], atol=1e-12)
 
@@ -139,6 +140,15 @@ class TestValidation:
         sigma = [[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0]]
         with pytest.raises(ScenarioError, match="sigma"):
             scenario_from_dict(self.payload(three_edge, sigma=sigma))
+
+    @pytest.mark.parametrize("row", [[], [1.0], [0.0, 1.0, 0.0, 0.0]])
+    def test_sigma_row_of_the_wrong_length_names_the_row(self, three_edge, row):
+        # numpy's message for a ragged matrix once stood in for the field
+        sigma = scenario_to_dict(three_edge)["sigma"]
+        sigma[1] = row
+        with pytest.raises(ScenarioError) as exc:
+            scenario_from_dict(self.payload(three_edge, sigma=sigma))
+        assert str(exc.value) == f"sigma[1]: has {len(row)} entries, expected 3"
 
     def test_slope_violation_reported_with_entries(self, three_edge):
         p = self.payload(three_edge)

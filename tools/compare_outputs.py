@@ -12,11 +12,13 @@ as `python3 -m routelearn.cli`, with `OPENBLAS_NUM_THREADS=1`:
     check --grid-n 20
 
 on every scenario below, plus `enumerate --grid-n 200` on the built-ins.
-The scenarios are the built-ins, the benchmark's Wheatstone table
-(`bench/reference.wheatstone_table`) and the 12 directed-grid tables
-`tests/oracles.grid_payload(r, 4, g)` for r = 3, 4 and g = 0..5, written
-as scenario files from the change's copy so both sides read the same
-bytes. Every command runs in its side's own directory with a relative
+The scenarios are the built-ins, `three-edge-tolerances` (the
+`three-edge` payload with every tolerance set away from its default:
+equilibrium 1e-9, used edge 0.6, cost equality 1e-7), the benchmark's
+Wheatstone table (`bench/reference.wheatstone_table`) and the 12
+directed-grid tables `tests/oracles.grid_payload(r, 4, g)` for r = 3, 4
+and g = 0..5, written as scenario files from the change's copy so both
+sides read the same bytes. Every command runs in its side's own directory with a relative
 `--out-dir`, so its standard output names the same paths on both sides.
 
 Compared per command: the exit code, standard output, standard error and
@@ -55,8 +57,15 @@ import json, sys
 from pathlib import Path
 sys.path[:0] = ["src", "tests", "bench"]
 import oracles, reference
+from routelearn.scenario import _builtin_payloads
 out = Path(sys.argv[1])
-tables = {"wheatstone-poly": reference.wheatstone_table().to_scenario()}
+tolerances = {"equilibrium": 1e-9, "used_edge": 0.6, "cost_equality": 1e-7}
+tables = {
+    "three-edge-tolerances": {
+        **_builtin_payloads()["three-edge"], "name": "three-edge-tolerances", "tolerances": tolerances
+    },
+    "wheatstone-poly": reference.wheatstone_table().to_scenario(),
+}
 for r in (3, 4):
     for g in range(6):
         tables[f"grid-{r}x4-g{g}"] = oracles.grid_payload(r, 4, g)
