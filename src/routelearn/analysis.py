@@ -12,32 +12,52 @@ block solve evaluates the midpoints of four halvings.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import Belief, CostModel, polyval_ascending
+from .costs import Belief, polyval_ascending
 from .equilibrium import EquilibriumBlock, solve_wardrop, solve_wardrop_batch
 from .errors import SolverError
-from .graph import Network, is_series_parallel, row_any, row_groups, used_edges
+from .graph import is_series_parallel, row_any, row_groups, used_edges
 from .scenario import Scenario
 
 
-def _distinguishable(
-    network: Network, model: CostModel, true_idx: int, loads: np.ndarray, cost_tol: float,
-    used_tol: float,
-) -> np.ndarray:
-    """(n, S) mask of the states whose cost differs from the truth on an edge
-    that row i of `loads` uses at `used_tol`.
+_MASS_TOL = 1e-9  # belief mass on distinguishable states that a swept rest point may carry
+_REFINE_TOL = 1e-6  # width at which the bisection of a family's boundary stops
+_SOLVER_TOL = 1e-10  # relative duality gap of every rest-point solve
+
+
+def _solve(scenario: Scenario, thetas: np.ndarray) -> EquilibriumBlock:
+    """The equilibria of the belief rows `thetas`, one block solve at `_SOLVER_TOL`.
+
+    A row that does not converge raises SolverError naming its belief.
+    """
+    eq = solve_wardrop_batch(
+        scenario.network, scenario.model, thetas, scenario.demand, tol=_SOLVER_TOL
+    )
+    try:
+        eq.raise_unconverged()
+    except SolverError as exc:
+        belief = ", ".join(f"{p:g}" for p in thetas[exc.row])
+        raise SolverError(f"belief ({belief}): {exc}", best=exc.best) from exc
+    return eq
+
+
+def _distinguishable(scenario: Scenario, loads: np.ndarray) -> np.ndarray:
+    """(n, S) mask of the states whose cost differs from the truth, by more
+    than the scenario's `tolerances.cost_equality`, on an edge that row i of
+    `loads` uses at its `used_edge_tol`.
 
     A state that differs only on edges carrying no load produces the same
     observed-cost distribution as the truth and cannot be told apart. The
     loop over states keeps memory at a few (n, E) arrays.
     """
-    used_mask = used_edges(network, loads, used_tol)
+    model, cost_tol = scenario.model, scenario.tolerances.cost_equality
+    true_idx = model.state_index(scenario.true_state)
+    used_mask = used_edges(scenario.network, loads, scenario.used_edge_tol)
     true_vals = polyval_ascending(model._coeffs[:, true_idx, :], loads)
     dist = np.zeros((len(loads), model.n_states), dtype=bool)
     for j in range(model.n_states):
@@ -74,34 +94,33 @@ def check_rest_point(
     *,
     load_tol: float = 1e-6,
     mass_tol: float = 1e-3,
-    solver_tol: float = 1e-10,
 ) -> RestPointCheck:
     """Verify a claimed rest point of the scenario and return its certificates.
 
-    Passes when (i) the equilibrium at `theta` reproduces `loads` within
-    `load_tol` and (ii) `theta` puts at most `mass_tol` on states
-    distinguishable at `loads`. Also certifies that on used edges the
-    belief-weighted cost matches the true cost, which (i) and (ii) imply up
-    to residual-mass leakage. Used edges and equal costs are the scenario's
-    (`used_edge_tol`, `tolerances.cost_equality`).
+    Passes when (i) the equilibrium at `theta`, solved to a relative gap of
+    `_SOLVER_TOL`, reproduces `loads` within `load_tol` and (ii) `theta`
+    puts at most `mass_tol` on states distinguishable at `loads`. Also
+    certifies that on used edges the belief-weighted cost matches the true
+    cost, which (i) and (ii) imply up to residual-mass leakage. Used edges
+    and equal costs are the scenario's (`used_edge_tol`,
+    `tolerances.cost_equality`).
     """
-    network, model = scenario.network, scenario.model
-    cost_tol, used_tol = scenario.tolerances.cost_equality, scenario.used_edge_tol
+    model, cost_tol = scenario.model, scenario.tolerances.cost_equality
     w_claim = np.asarray(loads, dtype=float)
     true_idx = model.state_index(scenario.true_state)
     violations = []
 
-    eq = solve_wardrop(network, model, theta, scenario.demand, tol=solver_tol)
-    gap = float(np.max(np.abs(eq.edge_loads - w_claim)))
+    eq = _solve(scenario, theta.probs[None, :])
+    gap = float(np.max(np.abs(eq.edge_loads[0] - w_claim)))
     if gap > load_tol:
         violations.append("equilibrium_load_mismatch")
 
-    dist = _distinguishable(network, model, true_idx, w_claim[None, :], cost_tol, used_tol)
+    dist = _distinguishable(scenario, w_claim[None, :])
     mass = float((theta.probs[None, :] * dist).sum(axis=1)[0])
     if mass > mass_tol:
         violations.append("distinguishable_mass")
 
-    used_idx = np.flatnonzero(used_edges(network, w_claim, used_tol))
+    used_idx = np.flatnonzero(used_edges(scenario.network, w_claim, scenario.used_edge_tol))
     used_labels = tuple(model.edges[i] for i in used_idx)
     if used_idx.size:
         per_state = model.cost_matrix(w_claim, used_idx)  # (S, m)
@@ -156,7 +175,6 @@ class RestPointReport:
     grid_n: int
     n_nodes: int
     n_passing: int
-    mass_tol: float
     max_solver_gap: float
 
 
@@ -225,33 +243,22 @@ def _used_key(used: np.ndarray) -> int:
 
 
 def _rest_point_screen(
-    scenario: Scenario, thetas: np.ndarray, *, mass_tol: float, solver_tol: float
+    scenario: Scenario, thetas: np.ndarray
 ) -> tuple[EquilibriumBlock, np.ndarray]:
-    """The equilibria of the belief rows `thetas` and the mask of the rows that
-    put at most `mass_tol` on states distinguishable at their loads.
+    """The equilibria of the belief rows `thetas` (`_solve`) and the mask of
+    the rows that put at most `_MASS_TOL` on states distinguishable at their loads.
 
-    One block solve; a row that does not converge raises SolverError naming
-    its belief. The sweep clusters the passing rows by used-edge set, and
-    the boundary bisection also asks for its family's set.
+    The sweep clusters the passing rows by used-edge set, and the boundary
+    bisection also asks for its family's set.
     """
-    network, model = scenario.network, scenario.model
-    eq = solve_wardrop_batch(network, model, thetas, scenario.demand, tol=solver_tol)
-    try:
-        eq.raise_unconverged()
-    except SolverError as exc:
-        belief = ", ".join(f"{p:g}" for p in thetas[exc.row])
-        raise SolverError(f"belief ({belief}): {exc}", best=exc.best) from exc
-    dist = _distinguishable(
-        network, model, model.state_index(scenario.true_state), eq.edge_loads,
-        scenario.tolerances.cost_equality, scenario.used_edge_tol,
-    )
-    return eq, (thetas * dist).sum(axis=1) <= mass_tol
+    eq = _solve(scenario, thetas)
+    return eq, (thetas * _distinguishable(scenario, eq.edge_loads)).sum(axis=1) <= _MASS_TOL
 
 
-def _face_states(scenario: Scenario, *, grid_n: int, mass_tol: float) -> np.ndarray:
+def _face_states(scenario: Scenario, grid_n: int) -> np.ndarray:
     """Indices of the states that can hold mass at a rest point on the grid.
 
-    Grid masses are multiples of 1/grid_n, so with mass_tol < 1/grid_n a
+    Grid masses are multiples of 1/grid_n, so with _MASS_TOL < 1/grid_n a
     passing node puts no mass on a state distinguishable at its loads. At
     every equilibrium some route, and so each of its edges, carries at least
     lo = demand / n_routes. D_s holds the edges where the coefficients of
@@ -265,7 +272,7 @@ def _face_states(scenario: Scenario, *, grid_n: int, mass_tol: float) -> np.ndar
     true_idx = model.state_index(scenario.true_state)
     # route flows sum to demand only up to rounding
     lo = demand / network.n_routes * (1.0 - 1e-9)
-    if not (mass_tol < 1.0 / grid_n and used_tol < lo):
+    if not (_MASS_TOL < 1.0 / grid_n and used_tol < lo):
         return np.arange(model.n_states)
     coeffs = model._coeffs  # (E, S, C)
     diff = coeffs - coeffs[:, true_idx : true_idx + 1]
@@ -330,10 +337,7 @@ def enumerate_rest_points(
     scenario: Scenario,
     grid_n: int,
     *,
-    mass_tol: float = 1e-9,
-    refine_tol: float = 1e-6,
     chunk_size: int = 200_000,
-    solver_tol: float = 1e-10,
 ) -> RestPointReport:
     """Sweep the belief simplex for the scenario's rest points and cluster them into families.
 
@@ -342,18 +346,18 @@ def enumerate_rest_points(
     rows, raising SolverError, which names the belief, for a node that does
     not converge), clusters passing nodes by their used-edge set, and for
     families supported on exactly two states refines the boundary of the
-    belief range by bisection down to `refine_tol`, from the family's first
+    belief range by bisection down to `_REFINE_TOL`, from the family's first
     and last grid node toward their failing neighbours on the grid edge.
     The sweep and the bisection screen their beliefs with
     `_rest_point_screen`. The bisection solves the midpoints of four
     halvings, up to 15 beliefs, in one block (`_bisect_boundary`); a
     midpoint off its path that does not converge does not raise.
-    `chunk_size` must be a positive integer and `refine_tol` finite and
-    positive, or ValueError names them. Used edges and equal costs are the
-    scenario's (`used_edge_tol`, `tolerances.cost_equality`).
+    `chunk_size` must be a positive integer, or ValueError names it. Used
+    edges and equal costs are the scenario's (`used_edge_tol`,
+    `tolerances.cost_equality`).
 
     Only the face of the grid where rest points can lie is solved: when
-    mass_tol < 1/grid_n and the used-edge tolerance is below
+    _MASS_TOL < 1/grid_n and the used-edge tolerance is below
     demand / n_routes, states that are distinguishable at every equilibrium
     are left out (`_face_states`), and the result is the full sweep's.
     `n_nodes` counts every node of the full grid; `max_solver_gap` is the
@@ -367,22 +371,17 @@ def enumerate_rest_points(
         raise ValueError("grid_n must be at least 1")
     if isinstance(chunk_size, bool) or not isinstance(chunk_size, numbers.Integral) or chunk_size < 1:
         raise ValueError(f"chunk_size must be a positive integer, not {chunk_size!r}")
-    if not (math.isfinite(refine_tol) and refine_tol > 0):
-        raise ValueError(f"refine_tol must be finite and positive, not {refine_tol!r}")
     used_tol = scenario.used_edge_tol
 
     clusters: dict[int, _ClusterAccumulator] = {}
     n_passing = 0
     max_gap = 0.0
 
-    keep = _face_states(scenario, grid_n=grid_n, mass_tol=mass_tol)
-    screen = functools.partial(
-        _rest_point_screen, scenario, mass_tol=mass_tol, solver_tol=solver_tol
-    )
+    keep = _face_states(scenario, grid_n)
     for face in _simplex_grid_chunks(len(keep), grid_n, chunk_size):
         thetas = np.zeros((len(face), n_states))
         thetas[:, keep] = face
-        eq, passing = screen(thetas)
+        eq, passing = _rest_point_screen(scenario, thetas)
         max_gap = max(max_gap, float(eq.gap.max()))
         n_passing += int(passing.sum())
         if not passing.any():
@@ -420,26 +419,21 @@ def enumerate_rest_points(
                 thetas = np.zeros((len(xs), n_states))
                 thetas[:, i] = xs
                 thetas[:, j] = 1.0 - xs
-                eq, ok = screen(thetas)
+                eq, ok = _rest_point_screen(scenario, thetas)
                 return ok & (used_edges(network, eq.edge_loads, used_tol) == want).all(axis=1)
 
             lo, hi = acc.theta_min[i], acc.theta_max[i]
             lo_k, hi_k = round(lo * grid_n), round(hi * grid_n)
             if lo_k > 0:
-                lo = _bisect_boundary(at, (lo_k - 1) / grid_n, lo, refine_tol)
+                lo = _bisect_boundary(at, (lo_k - 1) / grid_n, lo, _REFINE_TOL)
             if hi_k < grid_n:
-                hi = _bisect_boundary(at, (hi_k + 1) / grid_n, hi, refine_tol)
+                hi = _bisect_boundary(at, (hi_k + 1) / grid_n, hi, _REFINE_TOL)
             thresholds[model.states[i]] = (float(lo), float(hi))
             thresholds[model.states[j]] = (float(1.0 - hi), float(1.0 - lo))
 
         rep = acc.rep
         check = check_rest_point(
-            scenario,
-            Belief(rep),
-            mean_loads,
-            load_tol=max(1e-7, 10 * solver_tol),
-            mass_tol=max(mass_tol, 1e-12),
-            solver_tol=solver_tol,
+            scenario, Belief(rep), mean_loads, load_tol=1e-7, mass_tol=_MASS_TOL
         )
         families.append(
             RestPointFamily(
@@ -461,7 +455,6 @@ def enumerate_rest_points(
         grid_n=grid_n,
         n_nodes=math.comb(grid_n + n_states - 1, n_states - 1),
         n_passing=n_passing,
-        mass_tol=mass_tol,
         max_solver_gap=max_gap,
     )
 
@@ -497,10 +490,10 @@ def compare_average_costs(scenario: Scenario, families) -> AverageCostComparison
     eq = solve_wardrop(scenario.network, model, truth, scenario.demand)
     base = average_cost(scenario, eq.edge_loads)
     tol = scenario.tolerances.cost_equality
-    entries = []
-    for fam in families:
-        cost = average_cost(scenario, fam.loads)
-        entries.append(AverageCostEntry(fam.used, cost, cost >= base - tol))
+    entries = [
+        AverageCostEntry(f.used, f.average_cost_true, f.average_cost_true >= base - tol)
+        for f in families
+    ]
     return AverageCostComparison(True, base, tuple(entries), all(e.ok for e in entries))
 
 

@@ -20,7 +20,6 @@ import numpy as np
 
 from . import __version__
 from .errors import ScenarioError, SolverError
-from .graph import is_series_parallel
 from .scenario import (
     BUILTIN_NAMES,
     Scenario,
@@ -267,8 +266,9 @@ def cmd_check(args) -> int:
     scenario = _load(args)
     out = Path(args.out_dir)
     conditions = check_complete_learning_conditions(scenario)
-    sp = is_series_parallel(scenario.network)
     _, rest_points = _rest_points(scenario, args.grid_n)
+    # the cost comparison applies exactly on series-parallel networks
+    sp = rest_points["average_cost_comparison"]["applicable"]
     payload = _tool_stamp(scenario)
     payload.update(
         {

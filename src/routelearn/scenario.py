@@ -256,8 +256,11 @@ def scenario_from_dict(payload: Mapping[str, Any]) -> Scenario:
             raise ScenarioError(path, f"duplicate entry for ({edge}, {state})")
         table[(edge, state)] = _cost_function_from(entry, path)
 
+    sigma_rows = _require(payload, "sigma", list, "")
+    if len(sigma_rows) != network.n_edges:
+        raise ScenarioError("sigma", f"has {len(sigma_rows)} rows, expected {network.n_edges}")
     sigma = []
-    for i, row in enumerate(_require(payload, "sigma", list, "")):
+    for i, row in enumerate(sigma_rows):
         sigma.append(_finite_list(row, f"sigma[{i}]"))
         if len(row) != network.n_edges:
             raise ScenarioError(

@@ -246,21 +246,6 @@ def _every_edge_on_simple_path(edges) -> bool:
     return pair_set <= on_path
 
 
-def all_simple_routes(edges) -> list[tuple[int, ...]]:
-    """All simple 0 -> 1 paths of a multigraph, as tuples of edge indices."""
-    out = []
-    stack = [(0, (0,), ())]
-    while stack:
-        node, path, used = stack.pop()
-        if node == 1:
-            out.append(used)
-            continue
-        for i, (u, v) in enumerate(edges):
-            if u == node and v not in path:
-                stack.append((v, path + (v,), used + (i,)))
-    return out
-
-
 def random_spd(rng: np.random.Generator, n: int) -> np.ndarray:
     m = rng.normal(size=(n, n))
     return m @ m.T + 0.5 * n * np.eye(n)
@@ -1164,10 +1149,7 @@ def reference_enumerate_rest_points(
     scenario: Scenario,
     grid_n: int,
     *,
-    mass_tol: float = 1e-9,
-    refine_tol: float = 1e-6,
     chunk_size: int = 200_000,
-    solver_tol: float = 1e-10,
 ) -> RestPointReport:
     """Sweep the belief simplex for rest points and cluster them into families.
 
@@ -1176,8 +1158,10 @@ def reference_enumerate_rest_points(
     batches, raising SolverError for a node that does not converge),
     clusters passing nodes by their used-edge set, and for
     families supported on exactly two states refines the boundary of the
-    belief range by bisection down to `refine_tol`.
+    belief range by bisection down to `refine_tol`. The three tolerances
+    restate the sweep's constants.
     """
+    mass_tol, refine_tol, solver_tol = 1e-9, 1e-6, 1e-10
     network, model, demand = scenario.network, scenario.model, scenario.demand
     true_state = scenario.true_state
     cost_tol, used_tol = scenario.tolerances.cost_equality, scenario.used_edge_tol
@@ -1186,7 +1170,6 @@ def reference_enumerate_rest_points(
         raise ValueError("simplex grid enumeration is limited to at most 6 states")
     if grid_n < 1:
         raise ValueError("grid_n must be at least 1")
-    true_idx = model.state_index(true_state)
 
     clusters: dict[int, _ClusterAccumulator] = {}
     n_nodes = 0
@@ -1199,7 +1182,7 @@ def reference_enumerate_rest_points(
         eq.raise_unconverged()
         loads, gaps = eq.edge_loads, eq.gap
         max_gap = max(max_gap, float(gaps.max()))
-        dist = _distinguishable(network, model, true_idx, loads, cost_tol, used_tol)
+        dist = _distinguishable(scenario, loads)
         residual = (thetas * dist).sum(axis=1)
         passing = residual <= mass_tol
         n_passing += int(passing.sum())
@@ -1264,12 +1247,7 @@ def reference_enumerate_rest_points(
 
         rep = acc.rep
         check = check_rest_point(
-            scenario,
-            Belief(rep),
-            mean_loads,
-            load_tol=max(1e-7, 10 * solver_tol),
-            mass_tol=max(mass_tol, 1e-12),
-            solver_tol=solver_tol,
+            scenario, Belief(rep), mean_loads, load_tol=1e-7, mass_tol=mass_tol
         )
         families.append(
             RestPointFamily(
@@ -1291,6 +1269,5 @@ def reference_enumerate_rest_points(
         grid_n=grid_n,
         n_nodes=n_nodes,
         n_passing=n_passing,
-        mass_tol=mass_tol,
         max_solver_gap=max_gap,
     )

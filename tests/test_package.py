@@ -115,14 +115,26 @@ def test_public_names_are_pinned():
         assert getattr(routelearn, name) is not None
 
 
-def _tracer_targets() -> list[tuple[str, str]]:
-    """The (module, attribute) pairs of TARGETS in bench/tracing.py, read with
-    ast so that no benchmark code runs."""
-    tree = ast.parse((ROOT / "bench" / "tracing.py").read_text())
+def _bench_assignment(module: str, name: str) -> ast.expr:
+    """The expression bench/<module>.py assigns to `name` at its top level,
+    read with ast so that no benchmark code runs."""
+    tree = ast.parse((ROOT / "bench" / f"{module}.py").read_text())
     for node in tree.body:
-        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]:
-            return [(entry.elts[0].value, entry.elts[1].value) for entry in node.value.elts]
-    raise AssertionError("bench/tracing.py defines no TARGETS")
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == [name]:
+            return node.value
+    raise AssertionError(f"bench/{module}.py defines no {name}")
+
+
+def _tracer_targets() -> list[tuple[str, str]]:
+    """The (module, attribute) pairs of TARGETS in bench/tracing.py."""
+    entries = _bench_assignment("tracing", "TARGETS").elts
+    return [(entry.elts[0].value, entry.elts[1].value) for entry in entries]
+
+
+def test_the_benchmark_checks_thresholds_to_the_sweeps_bisection_width():
+    # bench/reference.py holds the refined e2 threshold to REFINE_TOL
+    analysis = importlib.import_module("routelearn.analysis")
+    assert ast.literal_eval(_bench_assignment("reference", "REFINE_TOL")) == analysis._REFINE_TOL
 
 
 def test_names_the_benchmark_binds_resolve():

@@ -150,6 +150,14 @@ class TestValidation:
             scenario_from_dict(self.payload(three_edge, sigma=sigma))
         assert str(exc.value) == f"sigma[1]: has {len(row)} entries, expected 3"
 
+    @pytest.mark.parametrize("n_rows", [2, 4])
+    def test_sigma_with_the_wrong_row_count_names_sigma(self, three_edge, n_rows):
+        # the cost model's shape check once answered under `costs/sigma`, no field of the file
+        sigma = np.eye(n_rows, 3).tolist()
+        with pytest.raises(ScenarioError) as exc:
+            scenario_from_dict(self.payload(three_edge, sigma=sigma))
+        assert str(exc.value) == f"sigma: has {n_rows} rows, expected 3"
+
     def test_slope_violation_reported_with_entries(self, three_edge):
         p = self.payload(three_edge)
         for entry in p["costs"]:
