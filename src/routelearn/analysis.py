@@ -21,7 +21,7 @@ import numpy as np
 from .costs import Belief, polyval_ascending
 from .equilibrium import EquilibriumBlock, solve_wardrop, solve_wardrop_batch
 from .errors import SolverError
-from .graph import is_series_parallel, row_any, row_groups, used_edges
+from .graph import is_series_parallel, row_any, row_groups, row_sum, used_edges
 from .scenario import Scenario
 
 
@@ -252,7 +252,7 @@ def _rest_point_screen(
     bisection also asks for its family's set.
     """
     eq = _solve(scenario, thetas)
-    return eq, (thetas * _distinguishable(scenario, eq.edge_loads)).sum(axis=1) <= _MASS_TOL
+    return eq, row_sum(thetas * _distinguishable(scenario, eq.edge_loads)) <= _MASS_TOL
 
 
 def _face_states(scenario: Scenario, grid_n: int) -> np.ndarray:

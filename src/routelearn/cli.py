@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -40,9 +41,31 @@ def _jsonable(value):
     return value
 
 
+def _nonfinite(value, path: str = "") -> str | None:
+    """The path of the first float in `value`, in written order, that is not finite."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else path
+    if isinstance(value, dict):
+        items = ((f"{path}.{k}" if path else k, v) for k, v in sorted(value.items()))
+    elif isinstance(value, list):
+        items = ((f"{path}[{i}]", v) for i, v in enumerate(value))
+    else:
+        return None
+    return next((found for p, v in items if (found := _nonfinite(v, p)) is not None), None)
+
+
 def _write_json(path: Path, payload: dict) -> None:
+    """Write `payload` as strict JSON; a value that is not finite is a
+    ValueError naming its field, and nothing is written."""
+    payload = _jsonable(payload)
+    field = _nonfinite(payload)
+    if field is not None:
+        raise ValueError(
+            f"{field}: not finite, so {path.name} is not written; "
+            "scenario values near the float range can overflow"
+        )
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _tool_stamp(scenario: Scenario) -> dict:
@@ -171,7 +194,10 @@ def cmd_batch(args) -> int:
             "seeds": list(batch.seeds),
             "n_converged": batch.n_converged,
             "convergence_rate": batch.convergence_rate,
-            "mean_stages_to_convergence": batch.mean_stages_to_convergence,
+            # no seed converged: null, not NaN
+            "mean_stages_to_convergence": (
+                None if batch.n_converged == 0 else batch.mean_stages_to_convergence
+            ),
             "clusters": [
                 {
                     "used": list(c.used),

@@ -38,7 +38,7 @@ from .costs import (
     polyval_ascending,
 )
 from .errors import CostError, SolverError
-from .graph import Network, row_groups, row_max, row_min
+from .graph import Network, row_groups, row_max, row_min, row_sum
 
 DEFAULT_TOL = 1e-8
 _TINY = np.finfo(float).tiny
@@ -116,16 +116,71 @@ def _check_model(network: Network, model: CostModel) -> None:
     model.ensure_slope_bound()
 
 
-# Incidence products are stacked matrix-vector products (np.matvec) and
-# per-row inner products are np.vecdot: each row then gets the bits a
-# one-row solve gets, whatever rows share its block, which a matrix-matrix
-# product would not promise.
+# Incidence products: loads np.matvec(inc, flows), route costs
+# np.matvec(inc.T, edge costs) and the Newton step's Gram matrix of slopes.
+# numpy computes them as stacked matrix-vector products, so each row gets
+# the bits a one-row solve gets, whatever rows share its block, which a
+# matrix-matrix product would not promise; per-row inner products are
+# np.vecdot. When every output of a product sums at most two nonzero terms,
+# a block of at least _COLUMN_ADD_ROWS rows instead builds each output
+# column by column adds from +0.0 over the input columns its row of the 0/1
+# matrix selects: numpy pays a fixed cost a row, the adds one a column, and
+# tools/kernel_crossover.py puts the crossover at 128 to 1,024 rows for 2
+# to 8 outputs (256 for 3 and 5). Both give the same bits: a + b rounds the
+# same in either order, zero terms leave a nonzero sum as it is, and
+# neither returns -0.0, since both sums start from +0.0. Three or more
+# terms would not do, as numpy's BLAS sums them in an order of its own. One
+# caveat: 0 x inf is NaN in numpy, where column adds skip the zero term.
+_COLUMN_ADD_ROWS = 256
+
+
+@functools.lru_cache(maxsize=256)
+def _summands(m: bytes, n_cols: int) -> tuple[tuple[int, ...], ...] | None:
+    """For each row of a 0/1 matrix, given by its bytes and column count,
+    the columns that hold a 1; None when some row holds more than two."""
+    rows = np.frombuffer(m).reshape(-1, n_cols)
+    if (np.count_nonzero(rows, axis=1) > 2).any():
+        return None
+    return tuple(tuple(np.flatnonzero(r).tolist()) for r in rows)
+
+
+def _column_adds(m: np.ndarray, x: np.ndarray) -> np.ndarray | None:
+    """np.matvec(m, x) for a 0/1 matrix `m` by column adds, or None where
+    numpy computes it: blocks of fewer than _COLUMN_ADD_ROWS rows, and
+    matrices with a row of more than two ones."""
+    if len(x) < _COLUMN_ADD_ROWS:
+        return None
+    terms = _summands(m.tobytes(), m.shape[1])
+    if terms is None:
+        return None
+    out = np.zeros((len(x), len(terms)))
+    for j, cols in enumerate(terms):
+        for c in cols:
+            out[:, j] += x[:, c]
+    return out
+
+
+def _matvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """np.matvec(m, x) for the incidence matrix or its transpose."""
+    out = _column_adds(m, x)
+    return np.matvec(m, x) if out is None else out
+
+
+def _gram(inc_k: np.ndarray, slope: np.ndarray) -> np.ndarray:
+    """inc_k.T @ (slope[:, :, None] * inc_k): entry (a, b) of row i sums the
+    slopes in row i of the edges that routes a and b share."""
+    k = inc_k.shape[1]
+    pairs = (inc_k.T[:, None, :] * inc_k.T[None, :, :]).reshape(k * k, -1)
+    out = _column_adds(pairs, slope)
+    if out is None:
+        return inc_k.T @ (slope[:, :, None] * inc_k)
+    return out.reshape(-1, k, k)
 
 
 def _potential(pcoef: np.ndarray, w: np.ndarray) -> np.ndarray:
     """The Beckmann potential of each row of loads `w`, from the degree-major
     coefficients of `polyint_coefficients`."""
-    return np.add.reduce(polyval_ascending(pcoef, w, axis=0) * w, axis=1)
+    return row_sum(polyval_ascending(pcoef, w, axis=0) * w)
 
 
 @functools.lru_cache(maxsize=256)
@@ -162,12 +217,12 @@ def _backtrack(
     """
     d = y - x
     y = x.copy()
-    w = np.matvec(inc, x)
+    w = _matvec(inc, x)
     phi = _potential(pcoef, w)
     todo = np.arange(len(x))
     for h in range(1, _HALVINGS + 1):
         yt = x[todo] + 0.5**h * d[todo]
-        wt = np.matvec(inc, yt)
+        wt = _matvec(inc, yt)
         pt = _potential(pcoef[:, todo], wt)
         fine = pt <= ceil[todo]
         rows = todo[fine]
@@ -268,10 +323,10 @@ def _face_polish(
                 else:
                     # each active route's cost minus the last one's, then the demand
                     inc_k = inc.take(routes, axis=1)  # C-ordered, unlike inc[:, routes]
-                    s = inc_k.T @ (slope[sel, :, None] * inc_k)
+                    s = _gram(inc_k, slope[sel])
                     m = s - s[:, -1:]
                     m[:, -1] = 1.0
-                    f = np.matvec(inc.T, icpt[sel])[:, routes]
+                    f = _matvec(inc.T, icpt[sel])[:, routes]
                     rhs = f[:, -1:] - f
                     rhs[:, -1] = demand
                     sol = np.linalg.solve(m, rhs[:, :, None])[:, :, 0]
@@ -285,8 +340,8 @@ def _face_polish(
                 cand = np.zeros((len(rows), n_routes))
                 cand[:, routes] = np.maximum(sol, 0.0)
                 top = routes[np.argmax(sol, axis=1)]
-                cand[np.arange(len(rows)), top] += demand - np.add.reduce(cand, axis=1)
-                wc = np.matvec(inc, cand)
+                cand[np.arange(len(rows)), top] += demand - row_sum(cand)
+                wc = _matvec(inc, cand)
                 if polynomial and it >= _ROUND:
                     at = _potential(pcoef[:, sel], wc)
                     ceil = phi[sel] * (1.0 + 1e-12)  # potentials are sums of nonnegative terms
@@ -300,10 +355,10 @@ def _face_polish(
                 ec = polyval_ascending(coef[:, sel], wc, axis=0)
                 if polynomial:  # where each row that steps again linearizes next
                     at_w[sel], at_c[sel] = wc, ec
-                t = np.matvec(inc.T, ec)
+                t = _matvec(inc.T, ec)
                 del ec  # its memory serves the cost test
                 on = t[:, routes]
-                common = np.add.reduce(on, axis=1) / k
+                common = row_sum(on) / k
                 scale = 1e-9 * (1.0 + np.abs(common))
                 bad = row_min(t) < common - scale
                 if k > 1:
@@ -387,13 +442,13 @@ def solve_wardrop_batch(
     pcoef = polyint_coefficients(coef, axis=0)  # the potential is w times their polynomial
     if init_flows is None:
         # all-or-nothing flows on the route cheapest at free flow
-        q = (np.eye(n_routes) * demand)[np.argmin(np.matvec(inc.T, coef[0]), axis=1)]
+        q = (np.eye(n_routes) * demand)[np.argmin(_matvec(inc.T, coef[0]), axis=1)]
     else:
         q = _start_flows(init_flows, n, n_routes, demand)
 
-    loads = np.matvec(inc, q)
+    loads = _matvec(inc, q)
     edge_costs = polyval_ascending(coef, loads, axis=0)
-    route_costs = np.matvec(inc.T, edge_costs)
+    route_costs = _matvec(inc.T, edge_costs)
     potential = _potential(pcoef, loads)
     # potentials and route costs are nonnegative: no abs() needed below
     t_min = row_min(route_costs)

@@ -101,27 +101,34 @@ def row_groups(mask: np.ndarray):
 
 
 # Row reductions over the short second axis of an (n, k) array, k being a
-# network's routes or edges. numpy's reduction pays a fixed cost a row, a
-# loop over the columns one a column, so the loop wins from some number of
-# rows a column. The loop's time over numpy's (median of 9 alternating
-# trials, 2-core host, numpy 2.4.6):
-#   minimum, maximum, k = 2 to 40:  0.81-1.75 at 8 rows a column,
-#                                   0.53-1.07 at 16, 0.43-0.69 at 32;
-#   or (bool), k = 2 to 9:          up to 1.46 at 64 rows a column,
-#                                   0.34-0.73 at 128 (1.30 for k = 40).
-# Below its crossover each function takes numpy's reduction, and so does
-# any array of more than 8 columns. Up to 8 columns numpy reduces a row in
-# column order, as the loop does, so both give the same bits, down to the
-# sign of a zero (checked on every sign pattern of zeros); from 9 columns
-# numpy's order, and with it that sign, can differ. numpy's argmin and
-# argmax stay: along a short axis they cost about a fifth of its minimum,
-# and a column loop beat them only for two columns.
+# network's routes, edges or states. numpy's reduction pays a fixed cost a
+# row, a loop over the columns one a column, so the loop wins from some
+# number of rows a column. tools/kernel_crossover.py measures where (the
+# median of 9 alternating rounds, 2-core host, numpy 2.4.6); the loop wins
+# from about
+#   minimum, maximum, k = 2 to 8:  8 to 13 rows a column (threshold 16);
+#   or (bool), k = 2 to 5:         16 to 51 rows a column (threshold 128);
+#   add, k = 2 to 7:               32 to 51 rows a column (threshold 64;
+#                                  k = 1 only from 512).
+# Below its threshold each function takes numpy's reduction, and so does
+# any array of more than 8 columns, or more than 7 for the sum. Up to 8
+# columns numpy takes a row's minimum or maximum in column order, as the
+# loop does, so both give the same bits, down to the sign of a zero
+# (checked on every sign pattern of zeros); from 9 columns numpy's order,
+# and with it that sign, can differ. numpy sums up to 7 columns of a row
+# in column order from +0.0, so the sum's loop starts from +0.0 too, and a
+# row of zeros sums to +0.0 whatever their signs; from 8 columns numpy
+# unrolls a C-ordered row's sum pairwise, which changes its bits. numpy's
+# argmin and argmax stay: along a short axis they cost about a fifth of
+# its minimum, and a column loop beat them only for two columns.
 
 
-def _columnwise(ufunc, a: np.ndarray, rows_per_column: int) -> np.ndarray:
-    if a.shape[1] > 8 or len(a) < rows_per_column * a.shape[1]:
+def _columnwise(
+    ufunc, a: np.ndarray, rows_per_column: int, columns: int = 8, start=None
+) -> np.ndarray:
+    if a.shape[1] > columns or len(a) < rows_per_column * a.shape[1]:
         return ufunc.reduce(a, axis=1)
-    out = a[:, 0].copy()
+    out = a[:, 0].copy() if start is None else ufunc(start, a[:, 0])
     for j in range(1, a.shape[1]):
         ufunc(out, a[:, j], out=out)
     return out
@@ -140,6 +147,11 @@ def row_max(a: np.ndarray) -> np.ndarray:
 def row_any(a: np.ndarray) -> np.ndarray:
     """a.any(axis=1) of a 2-D boolean array with at least one column."""
     return _columnwise(np.logical_or, a, 128)
+
+
+def row_sum(a: np.ndarray) -> np.ndarray:
+    """np.add.reduce(a, axis=1) of a 2-D float array with at least one column."""
+    return _columnwise(np.add, a, 64, columns=7, start=0.0)
 
 
 @dataclass(frozen=True)

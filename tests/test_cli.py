@@ -401,6 +401,45 @@ class TestExitCodes:
             assert capsys.readouterr().err.startswith("solver error: Newton step: ")
 
 
+def _strict_json(text: str):
+    """json.loads that refuses NaN and Infinity, which strict JSON does not have."""
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestStrictJson:
+    def test_batch_with_no_converged_seed_writes_null(self, tmp_path):
+        # the mean over no converged seed was written as NaN
+        argv = ["batch", "--scenario", "three-edge", "--seeds", "0..2",
+                "--max-stages", "51", "--window", "50", "--out-dir", str(tmp_path)]
+        assert main(argv) == 0
+        payload = _strict_json((tmp_path / "three-edge_batch.json").read_text())
+        assert payload["n_converged"] == 0
+        assert payload["mean_stages_to_convergence"] is None
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_costs_that_overflow_exit_2_naming_the_field(self, tmp_path, capsys):
+        # demand 1e155 passes validation, but the average costs overflow to
+        # inf; check once exited 0 writing Infinity with "ok": true
+        payload = scenario_to_dict(load_scenario("three-edge"))
+        payload["demand"] = 1e155
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        argv = ["check", "--scenario", str(path), "--grid-n", "5", "--out-dir", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "validation error: average_cost_comparison.complete_info_cost: not finite, "
+            "so three-edge_check.json is not written"
+        ), err
+        assert FIELD_PATH.match(err)
+        assert not (out / "three-edge_check.json").exists()
+
+
 DELETE = object()  # stands for deleting the entry instead of replacing it
 BAD_VALUES = (
     None, True, False, 0, -1, 10**400, math.nan, math.inf, -math.inf,

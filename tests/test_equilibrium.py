@@ -11,6 +11,7 @@ from routelearn import (
     CostModel,
     Network,
     SolverError,
+    load_scenario,
     scenario_from_dict,
 )
 from routelearn.analysis import enumerate_rest_points
@@ -439,6 +440,63 @@ class TestBlockSolver:
             solve_wardrop_batch(three_edge.network, three_edge.model, np.full((2, 3), 1 / 3), 1.0)
 
 
+def _zero_one(rng, n_out, n_in, most):
+    """A random (n_out, n_in) 0/1 matrix, each row holding 1 to `most` ones."""
+    m = np.zeros((n_out, n_in))
+    for j in range(n_out):
+        m[j, rng.choice(n_in, size=rng.integers(1, min(most, n_in) + 1), replace=False)] = 1.0
+    return m
+
+
+def _signed_values(rng, n, k):
+    """(n, k) values of every magnitude, with negatives, sums that cancel and
+    zeros of both signs."""
+    x = rng.normal(size=(n, k)) * 10.0 ** rng.integers(-12, 12, size=(n, k))
+    x[::5, -1] = -x[::5, 0]
+    x[rng.random((n, k)) < 0.15] = 0.0
+    x[rng.random((n, k)) < 0.15] = -0.0
+    return x
+
+
+class TestColumnKernels:
+    """The incidence products and the Newton step's Gram matrix give numpy's
+    bits whichever path computes them: column adds for blocks of at least
+    _COLUMN_ADD_ROWS rows whose outputs sum at most two terms, else numpy."""
+
+    ROWS = (equilibrium._COLUMN_ADD_ROWS - 1, equilibrium._COLUMN_ADD_ROWS, 700)
+
+    @pytest.mark.parametrize("most", [1, 2, 3, 4])
+    def test_incidence_products_match_matvec(self, most):
+        rng = np.random.default_rng(most)
+        for _ in range(20):
+            n_out, n_in = rng.integers(1, 9, size=2)
+            m = _zero_one(rng, n_out, n_in, most)
+            two_terms = m.sum(axis=1).max() <= 2
+            for n in self.ROWS:
+                x = _signed_values(rng, n, n_in)
+                want = np.matvec(m, x)
+                assert _same_bits(equilibrium._matvec(m, x), want)
+                assert _same_bits(equilibrium._matvec(m.T, want), np.matvec(m.T, want))
+                added = equilibrium._column_adds(m, x)
+                assert (added is not None) == (two_terms and n >= equilibrium._COLUMN_ADD_ROWS)
+
+    @pytest.mark.parametrize("most", [1, 2, 3])
+    def test_gram_matches_the_stacked_product(self, most):
+        # slopes are nonnegative, and zero where a cost is flat
+        rng = np.random.default_rng(10 + most)
+        for _ in range(20):
+            n_edges, k = int(rng.integers(1, 8)), int(rng.integers(1, 5))
+            inc_k = _zero_one(rng, k, n_edges, most).T.copy()
+            two_terms = (inc_k.T @ inc_k).max() <= 2
+            for n in self.ROWS:
+                slope = np.abs(_signed_values(rng, n, n_edges))
+                got = equilibrium._gram(inc_k, slope)
+                assert _same_bits(got, inc_k.T @ (slope[:, :, None] * inc_k))
+                pairs = (inc_k.T[:, None, :] * inc_k.T[None, :, :]).reshape(k * k, -1)
+                added = equilibrium._column_adds(pairs, slope)
+                assert (added is not None) == (two_terms and n >= equilibrium._COLUMN_ADD_ROWS)
+
+
 class TestInitFlows:
     """Warm starts: a block solve from given route flows, one row per belief."""
 
@@ -662,6 +720,23 @@ def _grid_rows(g: int):
     )
 
 
+def _above_threshold_block(table: str):
+    """A scenario and a block of more than _COLUMN_ADD_ROWS beliefs: the face
+    that the sweep solves on three-edge at grid 30 (496 rows), or 300
+    random beliefs on the Wheatstone bridge with degree-4 costs."""
+    if table == "three-edge":
+        scenario = load_scenario("three-edge")
+        keep = analysis._face_states(scenario, 30)
+        face = np.concatenate(list(analysis._simplex_grid_chunks(len(keep), 30, 10**6)))
+        thetas = np.zeros((len(face), scenario.model.n_states))
+        thetas[:, keep] = face
+    else:
+        scenario = scenario_from_dict(wheatstone_poly_payload())
+        thetas = np.random.default_rng(69).dirichlet(np.ones(4), size=300)
+    assert len(thetas) > equilibrium._COLUMN_ADD_ROWS
+    return scenario, thetas
+
+
 class TestBatchSolverRows:
     @pytest.mark.parametrize(
         "payload, thetas, starts",
@@ -685,6 +760,30 @@ class TestBatchSolverRows:
             exact = exact_solve_wardrop(net, model, Belief(theta), 1.0)
             assert np.max(np.abs(eq.edge_loads[i] - exact.edge_loads)) <= 1e-12
 
+
+    @pytest.mark.parametrize("table", ["three-edge", "wheatstone-poly"])
+    def test_blocks_above_the_column_add_threshold(self, monkeypatch, table):
+        # the block's incidence products take column adds, and each row
+        # solved alone takes numpy's
+        real, added = equilibrium._column_adds, []
+
+        def recording(m, x):
+            out = real(m, x)
+            added.append(out is not None)
+            return out
+
+        monkeypatch.setattr(equilibrium, "_column_adds", recording)
+        scenario, thetas = _above_threshold_block(table)
+        net, model, demand = scenario.network, scenario.model, scenario.demand
+        eq = solve_wardrop_batch(net, model, thetas, demand, tol=1e-10)
+        assert eq.converged.all() and any(added)
+        added.clear()
+        for i, theta in enumerate(thetas):
+            alone = solve_wardrop_batch(net, model, theta[None, :], demand, tol=1e-10)
+            for field in ("route_flows", "edge_loads", "gap", "route_costs", "potential"):
+                assert _same_bits(getattr(eq, field)[i], getattr(alone, field)[0]), (i, field)
+            assert eq.n_iterations[i] == alone.n_iterations[0]
+        assert not any(added)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_mixed_rows_equal_rows_solved_alone_in_any_order(self, seed):
@@ -760,6 +859,13 @@ class TestCertificatesAtReturnedFlows:
         scenario = scenario_from_dict(wheatstone_poly_payload())
         thetas = np.random.default_rng(64).dirichlet(np.ones(4), size=40)
         block = self.check(scenario.network, scenario.model, thetas, scenario.demand)
+        assert block.converged.all()
+
+    @pytest.mark.parametrize("table", ["three-edge", "wheatstone-poly"])
+    def test_blocks_above_the_column_add_threshold(self, table):
+        # the oracle evaluates with np.matvec, the block with column adds
+        scenario, thetas = _above_threshold_block(table)
+        block = self.check(scenario.network, scenario.model, thetas, scenario.demand, tol=1e-10)
         assert block.converged.all()
 
     @pytest.mark.parametrize("rounds", [3, 4])

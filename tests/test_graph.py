@@ -15,6 +15,7 @@ from routelearn.graph import (
     row_groups,
     row_max,
     row_min,
+    row_sum,
     underlying_graph,
     used_edges,
 )
@@ -247,3 +248,21 @@ class TestRowReductions:
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
         assert row_min(a[:0]).shape == (0,)
+
+    @pytest.mark.parametrize("n_cols", range(1, 10))
+    def test_sum_matches_numpy_bit_for_bit(self, n_cols):
+        # rows of zeros in every pattern of signs first, then rows of mixed
+        # magnitudes and signs that cancel; the loop runs from 64 rows a
+        # column, for at most 7 columns, so the row counts straddle it
+        signs = np.array(list(itertools.product((0.0, -0.0), repeat=n_cols)))
+        rng = np.random.default_rng(100 + n_cols)
+        a = rng.normal(size=(1200, n_cols)) * 10.0 ** rng.integers(-12, 12, size=(1200, n_cols))
+        a[::5, -1] = -a[::5, 0]
+        a[1::9, 0] = -0.0
+        a[2::9] *= 0.0
+        a = np.concatenate([signs, a])
+        for n in (64 * n_cols - 1, 64 * n_cols, len(a)):
+            got, want = row_sum(a[:n]), np.add.reduce(a[:n], axis=1)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert row_sum(a[:0]).shape == (0,)
