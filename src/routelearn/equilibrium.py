@@ -145,11 +145,9 @@ def _summands(m: bytes, n_cols: int) -> tuple[tuple[int, ...], ...] | None:
 
 
 def _column_adds(m: np.ndarray, x: np.ndarray) -> np.ndarray | None:
-    """np.matvec(m, x) for a 0/1 matrix `m` by column adds, or None where
-    numpy computes it: blocks of fewer than _COLUMN_ADD_ROWS rows, and
-    matrices with a row of more than two ones."""
-    if len(x) < _COLUMN_ADD_ROWS:
-        return None
+    """np.matvec(m, x) for a 0/1 matrix `m` by column adds, or None when a
+    row of `m` holds more than two ones. Callers send blocks of at least
+    _COLUMN_ADD_ROWS rows only."""
     terms = _summands(m.tobytes(), m.shape[1])
     if terms is None:
         return None
@@ -162,19 +160,18 @@ def _column_adds(m: np.ndarray, x: np.ndarray) -> np.ndarray | None:
 
 def _matvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     """np.matvec(m, x) for the incidence matrix or its transpose."""
-    out = _column_adds(m, x)
+    out = None if len(x) < _COLUMN_ADD_ROWS else _column_adds(m, x)
     return np.matvec(m, x) if out is None else out
 
 
 def _gram(inc_k: np.ndarray, slope: np.ndarray) -> np.ndarray:
     """inc_k.T @ (slope[:, :, None] * inc_k): entry (a, b) of row i sums the
     slopes in row i of the edges that routes a and b share."""
-    k = inc_k.shape[1]
-    pairs = (inc_k.T[:, None, :] * inc_k.T[None, :, :]).reshape(k * k, -1)
-    out = _column_adds(pairs, slope)
-    if out is None:
-        return inc_k.T @ (slope[:, :, None] * inc_k)
-    return out.reshape(-1, k, k)
+    out = None
+    if len(slope) >= _COLUMN_ADD_ROWS:
+        k = inc_k.shape[1]
+        out = _column_adds((inc_k.T[:, None, :] * inc_k.T[None, :, :]).reshape(k * k, -1), slope)
+    return inc_k.T @ (slope[:, :, None] * inc_k) if out is None else out.reshape(-1, k, k)
 
 
 def _potential(pcoef: np.ndarray, w: np.ndarray) -> np.ndarray:

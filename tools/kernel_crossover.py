@@ -20,7 +20,7 @@ against the numpy call it stands in for:
   replaces (k = 2, 3 and 4).
 
 For each kernel, column count and row count n, a round times both calls on
-the same (n, k) input, the two in turns, each repeated for about a
+the same n-row input, the two in turns, each repeated for about a
 millisecond; `--repeats` rounds alternate which call goes first. Prints one
 line per kernel and column count to standard error, giving the median
 kernel/numpy time ratio at each row count and the crossover: the smallest
@@ -75,7 +75,8 @@ def crossover(rows: list[int], ratios: list[float]) -> int | None:
 
 
 def cases(rng, np, graph, equilibrium):
-    """(kernel name, columns, rows a column counts?, maker of (kernel, numpy) for n rows)."""
+    """Yields (kernel, column count, whether its threshold counts rows a column,
+    make), where make(n) returns the kernel call and the numpy call on n rows."""
 
     def reduction(ufunc, k, start=None, columns=8, boolean=False):
         def make(n):
