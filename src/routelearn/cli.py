@@ -58,14 +58,18 @@ def _write_json(path: Path, payload: dict) -> None:
     """Write `payload` as strict JSON; a value that is not finite is a
     ValueError naming its field, and nothing is written."""
     payload = _jsonable(payload)
-    field = _nonfinite(payload)
-    if field is not None:
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        field = _nonfinite(payload)
+        if field is None:
+            raise
         raise ValueError(
             f"{field}: not finite, so {path.name} is not written; "
             "scenario values near the float range can overflow"
-        )
+        ) from None
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    path.write_text(text + "\n")
 
 
 def _tool_stamp(scenario: Scenario) -> dict:
