@@ -170,7 +170,8 @@ def _gram(inc_k: np.ndarray, slope: np.ndarray) -> np.ndarray:
     out = None
     if len(slope) >= _COLUMN_ADD_ROWS:
         k = inc_k.shape[1]
-        out = _column_adds((inc_k.T[:, None, :] * inc_k.T[None, :, :]).reshape(k * k, -1), slope)
+        shared = (inc_k.T[:, None, :] * inc_k.T[None, :, :]).reshape(k * k, -1)
+        out = _column_adds(shared, slope)
     return inc_k.T @ (slope[:, :, None] * inc_k) if out is None else out.reshape(-1, k, k)
 
 
