@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -154,38 +153,53 @@ def row_sum(a: np.ndarray) -> np.ndarray:
     return _columnwise(np.add, a, 64, columns=7, start=0.0)
 
 
-@dataclass(frozen=True)
-class TwoTerminalGraph:
-    """Multigraph reconstructed from a route list, nodes numbered 0..n-1."""
+def series_parallel_reducible(edges: Iterable[tuple[int, int]], origin, destination) -> bool:
+    """Greedy two-terminal reduction of a directed multigraph.
 
-    n_nodes: int
-    origin: int
-    destination: int
-    edges: tuple[tuple[int, int, str], ...]  # (tail, head, edge id)
+    Merges parallel edges (identical tail and head) and contracts interior
+    nodes with exactly one incoming and one outgoing edge. Returns True iff
+    the graph reduces to the single edge origin -> destination. Reduction
+    order does not affect the outcome for these moves.
+    """
+    succ: dict = {}
+    pred: dict = {}
+    for t, h in edges:  # sets of neighbours, so parallel edges merge as they arrive
+        succ.setdefault(t, set()).add(h)
+        pred.setdefault(h, set()).add(t)
+    # a contraction changes only the out-edges of u and the in-edges of x,
+    # so only those two nodes can become contractible after it
+    pending = set(pred) - {origin, destination}
+    while pending:
+        v = pending.pop()
+        ins, outs = pred.get(v, set()), succ.get(v, set())
+        if len(ins) == len(outs) == 1 and ins != outs:  # u -> v -> u would leave a self-loop
+            (u,), (x,) = ins, outs
+            del pred[v], succ[v]
+            succ[u].discard(v)
+            pred[x].discard(v)
+            succ[u].add(x)
+            pred[x].add(u)
+            pending |= {u, x} - {origin, destination}
+    return {(t, h) for t, hs in succ.items() for h in hs} == {(origin, destination)}
 
 
-def underlying_graph(network: Network) -> TwoTerminalGraph:
-    """Rebuild the two-terminal multigraph that the route list induces.
+def is_series_parallel(network: Network) -> bool:
+    """True iff the graph induced by the routes is two-terminal series-parallel.
 
     Each edge contributes a tail and a head symbol; symbols are merged when
     routes force them to coincide (consecutive edges share a node, all routes
-    start at the origin and end at the destination).
+    start at the origin and end at the destination), and each merged class is
+    a node, named by its union-find root.
     """
     parent: dict = {}
 
     def find(x):
-        parent.setdefault(x, x)
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:  # path compression
-            parent[x], x = root, parent[x]
-        return root
+        while parent.setdefault(x, x) != x:
+            parent[x] = x = parent[parent[x]]  # path halving
+        return x
 
     def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
+        parent[find(a)] = find(b)
 
     for route in network.routes:
         union(("t", route[0]), "origin")
@@ -195,69 +209,8 @@ def underlying_graph(network: Network) -> TwoTerminalGraph:
 
     if find("origin") == find("destination"):
         raise NetworkError("origin and destination coincide; not two-terminal")
-
-    node_of: dict = {}
-
-    def node_id(symbol) -> int:
-        root = find(symbol)
-        if root not in node_of:
-            node_of[root] = len(node_of)
-        return node_of[root]
-
-    origin = node_id("origin")
-    destination = node_id("destination")
-    out = []
-    for e in network.edge_ids:
-        tail = node_id(("t", e))
-        head = node_id(("h", e))
+    edges = [(find(("t", e)), find(("h", e))) for e in network.edge_ids]
+    for e, (tail, head) in zip(network.edge_ids, edges):
         if tail == head:
             raise NetworkError(f"edge {e!r} collapses to a self-loop")
-        out.append((tail, head, e))
-    return TwoTerminalGraph(len(node_of), origin, destination, tuple(out))
-
-
-def series_parallel_reducible(edges: Iterable[tuple[int, int]], origin, destination) -> bool:
-    """Greedy two-terminal reduction of a directed multigraph.
-
-    Merges parallel edges (identical tail and head) and contracts interior
-    nodes with exactly one incoming and one outgoing edge. Returns True iff
-    the graph reduces to the single edge origin -> destination. Reduction
-    order does not affect the outcome for these moves.
-    """
-    work = [(e[0], e[1]) for e in edges]
-    while True:
-        if len(work) == 1:
-            return work[0] == (origin, destination)
-        deduped = list(dict.fromkeys(work))
-        if len(deduped) != len(work):
-            work = deduped
-            continue
-        indeg: dict = {}
-        outdeg: dict = {}
-        for t, h in work:
-            outdeg[t] = outdeg.get(t, 0) + 1
-            indeg[h] = indeg.get(h, 0) + 1
-        contracted = False
-        for i, (t, h) in enumerate(work):
-            v = h
-            if v in (origin, destination):
-                continue
-            if indeg.get(v, 0) == 1 and outdeg.get(v, 0) == 1:
-                j = next(k for k, (t2, _) in enumerate(work) if t2 == v)
-                u, x = t, work[j][1]
-                if u == x:  # would create a self-loop; leave this node alone
-                    continue
-                work = [e for k, e in enumerate(work) if k not in (i, j)]
-                work.append((u, x))
-                contracted = True
-                break
-        if not contracted:
-            return False
-
-
-def is_series_parallel(network: Network) -> bool:
-    """True iff the graph induced by the routes is two-terminal series-parallel."""
-    g = underlying_graph(network)
-    return series_parallel_reducible(
-        [(t, h) for t, h, _ in g.edges], g.origin, g.destination
-    )
+    return series_parallel_reducible(edges, find("origin"), find("destination"))

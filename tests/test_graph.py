@@ -16,7 +16,6 @@ from routelearn.graph import (
     row_max,
     row_min,
     row_sum,
-    underlying_graph,
     used_edges,
 )
 
@@ -124,27 +123,6 @@ class TestUsedEdges:
             used_edges(three_edge_net, loads, 1e-9)
 
 
-class TestUnderlyingGraph:
-    def test_three_edge_reconstruction(self, three_edge_net):
-        g = underlying_graph(three_edge_net)
-        # origin, destination, and the junction where e2/e3 meet e1
-        assert g.n_nodes == 3
-        tails = {e: t for t, h, e in g.edges}
-        heads = {e: h for t, h, e in g.edges}
-        assert tails["e2"] == tails["e3"] == g.origin
-        assert heads["e2"] == heads["e3"] == tails["e1"]
-        assert heads["e1"] == g.destination
-
-    def test_wheatstone_reconstruction(self):
-        g = underlying_graph(wheatstone_network())
-        assert g.n_nodes == 4
-
-    def test_self_loop_rejected(self):
-        # route [a] forces head(a)=destination while [a, b] forces b: d -> d
-        with pytest.raises(NetworkError):
-            underlying_graph(Network(["a", "b"], [["a"], ["a", "b"]]))
-
-
 class TestSeriesParallel:
     def test_three_edge_is_sp(self, three_edge_net):
         assert is_series_parallel(three_edge_net)
@@ -154,6 +132,16 @@ class TestSeriesParallel:
 
     def test_wheatstone_is_not_sp(self):
         assert not is_series_parallel(wheatstone_network())
+
+    def test_self_loop_rejected(self):
+        # route [a] forces head(a)=destination while [a, b] forces b: d -> d
+        with pytest.raises(NetworkError, match="'b' collapses to a self-loop"):
+            is_series_parallel(Network(["a", "b"], [["a"], ["a", "b"]]))
+
+    def test_coinciding_terminals_rejected(self):
+        # [a, b] puts a node between a and b, and [b, a] makes it both terminals
+        with pytest.raises(NetworkError, match="origin and destination coincide"):
+            is_series_parallel(Network(["a", "b"], [["a", "b"], ["b", "a"]]))
 
     def test_invariant_under_relabeling(self):
         rng = np.random.default_rng(3)
