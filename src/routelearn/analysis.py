@@ -207,17 +207,17 @@ class _ClusterAccumulator:
     __slots__ = (
         "count",
         "support_mask",
-        "load_sum",
+        "load_rows",
         "theta_min",
         "theta_max",
         "rep",
         "rep_support_size",
     )
 
-    def __init__(self, n_states: int, n_edges: int):
+    def __init__(self, n_states: int):
         self.count = 0
         self.support_mask = np.zeros(n_states, dtype=bool)
-        self.load_sum = np.zeros(n_edges)
+        self.load_rows = []
         self.theta_min = np.ones(n_states)
         self.theta_max = np.zeros(n_states)
         self.rep = None
@@ -227,7 +227,9 @@ class _ClusterAccumulator:
         self.count += len(thetas)
         sup = thetas > 0.0
         self.support_mask |= sup.any(axis=0)
-        self.load_sum += loads.sum(axis=0)
+        # kept for one sum over the family at the end: a sum per block would
+        # round differently at each block size
+        self.load_rows.append(loads)
         np.minimum(self.theta_min, thetas.min(axis=0), out=self.theta_min)
         np.maximum(self.theta_max, thetas.max(axis=0), out=self.theta_max)
         sizes = sup.sum(axis=1)
@@ -392,7 +394,7 @@ def enumerate_rest_points(
             key = _used_key(used)
             acc = clusters.get(key)
             if acc is None:
-                acc = clusters[key] = _ClusterAccumulator(n_states, network.n_edges)
+                acc = clusters[key] = _ClusterAccumulator(n_states)
             acc.add(th_pass[sel], ld_pass[sel])
 
     families = []
@@ -402,7 +404,7 @@ def enumerate_rest_points(
         )
         support_idx = np.flatnonzero(acc.support_mask)
         support_labels = tuple(model.states[i] for i in support_idx)
-        mean_loads = acc.load_sum / acc.count
+        mean_loads = np.concatenate(acc.load_rows).sum(axis=0) / acc.count
         thresholds = {
             model.states[i]: (float(acc.theta_min[i]), float(acc.theta_max[i]))
             for i in support_idx

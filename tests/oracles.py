@@ -1195,9 +1195,7 @@ def reference_enumerate_rest_points(
             sel = np.array([k == key for k in keys])
             acc = clusters.get(key)
             if acc is None:
-                acc = clusters[key] = _ClusterAccumulator(
-                    n_states, network.n_edges
-                )
+                acc = clusters[key] = _ClusterAccumulator(n_states)
             acc.add(th_pass[sel], ld_pass[sel])
 
     passes = functools.partial(
@@ -1212,7 +1210,7 @@ def reference_enumerate_rest_points(
         )
         support_idx = np.flatnonzero(acc.support_mask)
         support_labels = tuple(model.states[i] for i in support_idx)
-        mean_loads = acc.load_sum / acc.count
+        mean_loads = np.concatenate(acc.load_rows).sum(axis=0) / acc.count
         thresholds = {
             model.states[i]: (float(acc.theta_min[i]), float(acc.theta_max[i]))
             for i in support_idx

@@ -25,6 +25,7 @@ from routelearn import (
     compare_average_costs,
     check_rest_point,
     enumerate_rest_points,
+    is_series_parallel,
     load_scenario,
     monte_carlo,
     scenario_from_dict,
@@ -790,6 +791,21 @@ class TestSweepArguments:
             assert [f.used for f in got.families] == [f.used for f in default.families]
         assert got.families[1].thresholds["e2"][0] == pytest.approx(0.2, abs=1e-6)
 
+    def test_families_do_not_depend_on_the_block_size(self):
+        # a family's loads are a mean over its nodes; a sum per block moved
+        # 4x4 g3's loads by up to 1.4e-12 between these block sizes
+        def bits(report):
+            return [
+                (f.used, f.loads.tobytes(), f.representative.tobytes(), f.n_nodes, f.thresholds,
+                 f.average_cost_true, f.check)
+                for f in report.families
+            ]
+
+        sc = scenario_from_dict(grid_payload(4, 4, 3))
+        default = bits(enumerate_rest_points(sc, 40))
+        for chunk_size in (97, 2048):
+            assert bits(enumerate_rest_points(sc, 40, chunk_size=chunk_size)) == default
+
     def test_refinement_at_grid_200_takes_four_block_solves(self, three_edge, monkeypatch):
         real, sizes = analysis._rest_point_screen, []
 
@@ -990,21 +1006,32 @@ class TestFaceStates:
 
 @pytest.mark.parametrize(
     "table", ["three-edge", "three-edge-accurate-prior", "three-edge-cond2"]
-    + [f"grid-3x4-g{g}" for g in range(6)],
+    + [f"grid-{rows}x4-g{g}" for rows in (3, 4) for g in range(6)],
 )
 def test_simulation_settles_in_a_swept_family(table):
     """`run_block` and `enumerate_rest_points`, two independent codes, agree
     on where the dynamics settle: each converged seed's terminal used set is
     a family's, its terminal belief lies within that family's thresholds,
-    and the terminal point passes `check_rest_point`."""
+    and the terminal point passes `check_rest_point`. Where a complete-learning
+    condition holds, every seed ends at the truth's equilibrium; on a
+    series-parallel network, no family costs less than that equilibrium."""
     if table.startswith("grid-"):
-        scenario = scenario_from_dict(grid_payload(3, 4, int(table[-1])))
+        scenario = scenario_from_dict(grid_payload(int(table[5]), 4, int(table[-1])))
     else:
         scenario = load_scenario(table)
     grid_n = 24
-    families = {f.used: f for f in enumerate_rest_points(scenario, grid_n).families}
+    report = enumerate_rest_points(scenario, grid_n)
+    families = {f.used: f for f in report.families}
     settled = [t for t in run_block(scenario, range(64)) if t.status == CONVERGED]
     assert settled
+    if check_complete_learning_conditions(scenario).any_holds:
+        truth = known_state(scenario.model, scenario.true_state)
+        want = solve_wardrop(scenario.network, scenario.model, truth, scenario.demand).edge_loads
+        # within the load tolerance of the check below (three-edge-cond2: up to 8.7e-5)
+        for traj in settled:
+            assert np.abs(traj.final_loads - want).max() <= 1e-4, traj.seed
+    if is_series_parallel(scenario.network):
+        assert compare_average_costs(scenario, report.families).ok
     for traj in settled:
         fam = families[traj.final_used]
         # a refined boundary is exact to the bisection's width, another to a grid step
