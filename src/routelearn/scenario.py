@@ -78,7 +78,6 @@ class Scenario:
     convergence: ConvergenceRule = field(default_factory=ConvergenceRule)
     comment: str = ""
     requires_full_support: bool = True
-    schema_version: int = SCHEMA_VERSION
 
     @property
     def used_edge_tol(self) -> float:
@@ -342,7 +341,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
                 {"edge": edge, "state": state, "form": fn.form, "params": params}
             )
     return {
-        "schema_version": scenario.schema_version,
+        "schema_version": SCHEMA_VERSION,
         "name": scenario.name,
         "comment": scenario.comment,
         "network": {
