@@ -31,7 +31,6 @@ parent first, under `traced`.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import platform
@@ -40,23 +39,13 @@ import shutil
 import statistics
 import subprocess
 import sys
-import tarfile
 import tempfile
 from pathlib import Path
 
+from common import extract, git
+
 ROUND_LINE = re.compile(r"^round \d+(?: traced)?: .* in ([0-9.]+) s wall", re.MULTILINE)
 SIDES = ("parent", "change")
-
-
-def git(repo: Path, *args: str) -> bytes:
-    return subprocess.run(["git", *args], cwd=repo, capture_output=True, check=True).stdout
-
-
-def extract(repo: Path, commit: str, dest: Path) -> None:
-    """A fresh copy of the committed files of `commit` at `dest`."""
-    archive = git(repo, "archive", "--format=tar", commit)
-    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(dest, filter="data")
 
 
 def bench_run(repo: Path, commit: str, workdir: Path, workload: str, seed: int,

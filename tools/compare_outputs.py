@@ -30,14 +30,14 @@ every byte matches.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import subprocess
 import sys
-import tarfile
 import tempfile
 from pathlib import Path
+
+from common import extract, git
 
 SIDES = ("parent", "change")
 BUILTINS = ("three-edge", "three-edge-accurate-prior", "three-edge-cond2")
@@ -73,17 +73,6 @@ for name, payload in tables.items():
     (out / f"{name}.json").write_text(json.dumps(payload, indent=2))
 print("\\n".join(sorted(tables)))
 """
-
-
-def git(repo: Path, *args: str) -> bytes:
-    return subprocess.run(["git", *args], cwd=repo, capture_output=True, check=True).stdout
-
-
-def extract(repo: Path, commit: str, dest: Path) -> None:
-    """A fresh copy of the committed files of `commit` at `dest`."""
-    archive = git(repo, "archive", "--format=tar", commit)
-    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(dest, filter="data")
 
 
 def run_cli(copy: Path, cwd: Path, argv: list[str]) -> dict[str, bytes]:

@@ -37,31 +37,19 @@ import importlib
 import io
 import json
 import os
-import resource
 import shutil
 import statistics
-import subprocess
 import sys
-import tarfile
 import tempfile
 import time
 from pathlib import Path
+
+from common import cpu_seconds, extract, git
 
 os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy loads
 
 SIDES = ("parent", "change")
 PACKAGE = "routelearn"
-
-
-def git(repo: Path, *args: str) -> bytes:
-    return subprocess.run(["git", *args], cwd=repo, capture_output=True, check=True).stdout
-
-
-def extract(repo: Path, commit: str, dest: Path) -> None:
-    """A fresh copy of the committed files of `commit` at `dest`."""
-    archive = git(repo, "archive", "--format=tar", commit)
-    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(dest, filter="data")
 
 
 def absolute_imports(package: Path) -> list[str]:
@@ -78,14 +66,6 @@ def absolute_imports(package: Path) -> list[str]:
             if any(n == PACKAGE or n.startswith(PACKAGE + ".") for n in names):
                 found.append(f"{path.name}:{node.lineno}")
     return found
-
-
-def cpu_seconds() -> float:
-    """User plus system time of this process and its reaped children."""
-    return sum(
-        ru.ru_utime + ru.ru_stime
-        for ru in map(resource.getrusage, (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
-    )
 
 
 def run_round(cli, commands: list[list[str]]) -> dict:

@@ -32,21 +32,14 @@ import importlib.metadata
 import json
 import os
 import platform
-import resource
 import statistics
 import sys
 import time
 from pathlib import Path
 
+from common import cpu_seconds
+
 SIDES = (1, 2)  # the worker counts compared
-
-
-def cpu_seconds() -> float:
-    """User plus system time of this process and its reaped children."""
-    return sum(
-        ru.ru_utime + ru.ru_stime
-        for ru in map(resource.getrusage, (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
-    )
 
 
 def quartiles(values: list[float]) -> list[float]:
