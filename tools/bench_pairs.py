@@ -42,10 +42,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-from common import extract, git
+from common import SIDES, extract, resolve
 
 ROUND_LINE = re.compile(r"^round \d+(?: traced)?: .* in ([0-9.]+) s wall", re.MULTILINE)
-SIDES = ("parent", "change")
 
 
 def bench_run(repo: Path, commit: str, workdir: Path, workload: str, seed: int,
@@ -151,12 +150,10 @@ def main(argv=None) -> int:
     parser.add_argument("--workdir", type=Path, default=None)
     args = parser.parse_args(argv)
 
-    repo = Path(git(Path(__file__).resolve().parent, "rev-parse", "--show-toplevel").decode().strip())
+    repo, commits = resolve(args.parent, args.change)
     spec = json.loads((repo / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    commits = {s: git(repo, "rev-parse", f"{rev}^{{commit}}").decode().strip()
-               for s, rev in zip(SIDES, (args.parent, args.change))}
     workdir = args.workdir or Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     workdir.mkdir(parents=True, exist_ok=True)
 

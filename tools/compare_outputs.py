@@ -37,9 +37,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-from common import extract, git
+from common import SIDES, extract, resolve
 
-SIDES = ("parent", "change")
 BUILTINS = ("three-edge", "three-edge-accurate-prior", "three-edge-cond2")
 COMMANDS = (
     ("run", ["run", "--seed", "0"]),
@@ -96,9 +95,7 @@ def main(argv=None) -> int:
     parser.add_argument("--change", required=True)
     args = parser.parse_args(argv)
 
-    repo = Path(git(Path(__file__).resolve().parent, "rev-parse", "--show-toplevel").decode().strip())
-    commits = {s: git(repo, "rev-parse", f"{rev}^{{commit}}").decode().strip()
-               for s, rev in zip(SIDES, (args.parent, args.change))}
+    repo, commits = resolve(args.parent, args.change)
     with tempfile.TemporaryDirectory(prefix="compare-outputs-") as tmp:
         work = Path(tmp).resolve()
         copies = {s: work / f"{s}-src" for s in SIDES}

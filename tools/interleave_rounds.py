@@ -44,11 +44,10 @@ import tempfile
 import time
 from pathlib import Path
 
-from common import cpu_seconds, extract, git
+from common import SIDES, cpu_seconds, extract, resolve
 
 os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy loads
 
-SIDES = ("parent", "change")
 PACKAGE = "routelearn"
 
 
@@ -104,9 +103,7 @@ def main(argv=None) -> int:
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
 
-    repo = Path(git(Path(__file__).resolve().parent, "rev-parse", "--show-toplevel").decode().strip())
-    commits = {s: git(repo, "rev-parse", f"{rev}^{{commit}}").decode().strip()
-               for s, rev in zip(SIDES, (args.parent, args.change))}
+    repo, commits = resolve(args.parent, args.change)
     work = Path(tempfile.mkdtemp(prefix="interleave-"))
     here = Path.cwd()
     try:
