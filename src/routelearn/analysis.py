@@ -203,47 +203,6 @@ def _simplex_grid_chunks(n_states: int, grid_n: int, chunk_size: int):
         yield np.column_stack([head[p], count, left[p] - count]) / grid_n
 
 
-class _ClusterAccumulator:
-    __slots__ = (
-        "count",
-        "support_mask",
-        "load_rows",
-        "theta_min",
-        "theta_max",
-        "rep",
-        "rep_support_size",
-    )
-
-    def __init__(self, n_states: int):
-        self.count = 0
-        self.support_mask = np.zeros(n_states, dtype=bool)
-        self.load_rows = []
-        self.theta_min = np.ones(n_states)
-        self.theta_max = np.zeros(n_states)
-        self.rep = None
-        self.rep_support_size = -1
-
-    def add(self, thetas: np.ndarray, loads: np.ndarray) -> None:
-        self.count += len(thetas)
-        sup = thetas > 0.0
-        self.support_mask |= sup.any(axis=0)
-        # kept for one sum over the family at the end: a sum per block would
-        # round differently at each block size
-        self.load_rows.append(loads)
-        np.minimum(self.theta_min, thetas.min(axis=0), out=self.theta_min)
-        np.maximum(self.theta_max, thetas.max(axis=0), out=self.theta_max)
-        sizes = sup.sum(axis=1)
-        best = int(np.argmax(sizes))
-        if int(sizes[best]) > self.rep_support_size:
-            self.rep_support_size = int(sizes[best])
-            self.rep = thetas[best].copy()
-
-
-def _used_key(used: np.ndarray) -> int:
-    """Integer key of a used-edge mask, bit i for edge i, for any number of edges."""
-    return int.from_bytes(np.packbits(used, bitorder="little").tobytes(), "little")
-
-
 def _rest_point_screen(
     scenario: Scenario, thetas: np.ndarray
 ) -> tuple[EquilibriumBlock, np.ndarray]:
@@ -375,39 +334,32 @@ def enumerate_rest_points(
         raise ValueError(f"chunk_size must be a positive integer, not {chunk_size!r}")
     used_tol = scenario.used_edge_tol
 
-    clusters: dict[int, _ClusterAccumulator] = {}
-    n_passing = 0
     max_gap = 0.0
-
+    th_pass, ld_pass = [], []
     keep = _face_states(scenario, grid_n)
     for face in _simplex_grid_chunks(len(keep), grid_n, chunk_size):
         thetas = np.zeros((len(face), n_states))
         thetas[:, keep] = face
         eq, passing = _rest_point_screen(scenario, thetas)
         max_gap = max(max_gap, float(eq.gap.max()))
-        n_passing += int(passing.sum())
-        if not passing.any():
-            continue
-        th_pass = thetas[passing]
-        ld_pass = eq.edge_loads[passing]
-        for used, sel in row_groups(used_edges(network, ld_pass, used_tol)):
-            key = _used_key(used)
-            acc = clusters.get(key)
-            if acc is None:
-                acc = clusters[key] = _ClusterAccumulator(n_states)
-            acc.add(th_pass[sel], ld_pass[sel])
+        th_pass.append(thetas[passing])
+        ld_pass.append(eq.edge_loads[passing])
+    # every passing row in node order, so that a family's load sum and its
+    # representative do not depend on the block size
+    thetas, loads = np.concatenate(th_pass), np.concatenate(ld_pass)
+    groups = row_groups(used_edges(network, loads, used_tol))
 
     families = []
-    for key, acc in sorted(clusters.items()):
-        used_labels = tuple(
-            e for i, e in enumerate(network.edge_ids) if key >> i & 1
-        )
-        support_idx = np.flatnonzero(acc.support_mask)
+    # edge i as bit i of an integer, highest bit first
+    for want, rows in sorted(groups, key=lambda g: g[0][::-1].tolist()):
+        th, ld = thetas[rows], loads[rows]
+        used_labels = tuple(e for e, u in zip(network.edge_ids, want) if u)
+        support_idx = np.flatnonzero((th > 0.0).any(axis=0))
         support_labels = tuple(model.states[i] for i in support_idx)
-        mean_loads = np.concatenate(acc.load_rows).sum(axis=0) / acc.count
+        mean_loads = ld.sum(axis=0) / len(rows)
+        theta_min, theta_max = th.min(axis=0), th.max(axis=0)
         thresholds = {
-            model.states[i]: (float(acc.theta_min[i]), float(acc.theta_max[i]))
-            for i in support_idx
+            model.states[i]: (float(theta_min[i]), float(theta_max[i])) for i in support_idx
         }
         refined = len(support_idx) == 2
         if refined:
@@ -415,7 +367,6 @@ def enumerate_rest_points(
             # its two states, so its extreme masses on state i are the first
             # and last passing k / grid_n; the bisection starts from them
             i, j = int(support_idx[0]), int(support_idx[1])
-            want = np.array([key >> b & 1 for b in range(network.n_edges)], dtype=bool)
 
             def at(xs: np.ndarray) -> np.ndarray:
                 thetas = np.zeros((len(xs), n_states))
@@ -424,7 +375,7 @@ def enumerate_rest_points(
                 eq, ok = _rest_point_screen(scenario, thetas)
                 return ok & (used_edges(network, eq.edge_loads, used_tol) == want).all(axis=1)
 
-            lo, hi = acc.theta_min[i], acc.theta_max[i]
+            lo, hi = theta_min[i], theta_max[i]
             lo_k, hi_k = round(lo * grid_n), round(hi * grid_n)
             if lo_k > 0:
                 lo = _bisect_boundary(at, (lo_k - 1) / grid_n, lo, _REFINE_TOL)
@@ -433,7 +384,8 @@ def enumerate_rest_points(
             thresholds[model.states[i]] = (float(lo), float(hi))
             thresholds[model.states[j]] = (float(1.0 - hi), float(1.0 - lo))
 
-        rep = acc.rep
+        # the first node of the widest support
+        rep = th[np.argmax((th > 0.0).sum(axis=1))]
         check = check_rest_point(
             scenario, Belief(rep), mean_loads, load_tol=1e-7, mass_tol=_MASS_TOL
         )
@@ -442,7 +394,7 @@ def enumerate_rest_points(
                 used=used_labels,
                 support=support_labels,
                 loads=mean_loads,
-                n_nodes=acc.count,
+                n_nodes=len(rows),
                 representative=rep,
                 thresholds=thresholds,
                 refined=refined,
@@ -456,7 +408,7 @@ def enumerate_rest_points(
         families=tuple(families),
         grid_n=grid_n,
         n_nodes=math.comb(grid_n + n_states - 1, n_states - 1),
-        n_passing=n_passing,
+        n_passing=len(thetas),
         max_solver_gap=max_gap,
     )
 

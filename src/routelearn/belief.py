@@ -3,15 +3,14 @@
 Functions take a block of observations that used the same edges, one per
 row. All likelihood arithmetic is done in log space. After a few dozen
 stages the raw densities underflow, so posteriors are normalized with the
-usual subtract-the-max trick and histories are replayed by summing log
-densities.
+usual subtract-the-max trick.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .costs import Belief, CostModel
+from .costs import CostModel
 from .errors import BeliefError
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -90,25 +89,3 @@ def bayes_update(
         log_prior = np.log(prior)
     return _normalize(log_prior + log_likelihoods(model, used, loads, costs))
 
-
-def replay_posterior(
-    theta0: Belief, model: CostModel, used: np.ndarray, loads: np.ndarray, costs: np.ndarray
-) -> Belief:
-    """Posterior from the initial belief and a whole history of stages.
-
-    Row k of the trajectory's arrays is stage k + 1: its used-edge mask,
-    its loads on every edge and its realized costs, read on the used edges.
-    Costs in different stages are independent given their edge loads, so
-    the joint log density is the per-stage sum, added in stage order, and
-    the result coincides with folding bayes_update over the history.
-    """
-    if len(theta0) != model.n_states:
-        raise BeliefError(f"belief has {len(theta0)} entries, model has {model.n_states} states")
-    if not len(used):
-        return Belief(theta0.probs.copy())
-    with np.errstate(divide="ignore"):
-        acc = np.log(theta0.probs)
-    for mask, w, c in zip(np.asarray(used, dtype=bool), np.asarray(loads), np.asarray(costs)):
-        idx = tuple(np.flatnonzero(mask).tolist())
-        acc = acc + log_likelihoods(model, idx, w[None, :], c[None, idx])[0]
-    return Belief(_normalize(acc[None, :])[0])

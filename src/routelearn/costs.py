@@ -45,11 +45,6 @@ def polyint_coefficients(coeffs, axis: int = -1) -> np.ndarray:
     return c / np.arange(1, c.shape[axis] + 1).reshape(shape)
 
 
-def polyint_ascending(coeffs, x, axis: int = -1) -> np.ndarray:
-    """Exact integral from 0 to x of the polynomial with ascending coefficients."""
-    return polyval_ascending(polyint_coefficients(coeffs, axis), x, axis) * x
-
-
 @dataclass(frozen=True)
 class CostFunction:
     """Edge travel-time function of load, with nonnegative coefficients.

@@ -20,7 +20,11 @@ reference trajectory writer is the csv.writer loop that formats one cell at a ti
 which the one-format-per-row writer replaced. The reference bisection
 probes one midpoint at a time, where the package probes four halvings'
 midpoints in one block, and the oracles mix cost coefficients with their
-own einsum, which the package's in-place accumulation replaced.
+own einsum, which the package's in-place accumulation replaced. Two
+helpers only the tests use live here too: `polyint_ascending`, the
+closed-form integral behind the reference solvers' potential, and
+`replay_posterior`, which sums a whole history's log likelihoods where the
+stage loop folds one Bayes update a stage.
 """
 
 from __future__ import annotations
@@ -43,7 +47,6 @@ from scipy.optimize import root
 from routelearn.analysis import (
     RestPointFamily,
     RestPointReport,
-    _ClusterAccumulator,
     _distinguishable,
     average_cost,
     check_rest_point,
@@ -52,9 +55,10 @@ from routelearn.costs import (
     Belief,
     CostFunction,
     CostModel,
-    polyint_ascending,
+    polyint_coefficients,
     polyval_ascending,
 )
+from routelearn.belief import _normalize, log_likelihoods
 from routelearn.dynamics import CONVERGED, MAX_STAGES, NoiseSampler
 from routelearn.equilibrium import (
     DEFAULT_TOL,
@@ -93,6 +97,11 @@ def known_state(model: CostModel, state: str) -> Belief:
 def _mixed(model: CostModel, theta: Belief) -> np.ndarray:
     """Belief-weighted cost coefficients, shape (n_edges, degree + 1)."""
     return np.einsum("esc,ns->nec", model._coeffs, theta.probs[None, :])[0]
+
+
+def polyint_ascending(coeffs, x, axis: int = -1) -> np.ndarray:
+    """Exact integral from 0 to x of the polynomial with ascending coefficients."""
+    return polyval_ascending(polyint_coefficients(coeffs, axis), x, axis) * x
 
 
 def two_route_affine_loads(network: Network, model: CostModel, theta: Belief, demand: float) -> np.ndarray:
@@ -879,6 +888,29 @@ def reference_bayes_update(
     return Belief(out)
 
 
+def replay_posterior(
+    theta0: Belief, model: CostModel, used: np.ndarray, loads: np.ndarray, costs: np.ndarray
+) -> Belief:
+    """Posterior from the initial belief and a whole history of stages.
+
+    Row k of the trajectory's arrays is stage k + 1: its used-edge mask,
+    its loads on every edge and its realized costs, read on the used edges.
+    Costs in different stages are independent given their edge loads, so
+    the joint log density is the per-stage sum, added in stage order, and
+    the result coincides with folding bayes_update over the history.
+    """
+    if len(theta0) != model.n_states:
+        raise BeliefError(f"belief has {len(theta0)} entries, model has {model.n_states} states")
+    if not len(used):
+        return Belief(theta0.probs.copy())
+    with np.errstate(divide="ignore"):
+        acc = np.log(theta0.probs)
+    for mask, w, c in zip(np.asarray(used, dtype=bool), np.asarray(loads), np.asarray(costs)):
+        idx = tuple(np.flatnonzero(mask).tolist())
+        acc = acc + log_likelihoods(model, idx, w[None, :], c[None, idx])[0]
+    return Belief(_normalize(acc[None, :])[0])
+
+
 def reference_step(
     scenario, belief: Belief, sampler: NoiseSampler, stage: int, solve=None
 ) -> ReferenceStage:
@@ -1140,9 +1172,10 @@ def reference_bisect_boundary(predicate, x_fail: float, x_pass: float, tol: floa
 # enumerate_rest_points as it was before it swept only the face where rest
 # points can lie: every node of the grid is solved, and each two-state
 # family's boundary is found by scanning its grid edge and then bisecting,
-# both with the one-row predicate above. The sweep itself runs on the
-# package's kernels, so that the face sweep, and its bisection from the
-# family's extreme nodes, can be checked against it.
+# both with the one-row predicate above. The solves and the mass test run
+# on the package's kernels, so that the face sweep, and its bisection from
+# the family's extreme nodes, can be checked against it; the families are
+# its own lists of rows per integer key.
 
 
 def reference_enumerate_rest_points(
@@ -1171,7 +1204,8 @@ def reference_enumerate_rest_points(
     if grid_n < 1:
         raise ValueError("grid_n must be at least 1")
 
-    clusters: dict[int, _ClusterAccumulator] = {}
+    theta_rows: dict[int, list[np.ndarray]] = defaultdict(list)
+    load_rows: dict[int, list[np.ndarray]] = defaultdict(list)
     n_nodes = 0
     n_passing = 0
     max_gap = 0.0
@@ -1186,17 +1220,10 @@ def reference_enumerate_rest_points(
         residual = (thetas * dist).sum(axis=1)
         passing = residual <= mass_tol
         n_passing += int(passing.sum())
-        if not passing.any():
-            continue
-        th_pass = thetas[passing]
-        ld_pass = loads[passing]
-        keys = [sum(1 << int(i) for i in np.flatnonzero(u)) for u in ld_pass > used_tol]
-        for key in sorted(set(keys)):
-            sel = np.array([k == key for k in keys])
-            acc = clusters.get(key)
-            if acc is None:
-                acc = clusters[key] = _ClusterAccumulator(n_states)
-            acc.add(th_pass[sel], ld_pass[sel])
+        for theta, w in zip(thetas[passing], loads[passing]):
+            key = sum(1 << int(i) for i in np.flatnonzero(w > used_tol))
+            theta_rows[key].append(theta)
+            load_rows[key].append(w)
 
     passes = functools.partial(
         reference_rest_point_passes, network, model, true_state, demand=demand,
@@ -1204,15 +1231,16 @@ def reference_enumerate_rest_points(
     )
 
     families = []
-    for key, acc in sorted(clusters.items()):
+    for key in sorted(theta_rows):
         used_labels = tuple(
             e for i, e in enumerate(network.edge_ids) if key >> i & 1
         )
-        support_idx = np.flatnonzero(acc.support_mask)
+        th = np.array(theta_rows[key])
+        support_idx = np.flatnonzero((th > 0.0).any(axis=0))
         support_labels = tuple(model.states[i] for i in support_idx)
-        mean_loads = np.concatenate(acc.load_rows).sum(axis=0) / acc.count
+        mean_loads = np.array(load_rows[key]).sum(axis=0) / len(th)
         thresholds = {
-            model.states[i]: (float(acc.theta_min[i]), float(acc.theta_max[i]))
+            model.states[i]: (float(th[:, i].min()), float(th[:, i].max()))
             for i in support_idx
         }
         refined = False
@@ -1243,7 +1271,8 @@ def reference_enumerate_rest_points(
                 thresholds[model.states[j]] = (float(1.0 - hi), float(1.0 - lo))
                 refined = True
 
-        rep = acc.rep
+        # the first node of the widest support
+        rep = max(theta_rows[key], key=lambda theta: int((theta > 0.0).sum()))
         check = check_rest_point(
             scenario, Belief(rep), mean_loads, load_tol=1e-7, mass_tol=mass_tol
         )
@@ -1252,7 +1281,7 @@ def reference_enumerate_rest_points(
                 used=used_labels,
                 support=support_labels,
                 loads=mean_loads,
-                n_nodes=acc.count,
+                n_nodes=len(th),
                 representative=rep,
                 thresholds=thresholds,
                 refined=refined,

@@ -20,7 +20,7 @@ from routelearn import (
     monte_carlo,
 )
 from routelearn.analysis import average_cost
-from routelearn.belief import bayes_update, replay_posterior
+from routelearn.belief import bayes_update
 from routelearn.equilibrium import solve_wardrop
 from routelearn.graph import series_parallel_reducible, used_edges
 
@@ -28,6 +28,7 @@ from oracles import (
     known_state,
     random_spd,
     random_two_route_instance,
+    replay_posterior,
     sp_oracle,
     two_route_affine_loads,
     two_terminal_multigraphs,

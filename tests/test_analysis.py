@@ -899,6 +899,11 @@ class TestFaceSweep:
     def test_random_tables_match_full_sweep(self, seed, grid_n):
         _assert_matches_full_sweep(_face_case(np.random.default_rng(seed)), grid_n)
 
+    @pytest.mark.parametrize("rows, g", [(rows, g) for rows in (3, 4) for g in range(6)])
+    def test_grid_tables_match_full_sweep(self, rows, g):
+        # 17 and 24 edges, so the used-edge masks and their order span several bytes
+        _assert_matches_full_sweep(scenario_from_dict(grid_payload(rows, 4, g)), 6)
+
     def test_full_grid_order_restricted_to_the_face(self, three_edge, monkeypatch):
         # the sweep solves, in order, the full grid's rows that give e1 no mass
         solved = []

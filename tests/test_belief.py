@@ -10,7 +10,7 @@ from routelearn import (
     CostFunction,
     CostModel,
 )
-from routelearn.belief import bayes_update, log_likelihoods, replay_posterior
+from routelearn.belief import bayes_update, log_likelihoods
 from routelearn.equilibrium import solve_wardrop
 from routelearn.graph import used_edges
 
@@ -19,6 +19,7 @@ from oracles import (
     random_spd,
     reference_bayes_update,
     reference_log_likelihoods,
+    replay_posterior,
 )
 
 

@@ -10,11 +10,11 @@ from routelearn import (
     CostFunction,
     CostModel,
 )
-from routelearn.costs import polyint_ascending, polyval_ascending
+from routelearn.costs import polyval_ascending
 from routelearn.equilibrium import solve_wardrop
 from routelearn.graph import Network
 
-from oracles import reference_cost_matrix
+from oracles import polyint_ascending, reference_cost_matrix
 
 
 def tiny_model(functions, edges=("e",), states=("s0", "s1")):

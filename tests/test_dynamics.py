@@ -24,7 +24,7 @@ from routelearn import (
     summarize,
     write_trajectory_csv,
 )
-from routelearn.belief import bayes_update, replay_posterior
+from routelearn.belief import bayes_update
 from routelearn.costs import polyval_ascending
 from routelearn.dynamics import NoiseSampler, realize_costs, run_block, step
 from routelearn.equilibrium import solve_wardrop_batch
@@ -36,6 +36,7 @@ from oracles import (
     random_spd,
     reference_run,
     reference_write_trajectory_csv,
+    replay_posterior,
     wheatstone_poly_payload,
 )
 

@@ -25,6 +25,7 @@ from oracles import (
     exact_solve_wardrop,
     grid_payload,
     known_state,
+    polyint_ascending,
     random_multi_route_instance,
     random_simplex,
     random_two_route_instance,
@@ -175,17 +176,14 @@ class TestVerifyEquilibrium:
         assert cert.worst_violation == pytest.approx(1.0)
 
     def test_tolerance_scales_with_route_costs(self):
-        # degree-4 costs at 20 times the demand: route costs up to about 1.7e6,
-        # exact to rounding, which exceeds 1e-9 in absolute terms
+        # degree-4 costs at 20 times the demand: route costs up to about 1.7e6
         rng = np.random.default_rng(0)
-        worst = 0.0
         for _ in range(10):
             net, model, theta, demand = random_multi_route_instance(rng, max_degree=4)
             demand *= 20.0
             eq = solve_wardrop(net, model, theta, demand)
             cert = verify_equilibrium(net, model, theta, eq, tol=1e-9)
             assert cert.ok, cert.worst_violation
-            worst = max(worst, cert.worst_violation)
             # move 1e-6 of the demand from the cheapest used route to another route
             src = min(cert.used_routes, key=lambda r: cert.route_costs[r])
             dst = next(r for r in range(net.n_routes) if r != src)
@@ -193,7 +191,17 @@ class TestVerifyEquilibrium:
             q[src] -= 1e-6 * demand
             q[dst] += 1e-6 * demand
             assert not verify_equilibrium(net, model, theta, q, tol=1e-9).ok
-        assert worst > 1e-9
+        # two routes costing 1e6 + w: at tol 1e-9 a used route may cost 1e-3
+        # more than the cheapest, so a gap of 1e-4, far above 1e-9, passes
+        # and one of 1e-2 does not
+        net = Network(["a", "b"], [["a"], ["b"]])
+        fns = {(e, "s"): CostFunction.affine(1.0, 1e6) for e in "ab"}
+        model = CostModel(["a", "b"], ["s"], fns, np.eye(2))
+        theta = Belief.point_mass(1, 0)
+        near = verify_equilibrium(net, model, theta, np.array([1 + 5e-5, 1 - 5e-5]), tol=1e-9)
+        assert near.ok and near.worst_violation == pytest.approx(1e-4, rel=1e-6)
+        far = verify_equilibrium(net, model, theta, np.array([1 + 5e-3, 1 - 5e-3]), tol=1e-9)
+        assert not far.ok and far.worst_violation == pytest.approx(1e-2, rel=1e-6)
 
     def test_never_raises_on_bad_input(self, three_edge):
         cert = verify_equilibrium(
@@ -257,8 +265,6 @@ class TestSolverProperties:
         demand = 2.0
         eq = solve_wardrop(net, model, theta, demand, tol=1e-12)
         q1 = np.linspace(0.0, demand, 200001)
-        from routelearn.costs import polyint_ascending
-
         ca = np.array(fns[("a", "s")].coefficients)
         cb = np.array(fns[("b", "s")].coefficients)
         phis = polyint_ascending(ca, q1) + polyint_ascending(cb, demand - q1)
