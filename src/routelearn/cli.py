@@ -82,11 +82,7 @@ def _tool_stamp(scenario: Scenario) -> dict:
             "used_edge": scenario.used_edge_tol,
             "cost_equality": scenario.tolerances.cost_equality,
         },
-        "convergence": {
-            "window": scenario.convergence.window,
-            "delta": scenario.convergence.delta,
-            "max_stages": scenario.convergence.max_stages,
-        },
+        "convergence": dataclasses.asdict(scenario.convergence),
     }
 
 
@@ -352,13 +348,16 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--out-dir", default="out", help="output directory")
 
+    def stopping(p):
+        p.add_argument("--max-stages", type=int, default=None)
+        p.add_argument("--window", type=int, default=None)
+        p.add_argument("--delta", type=float, default=None)
+        p.add_argument("--tol", type=float, default=None, help="equilibrium solver tolerance")
+
     p_run = sub.add_parser("run", help="run one trajectory, write CSV + summary")
     common(p_run)
     p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--max-stages", type=int, default=None)
-    p_run.add_argument("--window", type=int, default=None)
-    p_run.add_argument("--delta", type=float, default=None)
-    p_run.add_argument("--tol", type=float, default=None, help="equilibrium solver tolerance")
+    stopping(p_run)
     p_run.set_defaults(func=cmd_run)
 
     p_batch = sub.add_parser("batch", help="run many seeds, write aggregate JSON")
@@ -371,10 +370,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="upper bound on the processes that run blocks of seeds; a small batch "
         "runs as fewer blocks, down to one in this process",
     )
-    p_batch.add_argument("--max-stages", type=int, default=None)
-    p_batch.add_argument("--window", type=int, default=None)
-    p_batch.add_argument("--delta", type=float, default=None)
-    p_batch.add_argument("--tol", type=float, default=None, help="equilibrium solver tolerance")
+    stopping(p_batch)
     p_batch.add_argument("--save-trajectories", action="store_true")
     p_batch.set_defaults(func=cmd_batch)
 

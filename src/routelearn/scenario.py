@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import numbers
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -356,16 +356,8 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         "initial_belief": scenario.initial_belief.probs.tolist(),
         "alpha": scenario.model.alpha,
         "full_support_prior": scenario.requires_full_support,
-        "tolerances": {
-            "equilibrium": scenario.tolerances.equilibrium,
-            "used_edge": scenario.tolerances.used_edge,
-            "cost_equality": scenario.tolerances.cost_equality,
-        },
-        "convergence": {
-            "window": scenario.convergence.window,
-            "delta": scenario.convergence.delta,
-            "max_stages": scenario.convergence.max_stages,
-        },
+        "tolerances": asdict(scenario.tolerances),
+        "convergence": asdict(scenario.convergence),
     }
 
 
