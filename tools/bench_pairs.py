@@ -130,12 +130,37 @@ def trace_spec(text: str) -> tuple[str, int]:
     return name, int(seed)
 
 
+# numpy's version and the kernel name of the OpenBLAS bundled with it, in a
+# child so that it sees OPENBLAS_CORETYPE as the benchmark runs do
+BLAS_PROBE = """
+import ctypes, glob, os, numpy
+kernel = "unknown"
+libs = os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs", "*openblas*")
+for path in glob.glob(libs):
+    corename = getattr(ctypes.CDLL(path), "scipy_openblas_get_corename64_", None)
+    if corename is not None:
+        corename.restype = ctypes.c_char_p
+        kernel = corename().decode()
+print(numpy.__version__, kernel)
+"""
+
+
+def cpu_model() -> str:
+    """The first `model name` of /proc/cpuinfo, or "unknown CPU"."""
+    try:
+        text = Path("/proc/cpuinfo").read_text()
+    except OSError:
+        return "unknown CPU"
+    found = re.search(r"^model name\s*:\s*(.+)$", text, re.MULTILINE)
+    return found.group(1).strip() if found else "unknown CPU"
+
+
 def host_text() -> str:
-    numpy = subprocess.run(
-        [sys.executable, "-c", "import numpy; print(numpy.__version__)"],
-        capture_output=True, text=True,
-    ).stdout.strip()
-    return f"{os.cpu_count()}-core host, Python {platform.python_version()}, numpy {numpy}"
+    numpy, kernel = subprocess.run(
+        [sys.executable, "-c", BLAS_PROBE], capture_output=True, text=True,
+    ).stdout.split()
+    return (f"{os.cpu_count()}-core host ({cpu_model()}), Python {platform.python_version()}, "
+            f"numpy {numpy}, OpenBLAS kernel {kernel}")
 
 
 def main(argv=None) -> int:
